@@ -57,22 +57,19 @@ diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
 
 echo "==> repro --bench-smoke"
-# Tiny-iteration snapshot/dispatch/template/pool/resolver/decode
-# ablations, compared against the newest committed BENCH_*.json (fails on
-# a >2x regression of the snapshot insn advantage, the template_vs_rebuild
-# wall advantage or the IR-over-block dispatch speedup, a >4x regression
-# of any per-ISA decode-table-vs-hand-rolled ratio, a >20x collapse of the warm
-# resolver-cache throughput or the RISC-V fuzz execs/sec, or any
-# allocation on the warm cache-hit path; each guard skips with a note when
-# the baseline predates its record).
+# Tiny-iteration ablations compared against the newest committed
+# BENCH_*.json. Fails on:
+#   >2x   regression of the snapshot insn advantage, the template_vs_rebuild
+#         wall advantage, the IR-over-single-step dispatch speedup
+#         (ir_vs_insn; older baselines give it as ir_vs_block x
+#         block_vs_insn) or the fuzz fork-vs-reboot advantage;
+#   >2x   growth of the coverage-hook overhead;
+#   >4x   regression of any per-ISA decode-table-vs-hand-rolled ratio;
+#   >20x  collapse of the warm resolver-cache throughput, the RISC-V fuzz
+#         execs/sec or the 10k fleet devices/sec, or blow-up of VSA wall;
+#   any   allocation on the warm resolver cache-hit path.
+# Each guard skips with a note when the baseline predates its record.
 cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke
-
-echo "==> interpreter fallback (--no-ir)"
-# The same gates with threaded-code IR dispatch pinned off, so the
-# fused-block fallback path stays green and the smoke guards skip
-# rather than compare IR numbers that were never produced.
-cargo run --release --offline -q -p connman-lab --bin cml -- fuzz --smoke --jobs 2 --no-ir
-cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke --no-ir
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

@@ -172,10 +172,10 @@ fn ablation_snapshot_vs_reboot(c: &mut Criterion) {
     });
 }
 
-/// Ablation 6 — fused basic-block dispatch: the decode-cache hot loop
-/// again (a daemon_init-shaped backward loop), dispatching fused
-/// straight-line blocks (what we ship) vs. stepping per instruction.
-fn ablation_block_dispatch(c: &mut Criterion) {
+/// Ablation 6 — threaded-code IR dispatch: the decode-cache hot loop
+/// again (a daemon_init-shaped backward loop), dispatching lowered IR
+/// blocks (what we ship) vs. the single-step reference.
+fn ablation_ir_dispatch(c: &mut Criterion) {
     use cml_image::{Perms, SectionKind};
     let code = x86::Asm::new()
         .mov_r_imm(X86Reg::Ecx, 2_000)
@@ -189,11 +189,11 @@ fn ablation_block_dispatch(c: &mut Criterion) {
         .mov_r8_imm(X86Reg::Eax, 1)
         .int80()
         .finish();
-    for (name, blocks_on) in [("block_dispatch", true), ("insn_dispatch", false)] {
-        c.bench_function(format!("ablation/block_vs_insn/{name}"), |b| {
+    for (name, ir_on) in [("ir_dispatch", true), ("insn_dispatch", false)] {
+        c.bench_function(format!("ablation/ir_vs_insn/{name}"), |b| {
             b.iter(|| {
                 let mut m = Machine::new(Arch::X86);
-                m.set_block_dispatch_enabled(blocks_on);
+                m.set_ir_dispatch_enabled(ir_on);
                 m.mem_mut()
                     .map(".text", Some(SectionKind::Text), 0x1000, 0x1000, Perms::RX);
                 m.mem_mut()
@@ -214,6 +214,6 @@ criterion_group!(
     ablation_labelize,
     ablation_decode_cache,
     ablation_snapshot_vs_reboot,
-    ablation_block_dispatch
+    ablation_ir_dispatch
 );
 criterion_main!(benches);

@@ -16,9 +16,6 @@
 //!                       # baseline exists
 //! repro --no-snapshot   # boot every E8 trial from scratch instead of
 //!                       # forking a per-entropy-level snapshot
-//! repro --no-ir         # pin the whole run to fused-block dispatch
-//!                       # (threaded-code IR off), the CI fallback lane
-
 //! repro --sanitize      # run the 9-cell exploit matrix under the VM
 //!                       # shadow-memory sanitizer and print precise
 //!                       # overflow diagnostics per cell
@@ -84,10 +81,9 @@ const FLEET_DEVICES: u64 = 1000;
 /// weak-boot-entropy class model — the million-device campaign).
 const FLEET_SCALE_DEVICES: u64 = 1_000_000;
 
-/// Devices per `fleet_scale` ablation arm. Run at full boot entropy
-/// (one session per device) so per-session costs dominate and the
-/// batched/streamed arms are compared against real per-device work.
-const FLEET_ABLATION_DEVICES: u64 = 100_000;
+/// Devices in the `fleet_scale` full-entropy run: one session per
+/// device, so per-session costs dominate.
+const FLEET_FULL_ENTROPY_DEVICES: u64 = 100_000;
 
 fn main() {
     let mut ids: Vec<String> = Vec::new();
@@ -108,7 +104,6 @@ fn main() {
             "--bench-smoke" => bench_smoke = true,
             "--sanitize" => sanitize = true,
             "--no-snapshot" => snapshot = false,
-            "--no-ir" => cml_vm::set_ir_dispatch_default(false),
             "--jobs" => {
                 jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--jobs wants a number, using 1");
@@ -119,7 +114,7 @@ fn main() {
                 eprintln!(
                     "usage: repro [--exp e1 e2 …] [--out FILE] [--json] \
                      [--jobs N] [--bench-json|--timings] [--bench-smoke] \
-                     [--no-snapshot] [--no-ir] [--sanitize]"
+                     [--no-snapshot] [--sanitize]"
                 );
                 return;
             }
@@ -225,13 +220,9 @@ struct Ablations {
     fresh_wall_secs: f64,
     forked_wall_secs: f64,
     /// Wall seconds for the same hot-loop run under threaded-code IR
-    /// dispatch vs. fused basic-block dispatch vs. forced
-    /// per-instruction stepping (same insn counts — the modes are
-    /// semantically identical; only dispatch cost moves). Under
-    /// `--no-ir` the IR arm inherits the disabled default and measures
-    /// the block path again.
+    /// dispatch vs. the single-step reference (same insn counts — the
+    /// tiers are semantically identical; only dispatch cost moves).
     ir_wall_secs: f64,
-    block_wall_secs: f64,
     insn_wall_secs: f64,
     /// Executed instructions per run in both dispatch arms.
     dispatch_insns: u64,
@@ -326,15 +317,9 @@ impl Ablations {
         self.resolver_alloc_wall_secs / self.resolver_cached_wall_secs.max(1e-12)
     }
 
-    /// Fused-block advantage over per-instruction stepping.
-    fn block_vs_insn_ratio(&self) -> f64 {
-        self.insn_wall_secs / self.block_wall_secs.max(1e-12)
-    }
-
-    /// Threaded-code IR advantage over fused-block dispatch (the PR 6
-    /// tentpole metric; ≥ 5.0 is the acceptance bar).
-    fn ir_vs_block_ratio(&self) -> f64 {
-        self.block_wall_secs / self.ir_wall_secs.max(1e-12)
+    /// Threaded-code IR advantage over single-step dispatch.
+    fn ir_vs_insn_ratio(&self) -> f64 {
+        self.insn_wall_secs / self.ir_wall_secs.max(1e-12)
     }
 
     /// Wall cost of the coverage bitmap: armed / disarmed (≥ 1.0 means
@@ -366,8 +351,7 @@ impl Ablations {
         format!(
             "snapshot_vs_reboot: {} vs {} insns/trial ({:.1}x fewer), \
              {:.3}s vs {:.3}s over {} trials\n\
-             block_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
-             ir_vs_block: {:.3}s vs {:.3}s for the same loop ({:.1}x)\n\
+             ir_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
              template_vs_rebuild: {:.4}s rebuild vs {:.4}s relocate \
              ({:.1}x cheaper wall; {} vs {} allocs/build)\n\
              pooled_vs_alloc: {:.4}s alloc vs {:.4}s pooled over {} queries \
@@ -385,13 +369,10 @@ impl Ablations {
             self.fresh_wall_secs,
             self.forked_wall_secs,
             self.trials,
-            self.block_wall_secs,
+            self.ir_wall_secs,
             self.insn_wall_secs,
             self.dispatch_insns,
-            self.block_vs_insn_ratio(),
-            self.ir_wall_secs,
-            self.block_wall_secs,
-            self.ir_vs_block_ratio(),
+            self.ir_vs_insn_ratio(),
             self.rebuild_wall_secs,
             self.template_wall_secs,
             self.template_wall_ratio(),
@@ -461,28 +442,18 @@ fn run_ablations(trials: u64) -> Ablations {
     let forked_wall_secs = t0.elapsed().as_secs_f64();
 
     // Dispatch ablation: a daemon_init-shaped hot loop (the dominant
-    // straight-line/backward-branch mix the fused dispatcher targets)
-    // under threaded-code IR dispatch vs. fused basic-block dispatch
-    // vs. per-instruction stepping. The IR arm inherits the process
-    // default so `--no-ir` measures the fallback honestly; the block
-    // arm pins IR off so its number stays comparable to PR 3.
-    // Trials interleave the three arms round-robin and time only the
-    // `run()` call, so slow machine phases hit every arm equally and
-    // setup cost stays out of the ratio.
-    let mut dispatch = [0.0f64; 3];
+    // straight-line/backward-branch mix the IR targets) under
+    // threaded-code IR dispatch vs. the single-step reference. Trials
+    // interleave the two arms and time only the `run()` call, so slow
+    // machine phases hit both arms equally and setup cost stays out of
+    // the ratio.
+    let mut dispatch = [0.0f64; 2];
     let mut dispatch_insns = 0u64;
     for _ in 0..trials {
         let mut insns = 0u64;
-        for (slot, ir_on, blocks_on) in [
-            (0usize, None, true),
-            (1, Some(false), true),
-            (2, Some(false), false),
-        ] {
+        for (slot, ir_on) in [(0usize, true), (1, false)] {
             let mut m = dispatch_loop_machine();
-            if let Some(on) = ir_on {
-                m.set_ir_dispatch_enabled(on);
-            }
-            m.set_block_dispatch_enabled(blocks_on);
+            m.set_ir_dispatch_enabled(ir_on);
             let t0 = Instant::now();
             m.run(1_000_000);
             dispatch[slot] += t0.elapsed().as_secs_f64();
@@ -762,8 +733,7 @@ fn run_ablations(trials: u64) -> Ablations {
         fresh_wall_secs,
         forked_wall_secs,
         ir_wall_secs: dispatch[0],
-        block_wall_secs: dispatch[1],
-        insn_wall_secs: dispatch[2],
+        insn_wall_secs: dispatch[1],
         dispatch_insns,
         rebuild_wall_secs,
         template_wall_secs,
@@ -919,22 +889,26 @@ fn smoke_vs_baseline() -> i32 {
         failed = true;
     }
 
-    if cml_vm::ir_dispatch_default() {
-        let ratio = current.ir_vs_block_ratio();
-        match json_number_after(&doc, "\"ir_vs_block\"", "\"wall_ratio\":") {
-            Some(baseline) => {
-                println!(
-                    "bench-smoke: IR-vs-block wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-                );
-                if ratio < baseline / 2.0 {
-                    println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
-                    failed = true;
-                }
+    // IR over single-step: a baseline recorded before the two-tier VM
+    // has no `ir_vs_insn`, but its IR-over-block and block-over-insn
+    // ratios time the same loop, so their product is the same ratio.
+    let ratio = current.ir_vs_insn_ratio();
+    let baseline = json_number_after(&doc, "\"ir_vs_insn\"", "\"wall_ratio\":").or_else(|| {
+        let ir_vs_block = json_number_after(&doc, "\"ir_vs_block\"", "\"wall_ratio\":")?;
+        let block_vs_insn = json_number_after(&doc, "\"block_vs_insn\"", "\"wall_ratio\":")?;
+        Some(ir_vs_block * block_vs_insn)
+    });
+    match baseline {
+        Some(baseline) => {
+            println!(
+                "bench-smoke: IR-vs-insn wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
+            );
+            if ratio < baseline / 2.0 {
+                println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
+                failed = true;
             }
-            None => println!("bench-smoke: baseline {path} has no ir_vs_block — skipping"),
         }
-    } else {
-        println!("bench-smoke: IR dispatch disabled (--no-ir) — skipping ir_vs_block guard");
+        None => println!("bench-smoke: baseline {path} has no ir_vs_insn — skipping"),
     }
 
     let ratio = current.fork_vs_reboot_fuzz_ratio();
@@ -1218,9 +1192,8 @@ fn next_bench_path() -> String {
 
 /// The `fleet_scale` numbers recorded in `BENCH_<n>.json`: the
 /// million-device headline (weak-boot-entropy class model, shared CoW
-/// boots, batched answers, streamed report) plus the three ablation
-/// arms, each run at full boot entropy so every device pays a real
-/// session.
+/// boots, batched answers, streamed report) plus the same campaign at
+/// full boot entropy, where every device pays a real session.
 struct FleetScale {
     devices: u64,
     jobs: usize,
@@ -1228,57 +1201,35 @@ struct FleetScale {
     devices_per_sec: f64,
     sessions: u64,
     compromised: u64,
-    ablation_devices: u64,
+    full_entropy_devices: u64,
     /// A 10k-device serial run — the scale the `--bench-smoke` guard
     /// replays, recorded separately because fixed setup (one session
     /// per address class) dominates at 10k and the headline rate does
     /// not transfer across scales.
     smoke_devices_per_sec: f64,
-    /// Fast path at full entropy — the per-arm comparison base.
+    /// Fast path at full entropy, one session per device.
     full_entropy_wall_secs: f64,
-    per_worker_forge_wall_secs: f64,
-    per_device_answers_wall_secs: f64,
-    materialized_wall_secs: f64,
 }
 
 impl FleetScale {
-    fn forge_ratio(&self) -> f64 {
-        self.per_worker_forge_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
-    fn answer_ratio(&self) -> f64 {
-        self.per_device_answers_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
-    fn report_ratio(&self) -> f64 {
-        self.materialized_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
     fn describe(&self) -> String {
         format!(
             "fleet_scale: {} devices in {:.3}s ({:.0} devices/sec, {} sessions, \
              {} compromised)\n\
-             fleet_scale ablations ({} devices, full boot entropy): \
-             shared-CoW {:.3}s | per-worker forge {:.3}s ({:.2}x) | \
-             per-device answers {:.3}s ({:.2}x) | materialized report {:.3}s ({:.2}x)",
+             fleet_scale full boot entropy: {} devices in {:.3}s ({:.0} sessions/sec)",
             self.devices,
             self.wall_secs,
             self.devices_per_sec,
             self.sessions,
             self.compromised,
-            self.ablation_devices,
+            self.full_entropy_devices,
             self.full_entropy_wall_secs,
-            self.per_worker_forge_wall_secs,
-            self.forge_ratio(),
-            self.per_device_answers_wall_secs,
-            self.answer_ratio(),
-            self.materialized_wall_secs,
-            self.report_ratio()
+            self.full_entropy_devices as f64 / self.full_entropy_wall_secs.max(1e-9)
         )
     }
 }
 
-/// Times the headline campaign and the three fleet ablation arms.
+/// Times the headline campaign and its full-entropy counterpart.
 fn fleet_scale_timings(jobs: usize) -> FleetScale {
     let spec = FleetSpec::homogeneous(FLEET_SCALE_DEVICES, 0xF1EE7);
     let headline = run_fleet_cfg(&spec, &FleetConfig::new(jobs));
@@ -1286,48 +1237,9 @@ fn fleet_scale_timings(jobs: usize) -> FleetScale {
     let smoke_spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
     let smoke = run_fleet_cfg(&smoke_spec, &FleetConfig::new(1));
 
-    let mut ab_spec = FleetSpec::homogeneous(FLEET_ABLATION_DEVICES, 0xF1EE7);
-    ab_spec.cohorts[0].entropy_bits = ENTROPY_FULL;
-    let base = run_fleet_cfg(&ab_spec, &FleetConfig::new(jobs));
-    let per_worker = run_fleet_cfg(
-        &ab_spec,
-        &FleetConfig {
-            jobs,
-            per_worker_forge: true,
-            ..FleetConfig::default()
-        },
-    );
-    let live = run_fleet_cfg(
-        &ab_spec,
-        &FleetConfig {
-            jobs,
-            per_device_answers: true,
-            ..FleetConfig::default()
-        },
-    );
-    let materialized = run_fleet_cfg(
-        &ab_spec,
-        &FleetConfig {
-            jobs,
-            materialize: true,
-            ..FleetConfig::default()
-        },
-    );
-    assert_eq!(
-        base.render(),
-        per_worker.render(),
-        "CoW and per-worker forges must agree before their times are comparable"
-    );
-    assert_eq!(
-        base.render(),
-        live.render(),
-        "batched and per-device answers must agree before their times are comparable"
-    );
-    assert_eq!(
-        base.render(),
-        materialized.render(),
-        "streamed and materialized reports must agree before their times are comparable"
-    );
+    let mut full_spec = FleetSpec::homogeneous(FLEET_FULL_ENTROPY_DEVICES, 0xF1EE7);
+    full_spec.cohorts[0].entropy_bits = ENTROPY_FULL;
+    let full = run_fleet_cfg(&full_spec, &FleetConfig::new(jobs));
     FleetScale {
         devices: headline.devices,
         jobs: headline.jobs,
@@ -1335,12 +1247,9 @@ fn fleet_scale_timings(jobs: usize) -> FleetScale {
         devices_per_sec: headline.devices_per_sec(),
         sessions: headline.sessions,
         compromised: headline.compromised() as u64,
-        ablation_devices: FLEET_ABLATION_DEVICES,
+        full_entropy_devices: FLEET_FULL_ENTROPY_DEVICES,
         smoke_devices_per_sec: smoke.devices_per_sec(),
-        full_entropy_wall_secs: base.elapsed.as_secs_f64(),
-        per_worker_forge_wall_secs: per_worker.elapsed.as_secs_f64(),
-        per_device_answers_wall_secs: live.elapsed.as_secs_f64(),
-        materialized_wall_secs: materialized.elapsed.as_secs_f64(),
+        full_entropy_wall_secs: full.elapsed.as_secs_f64(),
     }
 }
 
@@ -1380,10 +1289,8 @@ fn bench_json_doc(
     let abl = format!(
         "{{\"snapshot_vs_reboot\":{{\"trials\":{},\"fresh_insns_per_trial\":{},\
          \"forked_insns_per_trial\":{},\"insn_ratio\":{:.2},\"fresh_wall_secs\":{:.6},\
-         \"forked_wall_secs\":{:.6}}},\"block_vs_insn\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"block_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
-         \"wall_ratio\":{:.2}}},\"ir_vs_block\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"block_wall_secs\":{:.6},\
+         \"forked_wall_secs\":{:.6}}},\"ir_vs_insn\":{{\"trials\":{},\
+         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
          \"wall_ratio\":{:.2}}},\
          \"template_vs_rebuild\":{{\"builds\":{},\"rebuild_wall_secs\":{:.6},\
          \"template_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
@@ -1412,14 +1319,9 @@ fn bench_json_doc(
         ablations.forked_wall_secs,
         ablations.trials,
         ablations.dispatch_insns,
-        ablations.block_wall_secs,
-        ablations.insn_wall_secs,
-        ablations.block_vs_insn_ratio(),
-        ablations.trials,
-        ablations.dispatch_insns,
         ablations.ir_wall_secs,
-        ablations.block_wall_secs,
-        ablations.ir_vs_block_ratio(),
+        ablations.insn_wall_secs,
+        ablations.ir_vs_insn_ratio(),
         ablations.pooled_queries,
         ablations.rebuild_wall_secs,
         ablations.template_wall_secs,
@@ -1463,11 +1365,8 @@ fn bench_json_doc(
          \"compromised\":{},\"survivors\":{}}},\
          \"fleet_scale\":{{\"devices\":{},\"jobs\":{},\"wall_secs\":{:.6},\
          \"devices_per_sec\":{:.2},\"sessions\":{},\"compromised\":{},\
-         \"ablation_devices\":{},\"smoke_devices_per_sec\":{:.2},\
-         \"full_entropy_wall_secs\":{:.6},\
-         \"per_worker_forge_wall_secs\":{:.6},\"forge_ratio\":{:.2},\
-         \"per_device_answers_wall_secs\":{:.6},\"answer_ratio\":{:.2},\
-         \"materialized_wall_secs\":{:.6},\"report_ratio\":{:.2}}}}}\n",
+         \"full_entropy_devices\":{},\"smoke_devices_per_sec\":{:.2},\
+         \"full_entropy_wall_secs\":{:.6}}}}}\n",
         exps.join(","),
         ana.join(","),
         abl,
@@ -1483,15 +1382,9 @@ fn bench_json_doc(
         scale.devices_per_sec,
         scale.sessions,
         scale.compromised,
-        scale.ablation_devices,
+        scale.full_entropy_devices,
         scale.smoke_devices_per_sec,
-        scale.full_entropy_wall_secs,
-        scale.per_worker_forge_wall_secs,
-        scale.forge_ratio(),
-        scale.per_device_answers_wall_secs,
-        scale.answer_ratio(),
-        scale.materialized_wall_secs,
-        scale.report_ratio()
+        scale.full_entropy_wall_secs
     )
 }
 

@@ -35,9 +35,7 @@
 //! * **Streaming reports.** Workers fold verdicts into per-cohort
 //!   integer accumulators ([`CohortAccum`]) per chunk; chunk partials
 //!   merge commutatively, so the report stays O(cohorts) and
-//!   [`FleetReport::render`] is byte-identical at any `--jobs`. The
-//!   materialized per-device record vector is an opt-in ablation arm
-//!   ([`FleetConfig::materialize`]), not the steady state.
+//!   [`FleetReport::render`] is byte-identical at any `--jobs`.
 //!
 //! Determinism: the class containing device `i` boots with
 //! [`derive_seed`]`(base_seed, first_device_of_class)` and per-device
@@ -46,25 +44,20 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cml_connman::{ProxyOutcome, Resolution};
-use cml_dns::{BufPool, Name, RecordType, WireBuf};
+use cml_dns::{BufPool, Name, RecordType};
 use cml_exploit::{
     AnswerBank, ArmGadgetExeclp, CodeInjection, ExploitStrategy, MaliciousDnsServer, Ret2Libc,
     RiscvGadgetSystem, RopMemcpyChain, Slides, TargetInfo, TemplateSet,
 };
 use cml_firmware::{Arch, BootForge, Firmware, FirmwareKind, Protections, SharedForge};
-use cml_netsim::{
-    share, AccessPoint, ApConfig, ApId, DhcpConfig, HwAddr, RadioEnvironment, ResolverCache, Ssid,
-    Station, UdpService,
-};
+use cml_netsim::ResolverCache;
 
-use crate::arena::Bump;
 use crate::lab::Lab;
 use crate::runner::{derive_seed, Runner};
 
@@ -136,7 +129,8 @@ impl CohortSpec {
     }
 
     /// Parses a comma-separated cohort list:
-    /// `name=kind/arch/prot/count[/loss=P%|PPM][/entropy=BITS]`, e.g.
+    /// `name=kind/arch/prot/count[/loss=P%|PPM][/entropy=BITS|full]`
+    /// (`entropy=full` is [`ENTROPY_FULL`]), e.g.
     /// `tv=openelec/armv7/full/400000,cam=patched/armv7/full/100`.
     ///
     /// # Errors
@@ -200,9 +194,12 @@ impl CohortSpec {
                             .map_err(|_| format!("cohort {name}: bad loss {v:?}"))?
                     };
                 } else if let Some(v) = extra.strip_prefix("entropy=") {
-                    spec.entropy_bits = v
-                        .parse()
-                        .map_err(|_| format!("cohort {name}: bad entropy {v:?}"))?;
+                    spec.entropy_bits = match v {
+                        "full" => ENTROPY_FULL,
+                        bits => bits
+                            .parse()
+                            .map_err(|_| format!("cohort {name}: bad entropy {v:?}"))?,
+                    };
                 } else {
                     return Err(format!("cohort {name}: unknown field {extra:?}"));
                 }
@@ -436,18 +433,6 @@ pub fn fan_out(
     }
 }
 
-/// One materialized device record (the opt-in O(devices) ablation arm;
-/// the streamed path never builds these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceRecord {
-    /// Global device index.
-    pub index: u64,
-    /// Cohort the device belongs to.
-    pub cohort: u32,
-    /// What happened to it.
-    pub verdict: Verdict,
-}
-
 /// Cumulative per-phase wall time across all sessions of a fleet run
 /// (summed over workers, so the phases can exceed the run's wall
 /// clock when `jobs > 1`).
@@ -456,7 +441,7 @@ pub struct PhaseTimings {
     /// Forking (or booting) the victim daemon.
     pub forge_secs: f64,
     /// Resolving through the proxy and obtaining the forged response
-    /// (answer bank or live packet path).
+    /// (answer bank or poisoned upstream cache).
     pub deliver_secs: f64,
     /// Executing the delivered payload in the victim VM.
     pub vm_secs: f64,
@@ -478,9 +463,6 @@ pub struct FleetReport {
     pub devices: u64,
     /// Per-cohort results, in fleet order.
     pub cohorts: Vec<CohortReport>,
-    /// Materialized per-device records (only with
-    /// [`FleetConfig::materialize`]; `None` on the streamed path).
-    pub outcomes: Option<Vec<DeviceRecord>>,
     /// Wall-clock time of the attack fan-out (excludes the shared
     /// firmware/recon prep).
     pub elapsed: Duration,
@@ -625,25 +607,15 @@ fn prot_label(p: &Protections) -> &'static str {
 /// from worker threads after each chunk.
 pub type ProgressFn = Arc<dyn Fn(u64, f64) + Send + Sync>;
 
-/// Knobs of a fleet run. The defaults are the fast path; the `false`
-/// settings exist as honest ablation arms for `repro --bench-json`.
+/// Knobs of a fleet run. The defaults are the fast path.
 #[derive(Clone, Default)]
 pub struct FleetConfig {
     /// Worker threads (0 = one per CPU).
     pub jobs: usize,
-    /// Fork each session from a boot snapshot instead of booting from
-    /// scratch (defaults on; `run_fleet_with(.., false)` is the
-    /// boot-per-session ablation).
+    /// Boot every session's daemon from scratch instead of forking the
+    /// shared copy-on-write boot snapshot (`--fresh-boot`; the semantic
+    /// reference fork equivalence is checked against).
     pub no_snapshot: bool,
-    /// Boot forges per worker instead of spawning them from the shared
-    /// copy-on-write [`SharedForge`] (ablation arm).
-    pub per_worker_forge: bool,
-    /// Answer each session through the live netsim packet path instead
-    /// of the per-cohort [`AnswerBank`] (ablation arm).
-    pub per_device_answers: bool,
-    /// Materialize a [`DeviceRecord`] per device — O(devices) memory
-    /// (ablation arm; the streamed default keeps O(cohorts)).
-    pub materialize: bool,
     /// Route each cohort's queries through a shared upstream
     /// [`ResolverCache`] that the attacker poisons **once** (the XDRI
     /// upstream-compromise topology): the malicious server crafts one
@@ -662,9 +634,6 @@ impl std::fmt::Debug for FleetConfig {
         f.debug_struct("FleetConfig")
             .field("jobs", &self.jobs)
             .field("no_snapshot", &self.no_snapshot)
-            .field("per_worker_forge", &self.per_worker_forge)
-            .field("per_device_answers", &self.per_device_answers)
-            .field("materialize", &self.materialize)
             .field("resolver", &self.resolver)
             .field("chunk", &self.chunk)
             .field("progress", &self.progress.is_some())
@@ -772,7 +741,6 @@ struct FleetCtx<'a> {
     shared: HashMap<u64, SharedForge>,
     /// One recon per distinct (arch, protections).
     references: HashMap<u64, TargetInfo>,
-    ssid: Ssid,
 }
 
 impl FleetCtx<'_> {
@@ -789,18 +757,12 @@ impl FleetCtx<'_> {
 /// cohort's strategy), its captured answer bank, and the cohort's
 /// telemetry hostname.
 struct CohortState {
-    dns: Ipv4Addr,
     host: Name,
     server: MaliciousDnsServer,
     bank: Option<AnswerBank>,
     /// The cohort's shared upstream resolver cache, poisoned once on
     /// first use ([`FleetConfig::resolver`] topology).
     upstream: Option<ResolverCache>,
-    on_air: bool,
-    /// Victim station for the live packet path. Per cohort with a
-    /// distinct MAC: DHCP leases are sticky per MAC, so a shared
-    /// station would keep the previous cohort's resolver address.
-    station: Station,
 }
 
 /// Per-worker persistent attack state: built on the worker's first
@@ -809,21 +771,15 @@ struct Worker {
     /// Which run this state belongs to; a stale generation (a previous
     /// run on the same thread) rebuilds.
     run_gen: u64,
-    env: RadioEnvironment,
-    ap: ApId,
     /// Boot-once/fork-many victims, **indexed by profile key** (O(1),
     /// replacing the linear scan the Vec-keyed version paid per fork).
     forges: HashMap<u64, BootForge>,
     /// Per-cohort attacker state, indexed by cohort position.
     cohorts: Vec<Option<CohortState>>,
-    /// Cohort whose resolver the AP currently advertises.
-    active_cohort: Option<usize>,
     /// Compiled payload templates, keyed by (strategy, arch).
     templates: TemplateSet,
     /// Warm DNS round-trip buffers.
     pool: BufPool,
-    /// Bump arena for materialized per-device records, reset per chunk.
-    records: Bump<DeviceRecord>,
 }
 
 thread_local! {
@@ -832,37 +788,14 @@ thread_local! {
 
 /// Distinguishes runs so a worker thread surviving across calls (the
 /// `jobs == 1` path runs on the caller) never reuses another run's
-/// leases or servers.
+/// forges or servers.
 static RUN_GEN: AtomicU64 = AtomicU64::new(0);
-
-/// Address the malicious resolver for cohort `c` listens on.
-fn server_addr(c: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, (c / 200) as u8, (53 + c % 200) as u8)
-}
-
-/// Adapts [`MaliciousDnsServer`] to the netsim service trait, routing
-/// the buffered entry point to the server's zero-copy encoder.
-struct EvilService(MaliciousDnsServer);
-
-impl UdpService for EvilService {
-    fn handle_datagram(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
-        self.0.handle(payload)
-    }
-
-    fn handle_datagram_into(&mut self, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        let mut buf = WireBuf::from_vec(std::mem::take(out));
-        let answered = self.0.handle_into(payload, &mut buf);
-        *out = buf.into_vec();
-        answered
-    }
-}
 
 /// One chunk's partial result.
 struct ChunkPartial {
     accums: Vec<CohortAccum>,
     phases: PhaseTimings,
     sessions: u64,
-    records: Vec<DeviceRecord>,
 }
 
 /// Runs a fleet under an explicit [`FleetConfig`].
@@ -872,10 +805,6 @@ struct ChunkPartial {
 /// Panics if reconnaissance or payload-template construction fails for
 /// a profile present in the spec (see [`run_fleet`]).
 pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
-    assert!(
-        spec.cohorts.len() <= 1000,
-        "cohort count bounded by resolver address space"
-    );
     let mut starts = Vec::with_capacity(spec.cohorts.len());
     let mut acc = 0u64;
     for c in &spec.cohorts {
@@ -905,7 +834,7 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
                 .recon()
                 .expect("vulnerable replica recon succeeds")
         });
-        if !cfg.per_worker_forge && !cfg.no_snapshot {
+        if !cfg.no_snapshot {
             let forge_key = profile_key(cohort.kind, cohort.arch, &cohort.protections);
             let seed = derive_seed(spec.base_seed, starts[c]);
             let fw = &firmwares[&fw_key];
@@ -932,7 +861,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
         firmwares,
         shared,
         references,
-        ssid: Ssid::new("SmartHome"),
     };
 
     let partials = runner.run_chunks(total, chunk, |range| process_chunk(&ctx, range));
@@ -940,7 +868,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
     let mut accums = vec![CohortAccum::default(); spec.cohorts.len()];
     let mut phases = PhaseTimings::default();
     let mut sessions = 0u64;
-    let mut outcomes = cfg.materialize.then(|| Vec::with_capacity(total as usize));
     for p in &partials {
         for (a, b) in accums.iter_mut().zip(p.accums.iter()) {
             a.merge(b);
@@ -949,9 +876,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
         phases.deliver_secs += p.phases.deliver_secs;
         phases.vm_secs += p.phases.vm_secs;
         sessions += p.sessions;
-        if let Some(out) = outcomes.as_mut() {
-            out.extend_from_slice(&p.records);
-        }
     }
     FleetReport {
         devices: total,
@@ -964,7 +888,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
                 accum,
             })
             .collect(),
-        outcomes,
         elapsed: ctx.started.elapsed(),
         jobs: runner.jobs(),
         phases,
@@ -979,23 +902,12 @@ fn process_chunk(ctx: &FleetCtx<'_>, range: Range<u64>) -> ChunkPartial {
         let worker = match slot.as_mut() {
             Some(w) if w.run_gen == ctx.run_gen => w,
             _ => {
-                let mut env = RadioEnvironment::new();
-                let ap = env.add_ap(AccessPoint::new(ApConfig {
-                    ssid: ctx.ssid.clone(),
-                    bssid: HwAddr::local(1),
-                    signal_dbm: -40,
-                    dhcp: DhcpConfig::new([10, 0, 0], server_addr(0)),
-                }));
                 *slot = Some(Worker {
                     run_gen: ctx.run_gen,
-                    env,
-                    ap,
                     forges: HashMap::new(),
                     cohorts: (0..ctx.spec.cohorts.len()).map(|_| None).collect(),
-                    active_cohort: None,
                     templates: TemplateSet::new(),
                     pool: BufPool::new(),
-                    records: Bump::new(),
                 });
                 slot.as_mut().expect("just set")
             }
@@ -1019,9 +931,7 @@ fn run_range(worker: &mut Worker, ctx: &FleetCtx<'_>, range: Range<u64>) -> Chun
         accums: vec![CohortAccum::default(); ctx.spec.cohorts.len()],
         phases: PhaseTimings::default(),
         sessions: 0,
-        records: Vec::new(),
     };
-    worker.records.reset();
     let mut i = range.start;
     while i < range.end {
         let c = ctx.locate(i);
@@ -1043,25 +953,8 @@ fn run_range(worker: &mut Worker, ctx: &FleetCtx<'_>, range: Range<u64>) -> Chun
                 cohort.loss_ppm,
                 &mut partial.accums[c],
             );
-            if ctx.cfg.materialize {
-                for index in sub.clone() {
-                    let v = if response_lost(ctx.spec.base_seed, index, cohort.loss_ppm) {
-                        Verdict::Lost
-                    } else {
-                        verdict
-                    };
-                    worker.records.push(DeviceRecord {
-                        index,
-                        cohort: c as u32,
-                        verdict: v,
-                    });
-                }
-            }
             i = sub.end;
         }
-    }
-    if ctx.cfg.materialize {
-        partial.records = worker.records.drain_to_vec();
     }
     partial
 }
@@ -1086,13 +979,10 @@ fn cohort_state<'w>(worker: &'w mut Worker, ctx: &FleetCtx<'_>, c: usize) -> &'w
         let host = Name::parse(&format!("telemetry.{}.vendor.example", cohort.name))
             .expect("cohort names are label-safe");
         worker.cohorts[c] = Some(CohortState {
-            dns: server_addr(c),
             host,
             server,
             bank: None,
             upstream: None,
-            on_air: false,
-            station: Station::new(HwAddr::local(100 + c as u16), ctx.ssid.clone()),
         });
     }
     worker.cohorts[c].as_mut().expect("just ensured")
@@ -1111,8 +1001,7 @@ fn class_session(
     let cohort = &ctx.spec.cohorts[c];
     let cfg = ctx.cfg;
 
-    // Make sure the cohort's resolver exists (and is on the air when
-    // the live packet path is in use).
+    // Make sure the cohort's resolver exists.
     cohort_state(worker, ctx, c);
 
     let t_forge = Instant::now();
@@ -1126,13 +1015,7 @@ fn class_session(
         worker
             .forges
             .entry(forge_key)
-            .or_insert_with(|| {
-                if cfg.per_worker_forge {
-                    ctx.firmwares[&fw_key].forge(cohort.protections, seed)
-                } else {
-                    ctx.shared[&forge_key].spawn()
-                }
-            })
+            .or_insert_with(|| ctx.shared[&forge_key].spawn())
             .fork(seed)
     };
     partial.phases.forge_secs += t_forge.elapsed().as_secs_f64();
@@ -1183,7 +1066,7 @@ fn class_session(
         outcome = daemon.deliver_response(buf.as_bytes());
         partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
         worker.pool.checkin(buf);
-    } else if !cfg.per_device_answers {
+    } else {
         // Batched fan-out: the cohort's relocated response was encoded
         // once; this class is answered by a byte-compare and a borrow.
         if state.bank.is_none() {
@@ -1212,38 +1095,6 @@ fn class_session(
             }
         };
         partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
-    } else {
-        // Ablation arm: full radio round trip per session.
-        if !state.on_air {
-            let service = EvilService(state.server.clone());
-            worker.env.register_service(state.dns, share(service));
-            state.on_air = true;
-        }
-        if worker.active_cohort != Some(c) {
-            worker
-                .env
-                .ap_mut(worker.ap)
-                .expect("worker AP on the air")
-                .set_dns(state.dns);
-            worker.active_cohort = Some(c);
-        }
-        worker.env.clear_events();
-        if state.station.association().is_none() {
-            state.station.rescan(&mut worker.env);
-        }
-        let mut buf = worker.pool.checkout();
-        let answered = state
-            .station
-            .query_dns_into(&mut worker.env, &query, buf.as_mut_vec());
-        partial.phases.deliver_secs += t_deliver.elapsed().as_secs_f64();
-        let t_vm = Instant::now();
-        if !answered {
-            worker.pool.checkin(buf);
-            return Verdict::Lost;
-        }
-        outcome = daemon.deliver_response(buf.as_bytes());
-        partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
-        worker.pool.checkin(buf);
     }
 
     Verdict::classify(&outcome)
@@ -1317,9 +1168,9 @@ mod tests {
     }
 
     #[test]
-    fn cow_forges_match_per_worker_forges_on_the_full_matrix() {
-        // The 6-cell matrix: {none, wxorx, full} × {x86, ARMv7}, one
-        // cohort each, plus loss on one cohort for good measure.
+    fn cow_forges_match_fresh_boots_on_the_full_matrix() {
+        // The 9-cell matrix: {none, wxorx, full} × {x86, ARMv7, RISC-V},
+        // one cohort each, plus loss on the W⊕X row for good measure.
         let mut cohorts = Vec::new();
         for (pi, prot) in [
             Protections::none(),
@@ -1347,15 +1198,8 @@ mod tests {
             cohorts,
         };
         let shared = run_fleet_cfg(&spec, &FleetConfig::new(2));
-        let per_worker = run_fleet_cfg(
-            &spec,
-            &FleetConfig {
-                jobs: 2,
-                per_worker_forge: true,
-                ..FleetConfig::default()
-            },
-        );
-        assert_eq!(shared.render(), per_worker.render());
+        let fresh = run_fleet_with(&spec, 2, false);
+        assert_eq!(shared.render(), fresh.render());
         // Every vulnerable cell actually fell (modulo injected loss).
         for c in &shared.cohorts {
             assert_eq!(
@@ -1365,21 +1209,6 @@ mod tests {
                 c.spec.name
             );
         }
-    }
-
-    #[test]
-    fn batched_answers_match_per_device_packet_path() {
-        let spec = FleetSpec::heterogeneous(18, 0xBEEF);
-        let batched = run_fleet_cfg(&spec, &FleetConfig::new(2));
-        let live = run_fleet_cfg(
-            &spec,
-            &FleetConfig {
-                jobs: 2,
-                per_device_answers: true,
-                ..FleetConfig::default()
-            },
-        );
-        assert_eq!(batched.render(), live.render());
     }
 
     #[test]
@@ -1408,31 +1237,6 @@ mod tests {
                 "jobs={jobs}"
             );
         }
-    }
-
-    #[test]
-    fn streamed_report_matches_materialized_report() {
-        let spec = FleetSpec::heterogeneous(25, 7);
-        let streamed = run_fleet_cfg(&spec, &FleetConfig::new(3));
-        let materialized = run_fleet_cfg(
-            &spec,
-            &FleetConfig {
-                jobs: 3,
-                materialize: true,
-                ..FleetConfig::default()
-            },
-        );
-        assert_eq!(streamed.render(), materialized.render());
-        assert!(streamed.outcomes.is_none());
-        let records = materialized.outcomes.clone().expect("materialized records");
-        assert_eq!(records.len(), 25);
-        // Records arrive in global device order with per-device verdicts
-        // consistent with the cohort accumulators.
-        for (k, r) in records.iter().enumerate() {
-            assert_eq!(r.index, k as u64);
-        }
-        let shells = records.iter().filter(|r| r.verdict.compromised()).count();
-        assert_eq!(shells, materialized.compromised());
     }
 
     #[test]
@@ -1484,17 +1288,25 @@ mod tests {
     fn cohort_spec_parsing_round_trips() {
         let parsed = CohortSpec::parse_list(
             "tv=openelec/armv7/full/400,stat=yocto/x86/wxorx/300/loss=2%,\
-             cam=patched/arm/canary/100/entropy=8",
+             cam=patched/arm/canary/100/entropy=8,hub=openelec/x86/full/10/entropy=full",
         )
         .expect("parses");
-        assert_eq!(parsed.len(), 3);
+        assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[0].count, 400);
         assert_eq!(parsed[1].loss_ppm, 20_000);
         assert_eq!(parsed[1].protections, Protections::wxorx());
         assert_eq!(parsed[2].entropy_bits, 8);
         assert!(parsed[2].protections.stack_canary);
+        assert_eq!(parsed[3].entropy_bits, ENTROPY_FULL);
+        assert_eq!(
+            parsed[3].classes(),
+            10,
+            "full entropy: one layout per device"
+        );
         assert!(CohortSpec::parse_list("bogus").is_err());
         assert!(CohortSpec::parse_list("a=nope/x86/full/1").is_err());
+        let err = CohortSpec::parse_list("a=openelec/x86/full/1/entropy=lots").unwrap_err();
+        assert!(err.contains("bad entropy \"lots\""), "{err}");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod device;
 pub mod experiments;
 pub mod fleet;
@@ -42,8 +41,8 @@ pub mod runner;
 
 pub use device::{IotDevice, LookupOutcome};
 pub use fleet::{
-    CohortAccum, CohortReport, CohortSpec, DeviceRecord, FleetConfig, FleetReport, FleetSpec,
-    PhaseTimings, Verdict,
+    CohortAccum, CohortReport, CohortSpec, FleetConfig, FleetReport, FleetSpec, PhaseTimings,
+    Verdict,
 };
 pub use lab::{AttackOutcome, AttackReport, Lab, LabError};
 pub use runner::{derive_seed, Runner};

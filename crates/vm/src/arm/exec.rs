@@ -40,7 +40,7 @@ pub(crate) fn decode_at(m: &mut Machine, pc: Addr) -> Result<Insn, Fault> {
     }
 }
 
-/// Whether `insn` terminates a fused basic block: explicit branches,
+/// Whether `insn` terminates a decoded basic block: explicit branches,
 /// returns, traps, and any data-processing/load form whose destination
 /// is the pc.
 pub(crate) fn ends_block(insn: &Insn) -> bool {
@@ -79,7 +79,7 @@ pub(crate) fn step(m: &mut Machine) -> Result<Option<RunOutcome>, Fault> {
 }
 
 /// Executes an already-decoded instruction at `pc` — the semantic half
-/// of [`step`], shared with the fused-block dispatcher so both modes
+/// of [`step`], shared with the IR's `Exec` fallback op so both tiers
 /// are one implementation.
 pub(crate) fn exec_insn(
     m: &mut Machine,

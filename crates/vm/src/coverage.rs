@@ -2,8 +2,8 @@
 //!
 //! The map is a fixed-size table of saturating 8-bit hit counters
 //! indexed by `hash(prev) ^ hash(cur)` — the classic AFL edge encoding,
-//! here riding the fused block-dispatch path: every block entry (and
-//! every instruction on the per-insn fallback path) notes its location,
+//! here riding the IR dispatch path: every block entry (and every
+//! instruction on the single-step path) notes its location,
 //! so two executions that traverse different control-flow edges light
 //! up different counters even when they visit the same set of blocks.
 //!

@@ -16,29 +16,12 @@
 //! written in bursts and then executed — and coarse flushing keeps the
 //! write path to one compare in the common sequential-write case.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cml_image::Addr;
 
 use crate::ir::IrBlock;
 use crate::{arm, riscv, x86};
-
-/// Process-wide default for the threaded-code IR dispatcher, read when a
-/// [`DecodeCache`] (and so a machine) is created. Lets the bench/CLI
-/// layer force the interpreter fallback for every machine a campaign
-/// spawns without plumbing a flag through the firmware constructors.
-pub(crate) static IR_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Reads [`IR_DEFAULT`].
-pub(crate) fn ir_default() -> bool {
-    IR_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Writes [`IR_DEFAULT`].
-pub(crate) fn set_ir_default(on: bool) {
-    IR_DEFAULT.store(on, Ordering::Relaxed);
-}
 
 /// Pages are the invalidation granule.
 pub(crate) const PAGE_SIZE: u32 = 0x1000;
@@ -67,22 +50,6 @@ impl CachedInsn {
     }
 }
 
-/// A fused basic block: a straight-line run of predecoded instructions
-/// ending at the first control-flow instruction (or a hook/decode
-/// boundary). Executed as a unit by [`Machine::run`](crate::Machine),
-/// with one table probe instead of one per instruction.
-#[derive(Debug)]
-pub(crate) struct Block {
-    /// The decoded instructions, in address order.
-    pub(crate) insns: Vec<CachedInsn>,
-}
-
-#[derive(Debug, Clone)]
-struct BlockEntry {
-    pc: Addr,
-    block: Arc<Block>,
-}
-
 #[derive(Debug, Clone)]
 struct IrEntry {
     pc: Addr,
@@ -103,16 +70,11 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCache {
     enabled: bool,
-    /// Whether fused-block dispatch may use the block table (per-insn
-    /// entries stay usable either way).
-    blocks_enabled: bool,
     /// Whether the threaded-code IR dispatcher may use the IR table
-    /// (block and per-insn entries stay usable either way).
+    /// (per-insn entries stay usable either way).
     ir_enabled: bool,
     slots: Vec<Option<Entry>>,
     len: usize,
-    block_slots: Vec<Option<BlockEntry>>,
-    block_len: usize,
     ir_slots: Vec<Option<IrEntry>>,
     ir_len: usize,
     /// Sorted page bases that contain (or contribute bytes to) cached
@@ -121,8 +83,8 @@ pub(crate) struct DecodeCache {
     /// Last page verified *not* to hold cached decodes — dedups the
     /// `code_pages` lookup for sequential write bursts.
     last_clean_page: Option<u32>,
-    /// Bumped on every flush; the block executor snapshots it so a
-    /// self-modifying write mid-block aborts fused dispatch.
+    /// Bumped on every flush; the IR dispatch loop re-checks it so a
+    /// self-modifying write mid-block abandons the lowered block.
     generation: u64,
     hits: u64,
     misses: u64,
@@ -132,12 +94,9 @@ impl Default for DecodeCache {
     fn default() -> Self {
         DecodeCache {
             enabled: true,
-            blocks_enabled: true,
-            ir_enabled: ir_default(),
+            ir_enabled: true,
             slots: Vec::new(),
             len: 0,
-            block_slots: Vec::new(),
-            block_len: 0,
             ir_slots: Vec::new(),
             ir_len: 0,
             code_pages: Vec::new(),
@@ -163,7 +122,6 @@ impl DecodeCache {
         if !on {
             self.flush();
             self.slots = Vec::new();
-            self.block_slots = Vec::new();
             self.ir_slots = Vec::new();
         }
     }
@@ -172,24 +130,9 @@ impl DecodeCache {
         self.enabled
     }
 
-    /// Turns fused-block dispatch on or off (on by default; the
-    /// `block_vs_insn` ablation runs with it off). Per-instruction
-    /// caching is unaffected. Disabling drops all cached blocks.
-    pub(crate) fn set_blocks_enabled(&mut self, on: bool) {
-        self.blocks_enabled = on;
-        if !on && self.block_len > 0 {
-            self.block_slots = Vec::new();
-            self.block_len = 0;
-        }
-    }
-
-    pub(crate) fn blocks_enabled(&self) -> bool {
-        self.blocks_enabled
-    }
-
     /// Turns the threaded-code IR dispatcher on or off for this machine
-    /// (the `ir_vs_block` ablation and the CI interpreter-fallback run
-    /// turn it off). Disabling drops all lowered blocks.
+    /// (off selects the single-step reference tier). Disabling drops all
+    /// lowered blocks.
     pub(crate) fn set_ir_enabled(&mut self, on: bool) {
         self.ir_enabled = on;
         if !on && self.ir_len > 0 {
@@ -270,61 +213,11 @@ impl DecodeCache {
         }
     }
 
-    /// Looks up a fused block starting at `pc`. Like per-insn entries, a
-    /// hit is valid by construction (push invalidation).
-    pub(crate) fn get_block(&mut self, pc: Addr) -> Option<Arc<Block>> {
-        if !self.enabled || !self.blocks_enabled || self.block_slots.is_empty() {
-            return None;
-        }
-        let mask = self.block_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.block_slots[i] {
-                Some(e) if e.pc == pc => return Some(Arc::clone(&e.block)),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-    }
-
-    /// Memoises a fused block whose encodings span `span` bytes at `pc`.
-    pub(crate) fn insert_block(&mut self, pc: Addr, block: Arc<Block>, span: u32) {
-        if !self.enabled || !self.blocks_enabled {
-            return;
-        }
-        if self.block_slots.len() * 3 <= (self.block_len + 1) * 4 {
-            self.grow_blocks();
-        }
-        let mask = self.block_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.block_slots[i] {
-                Some(e) if e.pc == pc => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.block_slots[i] = Some(BlockEntry { pc, block });
-                    self.block_len += 1;
-                    break;
-                }
-            }
-        }
-        // Every page the block's encodings touch must flush on write.
-        let mut page = pc & PAGE_MASK;
-        let last = pc.wrapping_add(span.saturating_sub(1)) & PAGE_MASK;
-        loop {
-            self.note_code_page(page);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
-        }
-    }
-
     /// Looks up a lowered IR block starting at `pc`. Valid by
-    /// construction, like the other two tables (push invalidation), and
+    /// construction, like per-insn entries (push invalidation), and
     /// additionally hook-free by construction: hook registration flushes,
     /// and the builder refuses hooked start addresses, so a hit never
-    /// needs the per-entry hook probe `step_block` pays.
+    /// needs a per-entry hook probe.
     pub(crate) fn get_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
         if !self.enabled || !self.ir_enabled || self.ir_slots.is_empty() {
             return None;
@@ -389,23 +282,6 @@ impl DecodeCache {
         }
     }
 
-    fn grow_blocks(&mut self) {
-        let cap = if self.block_slots.is_empty() {
-            INITIAL_SLOTS
-        } else {
-            self.block_slots.len() * 4
-        };
-        let old = std::mem::replace(&mut self.block_slots, vec![None; cap]);
-        let mask = cap - 1;
-        for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
-            while self.block_slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.block_slots[i] = Some(e);
-        }
-    }
-
     fn note_code_page(&mut self, page: u32) {
         if let Err(at) = self.code_pages.binary_search(&page) {
             self.code_pages.insert(at, page);
@@ -460,17 +336,13 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every cached decode and block (permission change, new
+    /// Drops every cached decode and lowered block (permission change, new
     /// mapping, hook registration, snapshot restore, or a write to a
     /// cached page).
     pub(crate) fn flush(&mut self) {
         if self.len > 0 {
             self.slots.iter_mut().for_each(|s| *s = None);
             self.len = 0;
-        }
-        if self.block_len > 0 {
-            self.block_slots.iter_mut().for_each(|s| *s = None);
-            self.block_len = 0;
         }
         if self.ir_len > 0 {
             self.ir_slots.iter_mut().for_each(|s| *s = None);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cml_image::{Addr, Perms, SectionKind};
 
-use crate::dcache::{Block, CachedInsn, DecodeCache, PAGE_SIZE};
+use crate::dcache::{CachedInsn, DecodeCache, PAGE_SIZE};
 use crate::ir::IrBlock;
 use crate::Fault;
 
@@ -712,8 +712,8 @@ impl Memory {
     /// snapshot is copied back (O(dirty pages), not O(image)), regions
     /// mapped afterwards are dropped, and bases/permissions that drifted
     /// are reset. Restored code pages are pushed through the decode
-    /// cache's write hooks, so stale predecoded instructions and fused
-    /// blocks can never execute. Any armed redzone is disarmed.
+    /// cache's write hooks, so stale predecoded instructions and lowered
+    /// IR blocks can never execute. Any armed redzone is disarmed.
     ///
     /// Dirty tracking is re-armed, so the same snapshot can be restored
     /// any number of times.
@@ -819,22 +819,6 @@ impl Memory {
 
     pub(crate) fn dcache_stats(&self) -> (u64, u64) {
         self.dcache.stats()
-    }
-
-    pub(crate) fn dcache_get_block(&mut self, pc: Addr) -> Option<Arc<Block>> {
-        self.dcache.get_block(pc)
-    }
-
-    pub(crate) fn dcache_insert_block(&mut self, pc: Addr, block: Arc<Block>, span: u32) {
-        self.dcache.insert_block(pc, block, span);
-    }
-
-    pub(crate) fn dcache_set_blocks_enabled(&mut self, on: bool) {
-        self.dcache.set_blocks_enabled(on);
-    }
-
-    pub(crate) fn dcache_blocks_enabled(&self) -> bool {
-        self.dcache.blocks_enabled()
     }
 
     pub(crate) fn dcache_generation(&self) -> u64 {

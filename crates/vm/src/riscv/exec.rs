@@ -46,7 +46,7 @@ pub(crate) fn decode_at(m: &mut Machine, pc: Addr) -> Result<(Insn, usize), Faul
     }
 }
 
-/// Whether `insn` terminates a fused basic block: jumps, branches, and
+/// Whether `insn` terminates a decoded basic block: jumps, branches, and
 /// traps. Straight-line ALU/memory forms never redirect the pc on
 /// RISC-V (x0-writes are discarded, not branches), so everything else
 /// falls through.
@@ -75,8 +75,8 @@ pub(crate) fn step(m: &mut Machine) -> Result<Option<RunOutcome>, Fault> {
 }
 
 /// Executes an already-decoded instruction of encoded length `len` at
-/// `pc` — the semantic half of [`step`], shared with the fused-block
-/// dispatcher so both modes are one implementation.
+/// `pc` — the semantic half of [`step`], shared with the IR's `Exec`
+/// fallback op so both tiers are one implementation.
 pub(crate) fn exec_insn(
     m: &mut Machine,
     insn: Insn,

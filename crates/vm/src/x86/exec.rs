@@ -72,7 +72,7 @@ pub(crate) fn decode_at(m: &mut Machine, pc: Addr) -> Result<(Insn, usize), Faul
     }
 }
 
-/// Whether `insn` terminates a fused basic block: anything that can set
+/// Whether `insn` terminates a decoded basic block: anything that can set
 /// the pc to something other than the fall-through address (the block
 /// builder stops decoding here — the textbook basic-block boundary).
 pub(crate) fn ends_block(insn: &Insn) -> bool {
@@ -102,8 +102,8 @@ pub(crate) fn step(m: &mut Machine) -> Result<Option<RunOutcome>, Fault> {
 }
 
 /// Executes an already-decoded instruction of `len` encoded bytes at
-/// `pc` — the semantic half of [`step`], shared with the fused-block
-/// dispatcher so both modes are one implementation.
+/// `pc` — the semantic half of [`step`], shared with the IR's `Exec`
+/// fallback op so both tiers are one implementation.
 pub(crate) fn exec_insn(
     m: &mut Machine,
     insn: Insn,

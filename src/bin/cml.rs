@@ -77,12 +77,11 @@ fn usage() {
          \x20 resolve     --smoke            resolver CI gate: delegation, CNAME,\n\
          \x20                                cache hit, determinism, poisoning\n\
          \x20 fuzz        --arch A --variant vulnerable|patched --seed N\n\
-         \x20             --max-execs N [--out DIR] [--no-ir]\n\
+         \x20             --max-execs N [--out DIR]\n\
          \x20                                coverage-guided fuzzing campaign\n\
-         \x20 fuzz        --smoke [--no-ir]  fixed-seed CI check: the fuzzer must\n\
+         \x20 fuzz        --smoke            fixed-seed CI check: the fuzzer must\n\
          \x20                                rediscover the overflow on vulnerable\n\
          \x20                                firmware and find nothing on patched\n\
-         \x20                                (--no-ir pins fused-block dispatch)\n\
          \x20 experiments [e1 .. e10]        regenerate the paper tables\n\
          \n\
          options:\n\
@@ -93,7 +92,7 @@ fn usage() {
          \x20 --jobs      N                      worker threads for experiments/fleet\n\
          \x20                                    (default 1, 0 = one per CPU)\n\
          \x20 --devices   N                      fleet size (default 100)\n\
-         \x20 --cohorts   name=kind/arch/prot/count[/loss=P%][/entropy=B],...\n\
+         \x20 --cohorts   name=kind/arch/prot/count[/loss=P%][/entropy=B|full],...\n\
          \x20                                    explicit fleet mix (overrides --devices)\n\
          \x20 --stream    fleet: live devices/sec progress line on stderr\n\
          \x20 --fresh-boot                       fleet: boot every session from scratch\n\
@@ -418,9 +417,28 @@ fn pineapple(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+const FLEET_USAGE: &str = "usage: cml fleet [--devices N | --cohorts SPEC] [--jobs N] [--stream]\n\
+     \x20                [--fresh-boot] [--resolver]\n\
+     \n\
+     \x20 --devices N     heterogeneous four-cohort fleet of N devices (default 100)\n\
+     \x20 --cohorts SPEC  name=kind/arch/prot/count[/loss=P%][/entropy=BITS|full],...\n\
+     \x20 --jobs N        worker threads (default 1, 0 = one per CPU)\n\
+     \x20 --stream        live devices/sec progress line on stderr\n\
+     \x20 --fresh-boot    boot every session from scratch instead of forking\n\
+     \x20 --resolver      cohorts query through a shared upstream resolver cache\n\
+     \x20                 poisoned once per cohort";
+
 fn fleet(opts: &Opts) -> ExitCode {
     use connman_lab::fleet::{run_fleet_cfg, CohortSpec, FleetConfig, FleetSpec};
 
+    if opts.rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{FLEET_USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    if let Some(other) = opts.rest.first() {
+        eprintln!("unknown fleet option {other:?}\n{FLEET_USAGE}");
+        return ExitCode::FAILURE;
+    }
     let spec = match &opts.cohorts {
         Some(list) => match CohortSpec::parse_list(list) {
             Ok(cohorts) => FleetSpec {
@@ -646,13 +664,6 @@ fn resolve_smoke() -> ExitCode {
 fn fuzz_cmd(opts: &Opts) -> ExitCode {
     use connman_lab::fuzz::{fuzz, FuzzConfig};
 
-    // Escape hatch: pin the whole campaign (including worker threads)
-    // to fused-block dispatch so the interpreter fallback stays
-    // exercised in CI.
-    if opts.rest.iter().any(|a| a == "--no-ir") {
-        connman_lab::vm::set_ir_dispatch_default(false);
-    }
-
     if opts.rest.iter().any(|a| a == "--smoke") {
         // Fixed-seed CI gate: the three campaigns below must behave
         // exactly this way on every run or the build fails.
@@ -726,8 +737,6 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--no-ir" => {} // handled above, before any machine exists
-
             other => {
                 eprintln!("unknown fuzz option {other:?}");
                 return ExitCode::FAILURE;

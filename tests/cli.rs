@@ -93,3 +93,21 @@ fn patched_firmware_recon_fails_cleanly() {
     assert_eq!(code, Some(1));
     assert!(err.contains("recon failed"), "{err}");
 }
+
+#[test]
+fn fleet_help_prints_usage_without_running_a_campaign() {
+    for flag in ["--help", "-h"] {
+        let (out, err, code) = cml(&["fleet", flag]);
+        assert_eq!(code, Some(0), "stderr: {err}");
+        assert!(out.contains("usage: cml fleet"), "{out}");
+        assert!(!out.contains("compromised"), "help ran a campaign:\n{out}");
+    }
+}
+
+#[test]
+fn fleet_rejects_unknown_options() {
+    let (out, err, code) = cml(&["fleet", "--devcies", "10"]);
+    assert_eq!(code, Some(1), "stdout: {out}");
+    assert!(err.contains("unknown fleet option \"--devcies\""), "{err}");
+    assert!(out.is_empty(), "no campaign may run:\n{out}");
+}

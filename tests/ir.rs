@@ -2,32 +2,23 @@
 //! blocks to superinstructions is a pure throughput lever. For every
 //! cell of the paper's exploit matrix — with the shadow-memory
 //! sanitizer both on and off — and for ISA-level programs that exercise
-//! every lowered op shape, {IR, fused-block, per-instruction} dispatch
+//! every lowered op shape, IR dispatch and the single-step reference
 //! must produce byte-identical outcomes, fault details, event streams
 //! and instruction counts, including when the step budget expires in
 //! the middle of a lowered block or a folded ALU run.
 
 use cml_image::{Arch, Perms, SectionKind};
 use cml_vm::x86::Asm;
-use cml_vm::{arm, riscv, Machine, RunOutcome, X86Reg};
+use cml_vm::{arm, riscv, x86, CoverageMap, Machine, RunOutcome, X86Reg};
 use connman_lab::exploit::target::deliver_labels;
 use connman_lab::exploit::{
     ArmGadgetExeclp, CodeInjection, ExploitStrategy, Ret2Libc, RiscvGadgetSystem,
 };
 use connman_lab::{FirmwareKind, Lab, Protections};
 
-/// The three dispatch tiers under test: threaded-code IR, fused basic
-/// blocks with IR pinned off, and per-instruction stepping.
-const MODES: [(&str, bool, bool); 3] = [
-    ("ir", true, true),
-    ("block", false, true),
-    ("insn", false, false),
-];
-
-fn set_mode(m: &mut Machine, ir_on: bool, blocks_on: bool) {
-    m.set_ir_dispatch_enabled(ir_on);
-    m.set_block_dispatch_enabled(blocks_on);
-}
+/// The two dispatch tiers under test: threaded-code IR and the
+/// per-instruction reference.
+const MODES: [(&str, bool); 2] = [("ir", true), ("insn", false)];
 
 /// The nine PoC cells of §III: protection level + the matched technique.
 fn matrix() -> Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> {
@@ -65,10 +56,10 @@ fn ir_dispatch_is_invisible_across_the_exploit_matrix() {
 
         for sanitize in [false, true] {
             let mut prints: Vec<(&str, String)> = Vec::new();
-            for (mode, ir_on, blocks_on) in MODES {
+            for (mode, ir_on) in MODES {
                 let mut daemon = fw.boot(protections, SEED);
                 daemon.set_sanitizer(sanitize);
-                set_mode(daemon.machine_mut(), ir_on, blocks_on);
+                daemon.machine_mut().set_ir_dispatch_enabled(ir_on);
                 let outcome = deliver_labels(&mut daemon, labels.clone());
                 let m = daemon.machine();
                 prints.push((
@@ -222,7 +213,7 @@ fn riscv_program() -> Vec<u8> {
         .finish()
 }
 
-/// x86/ARM/RISC-V programs agree across all three dispatch tiers, for
+/// x86/ARM/RISC-V programs agree across both dispatch tiers, for
 /// every step budget from 1 up to past program exit — so budget
 /// exhaustion lands on every possible op boundary, including inside
 /// folded `AddImm` runs and between the halves of fused
@@ -236,7 +227,7 @@ fn step_budget_parity_at_every_boundary() {
     ] {
         // Establish the total instruction count from per-insn dispatch.
         let mut full = boot(arch, &code);
-        set_mode(&mut full, false, false);
+        full.set_ir_dispatch_enabled(false);
         let outcome = full.run(100_000);
         assert_eq!(
             outcome,
@@ -247,9 +238,9 @@ fn step_budget_parity_at_every_boundary() {
 
         for budget in 1..=total + 2 {
             let mut prints: Vec<(&str, String)> = Vec::new();
-            for (mode, ir_on, blocks_on) in MODES {
+            for (mode, ir_on) in MODES {
                 let mut m = boot(arch, &code);
-                set_mode(&mut m, ir_on, blocks_on);
+                m.set_ir_dispatch_enabled(ir_on);
                 let out = m.run(budget);
                 prints.push((
                     mode,
@@ -287,9 +278,9 @@ fn mid_block_fault_parity() {
         .int80()
         .finish();
     let mut prints: Vec<(&str, String)> = Vec::new();
-    for (mode, ir_on, blocks_on) in MODES {
+    for (mode, ir_on) in MODES {
         let mut m = boot(Arch::X86, &code);
-        set_mode(&mut m, ir_on, blocks_on);
+        m.set_ir_dispatch_enabled(ir_on);
         let out = m.run(1_000);
         assert!(out.is_crash(), "{mode}: store to unmapped memory faults");
         prints.push((
@@ -309,7 +300,7 @@ fn mid_block_fault_parity() {
 }
 
 /// Mutating `.text` after a snapshot restore must orphan the lowered IR
-/// blocks (generation bump), on top of the block/decode caches: the run
+/// blocks (generation bump), on top of the decode cache: the run
 /// after the poke executes the *mutated* exit code, and a second
 /// restore rewinds the mutation itself.
 #[test]
@@ -338,27 +329,104 @@ fn text_mutation_after_snapshot_orphans_ir_blocks() {
     );
 }
 
-/// IR dispatch and fused-block dispatch note coverage identically (one
-/// premixed edge per block entry): the maps must be byte-for-byte the
-/// same, on all three ISAs.
+/// Decodes the instruction at `pc` of a [`boot`]ed program: its length
+/// and whether it is a control transfer (or trap), after which a basic
+/// block ends whether or not the transfer is taken. ARM `pop` counts
+/// too: it may load the pc, so blocks end there unconditionally.
+fn decode_at(arch: Arch, code: &[u8], pc: u32) -> (u32, bool) {
+    let bytes = &code[(pc - 0x1000) as usize..];
+    match arch {
+        Arch::X86 => {
+            use x86::Insn::*;
+            let (insn, len) = x86::decode(bytes).expect("program decodes");
+            let ends = matches!(
+                insn,
+                Ret | RetImm16(_)
+                    | CallRel32(_)
+                    | CallRm(_)
+                    | JmpRm(_)
+                    | JmpRel8(_)
+                    | JmpRel32(_)
+                    | Jz8(_)
+                    | Jnz8(_)
+                    | Jz32(_)
+                    | Jnz32(_)
+                    | Int80
+                    | Hlt
+            );
+            (len as u32, ends)
+        }
+        Arch::Armv7 => {
+            use arm::Insn::*;
+            let (insn, len) = arm::decode(bytes).expect("program decodes");
+            let ends = matches!(
+                insn,
+                B { .. }
+                    | BEq { .. }
+                    | BNe { .. }
+                    | Bl { .. }
+                    | Bx { .. }
+                    | Blx { .. }
+                    | Pop { .. }
+                    | Svc { .. }
+            );
+            (len as u32, ends)
+        }
+        Arch::Riscv => {
+            use riscv::Insn::*;
+            let (insn, len) = riscv::decode(bytes).expect("program decodes");
+            let ends = matches!(
+                insn,
+                Jal { .. } | Jalr { .. } | Beq { .. } | Bne { .. } | Ecall | Ebreak
+            );
+            (len as u32, ends)
+        }
+    }
+}
+
+/// The coverage map IR dispatch must produce, derived from a
+/// single-step run: one edge per basic-block entry, where a block
+/// starts at the entry pc, after every control transfer or pc write,
+/// and after 32 straight-line instructions (the block builder's cap).
+fn block_entry_coverage(arch: Arch, code: &[u8]) -> Vec<u8> {
+    const MAX_BLOCK: u32 = 32;
+    let mut m = boot(arch, code);
+    m.set_ir_dispatch_enabled(false);
+    let mut cov = CoverageMap::new();
+    let (mut entry, mut run) = (true, 0);
+    loop {
+        let pc = m.regs().pc();
+        if entry || run == MAX_BLOCK {
+            cov.note(pc);
+            run = 0;
+        }
+        let (len, ends) = decode_at(arch, code, pc);
+        run += 1;
+        if !matches!(m.step(), Ok(None)) {
+            break;
+        }
+        entry = ends || m.regs().pc() != pc.wrapping_add(len);
+    }
+    cov.bytes().to_vec()
+}
+
+/// IR dispatch notes one premixed edge per block entry: its map must
+/// equal the block-entry map derived from a single-step run, byte for
+/// byte, on all three ISAs.
 #[test]
-fn coverage_map_identical_ir_vs_block() {
+fn coverage_map_identical_ir_vs_insn_block_entries() {
     for (arch, code) in [
         (Arch::X86, x86_program()),
         (Arch::Armv7, arm_program()),
         (Arch::Riscv, riscv_program()),
     ] {
-        let run_mode = |ir_on: bool| {
-            let mut m = boot(arch, &code);
-            set_mode(&mut m, ir_on, true);
-            m.set_coverage_enabled(true);
-            let _ = m.run(100_000);
-            m.coverage().unwrap().bytes().to_vec()
-        };
+        let mut m = boot(arch, &code);
+        m.set_coverage_enabled(true);
+        let _ = m.run(100_000);
         assert_eq!(
-            run_mode(true),
-            run_mode(false),
-            "{arch}: IR coverage diverged from block coverage"
+            m.coverage().unwrap().bytes(),
+            block_entry_coverage(arch, &code).as_slice(),
+            "{arch}: IR coverage diverged from the single-step block entries"
         );
     }
 }

@@ -1,9 +1,9 @@
-//! Equivalence property: snapshot forks and fused basic-block dispatch
+//! Equivalence property: snapshot forks and threaded-code IR dispatch
 //! are pure throughput levers. For every cell of the paper's exploit
 //! matrix — and with the shadow-memory sanitizer both on and off — the
 //! proxy outcome, the fault details inside it, and the machine's event
 //! stream must be byte-identical across {fresh boot, snapshot fork} ×
-//! {block dispatch, per-instruction dispatch}.
+//! {IR dispatch, per-instruction dispatch}.
 
 use connman_lab::exploit::target::deliver_labels;
 use connman_lab::exploit::{
@@ -52,24 +52,24 @@ fn all_modes_produce_byte_identical_outcomes_across_the_matrix() {
             for seed in [BASE_SEED, BASE_SEED + 1] {
                 let mut prints: Vec<(&str, String)> = Vec::new();
                 for snapshot in [false, true] {
-                    for blocks in [true, false] {
-                        let mode = match (snapshot, blocks) {
-                            (false, true) => "fresh/block",
+                    for ir in [true, false] {
+                        let mode = match (snapshot, ir) {
+                            (false, true) => "fresh/ir",
                             (false, false) => "fresh/insn",
-                            (true, true) => "fork/block",
+                            (true, true) => "fork/ir",
                             (true, false) => "fork/insn",
                         };
                         let fingerprint = if snapshot {
                             let daemon = forge.fork(seed);
                             daemon.set_sanitizer(sanitize);
-                            daemon.machine_mut().set_block_dispatch_enabled(blocks);
+                            daemon.machine_mut().set_ir_dispatch_enabled(ir);
                             let out = deliver_response_print(daemon, &labels);
-                            daemon.machine_mut().set_block_dispatch_enabled(true);
+                            daemon.machine_mut().set_ir_dispatch_enabled(true);
                             out
                         } else {
                             let mut daemon = fw.boot(protections, seed);
                             daemon.set_sanitizer(sanitize);
-                            daemon.machine_mut().set_block_dispatch_enabled(blocks);
+                            daemon.machine_mut().set_ir_dispatch_enabled(ir);
                             deliver_response_print(&mut daemon, &labels)
                         };
                         prints.push((mode, fingerprint));
