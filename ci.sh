@@ -17,6 +17,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+echo "==> perfbench correctness tests"
+# The benchmark's own tiny-size runs: traced replays must equal the
+# untraced results and the deterministic counts must repeat, on all
+# four workloads (perfbench is a separate workspace, see perfbench/).
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cml analyze --self-test"
 cargo run --release --offline -q -p connman-lab --bin cml -- analyze --self-test
 

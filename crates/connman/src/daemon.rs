@@ -109,6 +109,7 @@ pub struct DaemonSnapshot {
     version: ConnmanVersion,
     machine: MachineSnapshot,
     map: LoadMap,
+    syms: EntrySyms,
     cache: Cache,
     layout: FrameLayout,
     parse_pc: Addr,
@@ -129,6 +130,7 @@ pub struct Daemon {
     version: ConnmanVersion,
     machine: Machine,
     map: LoadMap,
+    syms: EntrySyms,
     cache: Cache,
     layout: FrameLayout,
     parse_pc: Addr,
@@ -149,6 +151,28 @@ pub struct Daemon {
     sanitize: bool,
 }
 
+/// Positions of the daemon's entry symbols in its image's symbol list
+/// (see [`LoadMap::symbol_index`]): resolved by name once per image, so
+/// a reslide reads the new addresses without a name lookup.
+#[derive(Debug, Clone, Copy)]
+struct EntrySyms {
+    parse: usize,
+    resume: usize,
+}
+
+impl EntrySyms {
+    fn resolve(map: &LoadMap) -> Result<Self, DaemonError> {
+        let find = |name| {
+            map.symbol_index(name)
+                .ok_or(DaemonError::MissingSymbol(name))
+        };
+        Ok(EntrySyms {
+            parse: find(SYM_PARSE_RESPONSE)?,
+            resume: find(SYM_DAEMON_LOOP)?,
+        })
+    }
+}
+
 impl Daemon {
     /// Wraps a loaded machine as a running daemon.
     ///
@@ -161,18 +185,16 @@ impl Daemon {
         map: LoadMap,
         version: ConnmanVersion,
     ) -> Result<Self, DaemonError> {
-        let parse_pc = map
-            .symbol(SYM_PARSE_RESPONSE)
-            .ok_or(DaemonError::MissingSymbol(SYM_PARSE_RESPONSE))?;
-        let resume_pc = map
-            .symbol(SYM_DAEMON_LOOP)
-            .ok_or(DaemonError::MissingSymbol(SYM_DAEMON_LOOP))?;
+        let syms = EntrySyms::resolve(&map)?;
+        let parse_pc = map.symbol_at(syms.parse);
+        let resume_pc = map.symbol_at(syms.resume);
         let boot_sp = machine.regs().sp();
         let layout = FrameLayout::connman(machine.arch());
         Ok(Daemon {
             version,
             machine,
             map,
+            syms,
             cache: Cache::default(),
             layout,
             parse_pc,
@@ -488,6 +510,7 @@ impl Daemon {
             version: self.version,
             machine: self.machine.snapshot(),
             map: self.map.clone(),
+            syms: self.syms,
             cache: self.cache.clone(),
             layout: self.layout,
             parse_pc: self.parse_pc,
@@ -511,6 +534,7 @@ impl Daemon {
         // `clone_from` so the fork-per-device loop reuses the live
         // daemon's table capacity instead of reallocating every rewind.
         self.map.clone_from(&snap.map);
+        self.syms = snap.syms;
         self.cache.clone_from(&snap.cache);
         self.layout = snap.layout;
         self.parse_pc = snap.parse_pc;
@@ -539,17 +563,16 @@ impl Daemon {
         // An idle daemon parks its pc at the loop; keep it parked at the
         // loop's *new* address so a forked boot matches a fresh one.
         let at_loop = self.machine.regs().pc() == self.resume_pc;
-        // In-place reslide: the daemon's existing symbol table is
-        // rewritten value-by-value, so a fork allocates no new keys.
+        // In-place reslide: the daemon's existing symbol values are
+        // rewritten, so a fork neither allocates nor looks up a name
+        // (unless the loader brought a different image).
+        let image = self.map.image_id();
         loader.reslide_into(&mut self.machine, &mut self.map);
-        self.parse_pc = self
-            .map
-            .symbol(SYM_PARSE_RESPONSE)
-            .ok_or(DaemonError::MissingSymbol(SYM_PARSE_RESPONSE))?;
-        self.resume_pc = self
-            .map
-            .symbol(SYM_DAEMON_LOOP)
-            .ok_or(DaemonError::MissingSymbol(SYM_DAEMON_LOOP))?;
+        if self.map.image_id() != image {
+            self.syms = EntrySyms::resolve(&self.map)?;
+        }
+        self.parse_pc = self.map.symbol_at(self.syms.parse);
+        self.resume_pc = self.map.symbol_at(self.syms.resume);
         self.boot_sp = self.machine.regs().sp();
         if at_loop {
             self.machine.regs_mut().set_pc(self.resume_pc);

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cml_connman::{ProxyOutcome, Resolution};
-use cml_dns::{BufPool, Name, RecordType};
+use cml_dns::{BufPool, Label, Name, RecordType};
 use cml_exploit::{
     AnswerBank, ArmGadgetExeclp, CodeInjection, ExploitStrategy, MaliciousDnsServer, Ret2Libc,
     RiscvGadgetSystem, RopMemcpyChain, Slides, TargetInfo, TemplateSet,
@@ -71,6 +71,11 @@ pub const DEFAULT_COHORT_ENTROPY_BITS: u8 = 12;
 /// pre-cohort behavior, and the honest setting for benchmarking
 /// per-device session cost).
 pub const ENTROPY_FULL: u8 = 63;
+
+/// Largest fleet [`run_fleet_cfg`] accepts, in devices: at the
+/// automatic chunk size's 16,384-device cap the chunk runner then holds
+/// at most 262,144 chunk partials.
+pub const MAX_FLEET_DEVICES: u64 = 1 << 32;
 
 /// Salt mixed into per-device packet-loss draws so they decorrelate
 /// from the boot-seed stream.
@@ -135,9 +140,14 @@ impl CohortSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the offending field.
+    /// Returns a human-readable message naming the offending field: a
+    /// name that is not one DNS label, an unknown firmware, arch or
+    /// protection, a loss that is not a number within 0–100% (or
+    /// 0–1,000,000 ppm), or a device count that takes the fleet past
+    /// [`MAX_FLEET_DEVICES`].
     pub fn parse_list(s: &str) -> Result<Vec<CohortSpec>, String> {
         let mut out = Vec::new();
+        let mut total = 0u64;
         for (idx, part) in s.split(',').enumerate() {
             let part = part.trim();
             if part.is_empty() {
@@ -146,6 +156,8 @@ impl CohortSpec {
             let (name, rest) = part
                 .split_once('=')
                 .ok_or_else(|| format!("cohort {idx}: expected name=..., got {part:?}"))?;
+            // The name becomes a label of the cohort's telemetry host.
+            Label::new(name).map_err(|e| format!("cohort {idx}: bad name {name:?}: {e}"))?;
             let mut fields = rest.split('/');
             let kind = match fields.next() {
                 Some("openelec") => FirmwareKind::OpenElec,
@@ -173,6 +185,15 @@ impl CohortSpec {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| format!("cohort {name}: bad device count"))?;
+            total = total
+                .checked_add(count)
+                .filter(|&t| t <= MAX_FLEET_DEVICES)
+                .ok_or_else(|| {
+                    format!(
+                        "cohort {name}: device count {count} takes the fleet past \
+                         {MAX_FLEET_DEVICES} devices"
+                    )
+                })?;
             let mut spec = CohortSpec {
                 name: name.to_string(),
                 kind,
@@ -184,15 +205,20 @@ impl CohortSpec {
             };
             for extra in fields {
                 if let Some(v) = extra.strip_prefix("loss=") {
-                    spec.loss_ppm = if let Some(pct) = v.strip_suffix('%') {
-                        let pct: f64 = pct
-                            .parse()
-                            .map_err(|_| format!("cohort {name}: bad loss {v:?}"))?;
+                    let bad = || format!("cohort {name}: bad loss {v:?} (0-100% or 0-1000000 ppm)");
+                    let ppm = if let Some(pct) = v.strip_suffix('%') {
+                        let pct: f64 = pct.parse().map_err(|_| bad())?;
+                        if !(0.0..=100.0).contains(&pct) {
+                            return Err(bad());
+                        }
                         (pct * 10_000.0).round() as u32
                     } else {
-                        v.parse()
-                            .map_err(|_| format!("cohort {name}: bad loss {v:?}"))?
+                        v.parse().map_err(|_| bad())?
                     };
+                    if ppm > 1_000_000 {
+                        return Err(bad());
+                    }
+                    spec.loss_ppm = ppm;
                 } else if let Some(v) = extra.strip_prefix("entropy=") {
                     spec.entropy_bits = match v {
                         "full" => ENTROPY_FULL,
@@ -803,13 +829,17 @@ struct ChunkPartial {
 /// # Panics
 ///
 /// Panics if reconnaissance or payload-template construction fails for
-/// a profile present in the spec (see [`run_fleet`]).
+/// a profile present in the spec (see [`run_fleet`]), or if the cohorts
+/// hold more than [`MAX_FLEET_DEVICES`] devices in total.
 pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
     let mut starts = Vec::with_capacity(spec.cohorts.len());
     let mut acc = 0u64;
     for c in &spec.cohorts {
         starts.push(acc);
-        acc += c.count;
+        acc = acc
+            .checked_add(c.count)
+            .filter(|&t| t <= MAX_FLEET_DEVICES)
+            .unwrap_or_else(|| panic!("fleet exceeds {MAX_FLEET_DEVICES} devices"));
     }
     let total = acc;
 
@@ -1307,6 +1337,41 @@ mod tests {
         assert!(CohortSpec::parse_list("a=nope/x86/full/1").is_err());
         let err = CohortSpec::parse_list("a=openelec/x86/full/1/entropy=lots").unwrap_err();
         assert!(err.contains("bad entropy \"lots\""), "{err}");
+
+        // Hostile input is an error naming the field, never a panic and
+        // never silently clamped.
+        for (spec, field) in [
+            ("=openelec/x86/full/1", "bad name"),
+            ("a b=openelec/x86/full/1", "bad name"),
+            ("a.b=openelec/x86/full/1", "bad name"),
+            (
+                &format!("{}=openelec/x86/full/1", "n".repeat(64)),
+                "bad name",
+            ),
+            ("a=openelec/x86/full/1/loss=200%", "bad loss"),
+            ("a=openelec/x86/full/1/loss=nan%", "bad loss"),
+            ("a=openelec/x86/full/1/loss=inf%", "bad loss"),
+            ("a=openelec/x86/full/1/loss=-5%", "bad loss"),
+            ("a=openelec/x86/full/1/loss=1000001", "bad loss"),
+            (
+                "a=openelec/x86/full/18446744073709551615",
+                "past 4294967296 devices",
+            ),
+            (
+                "a=openelec/x86/full/4294967296,b=openelec/x86/full/1",
+                "cohort b: device count 1 takes the fleet past",
+            ),
+        ] {
+            let err = CohortSpec::parse_list(spec).unwrap_err();
+            assert!(err.contains(field), "{spec}: {err}");
+        }
+        let edge = CohortSpec::parse_list(&format!(
+            "{}=openelec/x86/full/4294967295/loss=100%,b=yocto/x86/none/1/loss=1000000",
+            "n".repeat(63)
+        ))
+        .expect("a 63-byte name, 100% loss and a total of MAX_FLEET_DEVICES parse");
+        assert_eq!(edge[0].loss_ppm, 1_000_000);
+        assert_eq!(edge[1].loss_ppm, 1_000_000);
     }
 
     #[test]

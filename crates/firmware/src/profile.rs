@@ -435,6 +435,7 @@ mod tests {
     use cml_connman::{ProxyOutcome, Resolution};
     use cml_dns::forge::ResponseForge;
     use cml_dns::{Message, Name, RecordType};
+    use cml_image::SectionKind;
 
     #[test]
     fn profiles_match_paper_survey() {
@@ -523,6 +524,62 @@ mod tests {
                 let out_fork = attack_outcome(forked);
                 let out_fresh = attack_outcome(&mut fresh);
                 assert_eq!(out_fork, out_fresh, "{arch} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_fork_matches_a_fresh_boot_in_depth() {
+        // Every {none, W⊕X, W⊕X+ASLR} × ISA cell, with and without a
+        // canary, over 32 seeds (the base seed among them). An overflow
+        // is delivered after each fork, so every restore rewinds dirty
+        // pages and a crashed daemon, and the next fork must leave no
+        // hook at the previous layout's addresses.
+        for arch in Arch::ALL {
+            let fw = Firmware::build(FirmwareKind::OpenElec, arch);
+            for base in [
+                Protections::none(),
+                Protections::wxorx(),
+                Protections::full(),
+            ] {
+                for p in [base, base.with_canary()] {
+                    let mut forge = fw.forge(p, 40);
+                    let mut previous: Vec<Addr> = Vec::new();
+                    for seed in 32..64u64 {
+                        let cell = format!("{arch} {} seed {seed}", p.label());
+                        let mut fresh = fw.boot(p, seed);
+                        let forked = forge.fork(seed);
+                        let (fm, m) = (fresh.map(), forked.map());
+                        for kind in SectionKind::ALL {
+                            assert_eq!(m.slide(kind), fm.slide(kind), "{cell} {kind}");
+                        }
+                        assert_eq!(m.stack_top(), fm.stack_top(), "{cell}");
+                        assert_eq!(m.canary(), fm.canary(), "{cell}");
+                        assert_eq!(forked.machine().canary(), fm.canary(), "{cell}");
+                        let (regs, fresh_regs) = (forked.machine().regs(), fresh.machine().regs());
+                        assert_eq!(regs.sp(), fresh_regs.sp(), "{cell}");
+                        assert_eq!(regs.pc(), fresh_regs.pc(), "{cell}");
+                        assert_eq!(m.symbols().count(), fm.symbols().count(), "{cell}");
+                        for (name, addr) in fm.symbols() {
+                            assert_eq!(m.symbol(name), Some(addr), "{cell} {name}");
+                            assert_eq!(
+                                forked.machine().hook_at(addr),
+                                fresh.machine().hook_at(addr),
+                                "{cell} hook at {name}"
+                            );
+                        }
+                        for &old in &previous {
+                            assert_eq!(
+                                forked.machine().hook_at(old),
+                                fresh.machine().hook_at(old),
+                                "{cell}: hook left at old-layout address {old:#x}"
+                            );
+                        }
+                        previous = fm.symbols().map(|(_, addr)| addr).collect();
+                        let out_fork = attack_outcome(forked);
+                        assert_eq!(out_fork, attack_outcome(&mut fresh), "{cell}");
+                    }
+                }
             }
         }
     }

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::{Addr, Arch, Section, SectionKind, Symbol};
@@ -46,6 +47,8 @@ impl Error for ImageError {}
 /// protection policy and ASLR slides.
 #[derive(Debug, Clone)]
 pub struct Image {
+    /// Process-unique identity, see [`Image::id`].
+    id: u64,
     arch: Arch,
     sections: Vec<Section>,
     symbols: Vec<Symbol>,
@@ -119,13 +122,23 @@ impl Image {
                 return Err(ImageError::DanglingSymbol(sym.name().to_string()));
             }
         }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Ok(Image {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             arch,
             sections,
             symbols,
             by_name,
             byte_index: OnceLock::new(),
         })
+    }
+
+    /// Process-unique identity of this image, assigned when it is built
+    /// and shared by its clones (an image is immutable, so a clone is
+    /// interchangeable with the original). Tables derived from an image
+    /// key on it to tell whether they still describe a given image.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Target architecture.

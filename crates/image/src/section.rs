@@ -31,6 +31,27 @@ pub enum SectionKind {
 }
 
 impl SectionKind {
+    /// Every section kind, in [`SectionKind::index`] order.
+    pub const ALL: [SectionKind; 9] = [
+        SectionKind::Text,
+        SectionKind::Plt,
+        SectionKind::Got,
+        SectionKind::Rodata,
+        SectionKind::Data,
+        SectionKind::Bss,
+        SectionKind::Libc,
+        SectionKind::Stack,
+        SectionKind::Heap,
+    ];
+
+    /// Number of section kinds: [`SectionKind::index`] is below it.
+    pub const COUNT: usize = SectionKind::ALL.len();
+
+    /// Dense index in `0..COUNT`, for per-kind arrays.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Default permissions for this kind under a no-protection loader
     /// (the paper's §III-A configuration, where even the stack is
     /// executable).
@@ -180,6 +201,13 @@ impl fmt::Display for Section {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_dense_and_matches_all() {
+        for (i, kind) in SectionKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+        }
+    }
 
     #[test]
     fn defaults_match_paper_model() {

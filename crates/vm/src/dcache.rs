@@ -74,9 +74,12 @@ pub(crate) struct DecodeCache {
     /// (per-insn entries stay usable either way).
     ir_enabled: bool,
     slots: Vec<Option<Entry>>,
-    len: usize,
+    /// Indices of the occupied `slots`, so a flush clears only those
+    /// (a session fills a handful of a table's hundreds of slots).
+    occupied: Vec<usize>,
     ir_slots: Vec<Option<IrEntry>>,
-    ir_len: usize,
+    /// Indices of the occupied `ir_slots`.
+    ir_occupied: Vec<usize>,
     /// Sorted page bases that contain (or contribute bytes to) cached
     /// decodes. Writes consult this to decide whether to flush.
     code_pages: Vec<u32>,
@@ -96,9 +99,9 @@ impl Default for DecodeCache {
             enabled: true,
             ir_enabled: true,
             slots: Vec::new(),
-            len: 0,
+            occupied: Vec::new(),
             ir_slots: Vec::new(),
-            ir_len: 0,
+            ir_occupied: Vec::new(),
             code_pages: Vec::new(),
             last_clean_page: None,
             generation: 0,
@@ -135,9 +138,9 @@ impl DecodeCache {
     /// lowered blocks.
     pub(crate) fn set_ir_enabled(&mut self, on: bool) {
         self.ir_enabled = on;
-        if !on && self.ir_len > 0 {
+        if !on && !self.ir_occupied.is_empty() {
             self.ir_slots = Vec::new();
-            self.ir_len = 0;
+            self.ir_occupied.clear();
         }
     }
 
@@ -187,7 +190,7 @@ impl DecodeCache {
         if !self.enabled {
             return;
         }
-        if self.slots.len() * 3 <= (self.len + 1) * 4 {
+        if self.slots.len() * 3 <= (self.occupied.len() + 1) * 4 {
             self.grow();
         }
         let mask = self.slots.len() - 1;
@@ -198,7 +201,7 @@ impl DecodeCache {
                 Some(_) => i = (i + 1) & mask,
                 None => {
                     self.slots[i] = Some(Entry { pc, insn });
-                    self.len += 1;
+                    self.occupied.push(i);
                     break;
                 }
             }
@@ -238,7 +241,7 @@ impl DecodeCache {
         if !self.enabled || !self.ir_enabled {
             return;
         }
-        if self.ir_slots.len() * 3 <= (self.ir_len + 1) * 4 {
+        if self.ir_slots.len() * 3 <= (self.ir_occupied.len() + 1) * 4 {
             self.grow_ir();
         }
         let mask = self.ir_slots.len() - 1;
@@ -249,7 +252,7 @@ impl DecodeCache {
                 Some(_) => i = (i + 1) & mask,
                 None => {
                     self.ir_slots[i] = Some(IrEntry { pc, block });
-                    self.ir_len += 1;
+                    self.ir_occupied.push(i);
                     break;
                 }
             }
@@ -273,12 +276,14 @@ impl DecodeCache {
         };
         let old = std::mem::replace(&mut self.ir_slots, vec![None; cap]);
         let mask = cap - 1;
+        self.ir_occupied.clear();
         for e in old.into_iter().flatten() {
             let mut i = hash(e.pc) & mask;
             while self.ir_slots[i].is_some() {
                 i = (i + 1) & mask;
             }
             self.ir_slots[i] = Some(e);
+            self.ir_occupied.push(i);
         }
     }
 
@@ -299,12 +304,14 @@ impl DecodeCache {
         };
         let old = std::mem::replace(&mut self.slots, vec![None; cap]);
         let mask = cap - 1;
+        self.occupied.clear();
         for e in old.into_iter().flatten() {
             let mut i = hash(e.pc) & mask;
             while self.slots[i].is_some() {
                 i = (i + 1) & mask;
             }
             self.slots[i] = Some(e);
+            self.occupied.push(i);
         }
     }
 
@@ -338,15 +345,14 @@ impl DecodeCache {
 
     /// Drops every cached decode and lowered block (permission change, new
     /// mapping, hook registration, snapshot restore, or a write to a
-    /// cached page).
+    /// cached page). Clears only the occupied slots; the tables keep
+    /// their capacity.
     pub(crate) fn flush(&mut self) {
-        if self.len > 0 {
-            self.slots.iter_mut().for_each(|s| *s = None);
-            self.len = 0;
+        for i in self.occupied.drain(..) {
+            self.slots[i] = None;
         }
-        if self.ir_len > 0 {
-            self.ir_slots.iter_mut().for_each(|s| *s = None);
-            self.ir_len = 0;
+        for i in self.ir_occupied.drain(..) {
+            self.ir_slots[i] = None;
         }
         self.code_pages.clear();
         self.last_clean_page = None;
@@ -410,5 +416,42 @@ mod tests {
         for i in 0..2_000u32 {
             assert!(c.get(0x1000 + i).is_some(), "entry {i} survived growth");
         }
+    }
+
+    #[test]
+    fn flush_after_growth_drops_every_entry() {
+        let mut c = DecodeCache::default();
+        let n = INITIAL_SLOTS as u32 * 2;
+        for i in 0..n {
+            c.insert(0x1000 + i, x86_nop(), 1);
+            let block = Arc::new(crate::ir::lower(&[x86_nop()], 0x1000 + i));
+            c.insert_ir(0x1000 + i, block, 1);
+        }
+        assert!(c.slots.len() > INITIAL_SLOTS && c.ir_slots.len() > INITIAL_SLOTS);
+        let generation = c.generation();
+        c.flush();
+        assert_eq!(c.generation(), generation + 1);
+        for i in 0..n {
+            assert!(c.get(0x1000 + i).is_none(), "entry {i} survived the flush");
+            assert!(
+                c.get_ir(0x1000 + i).is_none(),
+                "block {i} survived the flush"
+            );
+        }
+        assert!(c.slots.iter().all(Option::is_none));
+        assert!(c.ir_slots.iter().all(Option::is_none));
+        // The emptied tables fill again from scratch.
+        c.insert(0x1000, x86_nop(), 1);
+        assert!(c.get(0x1000).is_some());
+    }
+
+    #[test]
+    fn flush_releases_lowered_blocks() {
+        let mut c = DecodeCache::default();
+        let block = Arc::new(crate::ir::lower(&[x86_nop()], 0x1000));
+        c.insert_ir(0x1000, Arc::clone(&block), 1);
+        assert_eq!(Arc::strong_count(&block), 2);
+        c.flush();
+        assert_eq!(Arc::strong_count(&block), 1, "the table kept a reference");
     }
 }

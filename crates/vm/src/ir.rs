@@ -332,7 +332,7 @@ pub(crate) struct IrBlock {
 /// per-instruction dispatch would.
 pub(crate) fn step_ir(m: &mut Machine, budget: u64) -> (u64, Result<Option<RunOutcome>, Fault>) {
     let start = m.regs.pc();
-    if m.hooks.contains_key(&start) {
+    if m.hook_at(start).is_some() {
         return (1, m.step());
     }
     let block = match m.mem.dcache_get_ir(start) {

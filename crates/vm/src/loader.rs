@@ -11,6 +11,7 @@
 //!   residual attack surface the paper's ROP chains use).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cml_image::{layout, Addr, Image, SectionKind};
 use rand::rngs::StdRng;
@@ -157,8 +158,11 @@ impl Protections {
 /// like the paper's gdb reconnaissance.
 #[derive(Debug)]
 pub struct LoadMap {
-    slides: HashMap<SectionKind, i64>,
-    symbols: HashMap<String, Addr>,
+    /// Slide per section kind, indexed by [`SectionKind::index`].
+    slides: [i64; SectionKind::COUNT],
+    table: Arc<ReslideTable>,
+    /// Runtime address of each symbol, in image symbol order.
+    values: Vec<Addr>,
     stack_top: Addr,
     stack_size: u32,
     canary: u32,
@@ -167,8 +171,9 @@ pub struct LoadMap {
 impl Clone for LoadMap {
     fn clone(&self) -> Self {
         LoadMap {
-            slides: self.slides.clone(),
-            symbols: self.symbols.clone(),
+            slides: self.slides,
+            table: Arc::clone(&self.table),
+            values: self.values.clone(),
             stack_top: self.stack_top,
             stack_size: self.stack_size,
             canary: self.canary,
@@ -176,27 +181,14 @@ impl Clone for LoadMap {
     }
 
     /// Snapshot-restore loops rewind a map millions of times between
-    /// boots of the *same image*, where the symbol key set is invariant.
-    /// When the key sets match, only the `Addr` values are rewritten —
-    /// no `String` key is reallocated; any mismatch falls back to a full
-    /// clone.
+    /// boots of the *same image*: the shared table stays put and the
+    /// symbol values are one slice copy into the existing buffer.
     fn clone_from(&mut self, src: &Self) {
-        self.slides.clone_from(&src.slides);
-        let mut matched = self.symbols.len() == src.symbols.len();
-        if matched {
-            for (name, addr) in &src.symbols {
-                match self.symbols.get_mut(name) {
-                    Some(slot) => *slot = *addr,
-                    None => {
-                        matched = false;
-                        break;
-                    }
-                }
-            }
+        self.slides = src.slides;
+        if !Arc::ptr_eq(&self.table, &src.table) {
+            self.table = Arc::clone(&src.table);
         }
-        if !matched {
-            self.symbols.clone_from(&src.symbols);
-        }
+        self.values.clone_from(&src.values);
         self.stack_top = src.stack_top;
         self.stack_size = src.stack_size;
         self.canary = src.canary;
@@ -204,20 +196,57 @@ impl Clone for LoadMap {
 }
 
 impl LoadMap {
+    fn new(table: Arc<ReslideTable>) -> Self {
+        LoadMap {
+            slides: [0; SectionKind::COUNT],
+            table,
+            values: Vec::new(),
+            stack_top: 0,
+            stack_size: 0,
+            canary: 0,
+        }
+    }
+
     /// The signed slide applied to a section kind (0 when not present or
     /// not randomized).
     pub fn slide(&self, kind: SectionKind) -> i64 {
-        self.slides.get(&kind).copied().unwrap_or(0)
+        self.slides[kind.index()]
     }
 
     /// Runtime address of a symbol, after slides.
     pub fn symbol(&self, name: &str) -> Option<Addr> {
-        self.symbols.get(name).copied()
+        self.symbol_index(name).map(|i| self.values[i])
     }
 
-    /// All runtime symbols.
-    pub fn symbols(&self) -> &HashMap<String, Addr> {
-        &self.symbols
+    /// Position of a symbol in its image's symbol list. Stable across
+    /// every boot and reslide of the same image, so a caller that needs
+    /// the same symbol after each reslide can look the name up once and
+    /// read [`LoadMap::symbol_at`] from then on.
+    pub fn symbol_index(&self, name: &str) -> Option<usize> {
+        self.table.by_name.get(name).copied()
+    }
+
+    /// Runtime address of the symbol at `index` (see
+    /// [`LoadMap::symbol_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a symbol position of this map's image.
+    pub fn symbol_at(&self, index: usize) -> Addr {
+        self.values[index]
+    }
+
+    /// All runtime symbols as `(name, address)`, in no particular order.
+    pub fn symbols(&self) -> impl Iterator<Item = (&str, Addr)> + '_ {
+        self.table
+            .by_name
+            .iter()
+            .map(|(name, &i)| (name.as_str(), self.values[i]))
+    }
+
+    /// [`Image::id`] of the image this map describes.
+    pub fn image_id(&self) -> u64 {
+        self.table.image_id
     }
 
     /// Runtime top of the stack mapping (exclusive).
@@ -237,6 +266,87 @@ impl LoadMap {
     }
 }
 
+/// The slide-independent facts about an image's symbols, computed once
+/// per load and shared by `Arc` through every clone of its [`LoadMap`]
+/// (and so through every daemon snapshot), so that a reslide is only RNG
+/// draws and arithmetic: no section search, no name hashing, no libc
+/// name compares.
+#[derive(Debug)]
+struct ReslideTable {
+    /// [`Image::id`] of the image the table describes.
+    image_id: u64,
+    /// Symbol name → position in `syms` (and in `LoadMap::values`).
+    by_name: HashMap<String, usize>,
+    syms: Vec<TableSym>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct TableSym {
+    /// [`SectionKind::index`] of the section holding the symbol.
+    kind: usize,
+    /// Link-time address.
+    addr: Addr,
+    /// The libc function hooked at the symbol. `None` also for a libc
+    /// symbol shadowed by a later one at the same address, so the hooks
+    /// a boot installs always have distinct addresses.
+    hook: Option<LibcFn>,
+}
+
+impl ReslideTable {
+    fn build(image: &Image) -> ReslideTable {
+        let mut syms: Vec<TableSym> = Vec::with_capacity(image.symbols().len());
+        let mut by_name = HashMap::with_capacity(image.symbols().len());
+        for (i, sym) in image.symbols().iter().enumerate() {
+            let kind = image
+                .section_containing(sym.addr())
+                .map(|s| s.kind().index())
+                .expect("image validated symbols");
+            let base_name = sym.name().strip_suffix("@plt").unwrap_or(sym.name());
+            let hook = libc_fn_by_name(base_name);
+            if hook.is_some() {
+                // Aliases share a section, so they collide after every
+                // slide: the last one registered wins, as it always has.
+                for earlier in syms.iter_mut().filter(|e| e.addr == sym.addr()) {
+                    earlier.hook = None;
+                }
+            }
+            syms.push(TableSym {
+                kind,
+                addr: sym.addr(),
+                hook,
+            });
+            by_name.insert(sym.name().to_string(), i);
+        }
+        ReslideTable {
+            image_id: image.id(),
+            by_name,
+            syms,
+        }
+    }
+
+    /// Writes every symbol's runtime address under `slides` into
+    /// `values` and installs the libc hooks there as one batch.
+    fn place(
+        &self,
+        slides: &[i64; SectionKind::COUNT],
+        machine: &mut Machine,
+        values: &mut Vec<Addr>,
+    ) {
+        values.clear();
+        values.extend(
+            self.syms
+                .iter()
+                .map(|s| (s.addr as i64 + slides[s.kind]) as Addr),
+        );
+        machine.set_hooks(
+            self.syms
+                .iter()
+                .zip(values.iter())
+                .filter_map(|(s, &runtime)| Some((runtime, s.hook?))),
+        );
+    }
+}
+
 /// Loads [`Image`]s into fresh [`Machine`]s.
 #[derive(Debug)]
 pub struct Loader<'a> {
@@ -249,7 +359,7 @@ pub struct Loader<'a> {
 /// [`Loader::load`] and [`Loader::reslide`] consume the seeded RNG in
 /// exactly the same draw order and can never drift apart.
 struct BootPlan {
-    slides: HashMap<SectionKind, i64>,
+    slides: [i64; SectionKind::COUNT],
     canary: u32,
 }
 
@@ -295,7 +405,7 @@ impl<'a> Loader<'a> {
         } else {
             0
         };
-        let mut slides: HashMap<SectionKind, i64> = HashMap::new();
+        let mut slides = [0i64; SectionKind::COUNT];
         for section in self.image.sections() {
             let kind = section.kind();
             let slide: i64 =
@@ -316,7 +426,7 @@ impl<'a> Loader<'a> {
                 } else {
                     0
                 };
-            slides.insert(kind, slide);
+            slides[kind.index()] = slide;
         }
         let canary = if p.stack_canary {
             // Real glibc canaries keep a NUL low byte to stop string
@@ -326,31 +436,6 @@ impl<'a> Loader<'a> {
             0
         };
         BootPlan { slides, canary }
-    }
-
-    /// Resolves runtime symbol addresses under `slides` and registers
-    /// libc hooks at them.
-    fn place_symbols(
-        &self,
-        machine: &mut Machine,
-        slides: &HashMap<SectionKind, i64>,
-    ) -> HashMap<String, Addr> {
-        let mut symbols = HashMap::new();
-        for sym in self.image.symbols() {
-            let kind = self
-                .image
-                .section_containing(sym.addr())
-                .map(|s| s.kind())
-                .expect("image validated symbols");
-            let slide = slides.get(&kind).copied().unwrap_or(0);
-            let runtime = (sym.addr() as i64 + slide) as Addr;
-            symbols.insert(sym.name().to_string(), runtime);
-            let base_name = sym.name().strip_suffix("@plt").unwrap_or(sym.name());
-            if let Some(f) = libc_fn_by_name(base_name) {
-                machine.register_hook(runtime, f);
-            }
-        }
-        symbols
     }
 
     /// Performs the load.
@@ -369,7 +454,7 @@ impl<'a> Loader<'a> {
         let mut stack_size = 0u32;
         for section in self.image.sections() {
             let kind = section.kind();
-            let slide = plan.slides.get(&kind).copied().unwrap_or(0);
+            let slide = plan.slides[kind.index()];
             let base = (section.base() as i64 + slide) as Addr;
             let mut perms = section.perms();
             if p.wxorx && perms.writable() {
@@ -390,7 +475,8 @@ impl<'a> Loader<'a> {
             }
         }
 
-        let symbols = self.place_symbols(&mut machine, &plan.slides);
+        let mut map = LoadMap::new(Arc::new(ReslideTable::build(self.image)));
+        map.table.place(&plan.slides, &mut machine, &mut map.values);
 
         machine.set_canary(plan.canary);
         if p.cfi {
@@ -401,13 +487,10 @@ impl<'a> Loader<'a> {
             machine.regs_mut().set_sp(stack_top - 0x200);
         }
 
-        let map = LoadMap {
-            slides: plan.slides,
-            symbols,
-            stack_top,
-            stack_size,
-            canary: plan.canary,
-        };
+        map.slides = plan.slides;
+        map.stack_top = stack_top;
+        map.stack_size = stack_size;
+        map.canary = plan.canary;
         (machine, map)
     }
 
@@ -428,67 +511,46 @@ impl<'a> Loader<'a> {
     ///
     /// Panics (like `load`) if the slid sections would overlap.
     pub fn reslide(self, machine: &mut Machine) -> LoadMap {
-        let mut map = LoadMap {
-            slides: HashMap::new(),
-            symbols: HashMap::new(),
-            stack_top: 0,
-            stack_size: 0,
-            canary: 0,
-        };
+        let mut map = LoadMap::new(Arc::new(ReslideTable::build(self.image)));
         self.reslide_into(machine, &mut map);
         map
     }
 
     /// [`Loader::reslide`] that updates an existing [`LoadMap`] in place.
     ///
-    /// The symbol set of an image is fixed, so a fork-per-device loop can
-    /// reuse the map's `String`-keyed table across forks: existing
-    /// entries are overwritten through `get_mut` and only a map from a
-    /// *different* image (or an empty one) pays for key allocation. This
-    /// is the allocation-lean path fork-per-device drivers (the firmware
-    /// crate's `BootForge::fork`) take millions of times per campaign.
+    /// The map's per-image table (section kind, link address and libc
+    /// hook of every symbol) is shared by every map and snapshot of the
+    /// same image, so a fork-per-device loop reslides with RNG draws and
+    /// arithmetic alone: symbol values are rewritten in the existing
+    /// buffer, regions move from a stack array, and the hooks are
+    /// installed as one batch behind one decode-cache flush. Only a map
+    /// from a *different* image rebuilds the table. This is the
+    /// allocation-free path fork-per-device drivers (the firmware crate's
+    /// `BootForge::fork`) take millions of times per campaign.
     ///
     /// # Panics
     ///
     /// Panics (like `load`) if the slid sections would overlap.
     pub fn reslide_into(self, machine: &mut Machine, map: &mut LoadMap) {
         let plan = self.plan();
+        if map.table.image_id != self.image.id() {
+            map.table = Arc::new(ReslideTable::build(self.image));
+        }
 
         let mut stack_top = 0u32;
         let mut stack_size = 0u32;
-        let mut moves = Vec::new();
+        let mut bases = [None; SectionKind::COUNT];
         for section in self.image.sections() {
             let kind = section.kind();
-            let slide = plan.slides.get(&kind).copied().unwrap_or(0);
-            let base = (section.base() as i64 + slide) as Addr;
-            moves.push((kind, base));
+            let slide = plan.slides[kind.index()];
+            bases[kind.index()] = Some((section.base() as i64 + slide) as Addr);
             if kind == SectionKind::Stack {
                 stack_top = (section.end() as i64 + slide) as Addr;
                 stack_size = section.size();
             }
         }
-        machine.mem.rebase_regions(&moves);
-
-        machine.clear_hooks();
-        for sym in self.image.symbols() {
-            let kind = self
-                .image
-                .section_containing(sym.addr())
-                .map(|s| s.kind())
-                .expect("image validated symbols");
-            let slide = plan.slides.get(&kind).copied().unwrap_or(0);
-            let runtime = (sym.addr() as i64 + slide) as Addr;
-            match map.symbols.get_mut(sym.name()) {
-                Some(slot) => *slot = runtime,
-                None => {
-                    map.symbols.insert(sym.name().to_string(), runtime);
-                }
-            }
-            let base_name = sym.name().strip_suffix("@plt").unwrap_or(sym.name());
-            if let Some(f) = libc_fn_by_name(base_name) {
-                machine.register_hook(runtime, f);
-            }
-        }
+        machine.mem.rebase_regions(&bases);
+        map.table.place(&plan.slides, machine, &mut map.values);
 
         machine.set_canary(plan.canary);
         if stack_top != 0 {
@@ -646,7 +708,7 @@ mod tests {
         assert_eq!(m.canary(), fresh.canary());
         assert_eq!(m.regs().sp(), fresh.regs().sp());
         for (name, addr) in fresh_map.symbols() {
-            assert_eq!(map.symbol(name), Some(*addr), "symbol {name}");
+            assert_eq!(map.symbol(name), Some(addr), "symbol {name}");
         }
         let sys = map.symbol("system").unwrap();
         assert_eq!(m.hook_at(sys), Some(LibcFn::System));

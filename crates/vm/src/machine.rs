@@ -1,6 +1,5 @@
 //! The machine: registers + memory + hooks + run loop.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cml_image::{Addr, Arch};
@@ -116,7 +115,8 @@ pub struct Machine {
     pub(crate) arch: Arch,
     pub(crate) mem: Memory,
     pub(crate) regs: Regs,
-    pub(crate) hooks: HashMap<Addr, LibcFn>,
+    /// Hooked addresses, sorted and distinct (probed by binary search).
+    pub(crate) hooks: Vec<(Addr, LibcFn)>,
     pub(crate) shadow: Option<Vec<Addr>>,
     pub(crate) events: Vec<Event>,
     pub(crate) canary: u32,
@@ -140,7 +140,7 @@ pub struct Machine {
 pub struct MachineSnapshot {
     mem: MemorySnapshot,
     regs: Regs,
-    hooks: HashMap<Addr, LibcFn>,
+    hooks: Vec<(Addr, LibcFn)>,
     shadow: Option<Vec<Addr>>,
     events: Vec<Event>,
     canary: u32,
@@ -153,7 +153,7 @@ impl Machine {
             arch,
             mem: Memory::new(),
             regs: Regs::new(arch),
-            hooks: HashMap::new(),
+            hooks: Vec::new(),
             shadow: None,
             events: Vec::new(),
             canary: 0,
@@ -314,20 +314,31 @@ impl Machine {
     /// Flushes the decode cache: an IR block lowered before the hook
     /// existed could otherwise run straight through the hooked address.
     pub fn register_hook(&mut self, addr: Addr, f: LibcFn) {
-        self.hooks.insert(addr, f);
+        match self.hooks.binary_search_by_key(&addr, |&(a, _)| a) {
+            Ok(i) => self.hooks[i].1 = f,
+            Err(i) => self.hooks.insert(i, (addr, f)),
+        }
         self.mem.dcache_flush();
     }
 
-    /// Drops every registered hook (the loader's re-slide path
-    /// re-registers them at their new addresses).
-    pub(crate) fn clear_hooks(&mut self) {
+    /// Replaces every registered hook with `hooks`, whose addresses must
+    /// be distinct, behind a single decode-cache flush (the loader's
+    /// boot and reslide paths install a whole image's hooks this way).
+    pub(crate) fn set_hooks(&mut self, hooks: impl Iterator<Item = (Addr, LibcFn)>) {
         self.hooks.clear();
+        self.hooks.extend(hooks);
+        self.hooks.sort_unstable_by_key(|&(a, _)| a);
+        debug_assert!(self.hooks.windows(2).all(|w| w[0].0 < w[1].0));
         self.mem.dcache_flush();
     }
 
     /// The hooked function at `addr`, if any.
+    #[inline]
     pub fn hook_at(&self, addr: Addr) -> Option<LibcFn> {
-        self.hooks.get(&addr).copied()
+        self.hooks
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| self.hooks[i].1)
     }
 
     /// Enables shadow-stack CFI (paper §IV's hardware-supported CFI
@@ -443,7 +454,7 @@ impl Machine {
         if let Some(c) = &mut self.cov {
             c.note(pc);
         }
-        let hook = self.hooks.get(&pc).copied();
+        let hook = self.hook_at(pc);
         if let Some(t) = &mut self.trace {
             t.push(TraceEntry {
                 pc,
@@ -474,7 +485,7 @@ impl Machine {
         let mut insns = Vec::new();
         let mut pc = start;
         while insns.len() < MAX_BLOCK {
-            if pc != start && self.hooks.contains_key(&pc) {
+            if pc != start && self.hook_at(pc).is_some() {
                 break;
             }
             let (ci, ends) = match self.arch {

@@ -742,8 +742,11 @@ impl Memory {
                 self.dcache.flush();
             }
             r.kind = rs.kind;
-            if let Some(bits) = r.dirty.take() {
-                for (word_idx, mut word) in bits.into_iter().enumerate() {
+            if let Some(bits) = &mut r.dirty {
+                // Copy back and re-arm in place: each word is zeroed as
+                // its pages are restored, so no bitmap is reallocated.
+                for (word_idx, bits_word) in bits.iter_mut().enumerate() {
+                    let mut word = std::mem::take(bits_word);
                     while word != 0 {
                         let page = word_idx * 64 + word.trailing_zeros() as usize;
                         word &= word - 1;
@@ -761,8 +764,8 @@ impl Memory {
                     r.data[off..off + src.len()].copy_from_slice(src);
                 }
                 self.dcache.flush();
+                r.arm_dirty();
             }
-            r.arm_dirty();
         }
         if resort {
             self.regions.sort_by_key(|r| r.base);
@@ -771,17 +774,18 @@ impl Memory {
         self.redzone = None;
     }
 
-    /// Moves the named sections to new bases (the loader's re-slide path
-    /// for forking a snapshot under a different ASLR seed). Contents and
-    /// dirty tracking travel with the region; the decode cache is
-    /// flushed because every cached pc is now stale.
+    /// Moves sections to new bases (the loader's re-slide path for
+    /// forking a snapshot under a different ASLR seed): `bases` holds the
+    /// new base per [`SectionKind::index`], `None` leaving that kind in
+    /// place. Contents and dirty tracking travel with the region; the
+    /// decode cache is flushed because every cached pc is now stale.
     ///
     /// # Panics
     ///
     /// Panics if the new bases make any two regions overlap.
-    pub(crate) fn rebase_regions(&mut self, moves: &[(SectionKind, Addr)]) {
-        for &(kind, base) in moves {
-            if let Some(r) = self.regions.iter_mut().find(|r| r.kind == Some(kind)) {
+    pub(crate) fn rebase_regions(&mut self, bases: &[Option<Addr>; SectionKind::COUNT]) {
+        for r in &mut self.regions {
+            if let Some(base) = r.kind.and_then(|k| bases[k.index()]) {
                 r.base = base;
             }
         }

@@ -429,7 +429,9 @@ const FLEET_USAGE: &str = "usage: cml fleet [--devices N | --cohorts SPEC] [--jo
      \x20                 poisoned once per cohort";
 
 fn fleet(opts: &Opts) -> ExitCode {
-    use connman_lab::fleet::{run_fleet_cfg, CohortSpec, FleetConfig, FleetSpec};
+    use connman_lab::fleet::{
+        run_fleet_cfg, CohortSpec, FleetConfig, FleetSpec, MAX_FLEET_DEVICES,
+    };
 
     if opts.rest.iter().any(|a| a == "--help" || a == "-h") {
         println!("{FLEET_USAGE}");
@@ -450,6 +452,10 @@ fn fleet(opts: &Opts) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
+        None if opts.devices as u64 > MAX_FLEET_DEVICES => {
+            eprintln!("--devices: at most {MAX_FLEET_DEVICES} devices");
+            return ExitCode::FAILURE;
+        }
         None => FleetSpec::heterogeneous(opts.devices as u64, 0xF1EE7),
     };
     let mut cfg = FleetConfig::new(opts.jobs);

@@ -111,3 +111,31 @@ fn fleet_rejects_unknown_options() {
     assert!(err.contains("unknown fleet option \"--devcies\""), "{err}");
     assert!(out.is_empty(), "no campaign may run:\n{out}");
 }
+
+#[test]
+fn fleet_rejects_hostile_cohort_specs_without_panicking() {
+    for (spec, field) in [
+        ("=openelec/x86/full/1", "bad name"),
+        ("a b=openelec/x86/full/1", "bad name"),
+        (
+            "nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn=openelec/x86/full/1",
+            "bad name",
+        ),
+        ("a=openelec/x86/full/1/loss=200%", "bad loss"),
+        ("a=openelec/x86/full/1/loss=nan%", "bad loss"),
+        ("a=openelec/x86/full/1/loss=-5%", "bad loss"),
+        ("a=openelec/x86/full/18446744073709551615", "device count"),
+    ] {
+        let (out, err, code) = cml(&["fleet", "--cohorts", spec]);
+        assert_eq!(code, Some(1), "{spec}: stdout {out}, stderr {err}");
+        assert!(
+            err.contains("--cohorts: ") && err.contains(field),
+            "{spec}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+        assert!(out.is_empty(), "{spec}: no campaign may run:\n{out}");
+    }
+    let (out, err, code) = cml(&["fleet", "--devices", "18446744073709551615"]);
+    assert_eq!(code, Some(1), "stdout {out}, stderr {err}");
+    assert!(err.contains("--devices: at most"), "{err}");
+}

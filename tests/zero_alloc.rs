@@ -2,7 +2,8 @@
 //! warm-up, a steady-state fleet iteration's template + packet path —
 //! relocate the payload template, re-emit its labels, answer the
 //! canonical proxy query into a pooled buffer — performs **zero** heap
-//! allocations.
+//! allocations. So does a warm full-entropy `BootForge::fork`, at a
+//! fresh seed (restore + reslide) and at the base seed (pure restore).
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use connman_lab::dns::{BufPool, Message, Name, Question, RecordType};
 use connman_lab::exploit::{MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides};
+use connman_lab::firmware::Firmware;
 use connman_lab::{Arch, FirmwareKind, Lab, Protections};
 
 /// Counts every allocation-acquiring call; frees are not counted (the
@@ -198,4 +200,51 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         3,
         "only the first miss recursed"
     );
+
+    // Boot forge: after warm-up, forking the booted daemon at a fresh
+    // seed (dirty-page restore + reslide to that seed's layout) and at
+    // the base seed (the fuzz path's pure restore) touches no heap, on
+    // every ISA under W⊕X+ASLR. An overflow is delivered between forks
+    // (outside the counted window) so every restore rewinds dirty pages,
+    // a crashed daemon state and a filled decode cache.
+    use connman_lab::connman::Resolution;
+    use connman_lab::dns::forge::ResponseForge;
+
+    for arch in Arch::ALL {
+        let fw = Firmware::build(FirmwareKind::OpenElec, arch);
+        let mut forge = fw.forge(Protections::full(), 7);
+        let name = Name::parse("update.example").expect("valid");
+        let Resolution::Query(qbytes) = forge.fork(7).resolve(&name, RecordType::A) else {
+            panic!("cold cache");
+        };
+        let attack = ResponseForge::answering(&Message::decode(&qbytes).expect("decodes"))
+            .with_chunked_payload(&[0x41; 1300])
+            .expect("payload fits")
+            .build()
+            .expect("builds");
+        let session = |daemon: &mut connman_lab::connman::Daemon| {
+            let _ = daemon.resolve(&name, RecordType::A);
+            assert!(!daemon.deliver_response(&attack).daemon_alive());
+        };
+        for seed in 0..8u64 {
+            session(forge.fork(1_000 + seed));
+            session(forge.fork(7));
+        }
+
+        for (label, fresh_seeds) in [("fresh", true), ("base", false)] {
+            let mut allocs = 0;
+            for seed in 0..64u64 {
+                let seed = if fresh_seeds { 0xF0_0000 + seed } else { 7 };
+                let before = ALLOCS.load(Ordering::Relaxed);
+                let daemon = forge.fork(seed);
+                allocs += ALLOCS.load(Ordering::Relaxed) - before;
+                assert!(daemon.is_running());
+                session(daemon);
+            }
+            assert_eq!(
+                allocs, 0,
+                "{arch}: 64 warm forks at {label} seeds must not touch the heap"
+            );
+        }
+    }
 }
