@@ -38,6 +38,12 @@ for arch in x86 arm riscv; do
     analyze --arch "$arch" --firmware patched --sarif > /dev/null
 done
 
+echo "==> repro --sanitize"
+# Every exploit-matrix registry cell under the VM shadow-memory
+# sanitizer: each payload must be pinpointed as a precise redzone
+# overflow (exit 1 if any cell escapes).
+cargo run --release --offline -q -p cml-bench --bin repro -- --sanitize
+
 echo "==> cml fuzz --smoke"
 # Fixed-seed fuzzing gate: the coverage-guided fuzzer must rediscover
 # the dnsproxy overflow on vulnerable firmware (all three ISAs) and

@@ -3,25 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use cml_exploit::matrix::{matched_strategy, LEVELS};
 use cml_exploit::target::deliver_labels;
-use cml_exploit::{strategies_for, TargetInfo};
+use cml_exploit::TargetInfo;
 use cml_firmware::{Arch, Firmware, FirmwareKind, Protections};
-
-fn protections_for(section: &str) -> Protections {
-    match section {
-        "III-A1" | "III-A2" => Protections::none(),
-        "III-B1" | "III-B2" => Protections::wxorx(),
-        _ => Protections::full(),
-    }
-}
 
 fn bench_exploits(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end");
     g.sample_size(20);
     for arch in Arch::ALL {
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
-        for strategy in strategies_for(arch) {
-            let protections = protections_for(strategy.paper_section());
+        for protections in LEVELS {
+            let strategy = matched_strategy(arch, &protections);
             let fw2 = fw.clone();
             let info = TargetInfo::gather(fw.image(), move || fw2.boot(protections, 5))
                 .expect("vulnerable firmware");

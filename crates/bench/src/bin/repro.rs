@@ -34,8 +34,7 @@ use cml_dns::{BufPool, Message, Name, Question, RecordType};
 use cml_exploit::target::deliver_labels;
 use cml_exploit::template::apply_slides;
 use cml_exploit::{
-    ArmGadgetExeclp, CodeInjection, ExploitStrategy, MaliciousDnsServer, PayloadTemplate, Ret2Libc,
-    RiscvGadgetSystem, RopMemcpyChain, Slides,
+    matrix, ExploitStrategy, MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides,
 };
 use cml_fuzz::FuzzConfig;
 use cml_vm::{x86, Fault, Machine, X86Reg};
@@ -1078,57 +1077,42 @@ fn json_number_after(doc: &str, section: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// Runs the nine-cell exploit matrix (x86/ARM/RISC-V × none/W⊕X/W⊕X+ASLR) with
-/// the VM shadow-memory sanitizer armed on the victim and prints the
+/// Runs every cell of the exploit matrix (x86/ARM/RISC-V ×
+/// none/W⊕X/W⊕X+ASLR, from the registry) with the VM shadow-memory
+/// sanitizer armed on the victim and prints the
 /// precise overflow diagnostics each cell produces. Returns the process
 /// exit code: 0 when every cell is pinpointed, 1 otherwise.
 fn sanitize_matrix() -> i32 {
-    let cells: [(Protections, &str); 3] = [
-        (Protections::none(), "none"),
-        (Protections::wxorx(), "wxorx"),
-        (Protections::full(), "full"),
-    ];
     let mut all_pinpointed = true;
-    println!("### shadow-memory sanitizer: 9-cell exploit matrix\n");
-    for arch in Arch::ALL {
-        for (prot, prot_name) in cells {
-            let strategy: Box<dyn ExploitStrategy> = if prot.aslr.enabled {
-                Box::new(RopMemcpyChain::new(arch))
-            } else if prot.wxorx {
-                match arch {
-                    Arch::X86 => Box::new(Ret2Libc::new()),
-                    Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-                    Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
+    let cells = matrix();
+    let n = cells.len();
+    println!("### shadow-memory sanitizer: {n}-cell exploit matrix\n");
+    for (arch, prot, strategy) in cells {
+        let lab = Lab::new(FirmwareKind::OpenElec, arch)
+            .with_protections(prot)
+            .with_sanitizer(true);
+        let cell = format!("{arch}/{} ({})", prot.spelling(), strategy.name());
+        match lab.run_exploit(strategy.as_ref()) {
+            Ok(report) => match report.proxy_outcome {
+                ProxyOutcome::Crashed(ref fr)
+                    if matches!(fr.fault, Fault::RedzoneViolation { .. }) =>
+                {
+                    println!("{cell}: {}", fr.fault);
                 }
-            } else {
-                Box::new(CodeInjection::new(arch))
-            };
-            let lab = Lab::new(FirmwareKind::OpenElec, arch)
-                .with_protections(prot)
-                .with_sanitizer(true);
-            let cell = format!("{arch}/{prot_name} ({})", strategy.name());
-            match lab.run_exploit(strategy.as_ref()) {
-                Ok(report) => match report.proxy_outcome {
-                    ProxyOutcome::Crashed(ref fr)
-                        if matches!(fr.fault, Fault::RedzoneViolation { .. }) =>
-                    {
-                        println!("{cell}: {}", fr.fault);
-                    }
-                    ref other => {
-                        all_pinpointed = false;
-                        println!("{cell}: NOT PINPOINTED — {other}");
-                    }
-                },
-                Err(e) => {
+                ref other => {
                     all_pinpointed = false;
-                    println!("{cell}: attack could not be built: {e}");
+                    println!("{cell}: NOT PINPOINTED — {other}");
                 }
+            },
+            Err(e) => {
+                all_pinpointed = false;
+                println!("{cell}: attack could not be built: {e}");
             }
         }
     }
     println!();
     if all_pinpointed {
-        println!("all 9 cells pinpointed by the sanitizer");
+        println!("all {n} cells pinpointed by the sanitizer");
         0
     } else {
         println!("some cells escaped the sanitizer");

@@ -1,13 +1,14 @@
-//! E2 — the six proof-of-concept exploits (§III-A, §III-B, §III-C).
+//! E2 — the proof-of-concept exploits (§III-A, §III-B, §III-C): the
+//! paper's six, grown to nine by the RISC-V column.
 //!
-//! The full matrix: {none, W⊕X, W⊕X+ASLR} × {x86, ARMv7}, each attacked
-//! with every strategy for that architecture. The paper's headline
-//! result is the diagonal: each protection level falls to the technique
-//! introduced for it, while weaker techniques break exactly where
-//! expected.
+//! The full matrix: {none, W⊕X, W⊕X+ASLR} × {x86, ARMv7, RISC-V}, each
+//! attacked with every strategy for that architecture. The paper's
+//! headline result is the diagonal: each protection level falls to the
+//! technique introduced for it, while weaker techniques break exactly
+//! where expected.
 
-use cml_exploit::strategies_for;
-use cml_firmware::{Arch, FirmwareKind, Protections};
+use cml_exploit::matrix::{strategies_for, LEVELS};
+use cml_firmware::{Arch, FirmwareKind};
 
 use crate::lab::Lab;
 use crate::report::Table;
@@ -37,11 +38,7 @@ pub fn run_jobs(jobs: usize) -> Table {
     );
     let mut cells = Vec::new();
     for arch in Arch::ALL {
-        for protections in [
-            Protections::none(),
-            Protections::wxorx(),
-            Protections::full(),
-        ] {
+        for protections in LEVELS {
             for strat_idx in 0..strategies_for(arch).len() {
                 cells.push((arch, protections, strat_idx));
             }

@@ -10,8 +10,7 @@
 use std::net::Ipv4Addr;
 
 use cml_dns::{Name, RecordType};
-use cml_exploit::strategies_for;
-use cml_exploit::{ExploitStrategy, MaliciousDnsServer};
+use cml_exploit::{matrix, ExploitStrategy, MaliciousDnsServer};
 use cml_firmware::{Arch, Firmware, FirmwareKind, Protections};
 use cml_netsim::{
     share, AccessPoint, ApConfig, DhcpConfig, HwAddr, RadioEnvironment, Ssid, WifiPineapple,
@@ -21,19 +20,12 @@ use crate::device::{IotDevice, LookupOutcome};
 use crate::lab::Lab;
 use crate::report::Table;
 
-/// The protection level each §III-D run uses — the one its technique is
-/// built for.
-fn protections_for(section: &str) -> Protections {
-    match section {
-        "III-A1" | "III-A2" => Protections::none(),
-        "III-B1" | "III-B2" => Protections::wxorx(),
-        _ => Protections::full(),
-    }
-}
-
 /// One remote attack: set up Fig. 1, lure the device, intercept its DNS.
-fn remote_attack(arch: Arch, strategy: &dyn ExploitStrategy) -> Result<RemoteRun, String> {
-    let protections = protections_for(strategy.paper_section());
+fn remote_attack(
+    arch: Arch,
+    protections: Protections,
+    strategy: &dyn ExploitStrategy,
+) -> Result<RemoteRun, String> {
     let fw = Firmware::build(FirmwareKind::OpenElec, arch);
 
     // Attacker-side preparation in the controlled lab, as in §III-A..C.
@@ -123,24 +115,17 @@ pub fn run() -> Table {
     );
     // x86: basic stack smash only, "as a proof of feasibility".
     // ARMv7: all three exploits, as in the paper.
-    let runs: Vec<(Arch, Box<dyn ExploitStrategy>)> = std::iter::once((
-        Arch::X86,
-        Box::new(cml_exploit::CodeInjection::new(Arch::X86)) as Box<dyn ExploitStrategy>,
-    ))
-    .chain(
-        strategies_for(Arch::Armv7)
-            .into_iter()
-            .map(|s| (Arch::Armv7, s)),
-    )
-    .collect();
-    for (arch, strategy) in runs {
-        match remote_attack(arch, strategy.as_ref()) {
+    let runs = matrix().into_iter().filter(|(arch, protections, _)| {
+        *arch == Arch::Armv7 || (*arch == Arch::X86 && *protections == Protections::none())
+    });
+    for (arch, protections, strategy) in runs {
+        match remote_attack(arch, protections, strategy.as_ref()) {
             Ok(run) => {
                 assert!(run.healthy_before, "device must work before the attack");
                 t.row([
                     strategy.paper_section().to_string(),
                     arch.to_string(),
-                    protections_for(strategy.paper_section()).label(),
+                    protections.label(),
                     if run.hopped { "yes" } else { "no" }.to_string(),
                     if run.on_rogue_dns { "yes" } else { "no" }.to_string(),
                     match &run.outcome {
@@ -153,7 +138,7 @@ pub fn run() -> Table {
                 t.row([
                     strategy.paper_section().to_string(),
                     arch.to_string(),
-                    protections_for(strategy.paper_section()).label(),
+                    protections.label(),
                     "-".into(),
                     "-".into(),
                     format!("error: {e}"),

@@ -45,6 +45,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,8 +53,7 @@ use std::time::{Duration, Instant};
 use cml_connman::{ProxyOutcome, Resolution};
 use cml_dns::{BufPool, Label, Name, RecordType};
 use cml_exploit::{
-    AnswerBank, ArmGadgetExeclp, CodeInjection, ExploitStrategy, MaliciousDnsServer, Ret2Libc,
-    RiscvGadgetSystem, RopMemcpyChain, Slides, TargetInfo, TemplateSet,
+    matched_strategy, AnswerBank, MaliciousDnsServer, Slides, TargetInfo, TemplateSet,
 };
 use cml_firmware::{Arch, BootForge, Firmware, FirmwareKind, Protections, SharedForge};
 use cml_netsim::ResolverCache;
@@ -137,6 +137,8 @@ impl CohortSpec {
     /// `name=kind/arch/prot/count[/loss=P%|PPM][/entropy=BITS|full]`
     /// (`entropy=full` is [`ENTROPY_FULL`]), e.g.
     /// `tv=openelec/armv7/full/400000,cam=patched/armv7/full/100`.
+    /// Firmware, arch and protections take the same spellings as
+    /// `cml --firmware`, `--arch` and `--prot` (each type's `FromStr`).
     ///
     /// # Errors
     ///
@@ -159,28 +161,9 @@ impl CohortSpec {
             // The name becomes a label of the cohort's telemetry host.
             Label::new(name).map_err(|e| format!("cohort {idx}: bad name {name:?}: {e}"))?;
             let mut fields = rest.split('/');
-            let kind = match fields.next() {
-                Some("openelec") => FirmwareKind::OpenElec,
-                Some("yocto") => FirmwareKind::Yocto,
-                Some("tizen") => FirmwareKind::Tizen,
-                Some("patched") => FirmwareKind::Patched,
-                other => return Err(format!("cohort {name}: unknown firmware {other:?}")),
-            };
-            let arch = match fields.next() {
-                Some("x86") => Arch::X86,
-                Some("arm") | Some("armv7") => Arch::Armv7,
-                Some("riscv") | Some("rv32") => Arch::Riscv,
-                other => return Err(format!("cohort {name}: unknown arch {other:?}")),
-            };
-            let protections = match fields.next() {
-                Some("none") => Protections::none(),
-                Some("wxorx") => Protections::wxorx(),
-                Some("full") => Protections::full(),
-                Some("canary") => Protections::full().with_canary(),
-                Some("cfi") => Protections::full().with_cfi(),
-                Some("pie") => Protections::full().with_pie(),
-                other => return Err(format!("cohort {name}: unknown protections {other:?}")),
-            };
+            let kind = axis(name, "firmware", fields.next())?;
+            let arch = axis(name, "arch", fields.next())?;
+            let protections = axis(name, "protections", fields.next())?;
             let count: u64 = fields
                 .next()
                 .and_then(|v| v.parse().ok())
@@ -237,6 +220,19 @@ impl CohortSpec {
         }
         Ok(out)
     }
+}
+
+/// Parses one `/`-separated axis of cohort `name` with its type's own
+/// spelling table.
+fn axis<T: FromStr<Err = String>>(
+    name: &str,
+    what: &str,
+    field: Option<&str>,
+) -> Result<T, String> {
+    field
+        .ok_or_else(|| format!("missing {what}"))
+        .and_then(|v| v.parse())
+        .map_err(|e| format!("cohort {name}: {e}"))
 }
 
 /// A parameterized fleet: a base seed plus cohort descriptors. Device
@@ -551,7 +547,7 @@ impl FleetReport {
                     c.spec.kind.connman_version()
                 ),
                 c.spec.arch.to_string(),
-                prot_label(&c.spec.protections),
+                c.spec.protections.spelling(),
                 a.devices,
                 a.compromised,
                 rate,
@@ -604,7 +600,7 @@ impl FleetReport {
                     c.spec.kind.connman_version()
                 ),
                 c.spec.arch.to_string(),
-                prot_label(&c.spec.protections).to_string(),
+                c.spec.protections.spelling().to_string(),
                 a.devices.to_string(),
                 a.compromised.to_string(),
                 format!("{rate:.2}%"),
@@ -613,19 +609,6 @@ impl FleetReport {
             ]);
         }
         t
-    }
-}
-
-/// Human label for the known protection configurations.
-fn prot_label(p: &Protections) -> &'static str {
-    match (p.wxorx, p.aslr.enabled, p.stack_canary, p.cfi, p.pie) {
-        (false, false, false, false, false) => "none",
-        (true, false, false, false, false) => "wxorx",
-        (true, true, false, false, false) => "full",
-        (true, true, true, false, false) => "canary",
-        (true, true, false, true, false) => "cfi",
-        (true, true, false, false, true) => "pie",
-        _ => "custom",
     }
 }
 
@@ -734,22 +717,6 @@ fn prot_key(p: &Protections) -> u64 {
         | (p.cfi as u64) << 3
         | (p.pie as u64) << 4
         | (p.aslr.entropy_bits as u64) << 8
-}
-
-/// The attacker's exploitation strategy for a mitigation config —
-/// mirrors `cml --strategy auto`.
-fn pick_strategy(arch: Arch, p: &Protections) -> Box<dyn ExploitStrategy> {
-    if p.aslr.enabled {
-        Box::new(RopMemcpyChain::new(arch))
-    } else if p.wxorx {
-        match arch {
-            Arch::X86 => Box::new(Ret2Libc::new()),
-            Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-            Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-        }
-    } else {
-        Box::new(CodeInjection::new(arch))
-    }
 }
 
 /// Immutable run context shared by every worker.
@@ -997,7 +964,7 @@ fn cohort_state<'w>(worker: &'w mut Worker, ctx: &FleetCtx<'_>, c: usize) -> &'w
     if worker.cohorts[c].is_none() {
         let cohort = &ctx.spec.cohorts[c];
         let reference = &ctx.references[&reference_key(cohort.arch, &cohort.protections)];
-        let strategy = pick_strategy(cohort.arch, &cohort.protections);
+        let strategy = matched_strategy(cohort.arch, &cohort.protections);
         let template = worker
             .templates
             .get_or_compile(strategy.as_ref(), reference)
@@ -1133,6 +1100,7 @@ fn class_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cml_exploit::matrix::LEVELS;
 
     #[test]
     fn vulnerable_cohorts_fall_and_patched_survive() {
@@ -1202,14 +1170,7 @@ mod tests {
         // The 9-cell matrix: {none, wxorx, full} × {x86, ARMv7, RISC-V},
         // one cohort each, plus loss on the W⊕X row for good measure.
         let mut cohorts = Vec::new();
-        for (pi, prot) in [
-            Protections::none(),
-            Protections::wxorx(),
-            Protections::full(),
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (pi, prot) in LEVELS.iter().enumerate() {
             for arch in Arch::ALL {
                 cohorts.push(CohortSpec {
                     protections: *prot,
@@ -1386,6 +1347,16 @@ mod tests {
             err.contains("unknown arch") && err.contains("mips"),
             "error must name the offending field: {err}"
         );
+    }
+
+    #[test]
+    fn cohort_spec_accepts_the_cli_protection_spellings() {
+        let parsed = CohortSpec::parse_list("a=openelec/riscv/full+canary/3,b=openelec/riscv/wx/3")
+            .expect("--prot spellings parse");
+        assert_eq!(parsed[0].protections, Protections::full().with_canary());
+        assert_eq!(parsed[1].protections, Protections::wxorx());
+        let err = CohortSpec::parse_list("a=openelec/riscv").unwrap_err();
+        assert!(err.contains("cohort a: missing protections"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Firmware profiles and booting.
 
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use cml_connman::{
@@ -67,6 +68,24 @@ impl FirmwareKind {
 impl fmt::Display for FirmwareKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} (Connman {})", self.os_name(), self.connman_version())
+    }
+}
+
+/// Parses a firmware profile by its command-line spelling: `yocto`,
+/// `openelec`, `tizen`, `patched`.
+impl FromStr for FirmwareKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "yocto" => Ok(FirmwareKind::Yocto),
+            "openelec" => Ok(FirmwareKind::OpenElec),
+            "tizen" => Ok(FirmwareKind::Tizen),
+            "patched" => Ok(FirmwareKind::Patched),
+            other => Err(format!(
+                "unknown firmware {other:?} (want yocto | openelec | tizen | patched)"
+            )),
+        }
     }
 }
 
@@ -446,6 +465,19 @@ mod tests {
         );
         assert!(FirmwareKind::Tizen.is_vulnerable());
         assert!(!FirmwareKind::Patched.is_vulnerable());
+    }
+
+    #[test]
+    fn parses_every_spelling() {
+        for (s, kind) in [
+            ("yocto", FirmwareKind::Yocto),
+            ("openelec", FirmwareKind::OpenElec),
+            ("tizen", FirmwareKind::Tizen),
+            ("patched", FirmwareKind::Patched),
+        ] {
+            assert_eq!(s.parse::<FirmwareKind>(), Ok(kind));
+        }
+        assert!("android".parse::<FirmwareKind>().is_err());
     }
 
     #[test]

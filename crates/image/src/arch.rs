@@ -1,6 +1,7 @@
 //! Target architectures.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The 32-bit instruction sets the lab targets: the paper's two, plus
 /// RISC-V for the IoT fleets the paper's successors cover.
@@ -67,6 +68,21 @@ impl fmt::Display for Arch {
     }
 }
 
+/// Parses an architecture by its command-line spelling: `x86`,
+/// `arm` (or `armv7`), `riscv` (or `rv32`).
+impl FromStr for Arch {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "x86" => Ok(Arch::X86),
+            "arm" | "armv7" => Ok(Arch::Armv7),
+            "riscv" | "rv32" => Ok(Arch::Riscv),
+            other => Err(format!("unknown arch {other:?} (want x86 | arm | riscv)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +104,20 @@ mod tests {
         assert_eq!(Arch::X86.to_string(), "x86");
         assert_eq!(Arch::Armv7.to_string(), "ARMv7");
         assert_eq!(Arch::Riscv.to_string(), "RISC-V");
+    }
+
+    #[test]
+    fn parses_every_spelling() {
+        for (s, arch) in [
+            ("x86", Arch::X86),
+            ("arm", Arch::Armv7),
+            ("armv7", Arch::Armv7),
+            ("riscv", Arch::Riscv),
+            ("rv32", Arch::Riscv),
+        ] {
+            assert_eq!(s.parse::<Arch>(), Ok(arch));
+        }
+        let err = "mips".parse::<Arch>().unwrap_err();
+        assert!(err.contains("unknown arch \"mips\""), "{err}");
     }
 }

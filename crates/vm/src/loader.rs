@@ -11,6 +11,7 @@
 //!   residual attack surface the paper's ROP chains use).
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use cml_image::{layout, Addr, Image, SectionKind};
@@ -32,7 +33,7 @@ pub struct AslrConfig {
 
 impl AslrConfig {
     /// ASLR disabled.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         AslrConfig {
             enabled: false,
             entropy_bits: 0,
@@ -40,7 +41,7 @@ impl AslrConfig {
     }
 
     /// ASLR at the default 32-bit entropy.
-    pub fn default_on() -> Self {
+    pub const fn default_on() -> Self {
         AslrConfig {
             enabled: true,
             entropy_bits: layout::DEFAULT_ASLR_ENTROPY_BITS,
@@ -79,7 +80,7 @@ pub struct Protections {
 
 impl Protections {
     /// Paper §III-A: everything off.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         Protections {
             wxorx: false,
             aslr: AslrConfig::disabled(),
@@ -90,7 +91,7 @@ impl Protections {
     }
 
     /// Paper §III-B: W⊕X only.
-    pub fn wxorx() -> Self {
+    pub const fn wxorx() -> Self {
         Protections {
             aslr: AslrConfig::disabled(),
             wxorx: true,
@@ -99,7 +100,7 @@ impl Protections {
     }
 
     /// Paper §III-C: W⊕X + ASLR.
-    pub fn full() -> Self {
+    pub const fn full() -> Self {
         Protections {
             aslr: AslrConfig::default_on(),
             wxorx: true,
@@ -149,6 +150,51 @@ impl Protections {
         } else {
             parts.join("+")
         }
+    }
+
+    /// The canonical `--prot` / cohort-spec spelling of this policy
+    /// (`"none"`, `"wxorx"`, `"full"`, `"canary"`, `"cfi"`, `"pie"`),
+    /// or `"custom"` for a combination without one. ASLR entropy is not
+    /// part of the spelling.
+    pub fn spelling(&self) -> &'static str {
+        match (
+            self.wxorx,
+            self.aslr.enabled,
+            self.stack_canary,
+            self.cfi,
+            self.pie,
+        ) {
+            (false, false, false, false, false) => "none",
+            (true, false, false, false, false) => "wxorx",
+            (true, true, false, false, false) => "full",
+            (true, true, true, false, false) => "canary",
+            (true, true, false, true, false) => "cfi",
+            (true, true, false, false, true) => "pie",
+            _ => "custom",
+        }
+    }
+}
+
+/// Parses a protection policy by name: `none`, `wxorx` (or `wx`),
+/// `full`, and W⊕X+ASLR plus one extra mitigation as `canary`, `cfi`,
+/// `pie` (or `full+canary`, `full+cfi`, `full+pie`).
+impl FromStr for Protections {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "none" => Protections::none(),
+            "wxorx" | "wx" => Protections::wxorx(),
+            "full" => Protections::full(),
+            "canary" | "full+canary" => Protections::full().with_canary(),
+            "cfi" | "full+cfi" => Protections::full().with_cfi(),
+            "pie" | "full+pie" => Protections::full().with_pie(),
+            other => {
+                return Err(format!(
+                    "unknown protections {other:?} (want none | wxorx | full | canary | cfi | pie)"
+                ))
+            }
+        })
     }
 }
 
@@ -586,6 +632,19 @@ mod tests {
         b.symbol("system", l.libc_base, 4, SymbolKind::LibcFunction);
         b.symbol("memcpy@plt", l.plt_base, 4, SymbolKind::PltEntry);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn protection_spellings_round_trip() {
+        for name in ["none", "wxorx", "full", "canary", "cfi", "pie"] {
+            let p: Protections = name.parse().unwrap();
+            assert_eq!(p.spelling(), name);
+            if name != "none" && name != "wxorx" && name != "full" {
+                assert_eq!(format!("full+{name}").parse(), Ok(p));
+            }
+        }
+        assert_eq!("wx".parse(), Ok(Protections::wxorx()));
+        assert!("bogus".parse::<Protections>().is_err());
     }
 
     #[test]

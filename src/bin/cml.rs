@@ -16,10 +16,12 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use connman_lab::exploit::strategies::DosCrash;
 use connman_lab::exploit::{
-    ArmGadgetExeclp, CodeInjection, Ret2Libc, RiscvGadgetSystem, RopMemcpyChain,
+    matched_strategy, matrix, ArmGadgetExeclp, CodeInjection, Ret2Libc, RiscvGadgetSystem,
+    RopMemcpyChain,
 };
 use connman_lab::{Arch, AttackOutcome, ExploitStrategy, FirmwareKind, Lab, Protections};
 
@@ -29,7 +31,13 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let opts = Opts::parse(&args[1..]);
+    let opts = match Opts::parse(&args[1..]) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     match cmd.as_str() {
         "survey" => survey(),
         "analyze" => analyze_cmd(&opts),
@@ -85,9 +93,12 @@ fn usage() {
          \x20 experiments [e1 .. e10]        regenerate the paper tables\n\
          \n\
          options:\n\
-         \x20 --arch      x86 | arm              (default arm)\n\
-         \x20 --prot      none | wxorx | full | full+canary | full+cfi (default full)\n\
-         \x20 --strategy  injection | ret2libc | execlp | rop | auto (default auto)\n\
+         \x20 --arch      x86 | arm | riscv      (default arm)\n\
+         \x20 --prot      none | wxorx | full | canary | cfi | pie (default full;\n\
+         \x20                                    also wx, full+canary, full+cfi, full+pie)\n\
+         \x20 --strategy  injection | ret2libc | execlp | system | rop | auto\n\
+         \x20                                    (default auto: the technique matched\n\
+         \x20                                    to --prot)\n\
          \x20 --firmware  yocto | openelec | tizen | patched (default openelec)\n\
          \x20 --jobs      N                      worker threads for experiments/fleet\n\
          \x20                                    (default 1, 0 = one per CPU)\n\
@@ -106,7 +117,8 @@ struct Opts {
     arch: Arch,
     arch_given: bool,
     prot: Protections,
-    strategy: String,
+    /// Builds the `--strategy` technique for the chosen arch and prot.
+    strategy: fn(Arch, &Protections) -> Box<dyn ExploitStrategy>,
     firmware: FirmwareKind,
     jobs: usize,
     devices: usize,
@@ -117,13 +129,19 @@ struct Opts {
     rest: Vec<String>,
 }
 
+/// Parses the value of `flag` with its type's own spelling table.
+fn value<T: FromStr<Err = String>>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    v.ok_or_else(|| format!("{flag} wants a value"))?.parse()
+}
+
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
+    /// Parses the options after the command; unknown values are errors.
+    fn parse(args: &[String]) -> Result<Opts, String> {
         let mut o = Opts {
             arch: Arch::Armv7,
             arch_given: false,
             prot: Protections::full(),
-            strategy: "auto".to_string(),
+            strategy: matched_strategy,
             firmware: FirmwareKind::OpenElec,
             jobs: 1,
             devices: 100,
@@ -137,45 +155,27 @@ impl Opts {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--arch" => {
+                    o.arch = value("--arch", it.next())?;
                     o.arch_given = true;
-                    o.arch = match it.next().map(String::as_str) {
-                        Some("x86") => Arch::X86,
-                        Some("arm") | Some("armv7") => Arch::Armv7,
-                        Some("riscv") | Some("rv32") => Arch::Riscv,
-                        other => {
-                            eprintln!("unknown arch {other:?}, using ARMv7");
-                            Arch::Armv7
-                        }
-                    }
                 }
-                "--prot" => {
-                    o.prot = match it.next().map(String::as_str) {
-                        Some("none") => Protections::none(),
-                        Some("wxorx") | Some("wx") => Protections::wxorx(),
-                        Some("full") => Protections::full(),
-                        Some("full+canary") => Protections::full().with_canary(),
-                        Some("full+cfi") => Protections::full().with_cfi(),
-                        other => {
-                            eprintln!("unknown protections {other:?}, using full");
-                            Protections::full()
-                        }
-                    }
-                }
+                "--prot" => o.prot = value("--prot", it.next())?,
                 "--strategy" => {
-                    o.strategy = it.next().cloned().unwrap_or_else(|| "auto".into());
-                }
-                "--firmware" => {
-                    o.firmware = match it.next().map(String::as_str) {
-                        Some("yocto") => FirmwareKind::Yocto,
-                        Some("openelec") => FirmwareKind::OpenElec,
-                        Some("tizen") => FirmwareKind::Tizen,
-                        Some("patched") => FirmwareKind::Patched,
+                    o.strategy = match it.next().ok_or("--strategy wants a value")?.as_str() {
+                        "auto" => matched_strategy,
+                        "injection" => |arch, _| Box::new(CodeInjection::new(arch)),
+                        "ret2libc" => |_, _| Box::new(Ret2Libc::new()),
+                        "execlp" => |_, _| Box::new(ArmGadgetExeclp::new()),
+                        "system" => |_, _| Box::new(RiscvGadgetSystem::new()),
+                        "rop" => |arch, _| Box::new(RopMemcpyChain::new(arch)),
                         other => {
-                            eprintln!("unknown firmware {other:?}, using OpenELEC");
-                            FirmwareKind::OpenElec
+                            return Err(format!(
+                                "unknown strategy {other:?} (want injection | ret2libc | \
+                                 execlp | system | rop | auto)"
+                            ))
                         }
                     }
                 }
+                "--firmware" => o.firmware = value("--firmware", it.next())?,
                 "--jobs" => {
                     o.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                         eprintln!("--jobs wants a number, using 1");
@@ -196,31 +196,7 @@ impl Opts {
                 other => o.rest.push(other.to_string()),
             }
         }
-        o
-    }
-
-    fn pick_strategy(&self) -> Box<dyn ExploitStrategy> {
-        match (self.strategy.as_str(), self.arch) {
-            ("injection", arch) => Box::new(CodeInjection::new(arch)),
-            ("ret2libc", _) => Box::new(Ret2Libc::new()),
-            ("execlp", _) => Box::new(ArmGadgetExeclp::new()),
-            ("system", _) => Box::new(RiscvGadgetSystem::new()),
-            ("rop", arch) => Box::new(RopMemcpyChain::new(arch)),
-            // auto: the technique matched to the protection level.
-            (_, arch) => {
-                if self.prot.aslr.enabled {
-                    Box::new(RopMemcpyChain::new(arch))
-                } else if self.prot.wxorx {
-                    match arch {
-                        Arch::X86 => Box::new(Ret2Libc::new()),
-                        Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-                        Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-                    }
-                } else {
-                    Box::new(CodeInjection::new(arch))
-                }
-            }
-        }
+        Ok(o)
     }
 }
 
@@ -295,53 +271,35 @@ fn recon(opts: &Opts) -> ExitCode {
 /// matched technique must pop a root shell. `--arch` narrows the run to
 /// one column; without it all nine cells run.
 fn repro(opts: &Opts) -> ExitCode {
-    let arches: &[Arch] = if opts.arch_given {
-        std::slice::from_ref(&opts.arch)
-    } else {
-        &Arch::ALL
-    };
+    let cells: Vec<_> = matrix()
+        .into_iter()
+        .filter(|(arch, _, _)| !opts.arch_given || *arch == opts.arch)
+        .collect();
     let mut failures = 0;
-    for &arch in arches {
-        for prot in [
-            Protections::none(),
-            Protections::wxorx(),
-            Protections::full(),
-        ] {
-            let strategy: Box<dyn ExploitStrategy> = if prot.aslr.enabled {
-                Box::new(RopMemcpyChain::new(arch))
-            } else if prot.wxorx {
-                match arch {
-                    Arch::X86 => Box::new(Ret2Libc::new()),
-                    Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-                    Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-                }
-            } else {
-                Box::new(CodeInjection::new(arch))
-            };
-            let lab = Lab::new(opts.firmware, arch).with_protections(prot);
-            let cell = format!(
-                "{:7} / {:8} / {} ({})",
-                arch.to_string(),
-                prot.label(),
-                strategy.name(),
-                strategy.paper_section()
-            );
-            match lab.run_exploit(strategy.as_ref()) {
-                Ok(report) => {
-                    println!("{cell} → {}", report.outcome);
-                    if report.outcome != AttackOutcome::RootShell {
-                        failures += 1;
-                    }
-                }
-                Err(e) => {
-                    println!("{cell} → blocked: {e}");
+    for (arch, prot, strategy) in &cells {
+        let lab = Lab::new(opts.firmware, *arch).with_protections(*prot);
+        let cell = format!(
+            "{:7} / {:8} / {} ({})",
+            arch.to_string(),
+            prot.label(),
+            strategy.name(),
+            strategy.paper_section()
+        );
+        match lab.run_exploit(strategy.as_ref()) {
+            Ok(report) => {
+                println!("{cell} → {}", report.outcome);
+                if report.outcome != AttackOutcome::RootShell {
                     failures += 1;
                 }
+            }
+            Err(e) => {
+                println!("{cell} → blocked: {e}");
+                failures += 1;
             }
         }
     }
     if failures == 0 {
-        println!("repro: all {} cells popped a root shell", arches.len() * 3);
+        println!("repro: all {} cells popped a root shell", cells.len());
         ExitCode::SUCCESS
     } else {
         eprintln!("repro: {failures} cell(s) failed");
@@ -350,7 +308,7 @@ fn repro(opts: &Opts) -> ExitCode {
 }
 
 fn exploit(opts: &Opts) -> ExitCode {
-    let strategy = opts.pick_strategy();
+    let strategy = (opts.strategy)(opts.arch, &opts.prot);
     let lab = Lab::new(opts.firmware, opts.arch).with_protections(opts.prot);
     println!(
         "attacking {} / {} / {} with {}…",

@@ -8,47 +8,13 @@
 //! off must leave the exploits fully functional.
 
 use connman_lab::analysis::{self, json};
-use connman_lab::exploit::{
-    ArmGadgetExeclp, BufferImage, CodeInjection, Ret2Libc, RiscvGadgetSystem, RopMemcpyChain,
-};
+use connman_lab::exploit::{matrix, BufferImage};
 use connman_lab::vm::Fault;
-use connman_lab::{
-    Arch, AttackOutcome, ExploitStrategy, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome,
-};
-
-fn matrix() -> Vec<(Arch, Protections)> {
-    let mut cells = Vec::new();
-    for arch in Arch::ALL {
-        for prot in [
-            Protections::none(),
-            Protections::wxorx(),
-            Protections::full(),
-        ] {
-            cells.push((arch, prot));
-        }
-    }
-    cells
-}
-
-/// The paper's technique for each protection level (same pairing the
-/// CLI's `auto` strategy uses).
-fn strategy_for(arch: Arch, prot: &Protections) -> Box<dyn ExploitStrategy> {
-    if prot.aslr.enabled {
-        Box::new(RopMemcpyChain::new(arch))
-    } else if prot.wxorx {
-        match arch {
-            Arch::X86 => Box::new(Ret2Libc::new()),
-            Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-            Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-        }
-    } else {
-        Box::new(CodeInjection::new(arch))
-    }
-}
+use connman_lab::{Arch, AttackOutcome, Firmware, FirmwareKind, Lab, ProxyOutcome};
 
 #[test]
 fn analyzer_flags_vulnerable_and_passes_patched_in_every_cell() {
-    for (arch, prot) in matrix() {
+    for (arch, prot, _) in matrix() {
         let cell = format!("{arch}/{}", prot.label());
 
         let vulnerable = Firmware::build(FirmwareKind::OpenElec, arch);
@@ -73,9 +39,8 @@ fn analyzer_flags_vulnerable_and_passes_patched_in_every_cell() {
 
 #[test]
 fn sanitizer_pinpoints_every_matrix_payload_with_exact_extent() {
-    for (arch, prot) in matrix() {
+    for (arch, prot, strategy) in matrix() {
         let cell = format!("{arch}/{}", prot.label());
-        let strategy = strategy_for(arch, &prot);
 
         // Predict the overflow extent from the payload itself: the
         // daemon writes every decompressed label byte plus the root
@@ -123,9 +88,8 @@ fn sanitizer_pinpoints_every_matrix_payload_with_exact_extent() {
 
 #[test]
 fn exploits_still_succeed_with_sanitizer_off() {
-    for (arch, prot) in matrix() {
+    for (arch, prot, strategy) in matrix() {
         let cell = format!("{arch}/{}", prot.label());
-        let strategy = strategy_for(arch, &prot);
         let outcome = Lab::new(FirmwareKind::OpenElec, arch)
             .with_protections(prot)
             .run_exploit(strategy.as_ref())

@@ -139,3 +139,46 @@ fn fleet_rejects_hostile_cohort_specs_without_panicking() {
     assert_eq!(code, Some(1), "stdout {out}, stderr {err}");
     assert!(err.contains("--devices: at most"), "{err}");
 }
+
+#[test]
+fn unknown_axis_values_fail_instead_of_falling_back() {
+    for (flag, value, err_part) in [
+        ("--arch", "mips", "unknown arch \"mips\""),
+        ("--prot", "bogus", "unknown protections \"bogus\""),
+        ("--firmware", "android", "unknown firmware \"android\""),
+        ("--strategy", "heapspray", "unknown strategy \"heapspray\""),
+    ] {
+        let (out, err, code) = cml(&["recon", flag, value]);
+        assert_eq!(code, Some(1), "{flag} {value}: stdout {out}");
+        assert!(err.contains(err_part), "{flag} {value}: {err}");
+        assert!(out.is_empty(), "{flag} {value}: nothing may run:\n{out}");
+    }
+}
+
+#[test]
+fn exploit_honours_the_canary_spelling() {
+    let (out, err, code) = cml(&["exploit", "--arch", "riscv", "--prot", "canary"]);
+    assert_eq!(code, Some(2), "stderr: {err}\nstdout: {out}");
+    assert!(out.contains("RISC-V / W^X+ASLR+canary"), "{out}");
+    assert!(!out.contains("outcome   : root shell"), "{out}");
+}
+
+#[test]
+fn repro_pops_a_shell_in_every_registry_cell() {
+    let cells = connman_lab::exploit::matrix();
+    let (out, err, code) = cml(&["repro"]);
+    assert_eq!(code, Some(0), "stderr: {err}\nstdout: {out}");
+    assert_eq!(out.matches("→ root shell").count(), cells.len(), "{out}");
+    assert!(
+        out.contains(&format!(
+            "repro: all {} cells popped a root shell",
+            cells.len()
+        )),
+        "{out}"
+    );
+
+    let (out, err, code) = cml(&["repro", "--arch", "riscv"]);
+    assert_eq!(code, Some(0), "stderr: {err}\nstdout: {out}");
+    assert_eq!(out.matches("RISC-V  / ").count(), 3, "{out}");
+    assert_eq!(out.matches("→ root shell").count(), 3, "{out}");
+}

@@ -10,39 +10,13 @@
 use cml_image::{Arch, Perms, SectionKind};
 use cml_vm::x86::Asm;
 use cml_vm::{arm, riscv, x86, CoverageMap, Machine, RunOutcome, X86Reg};
+use connman_lab::exploit::matrix;
 use connman_lab::exploit::target::deliver_labels;
-use connman_lab::exploit::{
-    ArmGadgetExeclp, CodeInjection, ExploitStrategy, Ret2Libc, RiscvGadgetSystem,
-};
-use connman_lab::{FirmwareKind, Lab, Protections};
+use connman_lab::{FirmwareKind, Lab};
 
 /// The two dispatch tiers under test: threaded-code IR and the
 /// per-instruction reference.
 const MODES: [(&str, bool); 2] = [("ir", true), ("insn", false)];
-
-/// The nine PoC cells of §III: protection level + the matched technique.
-fn matrix() -> Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> {
-    let mut cells: Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> = Vec::new();
-    for arch in Arch::ALL {
-        cells.push((
-            arch,
-            Protections::none(),
-            Box::new(CodeInjection::new(arch)),
-        ));
-        let wx: Box<dyn ExploitStrategy> = match arch {
-            Arch::X86 => Box::new(Ret2Libc::new()),
-            Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-            Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-        };
-        cells.push((arch, Protections::wxorx(), wx));
-        cells.push((
-            arch,
-            Protections::full(),
-            Box::new(connman_lab::exploit::RopMemcpyChain::new(arch)),
-        ));
-    }
-    cells
-}
 
 #[test]
 fn ir_dispatch_is_invisible_across_the_exploit_matrix() {

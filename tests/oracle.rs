@@ -10,45 +10,13 @@
 //! must be statically quiet on all three ISAs.
 
 use connman_lab::analysis;
-use connman_lab::exploit::{
-    ArmGadgetExeclp, BufferImage, CodeInjection, Ret2Libc, RiscvGadgetSystem, RopMemcpyChain,
-};
+use connman_lab::exploit::{matrix, BufferImage, CodeInjection};
 use connman_lab::vm::Fault;
-use connman_lab::{
-    Arch, AttackOutcome, ExploitStrategy, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome,
-};
-
-fn matrix() -> Vec<(Arch, Protections)> {
-    let mut cells = Vec::new();
-    for arch in Arch::ALL {
-        for prot in [
-            Protections::none(),
-            Protections::wxorx(),
-            Protections::full(),
-        ] {
-            cells.push((arch, prot));
-        }
-    }
-    cells
-}
-
-fn strategy_for(arch: Arch, prot: &Protections) -> Box<dyn ExploitStrategy> {
-    if prot.aslr.enabled {
-        Box::new(RopMemcpyChain::new(arch))
-    } else if prot.wxorx {
-        match arch {
-            Arch::X86 => Box::new(Ret2Libc::new()),
-            Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-            Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-        }
-    } else {
-        Box::new(CodeInjection::new(arch))
-    }
-}
+use connman_lab::{Arch, AttackOutcome, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
 
 #[test]
 fn static_predictions_match_sanitizer_measurements_across_the_matrix() {
-    for (arch, prot) in matrix() {
+    for (arch, prot, strategy) in matrix() {
         let cell = format!("{arch}/{}", prot.label());
 
         // Static side: one exploitable tainted write, unbounded, with a
@@ -79,7 +47,6 @@ fn static_predictions_match_sanitizer_measurements_across_the_matrix() {
 
         // Dynamic side: the recon the exploits actually use, and the
         // sanitizer's byte-exact measurement of the real overflow.
-        let strategy = strategy_for(arch, &prot);
         let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
         let info = lab.recon().unwrap_or_else(|e| panic!("{cell}: {e}"));
         assert_eq!(

@@ -5,35 +5,9 @@
 //! stream must be byte-identical across {fresh boot, snapshot fork} ×
 //! {IR dispatch, per-instruction dispatch}.
 
+use connman_lab::exploit::matrix;
 use connman_lab::exploit::target::deliver_labels;
-use connman_lab::exploit::{
-    ArmGadgetExeclp, CodeInjection, ExploitStrategy, Ret2Libc, RiscvGadgetSystem,
-};
 use connman_lab::{Arch, FirmwareKind, Lab, Protections};
-
-/// The nine PoC cells of §III: protection level + the matched technique.
-fn matrix() -> Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> {
-    let mut cells: Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> = Vec::new();
-    for arch in Arch::ALL {
-        cells.push((
-            arch,
-            Protections::none(),
-            Box::new(CodeInjection::new(arch)),
-        ));
-        let wx: Box<dyn ExploitStrategy> = match arch {
-            Arch::X86 => Box::new(Ret2Libc::new()),
-            Arch::Armv7 => Box::new(ArmGadgetExeclp::new()),
-            Arch::Riscv => Box::new(RiscvGadgetSystem::new()),
-        };
-        cells.push((arch, Protections::wxorx(), wx));
-        cells.push((
-            arch,
-            Protections::full(),
-            Box::new(connman_lab::exploit::RopMemcpyChain::new(arch)),
-        ));
-    }
-    cells
-}
 
 #[test]
 fn all_modes_produce_byte_identical_outcomes_across_the_matrix() {

@@ -7,22 +7,8 @@
 
 use connman_lab::derive_seed;
 use connman_lab::exploit::template::apply_slides;
-use connman_lab::exploit::{all_strategies, PayloadTemplate, Slides};
-use connman_lab::{ExploitStrategy, FirmwareKind, Lab, Protections};
-
-/// The strongest protection policy each strategy is designed to defeat
-/// (the matrix diagonal) — outcome parity is checked under it so the
-/// expected result is a root shell, the most corruption-sensitive
-/// verdict.
-fn strongest_defeated(strategy: &dyn ExploitStrategy) -> Protections {
-    if strategy.expected_to_defeat(&Protections::full()) {
-        Protections::full()
-    } else if strategy.expected_to_defeat(&Protections::wxorx()) {
-        Protections::wxorx()
-    } else {
-        Protections::none()
-    }
-}
+use connman_lab::exploit::{matrix, PayloadTemplate, Slides};
+use connman_lab::{FirmwareKind, Lab};
 
 /// Deterministic pseudo-random slides: word-aligned page displacements,
 /// non-negative and small so shifted addresses stay inside the 32-bit
@@ -39,9 +25,10 @@ fn slides_for(seed: u64) -> Slides {
 
 #[test]
 fn relocation_matches_rebuild_for_every_cell_and_slide() {
-    for strategy in all_strategies() {
-        let prot = strongest_defeated(strategy.as_ref());
-        let lab = Lab::new(FirmwareKind::OpenElec, strategy.arch()).with_protections(prot);
+    // Each technique under the level it is built for, so the expected
+    // result is a root shell, the most corruption-sensitive verdict.
+    for (arch, prot, strategy) in matrix() {
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
         let reference = lab.recon().expect("replica recon");
         let template =
             PayloadTemplate::compile(strategy.as_ref(), &reference).expect("cell templates");
@@ -88,9 +75,8 @@ fn relocation_matches_rebuild_for_every_cell_and_slide() {
 
 #[test]
 fn template_labels_deliver_the_same_outcome_as_rebuilt_labels() {
-    for strategy in all_strategies() {
-        let prot = strongest_defeated(strategy.as_ref());
-        let lab = Lab::new(FirmwareKind::OpenElec, strategy.arch()).with_protections(prot);
+    for (arch, prot, strategy) in matrix() {
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
         let reference = lab.recon().expect("replica recon");
         let template =
             PayloadTemplate::compile(strategy.as_ref(), &reference).expect("cell templates");
