@@ -69,18 +69,11 @@ diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
 
 echo "==> repro --bench-smoke"
-# Tiny-iteration ablations compared against the newest committed
-# BENCH_*.json. Fails on:
-#   >2x   regression of the snapshot insn advantage, the template_vs_rebuild
-#         wall advantage, the IR-over-single-step dispatch speedup
-#         (ir_vs_insn; older baselines give it as ir_vs_block x
-#         block_vs_insn) or the fuzz fork-vs-reboot advantage;
-#   >2x   growth of the coverage-hook overhead;
-#   >4x   regression of any per-ISA decode-table-vs-hand-rolled ratio;
-#   >20x  collapse of the warm resolver-cache throughput, the RISC-V fuzz
-#         execs/sec or the 10k fleet devices/sec, or blow-up of VSA wall;
-#   any   allocation on the warm resolver cache-hit path.
-# Each guard skips with a note when the baseline predates its record.
+# Tiny-iteration run of the BENCH record checked against the newest
+# committed BENCH_*.json. The guards (json path, floor/ceiling/equals,
+# factor) are the GUARDS table in crates/bench/src/bin/repro.rs; a
+# baseline that predates a path skips that row, and a newest baseline
+# that does not parse fails the stage.
 cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke
 
 echo "==> cargo doc --no-deps"

@@ -42,11 +42,11 @@ pub mod audit;
 pub mod callgraph;
 pub mod cfg;
 pub mod frames;
-pub mod json;
 pub mod predecode;
 pub mod taint;
 pub mod vsa;
 
+use cml_core::json;
 use cml_image::{Addr, Image};
 
 pub use audit::{AuditReport, SectionAudit};

@@ -10,24 +10,26 @@
 //!                       # fleet + the static analyzer + the snapshot /
 //!                       # dispatch / template / pool / resolver-cache
 //!                       # ablations and write BENCH_<n>.json
-//! repro --bench-smoke   # tiny-iteration ablation run compared against
-//!                       # the newest committed BENCH_*.json; exits 1 on
-//!                       # a >2x regression, 0 (with a note) when no
-//!                       # baseline exists
+//! repro --bench-smoke   # tiny-iteration run of the same record checked
+//!                       # against the newest committed BENCH_*.json by
+//!                       # the `GUARDS` table; exits 1 when a guard fails
 //! repro --no-snapshot   # boot every E8 trial from scratch instead of
 //!                       # forking a per-entropy-level snapshot
 //! repro --sanitize      # run the 9-cell exploit matrix under the VM
 //!                       # shadow-memory sanitizer and print precise
 //!                       # overflow diagnostics per cell
 //! ```
+//!
+//! Unknown options, unknown experiment ids and a missing or malformed
+//! option value exit 1 before anything runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use cml_core::experiments;
 use cml_core::fleet::{run_fleet_cfg, run_fleet_with, FleetConfig, FleetSpec, ENTROPY_FULL};
+use cml_core::json::{self, n, obj, s, u, Value};
 use cml_core::report::Suite;
 use cml_core::{Arch, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
 use cml_dns::{BufPool, Message, Name, Question, RecordType};
@@ -84,6 +86,15 @@ const FLEET_SCALE_DEVICES: u64 = 1_000_000;
 /// device, so per-session costs dominate.
 const FLEET_FULL_ENTROPY_DEVICES: u64 = 100_000;
 
+const USAGE: &str = "usage: repro [--exp e1 e2 …] [--out FILE] [--json] [--jobs N] \
+                     [--bench-json|--timings] [--bench-smoke] [--no-snapshot] [--sanitize]";
+
+/// Reports a command-line mistake and exits 1.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\n{USAGE}");
+    std::process::exit(1);
+}
+
 fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut out_path: Option<String> = None;
@@ -94,30 +105,32 @@ fn main() {
     let mut snapshot = true;
     let mut jobs = 1usize;
     let mut args = std::env::args().skip(1);
+    // An option's value is the next argument, unless that is an option.
+    let value =
+        |args: &mut std::iter::Skip<std::env::Args>| args.next().filter(|v| !v.starts_with("--"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--exp" => { /* ids follow */ }
-            "--out" => out_path = args.next(),
+            "--out" => match value(&mut args) {
+                Some(path) => out_path = Some(path),
+                None => usage_error("--out wants a file name"),
+            },
             "--json" => json = true,
             "--bench-json" | "--timings" => bench_json = true,
             "--bench-smoke" => bench_smoke = true,
             "--sanitize" => sanitize = true,
             "--no-snapshot" => snapshot = false,
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs wants a number, using 1");
-                    1
-                });
-            }
+            "--jobs" => match value(&mut args).and_then(|v| v.parse().ok()) {
+                Some(n) => jobs = n,
+                None => usage_error("--jobs wants a number"),
+            },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--exp e1 e2 …] [--out FILE] [--json] \
-                     [--jobs N] [--bench-json|--timings] [--bench-smoke] \
-                     [--no-snapshot] [--sanitize]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
-            other => ids.push(other.to_string()),
+            other if other.starts_with('-') => usage_error(&format!("unknown option {other:?}")),
+            id if ALL_IDS.contains(&id.to_ascii_lowercase().as_str()) => ids.push(id.to_string()),
+            other => usage_error(&format!("unknown experiment id {other:?} (want e1..e10)")),
         }
     }
 
@@ -144,59 +157,31 @@ fn main() {
     let mut timings: Vec<(String, f64)> = Vec::new();
     for id in &run_ids {
         let t0 = Instant::now();
-        match experiments::run_one_jobs_with(id, jobs, snapshot) {
-            Some(t) => {
-                let secs = t0.elapsed().as_secs_f64();
-                eprintln!("finished {id} in {:.2}s", secs);
-                timings.push((id.clone(), secs));
-                tables.push(t);
-            }
-            None => eprintln!("unknown experiment id {id:?} (want e1..e10)"),
-        }
+        let table = experiments::run_one_jobs_with(id, jobs, snapshot).expect("id checked above");
+        let secs = t0.elapsed().as_secs_f64();
+        eprintln!("finished {id} in {secs:.2}s");
+        timings.push((id.clone(), secs));
+        tables.push(table);
     }
     let suite = Suite { tables };
 
     let body = if json {
-        to_json(&suite)
+        suite.to_json().to_string()
     } else {
         suite.to_markdown()
     };
     println!("{body}");
     if let Some(path) = out_path {
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
+        match std::fs::write(&path, &body) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
     }
 
     if bench_json {
-        let spec = FleetSpec::heterogeneous(FLEET_DEVICES, 0xF1EE7);
-        eprintln!("timing a {FLEET_DEVICES}-device fleet on {jobs} worker(s)…");
-        let report = run_fleet_with(&spec, jobs, snapshot);
-        eprintln!(
-            "fleet: {} devices in {:.2}s ({:.1} devices/sec, {} compromised)",
-            report.devices,
-            report.elapsed.as_secs_f64(),
-            report.devices_per_sec(),
-            report.compromised()
-        );
-        eprintln!("timing the fleet_scale campaign ({FLEET_SCALE_DEVICES} devices)…");
-        let scale = fleet_scale_timings(jobs);
-        eprintln!("{}", scale.describe());
-        eprintln!("timing the static analyzer on all three architectures…");
-        let analysis = analysis_timings();
-        for (arch, secs, vsa_secs, insns) in &analysis {
-            eprintln!(
-                "analyzer: {arch} CFG+taint+VSA+audit over {insns} instructions \
-                 in {secs:.4}s (VSA alone {vsa_secs:.4}s)"
-            );
-        }
-        eprintln!("running the snapshot/dispatch ablations…");
-        let ablations = run_ablations(ABLATION_TRIALS);
-        eprintln!("{}", ablations.describe());
+        let record = bench_record(jobs, &timings, snapshot);
         let path = next_bench_path();
-        let doc = bench_json_doc(jobs, &timings, &report, &scale, &analysis, &ablations);
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(doc.as_bytes())) {
+        match std::fs::write(&path, record.to_string() + "\n") {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
@@ -209,200 +194,6 @@ const ABLATION_TRIALS: u64 = 48;
 /// Trials per ablation arm for the `--bench-smoke` CI stage.
 const SMOKE_TRIALS: u64 = 6;
 
-/// The harness-throughput ablation numbers recorded in `BENCH_<n>.json`.
-struct Ablations {
-    trials: u64,
-    /// Mean executed instructions per E8-style trial, fresh boot each.
-    fresh_insns: u64,
-    /// Same, forking one snapshot (restore + reslide) per trial.
-    forked_insns: u64,
-    fresh_wall_secs: f64,
-    forked_wall_secs: f64,
-    /// Wall seconds for the same hot-loop run under threaded-code IR
-    /// dispatch vs. the single-step reference (same insn counts — the
-    /// tiers are semantically identical; only dispatch cost moves).
-    ir_wall_secs: f64,
-    insn_wall_secs: f64,
-    /// Executed instructions per run in both dispatch arms.
-    dispatch_insns: u64,
-    /// Template-vs-rebuild: producing per-device payload labels by
-    /// relocating a compiled template vs. rebuilding from scratch.
-    /// Both arms run the same number of label builds (`pooled_queries`).
-    rebuild_wall_secs: f64,
-    template_wall_secs: f64,
-    rebuild_allocs_per_build: u64,
-    template_allocs_per_build: u64,
-    /// Pooled-vs-alloc: answering the canonical proxy query into a warm
-    /// pooled buffer vs. allocating a fresh response vector each time.
-    pooled_queries: u64,
-    alloc_wall_secs: f64,
-    pooled_wall_secs: f64,
-    alloc_allocs_per_query: u64,
-    pooled_allocs_per_query: u64,
-    /// Resolver cache: warm cache-hit replay through the recursive
-    /// resolver into a pooled output buffer (the fleet fast path) vs.
-    /// the same hits into a fresh `Vec` per query vs. cache-off (every
-    /// query walks the full root → TLD → authoritative chain).
-    resolver_queries: u64,
-    resolver_cached_wall_secs: f64,
-    resolver_alloc_wall_secs: f64,
-    resolver_uncached_queries: u64,
-    resolver_uncached_wall_secs: f64,
-    resolver_cached_allocs_per_query: u64,
-    resolver_alloc_allocs_per_query: u64,
-    /// Fuzzing throughput: a fixed-seed coverage-guided campaign on the
-    /// vulnerable x86 daemon, snapshot-fork per exec, edge map armed.
-    fuzz_execs: u64,
-    fuzz_wall_secs: f64,
-    /// Same campaign with a full boot per exec instead of a fork (the
-    /// two campaigns execute identical input sequences — same derived
-    /// RNG streams — so only the restore-vs-boot cost moves).
-    fuzz_reboot_wall_secs: f64,
-    /// Coverage-hook cost, measured by replaying one fixed input set
-    /// through the harness with the edge map armed vs disarmed —
-    /// identical work in both arms, only the bitmap writes differ.
-    cov_replay_execs: u64,
-    cov_on_wall_secs: f64,
-    cov_off_wall_secs: f64,
-    /// Per-ISA decode ablation: walking the vulnerable image's `.text`
-    /// end to end with the declarative-table decoder vs. the retained
-    /// hand-rolled reference decoder. One entry per architecture:
-    /// `(arch, table_wall_secs, handrolled_wall_secs, insns_per_pass)`.
-    decode_table: Vec<(Arch, f64, f64, u64)>,
-    /// RISC-V fuzzing throughput: the same fixed-seed campaign as
-    /// `fuzz_execs`, on the RV32IC target.
-    riscv_fuzz_execs: u64,
-    riscv_fuzz_wall_secs: f64,
-}
-
-impl Ablations {
-    fn insn_ratio(&self) -> f64 {
-        self.fresh_insns as f64 / self.forked_insns.max(1) as f64
-    }
-
-    fn template_wall_ratio(&self) -> f64 {
-        self.rebuild_wall_secs / self.template_wall_secs.max(1e-12)
-    }
-
-    fn pooled_wall_ratio(&self) -> f64 {
-        self.alloc_wall_secs / self.pooled_wall_secs.max(1e-12)
-    }
-
-    fn fuzz_execs_per_sec(&self) -> f64 {
-        self.fuzz_execs as f64 / self.fuzz_wall_secs.max(1e-12)
-    }
-
-    fn riscv_fuzz_execs_per_sec(&self) -> f64 {
-        self.riscv_fuzz_execs as f64 / self.riscv_fuzz_wall_secs.max(1e-12)
-    }
-
-    /// Warm cache-hit throughput — the headline queries/sec figure.
-    fn resolver_qps(&self) -> f64 {
-        self.resolver_queries as f64 / self.resolver_cached_wall_secs.max(1e-12)
-    }
-
-    /// Per-query cost of turning the cache off: full recursion wall per
-    /// query over warm hit wall per query.
-    fn resolver_cache_off_ratio(&self) -> f64 {
-        let uncached =
-            self.resolver_uncached_wall_secs / self.resolver_uncached_queries.max(1) as f64;
-        let cached = self.resolver_cached_wall_secs / self.resolver_queries.max(1) as f64;
-        uncached / cached.max(1e-15)
-    }
-
-    /// Fresh-`Vec`-per-hit cost over the pooled warm-buffer path (same
-    /// query count in both arms).
-    fn resolver_alloc_ratio(&self) -> f64 {
-        self.resolver_alloc_wall_secs / self.resolver_cached_wall_secs.max(1e-12)
-    }
-
-    /// Threaded-code IR advantage over single-step dispatch.
-    fn ir_vs_insn_ratio(&self) -> f64 {
-        self.insn_wall_secs / self.ir_wall_secs.max(1e-12)
-    }
-
-    /// Wall cost of the coverage bitmap: armed / disarmed (≥ 1.0 means
-    /// the hook costs something; close to 1.0 is the goal).
-    fn coverage_overhead_ratio(&self) -> f64 {
-        self.cov_on_wall_secs / self.cov_off_wall_secs.max(1e-12)
-    }
-
-    /// Snapshot-fork advantage inside the fuzz loop: reboot / fork.
-    fn fork_vs_reboot_fuzz_ratio(&self) -> f64 {
-        self.fuzz_reboot_wall_secs / self.fuzz_wall_secs.max(1e-12)
-    }
-
-    fn describe(&self) -> String {
-        let decode = self
-            .decode_table
-            .iter()
-            .map(|(arch, table, hand, insns)| {
-                format!(
-                    "{arch} {:.4}s table vs {:.4}s hand-rolled over {} insns/pass ({:.2}x)",
-                    table,
-                    hand,
-                    insns,
-                    hand / table.max(1e-12)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; ");
-        format!(
-            "snapshot_vs_reboot: {} vs {} insns/trial ({:.1}x fewer), \
-             {:.3}s vs {:.3}s over {} trials\n\
-             ir_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
-             template_vs_rebuild: {:.4}s rebuild vs {:.4}s relocate \
-             ({:.1}x cheaper wall; {} vs {} allocs/build)\n\
-             pooled_vs_alloc: {:.4}s alloc vs {:.4}s pooled over {} queries \
-             ({:.1}x cheaper wall; {} vs {} allocs/query)\n\
-             resolver: {:.0} q/s warm cache over {} hits ({} allocs/query); \
-             fresh-Vec hits {:.1}x slower ({} allocs/query); cache-off \
-             {:.0}x slower per query ({} full recursions)\n\
-             fuzz: {} execs in {:.3}s ({:.0} execs/sec); coverage hook \
-             {:.2}x wall overhead; reboot-per-exec {:.1}x slower than fork\n\
-             decode_table: {}\n\
-             riscv_fuzz: {} execs in {:.3}s ({:.0} execs/sec)",
-            self.fresh_insns,
-            self.forked_insns,
-            self.insn_ratio(),
-            self.fresh_wall_secs,
-            self.forked_wall_secs,
-            self.trials,
-            self.ir_wall_secs,
-            self.insn_wall_secs,
-            self.dispatch_insns,
-            self.ir_vs_insn_ratio(),
-            self.rebuild_wall_secs,
-            self.template_wall_secs,
-            self.template_wall_ratio(),
-            self.rebuild_allocs_per_build,
-            self.template_allocs_per_build,
-            self.alloc_wall_secs,
-            self.pooled_wall_secs,
-            self.pooled_queries,
-            self.pooled_wall_ratio(),
-            self.alloc_allocs_per_query,
-            self.pooled_allocs_per_query,
-            self.resolver_qps(),
-            self.resolver_queries,
-            self.resolver_cached_allocs_per_query,
-            self.resolver_alloc_ratio(),
-            self.resolver_alloc_allocs_per_query,
-            self.resolver_cache_off_ratio(),
-            self.resolver_uncached_queries,
-            self.fuzz_execs,
-            self.fuzz_wall_secs,
-            self.fuzz_execs_per_sec(),
-            self.coverage_overhead_ratio(),
-            self.fork_vs_reboot_fuzz_ratio(),
-            decode,
-            self.riscv_fuzz_execs,
-            self.riscv_fuzz_wall_secs,
-            self.riscv_fuzz_execs_per_sec()
-        )
-    }
-}
-
 /// Inner repetitions per trial for the allocation-path ablations (one
 /// template relocation or pooled query is far below timer resolution).
 const PATH_REPS: u64 = 64;
@@ -411,8 +202,9 @@ const PATH_REPS: u64 = 64;
 /// dispatch workloads are one E8-style trial: boot (or fork) an
 /// OpenELEC/x86 daemon under full protections and deliver one oversized
 /// response. The template and pool workloads are one steady-state fleet
-/// payload/packet step.
-fn run_ablations(trials: u64) -> Ablations {
+/// payload/packet step. Returns the record's `ablations` section, with
+/// every ratio computed here, once.
+fn run_ablations(trials: u64) -> Value<'static> {
     let fw = Firmware::build(FirmwareKind::OpenElec, Arch::X86);
     let prot = Protections::full();
     let labels: Vec<Vec<u8>> = vec![0x41u8; 1300].chunks(63).map(<[u8]>::to_vec).collect();
@@ -614,31 +406,39 @@ fn run_ablations(trials: u64) -> Ablations {
     // to end with the declarative-table decoder vs. the retained
     // hand-rolled reference decoder. Interleaved per trial like the
     // dispatch ablation so machine-speed phases hit both arms equally.
-    let decode_table: Vec<(Arch, f64, f64, u64)> = Arch::ALL
-        .iter()
-        .map(|&arch| {
-            use cml_image::SectionKind;
-            let fw = Firmware::build(FirmwareKind::OpenElec, arch);
-            let text = fw
-                .image()
-                .section(SectionKind::Text)
-                .expect("firmware has .text")
-                .bytes()
-                .to_vec();
-            let mut walls = [0.0f64; 2];
-            let mut insns = 0u64;
-            for _ in 0..trials {
-                for (slot, pass) in [
-                    (0usize, decode_pass(arch, &text, true)),
-                    (1, decode_pass(arch, &text, false)),
-                ] {
-                    walls[slot] += pass.0;
-                    insns = pass.1;
-                }
+    // Decode-table ablation: walking each ISA's vulnerable `.text` end
+    // to end with the declarative-table decoder vs. the retained
+    // hand-rolled reference decoder. Interleaved per trial like the
+    // dispatch ablation so machine-speed phases hit both arms equally.
+    let decode_table = Arch::ALL.iter().map(|&arch| {
+        use cml_image::SectionKind;
+        let fw = Firmware::build(FirmwareKind::OpenElec, arch);
+        let text = fw
+            .image()
+            .section(SectionKind::Text)
+            .expect("firmware has .text")
+            .bytes()
+            .to_vec();
+        let mut walls = [0.0f64; 2];
+        let mut insns = 0u64;
+        for _ in 0..trials {
+            for (slot, pass) in [
+                (0usize, decode_pass(arch, &text, true)),
+                (1, decode_pass(arch, &text, false)),
+            ] {
+                walls[slot] += pass.0;
+                insns = pass.1;
             }
-            (arch, walls[0], walls[1], insns)
-        })
-        .collect();
+        }
+        obj([
+            ("isa", s(arch.to_string())),
+            ("table_wall_secs", n(walls[0])),
+            ("handrolled_wall_secs", n(walls[1])),
+            ("insns_per_pass", u(insns)),
+            ("decode_wall_ratio", n(ratio(walls[1], walls[0]))),
+        ])
+    });
+    let decode_table = Value::Arr(decode_table.collect());
 
     // Fuzzing ablations: the same fixed-seed campaign three ways —
     // coverage-on fork (the production configuration), coverage-off
@@ -725,41 +525,142 @@ fn run_ablations(trials: u64) -> Ablations {
         }
     }
 
-    Ablations {
-        trials,
-        fresh_insns: fresh_insns / trials.max(1),
-        forked_insns: forked_insns / trials.max(1),
-        fresh_wall_secs,
-        forked_wall_secs,
-        ir_wall_secs: dispatch[0],
-        insn_wall_secs: dispatch[1],
-        dispatch_insns,
-        rebuild_wall_secs,
-        template_wall_secs,
-        rebuild_allocs_per_build: rebuild_allocs / reps.max(1),
-        template_allocs_per_build: template_allocs / reps.max(1),
-        pooled_queries: reps,
-        alloc_wall_secs,
-        pooled_wall_secs,
-        alloc_allocs_per_query: alloc_allocs / reps.max(1),
-        pooled_allocs_per_query: pooled_allocs / reps.max(1),
-        resolver_queries,
-        resolver_cached_wall_secs,
-        resolver_alloc_wall_secs,
-        resolver_uncached_queries,
-        resolver_uncached_wall_secs,
-        resolver_cached_allocs_per_query: resolver_cached_allocs / resolver_queries.max(1),
-        resolver_alloc_allocs_per_query: resolver_alloc_allocs / resolver_queries.max(1),
-        fuzz_execs,
-        fuzz_wall_secs,
-        fuzz_reboot_wall_secs,
-        cov_replay_execs,
-        cov_on_wall_secs: cov_wall[0],
-        cov_off_wall_secs: cov_wall[1],
-        decode_table,
-        riscv_fuzz_execs,
-        riscv_fuzz_wall_secs,
-    }
+    // Per-query cost of turning the resolver cache off: full recursion
+    // wall per query over warm hit wall per query.
+    let uncached_per_query = resolver_uncached_wall_secs / resolver_uncached_queries.max(1) as f64;
+    let cached_per_query = resolver_cached_wall_secs / resolver_queries.max(1) as f64;
+    obj([
+        (
+            "snapshot_vs_reboot",
+            obj([
+                ("trials", u(trials)),
+                ("fresh_insns_per_trial", u(fresh_insns / trials.max(1))),
+                ("forked_insns_per_trial", u(forked_insns / trials.max(1))),
+                (
+                    "insn_ratio",
+                    n(fresh_insns as f64 / forked_insns.max(1) as f64),
+                ),
+                ("fresh_wall_secs", n(fresh_wall_secs)),
+                ("forked_wall_secs", n(forked_wall_secs)),
+            ]),
+        ),
+        (
+            "ir_vs_insn",
+            obj([
+                ("trials", u(trials)),
+                ("insns_per_trial", u(dispatch_insns)),
+                ("ir_wall_secs", n(dispatch[0])),
+                ("insn_wall_secs", n(dispatch[1])),
+                ("wall_ratio", n(ratio(dispatch[1], dispatch[0]))),
+            ]),
+        ),
+        (
+            "template_vs_rebuild",
+            obj([
+                ("builds", u(reps)),
+                ("rebuild_wall_secs", n(rebuild_wall_secs)),
+                ("template_wall_secs", n(template_wall_secs)),
+                (
+                    "wall_ratio",
+                    n(ratio(rebuild_wall_secs, template_wall_secs)),
+                ),
+                ("rebuild_allocs_per_build", u(rebuild_allocs / reps.max(1))),
+                (
+                    "template_allocs_per_build",
+                    u(template_allocs / reps.max(1)),
+                ),
+            ]),
+        ),
+        (
+            "pooled_vs_alloc",
+            obj([
+                ("queries", u(reps)),
+                ("alloc_wall_secs", n(alloc_wall_secs)),
+                ("pooled_wall_secs", n(pooled_wall_secs)),
+                ("wall_ratio", n(ratio(alloc_wall_secs, pooled_wall_secs))),
+                ("alloc_allocs_per_query", u(alloc_allocs / reps.max(1))),
+                ("pooled_allocs_per_query", u(pooled_allocs / reps.max(1))),
+            ]),
+        ),
+        (
+            "resolver",
+            obj([
+                ("queries", u(resolver_queries)),
+                ("cached_wall_secs", n(resolver_cached_wall_secs)),
+                (
+                    "resolver_qps",
+                    n(ratio(resolver_queries as f64, resolver_cached_wall_secs)),
+                ),
+                (
+                    "cached_allocs_per_query",
+                    u(resolver_cached_allocs / resolver_queries.max(1)),
+                ),
+                ("alloc_wall_secs", n(resolver_alloc_wall_secs)),
+                (
+                    "alloc_ratio",
+                    n(ratio(resolver_alloc_wall_secs, resolver_cached_wall_secs)),
+                ),
+                (
+                    "alloc_allocs_per_query",
+                    u(resolver_alloc_allocs / resolver_queries.max(1)),
+                ),
+                ("uncached_queries", u(resolver_uncached_queries)),
+                ("uncached_wall_secs", n(resolver_uncached_wall_secs)),
+                (
+                    "cache_off_ratio",
+                    n(uncached_per_query / cached_per_query.max(1e-15)),
+                ),
+            ]),
+        ),
+        (
+            "fuzz",
+            obj([
+                ("execs", u(fuzz_execs)),
+                (
+                    "fuzz_execs_per_sec",
+                    n(ratio(fuzz_execs as f64, fuzz_wall_secs)),
+                ),
+                (
+                    "coverage_hook_overhead",
+                    obj([
+                        ("replay_execs", u(cov_replay_execs)),
+                        ("on_wall_secs", n(cov_wall[0])),
+                        ("off_wall_secs", n(cov_wall[1])),
+                        ("overhead_ratio", n(ratio(cov_wall[0], cov_wall[1]))),
+                    ]),
+                ),
+                (
+                    "fork_vs_reboot_fuzz",
+                    obj([
+                        ("fork_wall_secs", n(fuzz_wall_secs)),
+                        ("reboot_wall_secs", n(fuzz_reboot_wall_secs)),
+                        (
+                            "wall_ratio",
+                            n(ratio(fuzz_reboot_wall_secs, fuzz_wall_secs)),
+                        ),
+                    ]),
+                ),
+            ]),
+        ),
+        ("decode_table", decode_table),
+        (
+            "riscv_fuzz",
+            obj([
+                ("execs", u(riscv_fuzz_execs)),
+                ("wall_secs", n(riscv_fuzz_wall_secs)),
+                (
+                    "execs_per_sec",
+                    n(ratio(riscv_fuzz_execs as f64, riscv_fuzz_wall_secs)),
+                ),
+            ]),
+        ),
+    ])
+}
+
+/// `a / b` for a wall time `b`, clamped to 1 ps so a zero reading
+/// cannot divide by zero.
+fn ratio(a: f64, b: f64) -> f64 {
+    a / b.max(1e-12)
 }
 
 /// One timed decode pass over `bytes`: sequential decode from offset 0,
@@ -821,221 +722,316 @@ fn dispatch_loop_machine() -> Machine {
     m
 }
 
-/// `--bench-smoke`: a tiny-iteration ablation run compared against the
-/// newest committed `BENCH_<n>.json`. Fails (exit 1) when the snapshot
-/// advantage collapsed by more than 2x in instruction terms, or when
-/// the template-relocation wall advantage collapsed by more than 2x;
-/// skips with a note (exit 0) when no baseline file exists yet. A
-/// baseline predating a given record (e.g. one without
-/// `template_vs_rebuild`) skips that comparison only.
-fn smoke_vs_baseline() -> i32 {
-    let current = run_ablations(SMOKE_TRIALS);
-    println!("{}", current.describe());
-    let Some((path, doc)) = newest_baseline_doc() else {
-        println!("bench-smoke: no committed BENCH_*.json with ablations — skipping comparison");
-        return 0;
-    };
-    let mut failed = false;
+/// The full `BENCH_<n>.json` record: the wall time of each experiment
+/// just run, a 1,000-device heterogeneous fleet, and the [`measure`]d
+/// sections at full size.
+fn bench_record(jobs: usize, timings: &[(String, f64)], snapshot: bool) -> Value<'static> {
+    let spec = FleetSpec::heterogeneous(FLEET_DEVICES, 0xF1EE7);
+    eprintln!("timing a {FLEET_DEVICES}-device fleet on {jobs} worker(s)…");
+    let report = run_fleet_with(&spec, jobs, snapshot);
+    let fleet = obj([
+        ("devices", u(report.devices)),
+        ("jobs", u(report.jobs as u64)),
+        ("wall_secs", n(report.elapsed.as_secs_f64())),
+        ("devices_per_sec", n(report.devices_per_sec())),
+        ("compromised", u(report.compromised() as u64)),
+        ("survivors", u(report.survivors() as u64)),
+    ]);
+    eprintln!("fleet: {fleet}");
+    let experiments = timings
+        .iter()
+        .map(|(id, secs)| obj([("id", s(id.clone())), ("wall_secs", n(*secs))]));
+    let mut record = vec![
+        ("jobs", u(jobs as u64)),
+        ("experiments", Value::Arr(experiments.collect())),
+        ("fleet", fleet),
+    ];
+    record.extend(measure(ABLATION_TRIALS, Some(jobs)));
+    obj(record)
+}
 
-    let ratio = current.insn_ratio();
-    match json_number_after(&doc, "\"snapshot_vs_reboot\"", "\"insn_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: snapshot insn ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — snapshot advantage regressed by more than 2x");
-                failed = true;
-            }
+/// Measures the sections `--bench-json` and `--bench-smoke` share, so
+/// both records have one schema and every [`GUARDS`] path means the
+/// same thing in each: `analysis` (per arch), `ablations` at `trials`
+/// per arm, and `fleet_scale`. The latter always holds the 10k-device
+/// serial rate the smoke gate replays; with `headline_jobs` it adds the
+/// million-device headline and the full-entropy campaign on that many
+/// workers.
+fn measure(trials: u64, headline_jobs: Option<usize>) -> Vec<(&'static str, Value<'static>)> {
+    let mut sections = Vec::new();
+    eprintln!("timing the static analyzer on all three architectures…");
+    sections.push(("analysis", analysis_timings()));
+    eprintln!("running the ablations at {trials} trial(s) per arm…");
+    sections.push(("ablations", run_ablations(trials)));
+    eprintln!("timing the fleet_scale campaigns…");
+    sections.push(("fleet_scale", fleet_scale_timings(headline_jobs)));
+    for (name, section) in &sections {
+        eprintln!("{name}: {section}");
+    }
+    sections
+}
+
+/// The `fleet_scale` section. The 10k-device serial run is recorded on
+/// its own because fixed setup (one session per address class)
+/// dominates at 10k, so the headline rate does not transfer across
+/// scales. The headline is the weak-boot-entropy class model (shared
+/// CoW boots, batched answers, streamed report); the full-entropy run
+/// pays one real session per device.
+fn fleet_scale_timings(headline_jobs: Option<usize>) -> Value<'static> {
+    let smoke = run_fleet_cfg(
+        &FleetSpec::homogeneous(10_000, 0xF1EE7),
+        &FleetConfig::new(1),
+    );
+    let mut fields = vec![("smoke_devices_per_sec", n(smoke.devices_per_sec()))];
+    if let Some(jobs) = headline_jobs {
+        let spec = FleetSpec::homogeneous(FLEET_SCALE_DEVICES, 0xF1EE7);
+        let headline = run_fleet_cfg(&spec, &FleetConfig::new(jobs));
+        let mut full_spec = FleetSpec::homogeneous(FLEET_FULL_ENTROPY_DEVICES, 0xF1EE7);
+        full_spec.cohorts[0].entropy_bits = ENTROPY_FULL;
+        let full_wall = run_fleet_cfg(&full_spec, &FleetConfig::new(jobs))
+            .elapsed
+            .as_secs_f64();
+        fields.extend([
+            ("devices", u(headline.devices)),
+            ("jobs", u(headline.jobs as u64)),
+            ("wall_secs", n(headline.elapsed.as_secs_f64())),
+            ("devices_per_sec", n(headline.devices_per_sec())),
+            ("sessions", u(headline.sessions)),
+            ("compromised", u(headline.compromised() as u64)),
+            ("full_entropy_devices", u(FLEET_FULL_ENTROPY_DEVICES)),
+            ("full_entropy_wall_secs", n(full_wall)),
+            (
+                "full_entropy_sessions_per_sec",
+                n(FLEET_FULL_ENTROPY_DEVICES as f64 / full_wall.max(1e-9)),
+            ),
+        ]);
+    }
+    obj(fields)
+}
+
+/// How a guard holds the current value against its baseline.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// An advantage: fail below `baseline / factor`.
+    Floor(f64),
+    /// A cost: fail above `max(baseline, min_baseline) * factor`.
+    Ceiling { factor: f64, min_baseline: f64 },
+    /// An invariant: fail unless the current value is exactly this. No
+    /// baseline is needed.
+    Equals(f64),
+}
+
+impl Bound {
+    /// The limit the current value is held to, or `None` when the
+    /// baseline is missing or not positive (the guard then skips).
+    fn limit(self, baseline: Option<f64>) -> Option<f64> {
+        match self {
+            Bound::Floor(factor) => baseline.filter(|b| *b > 0.0).map(|b| b / factor),
+            Bound::Ceiling {
+                factor,
+                min_baseline,
+            } => baseline
+                .map(|b| b.max(min_baseline))
+                .filter(|b| *b > 0.0)
+                .map(|b| b * factor),
+            Bound::Equals(want) => Some(want),
         }
-        None => println!("bench-smoke: baseline {path} has no snapshot_vs_reboot — skipping"),
     }
 
-    let ratio = current.template_wall_ratio();
-    match json_number_after(&doc, "\"template_vs_rebuild\"", "\"wall_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: template wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — template advantage regressed by more than 2x");
-                failed = true;
-            }
+    fn holds(self, now: f64, limit: f64) -> bool {
+        match self {
+            Bound::Floor(_) => now >= limit,
+            Bound::Ceiling { .. } => now <= limit,
+            Bound::Equals(_) => now == limit,
         }
-        None => println!("bench-smoke: baseline {path} has no template_vs_rebuild — skipping"),
     }
 
-    let qps = current.resolver_qps();
-    match json_number_after(&doc, "\"resolver\"", "\"resolver_qps\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: resolver {qps:.0} q/s warm cache vs {baseline:.0} baseline ({path})"
-            );
-            // Queries/sec across machines is noisy; fail only on an
-            // order-of-magnitude collapse of the warm-hit path.
-            if baseline > 0.0 && qps < baseline / 20.0 {
-                println!("bench-smoke: FAIL — resolver cache throughput collapsed more than 20x");
-                failed = true;
-            }
+    fn name(self) -> &'static str {
+        match self {
+            Bound::Floor(_) => "floor",
+            Bound::Ceiling { .. } => "ceiling",
+            Bound::Equals(_) => "want",
         }
-        None => println!("bench-smoke: baseline {path} has no resolver_qps — skipping"),
     }
-    if current.resolver_cached_allocs_per_query != 0 {
-        println!(
-            "bench-smoke: FAIL — warm resolver hits allocate ({} allocs/query; want 0)",
-            current.resolver_cached_allocs_per_query
+}
+
+/// Wall time across machines is noisy, so throughput and VSA guards
+/// fail only on an order-of-magnitude change.
+const COLLAPSE: f64 = 20.0;
+
+const VSA_CEILING: Bound = Bound::Ceiling {
+    factor: COLLAPSE,
+    min_baseline: 0.0,
+};
+
+/// The `--bench-smoke` gate: each row reads one number at the same path
+/// in the current record and in the newest `BENCH_<n>.json` (see
+/// [`lookup`] for the path syntax). Decode is a cold path and its
+/// sub-millisecond smoke passes are noisy, so its 4x bound only catches
+/// table blow-up (a rule scan gone quadratic), not jitter.
+const GUARDS: &[(&str, Bound)] = &[
+    ("ablations.snapshot_vs_reboot.insn_ratio", Bound::Floor(2.0)),
+    (
+        "ablations.template_vs_rebuild.wall_ratio",
+        Bound::Floor(2.0),
+    ),
+    ("ablations.ir_vs_insn.wall_ratio", Bound::Floor(2.0)),
+    (
+        "ablations.fuzz.fork_vs_reboot_fuzz.wall_ratio",
+        Bound::Floor(2.0),
+    ),
+    (
+        "ablations.fuzz.coverage_hook_overhead.overhead_ratio",
+        Bound::Ceiling {
+            factor: 2.0,
+            min_baseline: 1.0,
+        },
+    ),
+    (
+        "ablations.decode_table[isa=x86].decode_wall_ratio",
+        Bound::Floor(4.0),
+    ),
+    (
+        "ablations.decode_table[isa=ARMv7].decode_wall_ratio",
+        Bound::Floor(4.0),
+    ),
+    (
+        "ablations.decode_table[isa=RISC-V].decode_wall_ratio",
+        Bound::Floor(4.0),
+    ),
+    ("ablations.resolver.resolver_qps", Bound::Floor(COLLAPSE)),
+    (
+        "ablations.resolver.cached_allocs_per_query",
+        Bound::Equals(0.0),
+    ),
+    ("ablations.riscv_fuzz.execs_per_sec", Bound::Floor(COLLAPSE)),
+    ("fleet_scale.smoke_devices_per_sec", Bound::Floor(COLLAPSE)),
+    ("analysis[arch=x86].vsa_wall_secs", VSA_CEILING),
+    ("analysis[arch=ARMv7].vsa_wall_secs", VSA_CEILING),
+    ("analysis[arch=RISC-V].vsa_wall_secs", VSA_CEILING),
+];
+
+/// Baselines recorded before a metric was renamed: the product of the
+/// listed paths stands in for it. Before the two-tier VM, the IR-over-
+/// block and block-over-insn ratios timed the same loop as `ir_vs_insn`.
+const FALLBACKS: &[(&str, &[&str])] = &[(
+    "ablations.ir_vs_insn.wall_ratio",
+    &[
+        "ablations.ir_vs_block.wall_ratio",
+        "ablations.block_vs_insn.wall_ratio",
+    ],
+)];
+
+/// Reads the number at `path`: dot-separated object keys, where a step
+/// `name[key=value]` enters array `name` and picks the element whose
+/// string field `key` is `value`.
+fn lookup(doc: &Value, path: &str) -> Option<f64> {
+    path.split('.')
+        .try_fold(doc, |v, step| match step.split_once('[') {
+            None => v.get(step),
+            Some((name, select)) => {
+                let (key, want) = select.strip_suffix(']')?.split_once('=')?;
+                v.get(name)?
+                    .as_arr()?
+                    .iter()
+                    .find(|e| e.get(key).and_then(Value::as_str) == Some(want))
+            }
+        })?
+        .as_num()
+}
+
+/// [`lookup`] for a baseline, falling back through [`FALLBACKS`].
+fn baseline_value(doc: &Value, path: &str) -> Option<f64> {
+    lookup(doc, path).or_else(|| {
+        let (_, parts) = FALLBACKS.iter().find(|(p, _)| *p == path)?;
+        parts.iter().map(|p| lookup(doc, p)).product()
+    })
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Pass,
+    Fail,
+    Skip,
+}
+
+/// Evaluates one [`GUARDS`] row against the baseline record (and the
+/// file it came from), if there is one, and describes the comparison.
+fn judge(
+    (path, bound): (&str, Bound),
+    current: &Value,
+    baseline: Option<(&str, &Value)>,
+) -> (Verdict, String) {
+    let Some(now) = lookup(current, path) else {
+        return (
+            Verdict::Fail,
+            format!("{path}: FAIL — missing from the current record"),
         );
-        failed = true;
-    }
+    };
+    let base = baseline.and_then(|(_, doc)| baseline_value(doc, path));
+    let Some(limit) = bound.limit(base) else {
+        let why = match (baseline, base) {
+            (None, _) => "no committed baseline".to_string(),
+            (Some((origin, _)), None) => format!("{origin} predates it"),
+            (Some((origin, _)), Some(b)) => format!("{origin} records {b}"),
+        };
+        return (
+            Verdict::Skip,
+            format!("{path} {}: {why} — skipping", num(now)),
+        );
+    };
+    let (verdict, mark) = if bound.holds(now, limit) {
+        (Verdict::Pass, "ok")
+    } else {
+        (Verdict::Fail, "FAIL")
+    };
+    let vs = match (baseline, base) {
+        (Some((origin, _)), Some(b)) => format!(" vs {} in {origin}", num(b)),
+        _ => String::new(),
+    };
+    let line = format!(
+        "{path} {}{vs}, {} {}: {mark}",
+        num(now),
+        bound.name(),
+        num(limit)
+    );
+    (verdict, line)
+}
 
-    // IR over single-step: a baseline recorded before the two-tier VM
-    // has no `ir_vs_insn`, but its IR-over-block and block-over-insn
-    // ratios time the same loop, so their product is the same ratio.
-    let ratio = current.ir_vs_insn_ratio();
-    let baseline = json_number_after(&doc, "\"ir_vs_insn\"", "\"wall_ratio\":").or_else(|| {
-        let ir_vs_block = json_number_after(&doc, "\"ir_vs_block\"", "\"wall_ratio\":")?;
-        let block_vs_insn = json_number_after(&doc, "\"block_vs_insn\"", "\"wall_ratio\":")?;
-        Some(ir_vs_block * block_vs_insn)
-    });
-    match baseline {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: IR-vs-insn wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
-                failed = true;
-            }
+/// Two decimals, or three significant digits for small magnitudes.
+fn num(x: f64) -> String {
+    if x != 0.0 && x.abs() < 0.01 {
+        format!("{x:.2e}")
+    } else {
+        format!("{x:.2}")
+    }
+}
+
+/// `--bench-smoke`: measures a tiny-iteration record and checks it
+/// against the newest committed `BENCH_<n>.json` through [`GUARDS`].
+/// Returns the exit code: 1 when a guard fails or the newest baseline
+/// does not parse, else 0. Without any baseline file every guard but
+/// the baseline-free ones skips with a note.
+fn smoke_vs_baseline() -> i32 {
+    let baseline = match newest_baseline() {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("bench-smoke: FAIL — {e}");
+            return 1;
         }
-        None => println!("bench-smoke: baseline {path} has no ir_vs_insn — skipping"),
+    };
+    let baseline = baseline
+        .as_ref()
+        .map(|(origin, doc)| (origin.as_str(), doc));
+    // The current record goes through text like a committed one does.
+    let current = json::parse(&obj(measure(SMOKE_TRIALS, None)).to_string())
+        .expect("the record builder emits valid JSON");
+    let mut failed = false;
+    for &guard in GUARDS {
+        let (verdict, line) = judge(guard, &current, baseline);
+        println!("bench-smoke: {line}");
+        failed |= verdict == Verdict::Fail;
     }
-
-    let ratio = current.fork_vs_reboot_fuzz_ratio();
-    match json_number_after(&doc, "\"fork_vs_reboot_fuzz\"", "\"wall_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: fuzz fork-vs-reboot ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — fuzz snapshot advantage regressed by more than 2x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no fork_vs_reboot_fuzz — skipping"),
-    }
-
-    let overhead = current.coverage_overhead_ratio();
-    match json_number_after(&doc, "\"coverage_hook_overhead\"", "\"overhead_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: coverage hook overhead {overhead:.2}x vs {baseline:.2}x baseline ({path})"
-            );
-            // Overhead is a cost (≥ ~1.0): fail when it doubles over
-            // the recorded baseline, with slack for timer noise.
-            if overhead > baseline.max(1.0) * 2.0 {
-                println!("bench-smoke: FAIL — coverage hook overhead more than doubled");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no coverage_hook_overhead — skipping"),
-    }
-
-    // Decode-table: per ISA, the declarative tables must stay within 4x
-    // of the recorded advantage over the hand-rolled reference decoders.
-    // Decode is a cold path (the predecode cache decodes each pc once
-    // per generation) and the sub-millisecond smoke passes are noisy on
-    // a shared 1-CPU host, so the guard is deliberately loose — it
-    // exists to catch accidental table blow-up (quadratic growth, a rule
-    // scan gone linear-in-rules per byte), not scheduling jitter.
-    // Baselines predating the `decode_table` record skip that ISA's
-    // comparison only.
-    for (arch, table, hand, _) in &current.decode_table {
-        let ratio = hand / table.max(1e-12);
-        match json_number_after(
-            &doc,
-            &format!("\"isa\":\"{arch}\""),
-            "\"decode_wall_ratio\":",
-        ) {
-            Some(baseline) => {
-                println!(
-                    "bench-smoke: {arch} decode table-vs-hand-rolled ratio {ratio:.2}x \
-                     vs {baseline:.2}x baseline ({path})"
-                );
-                if ratio < baseline / 4.0 {
-                    println!(
-                        "bench-smoke: FAIL — {arch} decode-table advantage regressed \
-                         by more than 4x"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                println!("bench-smoke: baseline {path} has no {arch} decode_table — skipping")
-            }
-        }
-    }
-
-    // RISC-V fuzz throughput: execs/sec across machines is noisy, so
-    // only an order-of-magnitude collapse fails the guard. Baselines
-    // predating the `riscv_fuzz` record skip the comparison.
-    let rv = current.riscv_fuzz_execs_per_sec();
-    match json_number_after(&doc, "\"riscv_fuzz\"", "\"execs_per_sec\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: riscv fuzz {rv:.0} execs/sec vs {baseline:.0} baseline ({path})"
-            );
-            if baseline > 0.0 && rv < baseline / 20.0 {
-                println!("bench-smoke: FAIL — riscv fuzz throughput collapsed more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no riscv_fuzz — skipping"),
-    }
-
-    // Value-set analysis: a correctness smoke (the interprocedural
-    // layer must still flag the unbounded copy on both ISAs), plus a
-    // wall-time guard against the recorded per-arch cost. Baselines
-    // predating the `vsa_wall_secs` record skip the timing comparison.
-    let analysis = analysis_timings();
-    let vsa_now: f64 = analysis.iter().map(|(_, _, vsa, _)| vsa).sum();
-    match json_number_after(&doc, "\"analysis\"", "\"vsa_wall_secs\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: VSA wall {:.4}s vs {:.4}s first-arch baseline ({path})",
-                vsa_now, baseline
-            );
-            // Timing across machines is noisy; only a blow-up an order
-            // of magnitude past the recorded cost fails the guard.
-            if baseline > 0.0 && vsa_now > baseline * 20.0 {
-                println!("bench-smoke: FAIL — VSA wall time blew up more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no vsa_wall_secs — skipping"),
-    }
-
-    // Fleet scale: a 10k-device homogeneous campaign on the fast path
-    // must not collapse against the 10k rate recorded alongside the
-    // headline (same scale, so fixed per-class setup costs cancel).
-    // Wall-clock throughput across machines is noisy, so only an
-    // order-of-magnitude collapse fails the guard.
-    let smoke_spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
-    let smoke_fleet = run_fleet_cfg(&smoke_spec, &FleetConfig::new(1));
-    let rate = smoke_fleet.devices_per_sec();
-    match json_number_after(&doc, "\"fleet_scale\"", "\"smoke_devices_per_sec\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: fleet {rate:.0} devices/sec (10k smoke) vs {baseline:.0} \
-                 baseline ({path})"
-            );
-            if baseline > 0.0 && rate < baseline / 20.0 {
-                println!("bench-smoke: FAIL — fleet throughput collapsed more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no fleet smoke rate — skipping"),
-    }
-
     if failed {
         return 1;
     }
@@ -1043,38 +1039,42 @@ fn smoke_vs_baseline() -> i32 {
     0
 }
 
-/// Finds the highest-numbered `BENCH_<n>.json` in the working directory
-/// that contains an ablation record and returns its contents.
-fn newest_baseline_doc() -> Option<(String, String)> {
-    let mut best: Option<(u64, String)> = None;
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            if best.as_ref().is_none_or(|(b, _)| n > *b) {
-                best = Some((n, name));
-            }
-        }
-    }
-    let (_, path) = best?;
-    let doc = std::fs::read_to_string(&path).ok()?;
-    doc.contains("\"ablations\"").then_some(())?;
-    Some((path, doc))
+/// The highest `n` among the `BENCH_<n>.json` files in the working dir.
+fn newest_bench_index() -> Option<u64> {
+    std::fs::read_dir(".")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            entry
+                .file_name()
+                .to_string_lossy()
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".json")?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
 }
 
-/// Extracts the first number following `key` after `section` in a JSON
-/// document we generated ourselves (the approved dependency set has no
-/// JSON parser; our own output is regular enough for a scan).
-fn json_number_after(doc: &str, section: &str, key: &str) -> Option<f64> {
-    let tail = &doc[doc.find(section)? + section.len()..];
-    let tail = &tail[tail.find(key)? + key.len()..];
-    let end = tail
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+/// The newest `BENCH_<n>.json`, parsed, or `None` when there is none.
+/// A newest file that cannot be read or parsed is an error rather than
+/// a silent skip of every guard.
+fn newest_baseline() -> Result<Option<(String, Value<'static>)>, String> {
+    let Some(index) = newest_bench_index() else {
+        return Ok(None);
+    };
+    let path = format!("BENCH_{index}.json");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok(Some((path, doc)))
+}
+
+/// `BENCH_<n>.json` one past the highest index in the working dir
+/// (never fills holes — the smoke guard baselines on the highest index,
+/// so a hole-filling name would be invisible to it).
+fn next_bench_path() -> String {
+    format!("BENCH_{}.json", newest_bench_index().map_or(0, |i| i + 1))
 }
 
 /// Runs every cell of the exploit matrix (x86/ARM/RISC-V ×
@@ -1119,290 +1119,184 @@ fn sanitize_matrix() -> i32 {
         1
     }
 }
+/// The record's `analysis` section: one full static-analysis pipeline
+/// (CFG recovery + taint pass + frames + VSA + mitigation audit) per
+/// architecture over the OpenElec image, plus the value-set pass alone
+/// so the interprocedural layer's cost is visible separately.
+fn analysis_timings() -> Value<'static> {
+    let per_arch = Arch::ALL.iter().map(|&arch| {
+        let firmware = Firmware::build(FirmwareKind::OpenElec, arch);
+        let t0 = Instant::now();
+        let report = cml_analyze::analyze(firmware.image());
+        let full = t0.elapsed().as_secs_f64();
 
-/// Times one full static-analysis pipeline (CFG recovery + taint pass +
-/// frames + VSA + mitigation audit) per architecture over the OpenElec
-/// image, plus the value-set pass alone so the interprocedural layer's
-/// cost is visible separately.
-fn analysis_timings() -> Vec<(Arch, f64, f64, usize)> {
-    Arch::ALL
-        .iter()
-        .map(|&arch| {
-            let firmware = Firmware::build(FirmwareKind::OpenElec, arch);
-            let t0 = Instant::now();
-            let report = cml_analyze::analyze(firmware.image());
-            let full = t0.elapsed().as_secs_f64();
-
-            let cfg = cml_analyze::cfg::recover(firmware.image());
-            let sources = cml_analyze::taint::effective_sources(
-                &cfg,
-                &cml_analyze::taint::TaintConfig::default(),
-            );
-            let t1 = Instant::now();
-            let value_sets = cml_analyze::vsa::vsa_pass(&cfg, firmware.image(), &sources);
-            let vsa = t1.elapsed().as_secs_f64();
-            assert!(
-                value_sets
-                    .iter()
-                    .any(|v| v.tainted_writes().next().is_some()),
-                "{arch}: VSA must see the tainted copy it is being timed on"
-            );
-            (arch, full, vsa, report.cfg.instructions)
-        })
-        .collect()
-}
-
-/// `BENCH_<n>.json` one past the highest index in the working dir
-/// (never fills holes — the smoke guard baselines on the highest index,
-/// so a hole-filling name would be invisible to it).
-fn next_bench_path() -> String {
-    let next = std::fs::read_dir(".")
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|entry| {
-            entry
-                .file_name()
-                .to_string_lossy()
-                .strip_prefix("BENCH_")?
-                .strip_suffix(".json")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .map_or(0, |n| n + 1);
-    format!("BENCH_{next}.json")
-}
-
-/// The `fleet_scale` numbers recorded in `BENCH_<n>.json`: the
-/// million-device headline (weak-boot-entropy class model, shared CoW
-/// boots, batched answers, streamed report) plus the same campaign at
-/// full boot entropy, where every device pays a real session.
-struct FleetScale {
-    devices: u64,
-    jobs: usize,
-    wall_secs: f64,
-    devices_per_sec: f64,
-    sessions: u64,
-    compromised: u64,
-    full_entropy_devices: u64,
-    /// A 10k-device serial run — the scale the `--bench-smoke` guard
-    /// replays, recorded separately because fixed setup (one session
-    /// per address class) dominates at 10k and the headline rate does
-    /// not transfer across scales.
-    smoke_devices_per_sec: f64,
-    /// Fast path at full entropy, one session per device.
-    full_entropy_wall_secs: f64,
-}
-
-impl FleetScale {
-    fn describe(&self) -> String {
-        format!(
-            "fleet_scale: {} devices in {:.3}s ({:.0} devices/sec, {} sessions, \
-             {} compromised)\n\
-             fleet_scale full boot entropy: {} devices in {:.3}s ({:.0} sessions/sec)",
-            self.devices,
-            self.wall_secs,
-            self.devices_per_sec,
-            self.sessions,
-            self.compromised,
-            self.full_entropy_devices,
-            self.full_entropy_wall_secs,
-            self.full_entropy_devices as f64 / self.full_entropy_wall_secs.max(1e-9)
-        )
-    }
-}
-
-/// Times the headline campaign and its full-entropy counterpart.
-fn fleet_scale_timings(jobs: usize) -> FleetScale {
-    let spec = FleetSpec::homogeneous(FLEET_SCALE_DEVICES, 0xF1EE7);
-    let headline = run_fleet_cfg(&spec, &FleetConfig::new(jobs));
-
-    let smoke_spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
-    let smoke = run_fleet_cfg(&smoke_spec, &FleetConfig::new(1));
-
-    let mut full_spec = FleetSpec::homogeneous(FLEET_FULL_ENTROPY_DEVICES, 0xF1EE7);
-    full_spec.cohorts[0].entropy_bits = ENTROPY_FULL;
-    let full = run_fleet_cfg(&full_spec, &FleetConfig::new(jobs));
-    FleetScale {
-        devices: headline.devices,
-        jobs: headline.jobs,
-        wall_secs: headline.elapsed.as_secs_f64(),
-        devices_per_sec: headline.devices_per_sec(),
-        sessions: headline.sessions,
-        compromised: headline.compromised() as u64,
-        full_entropy_devices: FLEET_FULL_ENTROPY_DEVICES,
-        smoke_devices_per_sec: smoke.devices_per_sec(),
-        full_entropy_wall_secs: full.elapsed.as_secs_f64(),
-    }
-}
-
-fn bench_json_doc(
-    jobs: usize,
-    timings: &[(String, f64)],
-    fleet: &cml_core::fleet::FleetReport,
-    scale: &FleetScale,
-    analysis: &[(Arch, f64, f64, usize)],
-    ablations: &Ablations,
-) -> String {
-    let exps: Vec<String> = timings
-        .iter()
-        .map(|(id, secs)| format!("{{\"id\":\"{id}\",\"wall_secs\":{secs:.6}}}"))
-        .collect();
-    let ana: Vec<String> = analysis
-        .iter()
-        .map(|(arch, secs, vsa_secs, insns)| {
-            format!(
-                "{{\"arch\":\"{arch}\",\"wall_secs\":{secs:.6},\
-                 \"vsa_wall_secs\":{vsa_secs:.6},\"instructions\":{insns}}}"
-            )
-        })
-        .collect();
-    let decode: Vec<String> = ablations
-        .decode_table
-        .iter()
-        .map(|(arch, table, hand, insns)| {
-            format!(
-                "{{\"isa\":\"{arch}\",\"table_wall_secs\":{table:.6},\
-                 \"handrolled_wall_secs\":{hand:.6},\"insns_per_pass\":{insns},\
-                 \"decode_wall_ratio\":{:.3}}}",
-                hand / table.max(1e-12)
-            )
-        })
-        .collect();
-    let abl = format!(
-        "{{\"snapshot_vs_reboot\":{{\"trials\":{},\"fresh_insns_per_trial\":{},\
-         \"forked_insns_per_trial\":{},\"insn_ratio\":{:.2},\"fresh_wall_secs\":{:.6},\
-         \"forked_wall_secs\":{:.6}}},\"ir_vs_insn\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
-         \"wall_ratio\":{:.2}}},\
-         \"template_vs_rebuild\":{{\"builds\":{},\"rebuild_wall_secs\":{:.6},\
-         \"template_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
-         \"rebuild_allocs_per_build\":{},\"template_allocs_per_build\":{}}},\
-         \"pooled_vs_alloc\":{{\"queries\":{},\"alloc_wall_secs\":{:.6},\
-         \"pooled_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
-         \"alloc_allocs_per_query\":{},\"pooled_allocs_per_query\":{}}},\
-         \"resolver\":{{\"queries\":{},\"cached_wall_secs\":{:.6},\
-         \"resolver_qps\":{:.0},\"cached_allocs_per_query\":{},\
-         \"alloc_wall_secs\":{:.6},\"alloc_ratio\":{:.2},\
-         \"alloc_allocs_per_query\":{},\"uncached_queries\":{},\
-         \"uncached_wall_secs\":{:.6},\"cache_off_ratio\":{:.2}}},\
-         \"fuzz\":{{\"execs\":{},\"fuzz_execs_per_sec\":{:.2},\
-         \"coverage_hook_overhead\":{{\"replay_execs\":{},\"on_wall_secs\":{:.6},\
-         \"off_wall_secs\":{:.6},\"overhead_ratio\":{:.3}}},\
-         \"fork_vs_reboot_fuzz\":{{\"fork_wall_secs\":{:.6},\
-         \"reboot_wall_secs\":{:.6},\"wall_ratio\":{:.2}}}}},\
-         \"decode_table\":[{}],\
-         \"riscv_fuzz\":{{\"execs\":{},\"wall_secs\":{:.6},\
-         \"execs_per_sec\":{:.2}}}}}",
-        ablations.trials,
-        ablations.fresh_insns,
-        ablations.forked_insns,
-        ablations.insn_ratio(),
-        ablations.fresh_wall_secs,
-        ablations.forked_wall_secs,
-        ablations.trials,
-        ablations.dispatch_insns,
-        ablations.ir_wall_secs,
-        ablations.insn_wall_secs,
-        ablations.ir_vs_insn_ratio(),
-        ablations.pooled_queries,
-        ablations.rebuild_wall_secs,
-        ablations.template_wall_secs,
-        ablations.template_wall_ratio(),
-        ablations.rebuild_allocs_per_build,
-        ablations.template_allocs_per_build,
-        ablations.pooled_queries,
-        ablations.alloc_wall_secs,
-        ablations.pooled_wall_secs,
-        ablations.pooled_wall_ratio(),
-        ablations.alloc_allocs_per_query,
-        ablations.pooled_allocs_per_query,
-        ablations.resolver_queries,
-        ablations.resolver_cached_wall_secs,
-        ablations.resolver_qps(),
-        ablations.resolver_cached_allocs_per_query,
-        ablations.resolver_alloc_wall_secs,
-        ablations.resolver_alloc_ratio(),
-        ablations.resolver_alloc_allocs_per_query,
-        ablations.resolver_uncached_queries,
-        ablations.resolver_uncached_wall_secs,
-        ablations.resolver_cache_off_ratio(),
-        ablations.fuzz_execs,
-        ablations.fuzz_execs_per_sec(),
-        ablations.cov_replay_execs,
-        ablations.cov_on_wall_secs,
-        ablations.cov_off_wall_secs,
-        ablations.coverage_overhead_ratio(),
-        ablations.fuzz_wall_secs,
-        ablations.fuzz_reboot_wall_secs,
-        ablations.fork_vs_reboot_fuzz_ratio(),
-        decode.join(","),
-        ablations.riscv_fuzz_execs,
-        ablations.riscv_fuzz_wall_secs,
-        ablations.riscv_fuzz_execs_per_sec()
-    );
-    format!(
-        "{{\"jobs\":{jobs},\"experiments\":[{}],\"analysis\":[{}],\"ablations\":{},\
-         \"fleet\":{{\"devices\":{},\
-         \"jobs\":{},\"wall_secs\":{:.6},\"devices_per_sec\":{:.2},\
-         \"compromised\":{},\"survivors\":{}}},\
-         \"fleet_scale\":{{\"devices\":{},\"jobs\":{},\"wall_secs\":{:.6},\
-         \"devices_per_sec\":{:.2},\"sessions\":{},\"compromised\":{},\
-         \"full_entropy_devices\":{},\"smoke_devices_per_sec\":{:.2},\
-         \"full_entropy_wall_secs\":{:.6}}}}}\n",
-        exps.join(","),
-        ana.join(","),
-        abl,
-        fleet.devices,
-        fleet.jobs,
-        fleet.elapsed.as_secs_f64(),
-        fleet.devices_per_sec(),
-        fleet.compromised(),
-        fleet.survivors(),
-        scale.devices,
-        scale.jobs,
-        scale.wall_secs,
-        scale.devices_per_sec,
-        scale.sessions,
-        scale.compromised,
-        scale.full_entropy_devices,
-        scale.smoke_devices_per_sec,
-        scale.full_entropy_wall_secs
-    )
-}
-
-/// Minimal JSON rendering (the approved dependency set has serde but not
-/// serde_json; tables are simple enough to emit by hand).
-fn to_json(suite: &Suite) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    }
-    let tables: Vec<String> = suite
-        .tables
-        .iter()
-        .map(|t| {
-            let rows: Vec<String> = t
-                .rows
+        let cfg = cml_analyze::cfg::recover(firmware.image());
+        let sources = cml_analyze::taint::effective_sources(
+            &cfg,
+            &cml_analyze::taint::TaintConfig::default(),
+        );
+        let t1 = Instant::now();
+        let value_sets = cml_analyze::vsa::vsa_pass(&cfg, firmware.image(), &sources);
+        let vsa = t1.elapsed().as_secs_f64();
+        assert!(
+            value_sets
                 .iter()
-                .map(|r| {
-                    let cells: Vec<String> = r.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-                    format!("[{}]", cells.join(","))
-                })
-                .collect();
-            let header: Vec<String> = t.header.iter().map(|h| format!("\"{}\"", esc(h))).collect();
-            let notes: Vec<String> = t.notes.iter().map(|n| format!("\"{}\"", esc(n))).collect();
-            format!(
-                "{{\"id\":\"{}\",\"title\":\"{}\",\"header\":[{}],\"rows\":[{}],\"notes\":[{}]}}",
-                esc(&t.id),
-                esc(&t.title),
-                header.join(","),
-                rows.join(","),
-                notes.join(",")
-            )
+                .any(|v| v.tainted_writes().next().is_some()),
+            "{arch}: VSA must see the tainted copy it is being timed on"
+        );
+        obj([
+            ("arch", s(arch.to_string())),
+            ("wall_secs", n(full)),
+            ("vsa_wall_secs", n(vsa)),
+            ("instructions", u(report.cfg.instructions as u64)),
+        ])
+    });
+    Value::Arr(per_arch.collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every committed bench record, oldest first.
+    const COMMITTED: [(&str, &str); 8] = [
+        ("BENCH_3.json", include_str!("../../../../BENCH_3.json")),
+        ("BENCH_4.json", include_str!("../../../../BENCH_4.json")),
+        ("BENCH_5.json", include_str!("../../../../BENCH_5.json")),
+        ("BENCH_6.json", include_str!("../../../../BENCH_6.json")),
+        ("BENCH_7.json", include_str!("../../../../BENCH_7.json")),
+        ("BENCH_8.json", include_str!("../../../../BENCH_8.json")),
+        ("BENCH_9.json", include_str!("../../../../BENCH_9.json")),
+        ("BENCH_10.json", include_str!("../../../../BENCH_10.json")),
+    ];
+
+    fn bench_10() -> Value<'static> {
+        json::parse(COMMITTED[7].1).expect("BENCH_10.json parses")
+    }
+
+    /// The value at `path` (the [`lookup`] syntax), for editing.
+    fn at_mut<'v>(doc: &'v mut Value<'static>, path: &str) -> &'v mut Value<'static> {
+        path.split('.').fold(doc, |v, step| {
+            let (name, select) = step.split_once('[').unwrap_or((step, ""));
+            let Value::Obj(fields) = v else {
+                panic!("{path}: {name} is not in an object")
+            };
+            let (_, v) = fields.iter_mut().find(|(k, _)| k == name).expect(path);
+            match select.strip_suffix(']').and_then(|s| s.split_once('=')) {
+                None => v,
+                Some((key, want)) => {
+                    let Value::Arr(items) = v else {
+                        panic!("{path}: {name} is not an array")
+                    };
+                    let pick = |e: &&mut Value| e.get(key).and_then(Value::as_str) == Some(want);
+                    items.iter_mut().find(pick).expect(path)
+                }
+            }
         })
-        .collect();
-    format!("{{\"tables\":[{}]}}", tables.join(","))
+    }
+
+    /// BENCH_10 read as a current record: every guarded metric sits at
+    /// its baseline, with `ir_vs_insn` at the fallback product.
+    fn current_at_bench_10() -> Value<'static> {
+        let mut doc = bench_10();
+        let Value::Obj(ablations) = at_mut(&mut doc, "ablations") else {
+            panic!("ablations is an object")
+        };
+        ablations.push(("ir_vs_insn".into(), obj([("wall_ratio", n(4.88 * 3.15))])));
+        doc
+    }
+
+    fn verdicts(current: &Value) -> Vec<Verdict> {
+        let baseline = bench_10();
+        GUARDS
+            .iter()
+            .map(|&g| judge(g, current, Some(("BENCH_10.json", &baseline))).0)
+            .collect()
+    }
+
+    #[test]
+    fn committed_bench_records_parse() {
+        for (name, text) in COMMITTED {
+            let doc = json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(doc.get("experiments").is_some(), "{name}");
+        }
+    }
+
+    #[test]
+    fn every_guard_finds_a_bench_10_baseline() {
+        let baseline = bench_10();
+        for &(path, bound) in GUARDS {
+            if !matches!(bound, Bound::Equals(_)) {
+                let b = baseline_value(&baseline, path);
+                assert!(b.is_some_and(|b| b > 0.0), "{path}: {b:?}");
+            }
+        }
+        let ir = baseline_value(&baseline, "ablations.ir_vs_insn.wall_ratio").unwrap();
+        assert!(
+            (ir - 15.372).abs() < 1e-9,
+            "IR-vs-insn through the fallback: {ir}"
+        );
+        assert!(verdicts(&current_at_bench_10())
+            .iter()
+            .all(|v| *v == Verdict::Pass));
+    }
+
+    #[test]
+    fn one_metric_past_its_bound_fails_that_guard_only() {
+        for (i, &(path, bound)) in GUARDS.iter().enumerate() {
+            let mut current = current_at_bench_10();
+            let slot = at_mut(&mut current, path);
+            let now = slot.as_num().expect(path);
+            *slot = n(match bound {
+                Bound::Floor(factor) => now / factor * 0.9,
+                Bound::Ceiling {
+                    factor,
+                    min_baseline,
+                } => now.max(min_baseline) * factor * 1.1,
+                Bound::Equals(want) => want + 1.0,
+            });
+            for (j, verdict) in verdicts(&current).into_iter().enumerate() {
+                let want = if i == j { Verdict::Fail } else { Verdict::Pass };
+                assert_eq!(verdict, want, "{path} pushed past its bound; guard {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn missing_baseline_skips_and_missing_current_fails() {
+        let current = current_at_bench_10();
+        let (verdict, line) = judge(GUARDS[0], &current, None);
+        assert_eq!(verdict, Verdict::Skip, "{line}");
+        let old = json::parse(COMMITTED[0].1).unwrap();
+        let decode = GUARDS
+            .iter()
+            .find(|(p, _)| p.contains("decode_table"))
+            .unwrap();
+        let (verdict, line) = judge(*decode, &current, Some(("BENCH_3.json", &old)));
+        assert_eq!(verdict, Verdict::Skip, "{line}");
+        assert!(
+            line.ends_with("BENCH_3.json predates it — skipping"),
+            "{line}"
+        );
+        let allocs = GUARDS.iter().find(|(_, b)| matches!(b, Bound::Equals(_)));
+        let (verdict, _) = judge(*allocs.unwrap(), &current, None);
+        assert_eq!(verdict, Verdict::Pass, "baseline-free guards still run");
+        let (verdict, _) = judge(
+            GUARDS[0],
+            &Value::Null,
+            Some(("BENCH_10.json", &bench_10())),
+        );
+        assert_eq!(verdict, Verdict::Fail);
+    }
+
+    #[test]
+    fn measured_record_parses_back_with_every_guard_path() {
+        let doc = json::parse(&obj(measure(1, None)).to_string()).expect("record parses");
+        for &(path, _) in GUARDS {
+            assert!(
+                lookup(&doc, path).is_some(),
+                "{path} missing from the record"
+            );
+        }
+    }
 }

@@ -35,6 +35,7 @@
 mod device;
 pub mod experiments;
 pub mod fleet;
+pub mod json;
 mod lab;
 pub mod report;
 pub mod runner;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::json::{obj, s, Value};
+
 /// One experiment's results as a table plus free-form notes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -104,11 +106,41 @@ impl Suite {
             .collect::<Vec<_>>()
             .join("\n")
     }
+
+    /// The machine-readable rendering behind `repro --json`: every
+    /// table's id, title, header, rows and notes, in order.
+    pub fn to_json(&self) -> Value<'_> {
+        fn strs(xs: &[String]) -> Value<'_> {
+            Value::Arr(xs.iter().map(|x| s(x.as_str())).collect())
+        }
+        let tables = self.tables.iter().map(|t| {
+            obj([
+                ("id", s(t.id.as_str())),
+                ("title", s(t.title.as_str())),
+                ("header", strs(&t.header)),
+                ("rows", Value::Arr(t.rows.iter().map(|r| strs(r)).collect())),
+                ("notes", strs(&t.notes)),
+            ])
+        });
+        obj([("tables", Value::Arr(tables.collect()))])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn suite_json_shape() {
+        let mut t = Table::new("E0", "a \"demo\"", &["arch"]);
+        t.row(["x86"]);
+        t.note("line\nbreak");
+        let suite = Suite { tables: vec![t] };
+        assert_eq!(
+            suite.to_json().to_string(),
+            r#"{"tables":[{"id":"E0","title":"a \"demo\"","header":["arch"],"rows":[["x86"]],"notes":["line\nbreak"]}]}"#
+        );
+    }
 
     #[test]
     fn markdown_shape() {

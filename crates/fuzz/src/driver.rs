@@ -10,11 +10,11 @@
 //! promises.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use cml_core::json::{obj, s, u, Value};
 use cml_core::{derive_seed, Runner};
 use cml_dns::BufPool;
 use cml_firmware::{Arch, FirmwareKind};
@@ -130,40 +130,36 @@ impl FuzzReport {
     /// Deterministic stats document: no wall-clock, no paths — only
     /// campaign-derived numbers, so `--seed` reruns diff clean.
     pub fn stats_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"arch\": \"{:?}\",", self.config.arch);
-        let _ = writeln!(s, "  \"firmware\": \"{:?}\",", self.config.kind);
-        let _ = writeln!(s, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(s, "  \"jobs\": {},", self.config.jobs);
-        let _ = writeln!(s, "  \"coverage\": {},", self.config.coverage);
-        let _ = writeln!(s, "  \"total_execs\": {},", self.total_execs());
-        let _ = writeln!(s, "  \"corpus_len\": {},", self.corpus.len());
-        let _ = writeln!(s, "  \"unique_crashes\": {},", self.crashes.len());
-        s.push_str("  \"crash_keys\": [");
-        for (i, c) in self.crashes.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\"", c.key);
-        }
-        s.push_str("],\n");
-        s.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"execs\": {}, \"corpus\": {}, \"edges\": {}, \"answered\": {}, \
-                 \"rejected\": {}, \"parse_failed\": {}, \"crashed\": {}}}",
-                w.execs, w.corpus_len, w.edges, w.answered, w.rejected, w.parse_failed, w.crashed
-            );
-            s.push_str(if i + 1 < self.workers.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let cfg = &self.config;
+        let workers = self.workers.iter().map(|w| {
+            obj([
+                ("execs", u(w.execs)),
+                ("corpus", u(w.corpus_len as u64)),
+                ("edges", u(w.edges as u64)),
+                ("answered", u(w.answered)),
+                ("rejected", u(w.rejected)),
+                ("parse_failed", u(w.parse_failed)),
+                ("crashed", u(w.crashed)),
+            ])
+        });
+        let doc = obj([
+            ("arch", s(format!("{:?}", cfg.arch))),
+            ("firmware", s(format!("{:?}", cfg.kind))),
+            ("seed", u(cfg.seed)),
+            ("jobs", u(cfg.jobs as u64)),
+            ("coverage", Value::Bool(cfg.coverage)),
+            ("total_execs", u(self.total_execs())),
+            ("corpus_len", u(self.corpus.len() as u64)),
+            ("unique_crashes", u(self.crashes.len() as u64)),
+            (
+                "crash_keys",
+                Value::Arr(self.crash_keys().into_iter().map(s).collect()),
+            ),
+            ("workers", Value::Arr(workers.collect())),
+        ]);
+        let mut text = doc.to_string();
+        text.push('\n');
+        text
     }
 
     /// Writes `corpus/`, `crashes/`, and `stats.json` under `dir`.

@@ -7,8 +7,9 @@
 //! payload with the exact overflow extent; and switching the sanitizer
 //! off must leave the exploits fully functional.
 
-use connman_lab::analysis::{self, json};
+use connman_lab::analysis;
 use connman_lab::exploit::{matrix, BufferImage};
+use connman_lab::json;
 use connman_lab::vm::Fault;
 use connman_lab::{Arch, AttackOutcome, Firmware, FirmwareKind, Lab, ProxyOutcome};
 

@@ -137,7 +137,7 @@ proptest! {
         raw_extent in any::<u32>(),
         offsets in proptest::collection::vec(any::<i32>(), 0..6),
     ) {
-        use connman_lab::analysis::json::{self, n, s, Value};
+        use connman_lab::json::{self, n, s, Value};
         let extent = bounded.then_some(raw_extent);
         let doc = Value::Obj(vec![
             ("schema".into(), s(connman_lab::analysis::SCHEMA)),
@@ -161,7 +161,7 @@ proptest! {
     /// same round trip and keeps its schema tag.
     #[test]
     fn analysis_report_roundtrips(seed in any::<u8>()) {
-        use connman_lab::analysis::{self, json};
+        use connman_lab::{analysis, json};
         let kind = if seed.is_multiple_of(2) { FirmwareKind::OpenElec } else { FirmwareKind::Patched };
         let arch = if seed % 4 < 2 { Arch::X86 } else { Arch::Armv7 };
         let fw = Firmware::build(kind, arch);
