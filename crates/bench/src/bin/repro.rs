@@ -194,6 +194,11 @@ const ABLATION_TRIALS: u64 = 48;
 /// Trials per ablation arm for the `--bench-smoke` CI stage.
 const SMOKE_TRIALS: u64 = 6;
 
+/// Runs of the whole ablation section per record: each number in it is
+/// the median of its runs (see [`median_of_runs`]), so one slow phase
+/// of a shared machine does not move a guarded wall ratio.
+const ABLATION_RUNS: usize = 5;
+
 /// Inner repetitions per trial for the allocation-path ablations (one
 /// template relocation or pooled query is far below timer resolution).
 const PATH_REPS: u64 = 64;
@@ -761,14 +766,61 @@ fn measure(trials: u64, headline_jobs: Option<usize>) -> Vec<(&'static str, Valu
     let mut sections = Vec::new();
     eprintln!("timing the static analyzer on all three architectures…");
     sections.push(("analysis", analysis_timings()));
-    eprintln!("running the ablations at {trials} trial(s) per arm…");
-    sections.push(("ablations", run_ablations(trials)));
+    eprintln!("running the ablations {ABLATION_RUNS} times at {trials} trial(s) per arm…");
+    let runs: Vec<Value<'static>> = (0..ABLATION_RUNS).map(|_| run_ablations(trials)).collect();
+    sections.push(("ablations", median_of_runs(&runs)));
     eprintln!("timing the fleet_scale campaigns…");
     sections.push(("fleet_scale", fleet_scale_timings(headline_jobs)));
     for (name, section) in &sections {
         eprintln!("{name}: {section}");
     }
     sections
+}
+
+/// Several runs of one section merged field by field. A number is the
+/// median of its runs, under its own name; a `*_ratio` number also
+/// records the spread as `*_ratio_min` and `*_ratio_max`. Integers
+/// (work counts) and strings come from the first run.
+fn median_of_runs(runs: &[Value<'static>]) -> Value<'static> {
+    let sorted = |values: &[Value]| {
+        let mut nums: Vec<f64> = values.iter().filter_map(Value::as_num).collect();
+        nums.sort_by(f64::total_cmp);
+        nums
+    };
+    match &runs[0] {
+        Value::Obj(fields) => {
+            let mut merged = Vec::new();
+            for (key, first) in fields {
+                let column: Vec<Value<'static>> =
+                    runs.iter().filter_map(|r| r.get(key)).cloned().collect();
+                if matches!(first, Value::Num(_)) && key.ends_with("_ratio") {
+                    let nums = sorted(&column);
+                    merged.push((key.clone(), n(nums[nums.len() / 2])));
+                    merged.push((format!("{key}_min").into(), n(nums[0])));
+                    merged.push((format!("{key}_max").into(), n(nums[nums.len() - 1])));
+                } else {
+                    merged.push((key.clone(), median_of_runs(&column)));
+                }
+            }
+            Value::Obj(merged)
+        }
+        Value::Arr(items) => Value::Arr(
+            (0..items.len())
+                .map(|i| {
+                    let column: Vec<Value<'static>> = runs
+                        .iter()
+                        .filter_map(|r| r.as_arr()?.get(i).cloned())
+                        .collect();
+                    median_of_runs(&column)
+                })
+                .collect(),
+        ),
+        Value::Num(_) => {
+            let nums = sorted(runs);
+            n(nums[nums.len() / 2])
+        }
+        first => first.clone(),
+    }
 }
 
 /// The `fleet_scale` section. The 10k-device serial run is recorded on
@@ -866,7 +918,8 @@ const VSA_CEILING: Bound = Bound::Ceiling {
 
 /// The `--bench-smoke` gate: each row reads one number at the same path
 /// in the current record and in the newest `BENCH_<n>.json` (see
-/// [`lookup`] for the path syntax). Decode is a cold path and its
+/// [`lookup`] for the path syntax). Ablation ratios are medians of
+/// [`ABLATION_RUNS`] runs in both records. Decode is a cold path and its
 /// sub-millisecond smoke passes are noisy, so its 4x bound only catches
 /// table blow-up (a rule scan gone quadratic), not jitter.
 const GUARDS: &[(&str, Bound)] = &[
@@ -1287,6 +1340,40 @@ mod tests {
             Some(("BENCH_10.json", &bench_10())),
         );
         assert_eq!(verdict, Verdict::Fail);
+    }
+
+    #[test]
+    fn runs_merge_to_the_median_with_the_ratio_spread() {
+        let run = |wall: f64, ratio: f64, count: u64| {
+            obj([
+                ("arm", s("x")),
+                ("builds", u(count)),
+                ("wall_secs", n(wall)),
+                ("per_isa", Value::Arr(vec![obj([("wall_ratio", n(ratio))])])),
+            ])
+        };
+        let runs = [
+            run(3.0, 9.0, 7),
+            run(1.0, 2.0, 7),
+            run(5.0, 4.0, 8),
+            run(2.0, 1.0, 8),
+            run(4.0, 3.0, 8),
+        ];
+        let merged = median_of_runs(&runs).to_string();
+        let want = obj([
+            ("arm", s("x")),
+            ("builds", u(7)),
+            ("wall_secs", n(3.0)),
+            (
+                "per_isa",
+                Value::Arr(vec![obj([
+                    ("wall_ratio", n(3.0)),
+                    ("wall_ratio_min", n(1.0)),
+                    ("wall_ratio_max", n(9.0)),
+                ])]),
+            ),
+        ]);
+        assert_eq!(merged, want.to_string());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use cml_dns::{Name, RecordType};
+use cml_dns::{Name, RecordType, FOLDED_KEY_LEN};
 
 /// One cached answer set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,15 +16,15 @@ pub struct CacheEntry {
     pub inserted_at: u64,
 }
 
-/// A TTL-aware, capacity-bounded cache keyed by lower-cased name and
-/// record type.
+/// A TTL-aware, capacity-bounded cache keyed by case-folded name and
+/// record type (see [`Name::folded_key`]).
 ///
 /// Connman caches only A and AAAA responses — which is exactly why the
 /// vulnerable decompression runs only for those types; the cache honours
 /// the same restriction via [`RecordType::is_cached_by_connman`].
 #[derive(Debug, Clone)]
 pub struct Cache {
-    entries: HashMap<(String, RecordType), CacheEntry>,
+    entries: HashMap<Box<[u8]>, CacheEntry>,
     capacity: usize,
 }
 
@@ -57,10 +57,6 @@ impl Cache {
         self.entries.is_empty()
     }
 
-    fn key(name: &Name, rtype: RecordType) -> (String, RecordType) {
-        (name.to_string().to_ascii_lowercase(), rtype)
-    }
-
     /// Inserts an answer set; ignores types Connman does not cache.
     /// Returns whether the entry was stored.
     pub fn insert(
@@ -74,19 +70,25 @@ impl Cache {
         if !rtype.is_cached_by_connman() {
             return false;
         }
+        let mut buf = [0; FOLDED_KEY_LEN];
+        let Some(key) = name.folded_key(rtype, &mut buf) else {
+            return false;
+        };
         if self.entries.len() >= self.capacity {
-            // Evict the oldest entry.
+            // Evict the oldest entry; entries inserted on the same tick
+            // go in key order, so the victim does not depend on the
+            // map's per-instance hash seed.
             if let Some(oldest) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.inserted_at)
+                .min_by(|(ka, a), (kb, b)| (a.inserted_at, ka).cmp(&(b.inserted_at, kb)))
                 .map(|(k, _)| k.clone())
             {
                 self.entries.remove(&oldest);
             }
         }
         self.entries.insert(
-            Self::key(name, rtype),
+            key.into(),
             CacheEntry {
                 addresses,
                 expires_at: now + ttl as u64,
@@ -98,8 +100,9 @@ impl Cache {
 
     /// Looks up a live entry.
     pub fn lookup(&self, name: &Name, rtype: RecordType, now: u64) -> Option<&CacheEntry> {
+        let mut buf = [0; FOLDED_KEY_LEN];
         self.entries
-            .get(&Self::key(name, rtype))
+            .get(name.folded_key(rtype, &mut buf)?)
             .filter(|e| e.expires_at > now)
     }
 
@@ -170,5 +173,37 @@ mod tests {
             "oldest evicted"
         );
         assert!(c.lookup(&name("three"), RecordType::A, 4).is_some());
+    }
+
+    #[test]
+    fn same_tick_eviction_does_not_depend_on_the_hash_seed() {
+        // Each cache draws its own hash seed; five same-tick inserts into
+        // four slots must still evict the same entry every time.
+        let names = [
+            "e.example",
+            "b.example",
+            "D.example",
+            "a.example",
+            "c.example",
+        ];
+        let survivors = |c: &Cache| -> Vec<bool> {
+            names
+                .iter()
+                .map(|n| c.lookup(&name(n), RecordType::A, 2).is_some())
+                .collect()
+        };
+        let fill = || {
+            let mut c = Cache::new(4);
+            for (i, n) in names.iter().enumerate() {
+                c.insert(&name(n), RecordType::A, vec![ip(i as u8)], 60, 1);
+            }
+            c
+        };
+        let first = survivors(&fill());
+        for _ in 0..20 {
+            assert_eq!(survivors(&fill()), first);
+        }
+        // The smallest key among the four first inserts goes.
+        assert_eq!(first, [true, true, true, false, true]);
     }
 }

@@ -1,9 +1,9 @@
 //! Whole-message assembly and parsing.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::header::{Header, Rcode};
+use crate::name::CompressionTable;
 use crate::question::Question;
 use crate::record::Record;
 use crate::wire::{WireBuf, WireReader, WireWriter};
@@ -152,7 +152,9 @@ impl Message {
 
     /// [`encode`](Self::encode) into a reusable buffer: `out`'s
     /// contents are replaced, its capacity is kept, and a warm buffer
-    /// makes the whole encode allocation-free (name compression aside).
+    /// makes the whole encode allocation-free. Name compression stays
+    /// off the heap for up to 32 distinct suffixes (see
+    /// [`CompressionTable`]).
     ///
     /// # Errors
     ///
@@ -164,19 +166,19 @@ impl Message {
     }
 
     fn encode_with(&self, mut w: WireWriter) -> Result<Vec<u8>, DnsError> {
-        let mut offsets = HashMap::new();
+        let mut table = CompressionTable::new();
         self.header.encode(&mut w)?;
         for q in &self.questions {
-            q.encode(&mut w, &mut offsets)?;
+            q.encode(&mut w, &mut table)?;
         }
         for r in &self.answers {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut table)?;
         }
         for r in &self.authorities {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut table)?;
         }
         for r in &self.additionals {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut table)?;
         }
         Ok(w.into_bytes())
     }

@@ -1,8 +1,8 @@
 //! Domain names: labels, parsing, wire encoding and decompression.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::record::RecordType;
 use crate::wire::{WireBuf, WireReader, WireWriter};
 use crate::DnsError;
 
@@ -16,6 +16,14 @@ pub const MAX_NAME_LEN: usize = 255;
 /// Maximum number of compression pointers the strict decoder will chase
 /// for one name before declaring the message malicious.
 pub const MAX_POINTER_HOPS: usize = 32;
+
+/// Most labels a name within [`MAX_NAME_LEN`] can hold: each takes at
+/// least two wire bytes, and the root byte takes one.
+const MAX_LABELS: usize = (MAX_NAME_LEN - 1) / 2;
+
+/// Size of the buffer [`Name::folded_key`] writes into: the longest name
+/// wire form (whose root byte the key leaves out) plus the record type.
+pub const FOLDED_KEY_LEN: usize = MAX_NAME_LEN + 1;
 
 /// One label of a domain name.
 ///
@@ -263,9 +271,11 @@ impl Name {
 
     /// Encodes with RFC 1035 §4.1.4 compression.
     ///
-    /// `offsets` maps previously-emitted suffixes to their positions; this
-    /// method both consults and extends it. Only offsets that fit the
-    /// 14-bit pointer encoding are recorded.
+    /// `table` holds the offsets of suffixes already written to `w`;
+    /// this method both consults and extends it. A suffix matches only a
+    /// written suffix with the same label bytes (case-sensitive), the
+    /// first offset recorded for a suffix wins, and only offsets that
+    /// fit the 14-bit pointer encoding are recorded.
     ///
     /// # Errors
     ///
@@ -273,25 +283,60 @@ impl Name {
     pub fn encode_compressed(
         &self,
         w: &mut WireWriter,
-        offsets: &mut HashMap<Name, u16>,
+        table: &mut CompressionTable,
     ) -> Result<(), DnsError> {
-        let mut suffix = self.clone();
-        loop {
-            if suffix.is_root() {
-                return w.write_u8(0);
-            }
-            if let Some(&off) = offsets.get(&suffix) {
+        // Every constructor bounds the wire length, so the label count
+        // fits; suffix `i`'s hash lands in `hashes[i]`.
+        let mut hashes = [0u32; MAX_LABELS];
+        let mut h = 0;
+        for (label, slot) in self.labels.iter().zip(&mut hashes).rev() {
+            h = suffix_hash(h, label);
+            *slot = h;
+        }
+        for (i, (label, &hash)) in self.labels.iter().zip(&hashes).enumerate() {
+            let suffix = &self.labels[i..];
+            if let Some(off) = table.find(hash, |off| {
+                written_matches(w.as_bytes(), off.into(), suffix)
+            }) {
                 return w.write_u16(0xC000 | off);
             }
             let here = w.len();
             if here <= 0x3FFF {
-                offsets.insert(suffix.clone(), here as u16);
+                table.insert(hash, here as u16);
             }
-            let label = &suffix.labels[0];
             w.write_u8(label.len() as u8)?;
             w.write_bytes(label.as_bytes())?;
-            suffix = suffix.parent().expect("non-root name has a parent");
         }
+        w.write_u8(0)
+    }
+
+    /// Writes the lookup key of `(self, rtype)` into `buf` and returns
+    /// it: the name's wire form without the root byte, with ASCII
+    /// letters folded to lower case, followed by the record type.
+    ///
+    /// Two names get the same key for one type exactly when they have
+    /// the same label count and their labels are equal under ASCII case
+    /// folding (RFC 1035 §2.3.3); other bytes compare exactly. Returns
+    /// `None` when the name's wire form exceeds [`MAX_NAME_LEN`], which
+    /// no public constructor allows.
+    pub fn folded_key<'b>(
+        &self,
+        rtype: RecordType,
+        buf: &'b mut [u8; FOLDED_KEY_LEN],
+    ) -> Option<&'b [u8]> {
+        let mut at = 0;
+        for label in &self.labels {
+            let bytes = label.as_bytes();
+            let dst = buf.get_mut(at..at + 1 + bytes.len())?;
+            dst[0] = bytes.len() as u8;
+            for (d, s) in dst[1..].iter_mut().zip(bytes) {
+                *d = s.to_ascii_lowercase();
+            }
+            at += dst.len();
+        }
+        buf.get_mut(at..at + 2)?
+            .copy_from_slice(&rtype.to_u16().to_be_bytes());
+        Some(&buf[..at + 2])
     }
 
     /// Decodes a (possibly compressed) name at the reader's position,
@@ -357,6 +402,103 @@ impl Name {
         }
         r.seek(resume.unwrap_or(pos))?;
         Ok(Name { labels })
+    }
+}
+
+/// Hash of the suffix that starts with `label`, given the hash of the
+/// suffix after it (0 for the root).
+fn suffix_hash(after: u32, label: &Label) -> u32 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let mut h = (u64::from(after) << 8 | label.len() as u64).wrapping_mul(K);
+    for chunk in label.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    (h >> 32) as u32
+}
+
+/// Whether the name written at `pos` in `msg` is exactly `labels`,
+/// following the backward pointers the encoder wrote. A forward or
+/// self pointer, a truncated name or a label mismatch is `false`.
+fn written_matches(msg: &[u8], mut pos: usize, labels: &[Label]) -> bool {
+    let mut labels = labels.iter();
+    loop {
+        let Some(&len) = msg.get(pos) else {
+            return false;
+        };
+        if len & 0xC0 == 0xC0 {
+            let Some(&lo) = msg.get(pos + 1) else {
+                return false;
+            };
+            let target = usize::from(len & 0x3F) << 8 | usize::from(lo);
+            if target >= pos {
+                return false;
+            }
+            pos = target;
+            continue;
+        }
+        let Some(label) = labels.next() else {
+            return len == 0;
+        };
+        let end = pos + 1 + usize::from(len);
+        if msg.get(pos + 1..end) != Some(label.as_bytes()) {
+            return false;
+        }
+        pos = end;
+    }
+}
+
+/// Name-compression state for one message encode: a `(suffix hash,
+/// offset)` entry for every suffix written so far, in write order.
+///
+/// The first 32 entries live inline, so a message with up to 32
+/// distinct suffixes compresses without touching the heap; later ones
+/// spill to a `Vec`. A hash hit is confirmed against the bytes already
+/// written (see [`Name::encode_compressed`]), so colliding hashes cost
+/// a comparison, never a wrong pointer.
+#[derive(Debug, Clone)]
+pub struct CompressionTable {
+    inline: [(u32, u16); INLINE_ENTRIES],
+    inline_len: usize,
+    spill: Vec<(u32, u16)>,
+}
+
+const INLINE_ENTRIES: usize = 32;
+
+impl Default for CompressionTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CompressionTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        CompressionTable {
+            inline: [(0, 0); INLINE_ENTRIES],
+            inline_len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// The first recorded offset with this hash that `confirm` accepts.
+    fn find(&self, hash: u32, mut confirm: impl FnMut(u16) -> bool) -> Option<u16> {
+        self.inline[..self.inline_len]
+            .iter()
+            .chain(&self.spill)
+            .find(|&&(h, off)| h == hash && confirm(off))
+            .map(|&(_, off)| off)
+    }
+
+    fn insert(&mut self, hash: u32, offset: u16) {
+        match self.inline.get_mut(self.inline_len) {
+            Some(entry) => {
+                *entry = (hash, offset);
+                self.inline_len += 1;
+            }
+            None => self.spill.push((hash, offset)),
+        }
     }
 }
 
@@ -459,15 +601,15 @@ mod tests {
     #[test]
     fn compression_shares_suffixes() {
         let mut w = WireWriter::new();
-        let mut offsets = HashMap::new();
+        let mut table = CompressionTable::new();
         Name::parse("mail.example.com")
             .unwrap()
-            .encode_compressed(&mut w, &mut offsets)
+            .encode_compressed(&mut w, &mut table)
             .unwrap();
         let first_len = w.len();
         Name::parse("ftp.example.com")
             .unwrap()
-            .encode_compressed(&mut w, &mut offsets)
+            .encode_compressed(&mut w, &mut table)
             .unwrap();
         let bytes = w.into_bytes();
         // Second name is "ftp" label + 2-byte pointer.

@@ -1,9 +1,8 @@
 //! The question section entry (RFC 1035 §4.1.2).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::name::Name;
+use crate::name::{CompressionTable, Name};
 use crate::record::{RecordClass, RecordType};
 use crate::wire::{WireReader, WireWriter};
 use crate::DnsError;
@@ -56,12 +55,8 @@ impl Question {
     /// # Errors
     ///
     /// Propagates writer capacity errors.
-    pub fn encode(
-        &self,
-        w: &mut WireWriter,
-        offsets: &mut HashMap<Name, u16>,
-    ) -> Result<(), DnsError> {
-        self.qname.encode_compressed(w, offsets)?;
+    pub fn encode(&self, w: &mut WireWriter, table: &mut CompressionTable) -> Result<(), DnsError> {
+        self.qname.encode_compressed(w, table)?;
         w.write_u16(self.qtype.to_u16())?;
         w.write_u16(self.qclass.to_u16())
     }
@@ -97,7 +92,7 @@ mod tests {
     fn roundtrip() {
         let q = Question::new(Name::parse("a.b").unwrap(), RecordType::Aaaa);
         let mut w = WireWriter::new();
-        q.encode(&mut w, &mut HashMap::new()).unwrap();
+        q.encode(&mut w, &mut CompressionTable::new()).unwrap();
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(Question::decode(&mut r).unwrap(), q);

@@ -10,11 +10,12 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::header::Rcode;
 use crate::message::Message;
-use crate::name::Name;
+use crate::name::{Name, FOLDED_KEY_LEN};
 use crate::record::{Record, RecordData, RecordType};
 use crate::wire::WireBuf;
 
-/// An in-memory zone: records keyed by lower-cased name and type.
+/// An in-memory zone: records keyed by case-folded name and type (see
+/// [`Name::folded_key`]).
 ///
 /// A zone may carry NS records below its origin; those express
 /// *delegation*, and [`Zone::delegation`] finds the referral (NS set
@@ -23,12 +24,8 @@ use crate::wire::WireBuf;
 /// never a referral.
 #[derive(Debug, Clone, Default)]
 pub struct Zone {
-    records: HashMap<(String, RecordType), Vec<Record>>,
+    records: HashMap<Box<[u8]>, Vec<Record>>,
     origin: Option<Name>,
-}
-
-fn key_of(name: &Name, rtype: RecordType) -> (String, RecordType) {
-    (name.to_string().to_ascii_lowercase(), rtype)
 }
 
 impl Zone {
@@ -57,11 +54,27 @@ impl Zone {
         self.origin.as_ref()
     }
 
-    /// Adds a record.
+    /// Adds a record. A name whose wire form exceeds
+    /// [`crate::MAX_NAME_LEN`] has no key and is not stored; no public
+    /// constructor builds one.
     pub fn insert(&mut self, record: Record) -> &mut Self {
-        let key = key_of(record.name(), record.rtype());
-        self.records.entry(key).or_default().push(record);
+        let mut buf = [0; FOLDED_KEY_LEN];
+        if let Some(key) = record.name().folded_key(record.rtype(), &mut buf) {
+            match self.records.get_mut(key) {
+                Some(set) => set.push(record),
+                None => {
+                    self.records.insert(key.into(), vec![record]);
+                }
+            }
+        }
         self
+    }
+
+    /// The record set stored under `(name, rtype)`, found without
+    /// allocating.
+    fn get(&self, name: &Name, rtype: RecordType) -> Option<&Vec<Record>> {
+        let mut buf = [0; FOLDED_KEY_LEN];
+        self.records.get(name.folded_key(rtype, &mut buf)?)
     }
 
     /// Convenience: adds an A record.
@@ -103,16 +116,13 @@ impl Zone {
             if self.origin.as_ref().is_some_and(|o| name.eq_ignore_case(o)) {
                 return None;
             }
-            let ns_set = self
-                .records
-                .get(&key_of(&name, RecordType::Ns))
-                .filter(|r| !r.is_empty());
+            let ns_set = self.get(&name, RecordType::Ns).filter(|r| !r.is_empty());
             if let Some(ns_set) = ns_set {
                 let mut glue = Vec::new();
                 for ns in ns_set {
                     if let RecordData::Ns(target) = ns.data() {
                         for rtype in [RecordType::A, RecordType::Aaaa] {
-                            if let Some(addrs) = self.records.get(&key_of(target, rtype)) {
+                            if let Some(addrs) = self.get(target, rtype) {
                                 glue.extend(addrs.iter().cloned());
                             }
                         }
@@ -128,17 +138,17 @@ impl Zone {
     /// Looks records up, following at most `depth` CNAME links.
     pub fn lookup(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
         let mut out = Vec::new();
-        let mut current = name.clone();
+        let mut current = name;
         for _ in 0..=4 {
-            if let Some(records) = self.records.get(&key_of(&current, rtype)) {
+            if let Some(records) = self.get(current, rtype) {
                 out.extend(records.iter().cloned());
                 return out;
             }
-            match self.records.get(&key_of(&current, RecordType::Cname)) {
+            match self.get(current, RecordType::Cname) {
                 Some(cnames) => {
                     out.extend(cnames.iter().cloned());
                     match cnames.first().map(Record::data) {
-                        Some(RecordData::Cname(target)) => current = target.clone(),
+                        Some(RecordData::Cname(target)) => current = target,
                         _ => return out,
                     }
                 }

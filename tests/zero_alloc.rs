@@ -3,7 +3,10 @@
 //! relocate the payload template, re-emit its labels, answer the
 //! canonical proxy query into a pooled buffer — performs **zero** heap
 //! allocations. So does a warm full-entropy `BootForge::fork`, at a
-//! fresh seed (restore + reslide) and at the base seed (pure restore).
+//! fresh seed (restore + reslide) and at the base seed (pure restore),
+//! a warm `Message::encode_into` with name compression, and a proxy
+//! cache lookup, hit or miss. A warm `Daemon::resolve` miss makes at
+//! most four.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -122,6 +125,46 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         "steady-state iterations must not touch the heap"
     );
 
+    // Name compression and the proxy cache's case-folded keys: a warm
+    // encode of the proxy query and of a multi-record response, and a
+    // hit and a miss in a filled cache, touch no heap.
+    use connman_lab::connman::Cache;
+    use connman_lab::dns::{Record, RecordData};
+
+    let proxy_query = Message::decode(&query).expect("decodes");
+    let mut response = Message::response_to(&proxy_query);
+    for (i, host) in ["Telemetry", "cdn", "cdn", "ns1", "ns2"].iter().enumerate() {
+        let owner = Name::parse(&format!("{host}.vendor.example")).expect("valid");
+        let target = Name::parse(&format!("edge{i}.Vendor.example")).expect("valid");
+        response.push_answer(Record::new(owner, 60, RecordData::Cname(target)));
+    }
+    let mut cache = Cache::new(64);
+    for i in 0..32u8 {
+        let host = Name::parse(&format!("host{i}.vendor.example")).expect("valid");
+        cache.insert(&host, RecordType::A, vec![[10, 0, 0, i].into()], 600, 1);
+    }
+    let hit = Name::parse("HOST7.Vendor.Example").expect("valid");
+    let miss = Name::parse("ghost.vendor.example").expect("valid");
+    let mut wire = pool.checkout();
+    proxy_query.encode_into(&mut wire).expect("encodes");
+    response.encode_into(&mut wire).expect("encodes");
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..64 {
+        proxy_query.encode_into(&mut wire).expect("encodes");
+        assert_eq!(wire.as_bytes(), &query[..]);
+        response.encode_into(&mut wire).expect("encodes");
+        assert!(cache.lookup(&hit, RecordType::A, 2).is_some());
+        assert!(cache.lookup(&miss, RecordType::A, 2).is_none());
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "warm compressed encodes and cache lookups must not touch the heap"
+    );
+    pool.checkin(wire);
+
     // Batched answer fan-out: the per-class answer is a byte-compare
     // and a borrow from the cohort's AnswerBank, and spreading one
     // verdict over a device range (with and without per-device loss
@@ -222,9 +265,14 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             .expect("payload fits")
             .build()
             .expect("builds");
+        // Returns the allocations the session's resolve made.
         let session = |daemon: &mut connman_lab::connman::Daemon| {
-            let _ = daemon.resolve(&name, RecordType::A);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let resolution = daemon.resolve(&name, RecordType::A);
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert!(matches!(resolution, Resolution::Query(_)));
             assert!(!daemon.deliver_response(&attack).daemon_alive());
+            allocs
         };
         for seed in 0..8u64 {
             session(forge.fork(1_000 + seed));
@@ -239,7 +287,13 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
                 let daemon = forge.fork(seed);
                 allocs += ALLOCS.load(Ordering::Relaxed) - before;
                 assert!(daemon.is_running());
-                session(daemon);
+                let resolve_allocs = session(daemon);
+                // The query's name, question list, wire bytes and pending
+                // slot.
+                assert!(
+                    resolve_allocs <= 4,
+                    "{arch}: a warm resolve made {resolve_allocs} allocations"
+                );
             }
             assert_eq!(
                 allocs, 0,
