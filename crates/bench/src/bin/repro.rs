@@ -9,7 +9,8 @@
 //! repro --bench-json    # also time each experiment + a 1,000-device
 //!                       # fleet + the static analyzer + the snapshot /
 //!                       # dispatch / template / pool / resolver-cache
-//!                       # ablations and write BENCH_<n>.json
+//!                       # ablations + the gadget scan and queries, and
+//!                       # write BENCH_<n>.json
 //! repro --bench-smoke   # tiny-iteration run of the same record checked
 //!                       # against the newest committed BENCH_*.json by
 //!                       # the `GUARDS` table; exits 1 when a guard fails
@@ -36,7 +37,7 @@ use cml_dns::{BufPool, Message, Name, Question, RecordType};
 use cml_exploit::target::deliver_labels;
 use cml_exploit::template::apply_slides;
 use cml_exploit::{
-    matrix, ExploitStrategy, MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides,
+    matrix, ExploitStrategy, GadgetSet, MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides,
 };
 use cml_fuzz::FuzzConfig;
 use cml_vm::{x86, Fault, Machine, X86Reg};
@@ -411,10 +412,6 @@ fn run_ablations(trials: u64) -> Value<'static> {
     // to end with the declarative-table decoder vs. the retained
     // hand-rolled reference decoder. Interleaved per trial like the
     // dispatch ablation so machine-speed phases hit both arms equally.
-    // Decode-table ablation: walking each ISA's vulnerable `.text` end
-    // to end with the declarative-table decoder vs. the retained
-    // hand-rolled reference decoder. Interleaved per trial like the
-    // dispatch ablation so machine-speed phases hit both arms equally.
     let decode_table = Arch::ALL.iter().map(|&arch| {
         use cml_image::SectionKind;
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
@@ -648,6 +645,7 @@ fn run_ablations(trials: u64) -> Value<'static> {
             ]),
         ),
         ("decode_table", decode_table),
+        ("gadget", gadget_timings(trials)),
         (
             "riscv_fuzz",
             obj([
@@ -659,6 +657,58 @@ fn run_ablations(trials: u64) -> Value<'static> {
                 ),
             ]),
         ),
+    ])
+}
+
+/// The paper's ropper/ROPgadget step: `GadgetSet::scan` wall time over
+/// each ISA's vulnerable image (`trials` scans), then ns per query on
+/// the scanned sets for the gadgets the x86 and ARMv7 chains look up and
+/// the `memstr("/")` byte search.
+fn gadget_timings(trials: u64) -> Value<'static> {
+    use std::hint::black_box;
+    let scan = Arch::ALL.iter().map(|&arch| {
+        let fw = Firmware::build(FirmwareKind::OpenElec, arch);
+        let mut gadgets = 0;
+        let t0 = Instant::now();
+        for _ in 0..trials {
+            gadgets = black_box(GadgetSet::scan(fw.image())).len();
+        }
+        let scan_us = t0.elapsed().as_secs_f64() * 1e6 / trials.max(1) as f64;
+        obj([
+            ("isa", s(arch.to_string())),
+            ("scan_us", n(scan_us)),
+            ("gadgets", u(gadgets as u64)),
+        ])
+    });
+    let x86 = Firmware::build(FirmwareKind::OpenElec, Arch::X86);
+    let x86_set = GadgetSet::scan(x86.image());
+    let arm_set = GadgetSet::scan(Firmware::build(FirmwareKind::OpenElec, Arch::Armv7).image());
+    let queries = trials * PATH_REPS;
+    let ns_per_query = |query: &dyn Fn() -> usize| {
+        let t0 = Instant::now();
+        for _ in 0..queries {
+            black_box(query());
+        }
+        n(t0.elapsed().as_secs_f64() * 1e9 / queries.max(1) as f64)
+    };
+    let x86_pop = || {
+        black_box(&x86_set)
+            .x86_pop_chain(4)
+            .map_or(0, |g| g.addr as usize)
+    };
+    let arm_pop = || {
+        let need = black_box(&[0, 1, 2, 3, 5, 6, 7]);
+        arm_set
+            .arm_pop_including(need)
+            .map_or(0, |g| g.addr as usize)
+    };
+    let slash = || x86.image().find_bytes(black_box(b"/")).len();
+    obj([
+        ("scan", Value::Arr(scan.collect())),
+        ("queries", u(queries)),
+        ("x86_pop_chain_ns", ns_per_query(&x86_pop)),
+        ("arm_pop_including_ns", ns_per_query(&arm_pop)),
+        ("find_slash_ns", ns_per_query(&slash)),
     ])
 }
 

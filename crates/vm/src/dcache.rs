@@ -12,9 +12,12 @@
 //! table.
 //!
 //! Invalidation is deliberately coarse (any write to a page that holds
-//! cached decodes flushes the whole table): flushes are rare — code is
-//! written in bursts and then executed — and coarse flushing keeps the
-//! write path to one compare in the common sequential-write case.
+//! cached decodes flushes the whole table), which keeps the write path
+//! to one compare in the common sequential-write case. The cache is
+//! always on; there is no switch to turn it off. Every snapshot fork
+//! currently flushes at least once (a reslide, the hook reinstall, or a
+//! restored page that held code), so every session re-decodes its
+//! gadgets; a cache that survived forks would remove that cost.
 
 use std::sync::Arc;
 
@@ -69,7 +72,6 @@ struct Entry {
 /// hundred nanoseconds at most.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCache {
-    enabled: bool,
     /// Whether the threaded-code IR dispatcher may use the IR table
     /// (per-insn entries stay usable either way).
     ir_enabled: bool,
@@ -96,7 +98,6 @@ pub(crate) struct DecodeCache {
 impl Default for DecodeCache {
     fn default() -> Self {
         DecodeCache {
-            enabled: true,
             ir_enabled: true,
             slots: Vec::new(),
             occupied: Vec::new(),
@@ -118,21 +119,6 @@ fn hash(pc: Addr) -> usize {
 }
 
 impl DecodeCache {
-    /// Turns the cache on or off (off = decode every step; used by the
-    /// ablation benchmark). Disabling drops all cached decodes.
-    pub(crate) fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        if !on {
-            self.flush();
-            self.slots = Vec::new();
-            self.ir_slots = Vec::new();
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turns the threaded-code IR dispatcher on or off for this machine
     /// (off selects the single-step reference tier). Disabling drops all
     /// lowered blocks.
@@ -161,9 +147,6 @@ impl DecodeCache {
     /// Looks up a memoised decode. A hit is valid by construction: any
     /// mutation since insertion would have flushed the table.
     pub(crate) fn get(&mut self, pc: Addr) -> Option<CachedInsn> {
-        if !self.enabled {
-            return None;
-        }
         if self.slots.is_empty() {
             self.misses += 1;
             return None;
@@ -187,9 +170,6 @@ impl DecodeCache {
 
     /// Memoises a successful decode of `byte_len` bytes at `pc`.
     pub(crate) fn insert(&mut self, pc: Addr, insn: CachedInsn, byte_len: u32) {
-        if !self.enabled {
-            return;
-        }
         if self.slots.len() * 3 <= (self.occupied.len() + 1) * 4 {
             self.grow();
         }
@@ -222,7 +202,7 @@ impl DecodeCache {
     /// and the builder refuses hooked start addresses, so a hit never
     /// needs a per-entry hook probe.
     pub(crate) fn get_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
-        if !self.enabled || !self.ir_enabled || self.ir_slots.is_empty() {
+        if !self.ir_enabled || self.ir_slots.is_empty() {
             return None;
         }
         let mask = self.ir_slots.len() - 1;
@@ -238,7 +218,7 @@ impl DecodeCache {
 
     /// Memoises a lowered IR block whose encodings span `span` bytes.
     pub(crate) fn insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>, span: u32) {
-        if !self.enabled || !self.ir_enabled {
+        if !self.ir_enabled {
             return;
         }
         if self.ir_slots.len() * 3 <= (self.ir_occupied.len() + 1) * 4 {

@@ -178,18 +178,6 @@ impl Machine {
         &mut self.mem
     }
 
-    /// Turns the predecoded-instruction cache on or off (on by default;
-    /// the ablation benchmark runs with it off). Execution results are
-    /// identical either way — only decode work is saved.
-    pub fn set_decode_cache_enabled(&mut self, on: bool) {
-        self.mem.dcache_set_enabled(on);
-    }
-
-    /// Whether the predecoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.mem.dcache_enabled()
-    }
-
     /// `(hits, misses)` counters of the predecoded-instruction cache.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         self.mem.dcache_stats()
@@ -514,10 +502,10 @@ impl Machine {
     }
 
     /// Whether [`run`](Machine::run) dispatches through the threaded-code
-    /// IR: tracing wants one entry per instruction, and turning IR or the
-    /// decode cache off selects the single-step reference.
+    /// IR: tracing wants one entry per instruction, and turning IR off
+    /// selects the single-step reference.
     fn ir_dispatch(&self) -> bool {
-        self.trace.is_none() && self.ir_dispatch_enabled() && self.decode_cache_enabled()
+        self.trace.is_none() && self.ir_dispatch_enabled()
     }
 
     /// Runs until a terminal state or `max_steps` instructions.

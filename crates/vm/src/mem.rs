@@ -813,14 +813,6 @@ impl Memory {
         self.dcache.insert(pc, insn, byte_len);
     }
 
-    pub(crate) fn dcache_set_enabled(&mut self, on: bool) {
-        self.dcache.set_enabled(on);
-    }
-
-    pub(crate) fn dcache_enabled(&self) -> bool {
-        self.dcache.enabled()
-    }
-
     pub(crate) fn dcache_stats(&self) -> (u64, u64) {
         self.dcache.stats()
     }

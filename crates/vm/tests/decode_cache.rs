@@ -136,20 +136,3 @@ fn arm_self_modifying_word_is_not_stale() {
         "patched word must be decoded"
     );
 }
-
-#[test]
-fn disabled_cache_matches_enabled_results() {
-    let code = x86::Asm::new()
-        .mov_r_imm(X86Reg::Eax, 3)
-        .add_r_imm8(X86Reg::Eax, 4)
-        .finish();
-    let run = |cache: bool| {
-        let mut m = x86_machine(&code, Perms::RX);
-        m.set_decode_cache_enabled(cache);
-        for _ in 0..2 {
-            m.step().unwrap();
-        }
-        m.regs().x86().get(X86Reg::Eax)
-    };
-    assert_eq!(run(true), run(false));
-}
