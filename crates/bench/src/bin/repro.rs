@@ -9,8 +9,9 @@
 //! repro --bench-json    # also time each experiment + a 1,000-device
 //!                       # fleet + the static analyzer + the snapshot /
 //!                       # dispatch / template / pool / resolver-cache
-//!                       # ablations + the gadget scan and queries, and
-//!                       # write BENCH_<n>.json
+//!                       # ablations + the decode misses of reslid forks
+//!                       # + the gadget scan and queries, and write
+//!                       # BENCH_<n>.json
 //! repro --bench-smoke   # tiny-iteration run of the same record checked
 //!                       # against the newest committed BENCH_*.json by
 //!                       # the `GUARDS` table; exits 1 when a guard fails
@@ -37,7 +38,8 @@ use cml_dns::{BufPool, Message, Name, Question, RecordType};
 use cml_exploit::target::deliver_labels;
 use cml_exploit::template::apply_slides;
 use cml_exploit::{
-    matrix, ExploitStrategy, GadgetSet, MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides,
+    matched_strategy, matrix, ExploitStrategy, GadgetSet, MaliciousDnsServer, PayloadTemplate,
+    RopMemcpyChain, Slides,
 };
 use cml_fuzz::FuzzConfig;
 use cml_vm::{x86, Fault, Machine, X86Reg};
@@ -199,6 +201,9 @@ const SMOKE_TRIALS: u64 = 6;
 /// the median of its runs (see [`median_of_runs`]), so one slow phase
 /// of a shared machine does not move a guarded wall ratio.
 const ABLATION_RUNS: usize = 5;
+
+/// Measured sessions per ISA in the `fork_cache` ablation.
+const FORK_CACHE_SESSIONS: u64 = 16;
 
 /// Inner repetitions per trial for the allocation-path ablations (one
 /// template relocation or pooled query is far below timer resolution).
@@ -442,6 +447,40 @@ fn run_ablations(trials: u64) -> Value<'static> {
     });
     let decode_table = Value::Arr(decode_table.collect());
 
+    // Fork-surviving decode cache: decode misses of warm W⊕X+ASLR
+    // sessions, each forked at a fresh seed so the fork reslides. The
+    // chain runs only non-PIE code, so after one warm-up session no
+    // session may decode again. Rounded up: one miss reads as 1.
+    let fork_cache = Arch::ALL.iter().map(|&arch| {
+        let prot = Protections::full();
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
+        let labels = matched_strategy(arch, &prot)
+            .build(&lab.recon().expect("replica recon"))
+            .expect("payload builds")
+            .to_labels()
+            .expect("labelizes");
+        let mut forge = lab.firmware().forge(prot, 0xF04C);
+        let mut misses = 0;
+        for i in 0..=FORK_CACHE_SESSIONS {
+            let daemon = forge.fork(0xF04C + 1 + i);
+            let before = daemon.machine().decode_cache_stats().1;
+            let outcome = deliver_labels(daemon, labels.clone());
+            assert!(outcome.is_some_and(|o| o.is_root_shell()), "{arch}");
+            if i > 0 {
+                misses += daemon.machine().decode_cache_stats().1 - before;
+            }
+        }
+        obj([
+            ("isa", s(arch.to_string())),
+            ("sessions", u(FORK_CACHE_SESSIONS)),
+            (
+                "misses_per_session",
+                u(misses.div_ceil(FORK_CACHE_SESSIONS)),
+            ),
+        ])
+    });
+    let fork_cache = Value::Arr(fork_cache.collect());
+
     // Fuzzing ablations: the same fixed-seed campaign three ways —
     // coverage-on fork (the production configuration), coverage-off
     // (bitmap cost), reboot-per-exec (snapshot advantage inside the
@@ -645,6 +684,7 @@ fn run_ablations(trials: u64) -> Value<'static> {
             ]),
         ),
         ("decode_table", decode_table),
+        ("fork_cache", fork_cache),
         ("gadget", gadget_timings(trials)),
         (
             "riscv_fuzz",
@@ -1002,6 +1042,18 @@ const GUARDS: &[(&str, Bound)] = &[
         "ablations.decode_table[isa=RISC-V].decode_wall_ratio",
         Bound::Floor(4.0),
     ),
+    (
+        "ablations.fork_cache[isa=x86].misses_per_session",
+        Bound::Equals(0.0),
+    ),
+    (
+        "ablations.fork_cache[isa=ARMv7].misses_per_session",
+        Bound::Equals(0.0),
+    ),
+    (
+        "ablations.fork_cache[isa=RISC-V].misses_per_session",
+        Bound::Equals(0.0),
+    ),
     ("ablations.resolver.resolver_qps", Bound::Floor(COLLAPSE)),
     (
         "ablations.resolver.cached_allocs_per_query",
@@ -1299,13 +1351,17 @@ mod tests {
     }
 
     /// BENCH_10 read as a current record: every guarded metric sits at
-    /// its baseline, with `ir_vs_insn` at the fallback product.
+    /// its baseline, with `ir_vs_insn` at the fallback product and the
+    /// baseline-free `fork_cache` rows at their wanted 0.
     fn current_at_bench_10() -> Value<'static> {
         let mut doc = bench_10();
         let Value::Obj(ablations) = at_mut(&mut doc, "ablations") else {
             panic!("ablations is an object")
         };
         ablations.push(("ir_vs_insn".into(), obj([("wall_ratio", n(4.88 * 3.15))])));
+        let fork_cache =
+            Arch::ALL.map(|arch| obj([("isa", s(arch.to_string())), ("misses_per_session", u(0))]));
+        ablations.push(("fork_cache".into(), Value::Arr(fork_cache.to_vec())));
         doc
     }
 

@@ -358,7 +358,7 @@ impl Daemon {
             bytes.first().copied().unwrap_or(0),
             bytes.get(1).copied().unwrap_or(0),
         ]);
-        let Some(pending) = self.pending.get(&found_id).cloned() else {
+        let Some(pending) = self.pending.get(&found_id) else {
             return ProxyOutcome::Rejected(ResponseRejection::IdMismatch {
                 expected: 0,
                 found: found_id,
@@ -475,7 +475,9 @@ impl Daemon {
             if let Some(reason) = parse_failure {
                 return ProxyOutcome::ParseFailed { reason };
             }
-            let qname = pending.message().questions()[0].qname().clone();
+            let qname = self.pending[&found_id].message().questions()[0]
+                .qname()
+                .clone();
             let mut cached = 0;
             for (rtype, addrs, ttl) in to_cache {
                 if self.cache.insert(&qname, rtype, addrs, ttl, self.clock) {

@@ -4,20 +4,28 @@
 //! same [`Insn`](crate::x86::Insn) — so the fetch/decode half of the
 //! interpreter loop can be memoised. The cache is owned by
 //! [`Memory`](crate::Memory) and uses *push* invalidation: every path
-//! that can change code bytes or their executability (`write_u8`,
-//! `poke`, `set_perms`, `map`) notifies the cache directly, so a cache
-//! hit needs **no** validation — no permission re-check, no generation
-//! compare. This keeps self-modifying shellcode and per-boot reloads
-//! correct while the hot path is a single probe of an open-addressing
-//! table.
+//! that can change code bytes, their executability or their address
+//! (`write_u8`, `poke`, `set_perms`, `map`, a snapshot restore, a
+//! reslide) and every hook change notifies the cache directly, so a
+//! cache hit needs **no** validation — no permission re-check, no
+//! generation compare. This keeps self-modifying shellcode and per-boot
+//! reloads correct while the hot path is a single probe of an
+//! open-addressing table.
 //!
-//! Invalidation is deliberately coarse (any write to a page that holds
-//! cached decodes flushes the whole table), which keeps the write path
-//! to one compare in the common sequential-write case. The cache is
-//! always on; there is no switch to turn it off. Every snapshot fork
-//! currently flushes at least once (a reslide, the hook reinstall, or a
-//! restored page that held code), so every session re-decodes its
-//! gadgets; a cache that survived forks would remove that cost.
+//! Invalidation is precise: each entry covers a byte *footprint* — an
+//! instruction's encoding, or a lowered block's encodings plus the
+//! fetch window past its end that decided where the block stops — and
+//! [`DecodeCache::invalidate_range`] drops exactly the entries whose
+//! footprint overlaps the changed range. A write drops its page; a
+//! reslide or restore that moves a region drops the region's old and
+//! new ranges; a hook change drops only the blocks whose footprint
+//! holds a pc that gained or lost its hook (per-instruction entries are
+//! hook-agnostic: `step` checks hooks before it decodes). So a fork
+//! keeps every decode of code that did not move — the non-PIE `.text`
+//! gadgets and `.plt` stubs a W⊕X+ASLR chain runs stay warm across
+//! every reslide. Rare events (a new mapping, `register_hook`, an
+//! `mprotect`) still flush the whole table. The cache is always on;
+//! there is no switch to turn it off.
 
 use std::sync::Arc;
 
@@ -29,6 +37,12 @@ use crate::{arm, riscv, x86};
 /// Pages are the invalidation granule.
 pub(crate) const PAGE_SIZE: u32 = 0x1000;
 pub(crate) const PAGE_MASK: u32 = !(PAGE_SIZE - 1);
+
+/// Bytes past a lowered block's last encoding that the block builder
+/// read or probed to decide where the block ends: the widest fetch
+/// window of any ISA (x86's 16 bytes), which also covers a hook at the
+/// first pc after the block.
+const BLOCK_LOOKAHEAD: u32 = 16;
 
 /// A memoised decode for either ISA.
 #[derive(Debug, Clone, Copy)]
@@ -53,61 +67,45 @@ impl CachedInsn {
     }
 }
 
+/// One cached value keyed by `pc`, covering the `len`-byte footprint
+/// its validity depends on.
 #[derive(Debug, Clone)]
-struct IrEntry {
+struct Slot<T> {
     pc: Addr,
-    block: Arc<IrBlock>,
+    len: u32,
+    val: T,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    pc: Addr,
-    insn: CachedInsn,
+impl<T> Slot<T> {
+    /// Whether the footprint overlaps `[lo, hi)` (64-bit, so a footprint
+    /// may run past the top of the address space).
+    fn overlaps(&self, lo: u64, hi: u64) -> bool {
+        (self.pc as u64) < hi && lo < self.pc as u64 + self.len as u64
+    }
 }
 
-/// Open-addressing pc → decoded-instruction table.
+/// Open-addressing (linear-probe) pc → value table.
 ///
 /// Starts empty (a machine that never executes pays nothing), grows
 /// geometrically from a small table so short-lived machines pay a few
 /// hundred nanoseconds at most.
 #[derive(Debug, Clone)]
-pub(crate) struct DecodeCache {
-    /// Whether the threaded-code IR dispatcher may use the IR table
-    /// (per-insn entries stay usable either way).
-    ir_enabled: bool,
-    slots: Vec<Option<Entry>>,
-    /// Indices of the occupied `slots`, so a flush clears only those
-    /// (a session fills a handful of a table's hundreds of slots).
+struct Table<T> {
+    slots: Vec<Option<Slot<T>>>,
+    /// Indices of the occupied `slots`, so clearing and scanning touch
+    /// only those (a session fills a handful of a table's hundreds).
     occupied: Vec<usize>,
-    ir_slots: Vec<Option<IrEntry>>,
-    /// Indices of the occupied `ir_slots`.
-    ir_occupied: Vec<usize>,
-    /// Sorted page bases that contain (or contribute bytes to) cached
-    /// decodes. Writes consult this to decide whether to flush.
-    code_pages: Vec<u32>,
-    /// Last page verified *not* to hold cached decodes — dedups the
-    /// `code_pages` lookup for sequential write bursts.
-    last_clean_page: Option<u32>,
-    /// Bumped on every flush; the IR dispatch loop re-checks it so a
-    /// self-modifying write mid-block abandons the lowered block.
-    generation: u64,
-    hits: u64,
-    misses: u64,
+    /// Holding area for [`Table::rehash`]; keeps its capacity, so a warm
+    /// invalidation allocates nothing.
+    spare: Vec<Slot<T>>,
 }
 
-impl Default for DecodeCache {
+impl<T> Default for Table<T> {
     fn default() -> Self {
-        DecodeCache {
-            ir_enabled: true,
+        Table {
             slots: Vec::new(),
             occupied: Vec::new(),
-            ir_slots: Vec::new(),
-            ir_occupied: Vec::new(),
-            code_pages: Vec::new(),
-            last_clean_page: None,
-            generation: 0,
-            hits: 0,
-            misses: 0,
+            spare: Vec::new(),
         }
     }
 }
@@ -118,15 +116,160 @@ fn hash(pc: Addr) -> usize {
     (pc.wrapping_mul(0x9E37_79B1)) as usize
 }
 
+impl<T> Table<T> {
+    fn find(&self, pc: Addr) -> Option<&T> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash(pc) & mask;
+        loop {
+            match &self.slots[i] {
+                Some(e) if e.pc == pc => return Some(&e.val),
+                Some(_) => i = (i + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+
+    /// Inserts `val` unless `pc` already has an entry.
+    fn insert(&mut self, pc: Addr, len: u32, val: T) {
+        if self.slots.len() * 3 <= (self.occupied.len() + 1) * 4 {
+            let cap = (self.slots.len() * 4).max(INITIAL_SLOTS);
+            self.rehash(cap, |_| true);
+        }
+        self.place(Slot { pc, len, val });
+    }
+
+    fn place(&mut self, e: Slot<T>) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash(e.pc) & mask;
+        loop {
+            match &self.slots[i] {
+                Some(o) if o.pc == e.pc => return,
+                Some(_) => i = (i + 1) & mask,
+                None => {
+                    self.slots[i] = Some(e);
+                    self.occupied.push(i);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Slot<T>> {
+        self.occupied.iter().filter_map(|&i| self.slots[i].as_ref())
+    }
+
+    /// Empties the occupied slots; the table keeps its capacity.
+    fn clear(&mut self) {
+        for i in self.occupied.drain(..) {
+            self.slots[i] = None;
+        }
+    }
+
+    /// Drops every entry whose footprint overlaps `[lo, hi)`. Returns
+    /// whether anything was dropped.
+    fn invalidate(&mut self, lo: u64, hi: u64) -> bool {
+        if !self.iter().any(|e| e.overlaps(lo, hi)) {
+            return false;
+        }
+        self.rehash(self.slots.len(), |e| !e.overlaps(lo, hi));
+        true
+    }
+
+    /// Re-seats the entries `keep` accepts into `cap` slots. Every entry
+    /// leaves the table before any is placed again, so no survivor's
+    /// probe chain can run through a slot a dropped entry vacated.
+    fn rehash(&mut self, cap: usize, keep: impl Fn(&Slot<T>) -> bool) {
+        let mut held = std::mem::take(&mut self.spare);
+        for i in self.occupied.drain(..) {
+            if let Some(e) = self.slots[i].take() {
+                if keep(&e) {
+                    held.push(e);
+                }
+            }
+        }
+        if cap != self.slots.len() {
+            self.slots.clear();
+            self.slots.resize_with(cap, || None);
+        }
+        for e in held.drain(..) {
+            self.place(e);
+        }
+        self.spare = held;
+    }
+}
+
+/// Page bases of the footprint `[pc, pc + len)`.
+fn pages(pc: Addr, len: u32) -> impl Iterator<Item = u32> {
+    let first = pc & PAGE_MASK;
+    let last = (pc as u64 + len.max(1) as u64 - 1).min(u32::MAX as u64) as u32 & PAGE_MASK;
+    (first..=last).step_by(PAGE_SIZE as usize)
+}
+
+/// Adds the pages of `[pc, pc + len)` to the sorted set `code_pages`
+/// (in place, so it never outgrows the set it is rebuilt to). Returns
+/// whether any page was new.
+fn add_pages(code_pages: &mut Vec<u32>, pc: Addr, len: u32) -> bool {
+    let mut added = false;
+    for page in pages(pc, len) {
+        if let Err(at) = code_pages.binary_search(&page) {
+            code_pages.insert(at, page);
+            added = true;
+        }
+    }
+    added
+}
+
+/// The predecoded-instruction cache: per-insn decodes and lowered IR
+/// blocks, each in its own pc-keyed [`Table`].
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeCache {
+    /// Whether the threaded-code IR dispatcher may use the IR table
+    /// (per-insn entries stay usable either way).
+    ir_enabled: bool,
+    insns: Table<CachedInsn>,
+    blocks: Table<Arc<IrBlock>>,
+    /// Sorted page bases that some cached footprint touches. Writes and
+    /// range invalidations consult this before scanning the tables.
+    code_pages: Vec<u32>,
+    /// Last page verified *not* to hold cached decodes — dedups the
+    /// `code_pages` lookup for sequential write bursts.
+    last_clean_page: Option<u32>,
+    /// Bumped whenever cached state is dropped; the IR dispatch loop
+    /// re-checks it so a self-modifying write mid-block abandons the
+    /// lowered block.
+    generation: u64,
+    /// Dispatches served without decoding: per-insn hits plus IR block
+    /// hits.
+    hits: u64,
+    /// Per-insn lookups that had to decode.
+    misses: u64,
+}
+
+impl Default for DecodeCache {
+    fn default() -> Self {
+        DecodeCache {
+            ir_enabled: true,
+            insns: Table::default(),
+            blocks: Table::default(),
+            code_pages: Vec::new(),
+            last_clean_page: None,
+            generation: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
 impl DecodeCache {
     /// Turns the threaded-code IR dispatcher on or off for this machine
-    /// (off selects the single-step reference tier). Disabling drops all
-    /// lowered blocks.
+    /// (off selects the single-step reference tier). Disabling flushes.
     pub(crate) fn set_ir_enabled(&mut self, on: bool) {
         self.ir_enabled = on;
-        if !on && !self.ir_occupied.is_empty() {
-            self.ir_slots = Vec::new();
-            self.ir_occupied.clear();
+        if !on {
+            self.flush();
         }
     }
 
@@ -134,7 +277,8 @@ impl DecodeCache {
         self.ir_enabled
     }
 
-    /// Flush-generation counter; bumped whenever cached state is dropped.
+    /// Invalidation-generation counter; bumped whenever cached state is
+    /// dropped.
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
@@ -145,75 +289,41 @@ impl DecodeCache {
     }
 
     /// Looks up a memoised decode. A hit is valid by construction: any
-    /// mutation since insertion would have flushed the table.
+    /// mutation since insertion would have dropped the entry.
     pub(crate) fn get(&mut self, pc: Addr) -> Option<CachedInsn> {
-        if self.slots.is_empty() {
-            self.misses += 1;
-            return None;
+        let found = self.insns.find(pc).copied();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        let mask = self.slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match self.slots[i] {
-                Some(e) if e.pc == pc => {
-                    self.hits += 1;
-                    return Some(e.insn);
-                }
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.misses += 1;
-                    return None;
-                }
-            }
-        }
+        found
     }
 
     /// Memoises a successful decode of `byte_len` bytes at `pc`.
     pub(crate) fn insert(&mut self, pc: Addr, insn: CachedInsn, byte_len: u32) {
-        if self.slots.len() * 3 <= (self.occupied.len() + 1) * 4 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.slots[i] {
-                Some(e) if e.pc == pc => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.slots[i] = Some(Entry { pc, insn });
-                    self.occupied.push(i);
-                    break;
-                }
-            }
-        }
+        self.insns.insert(pc, byte_len, insn);
         // Record every page the encoding touches so writes to any of
-        // them (including the tail page of a straddling x86 insn) flush.
-        let first = pc & PAGE_MASK;
-        let last = pc.wrapping_add(byte_len.saturating_sub(1)) & PAGE_MASK;
-        self.note_code_page(first);
-        if last != first {
-            self.note_code_page(last);
-        }
+        // them (including the tail page of a straddling x86 insn)
+        // invalidate it.
+        self.note_code_pages(pc, byte_len);
     }
 
     /// Looks up a lowered IR block starting at `pc`. Valid by
     /// construction, like per-insn entries (push invalidation), and
-    /// additionally hook-free by construction: hook registration flushes,
-    /// and the builder refuses hooked start addresses, so a hit never
-    /// needs a per-entry hook probe.
+    /// additionally hook-free by construction: a hook change drops every
+    /// block whose footprint holds the pc, and the builder refuses
+    /// hooked start addresses, so a hit never needs a per-entry hook
+    /// probe. A hit counts toward `hits`; a miss counts nothing (the
+    /// rebuild's per-insn lookups do).
     pub(crate) fn get_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
-        if !self.ir_enabled || self.ir_slots.is_empty() {
+        if !self.ir_enabled {
             return None;
         }
-        let mask = self.ir_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.ir_slots[i] {
-                Some(e) if e.pc == pc => return Some(Arc::clone(&e.block)),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
+        let found = self.blocks.find(pc).map(Arc::clone);
+        if found.is_some() {
+            self.hits += 1;
         }
+        found
     }
 
     /// Memoises a lowered IR block whose encodings span `span` bytes.
@@ -221,83 +331,39 @@ impl DecodeCache {
         if !self.ir_enabled {
             return;
         }
-        if self.ir_slots.len() * 3 <= (self.ir_occupied.len() + 1) * 4 {
-            self.grow_ir();
-        }
-        let mask = self.ir_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.ir_slots[i] {
-                Some(e) if e.pc == pc => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.ir_slots[i] = Some(IrEntry { pc, block });
-                    self.ir_occupied.push(i);
-                    break;
-                }
-            }
-        }
-        let mut page = pc & PAGE_MASK;
-        let last = pc.wrapping_add(span.saturating_sub(1)) & PAGE_MASK;
-        loop {
-            self.note_code_page(page);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
-        }
+        let len = span.saturating_add(BLOCK_LOOKAHEAD);
+        self.blocks.insert(pc, len, block);
+        self.note_code_pages(pc, len);
     }
 
-    fn grow_ir(&mut self) {
-        let cap = if self.ir_slots.is_empty() {
-            INITIAL_SLOTS
-        } else {
-            self.ir_slots.len() * 4
-        };
-        let old = std::mem::replace(&mut self.ir_slots, vec![None; cap]);
-        let mask = cap - 1;
-        self.ir_occupied.clear();
-        for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
-            while self.ir_slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.ir_slots[i] = Some(e);
-            self.ir_occupied.push(i);
-        }
-    }
-
-    fn note_code_page(&mut self, page: u32) {
-        if let Err(at) = self.code_pages.binary_search(&page) {
-            self.code_pages.insert(at, page);
-            // The page just became cache-backed; a previous "clean"
+    fn note_code_pages(&mut self, pc: Addr, len: u32) {
+        if add_pages(&mut self.code_pages, pc, len) {
+            // A page just became cache-backed; a previous "clean"
             // verdict for it no longer holds.
             self.last_clean_page = None;
         }
     }
 
-    fn grow(&mut self) {
-        let cap = if self.slots.is_empty() {
-            INITIAL_SLOTS
-        } else {
-            self.slots.len() * 4
+    /// Whether any cached footprint may touch `[lo, hi)`. A range past
+    /// either end of the code pages (libc or the stack, seen from
+    /// `.text`) answers in two compares.
+    #[inline]
+    fn has_code_in(&self, lo: u64, hi: u64) -> bool {
+        let (Some(&first), Some(&last)) = (self.code_pages.first(), self.code_pages.last()) else {
+            return false;
         };
-        let old = std::mem::replace(&mut self.slots, vec![None; cap]);
-        let mask = cap - 1;
-        self.occupied.clear();
-        for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some(e);
-            self.occupied.push(i);
+        if hi <= first as u64 || lo >= last as u64 + PAGE_SIZE as u64 {
+            return false;
         }
+        let i = self
+            .code_pages
+            .partition_point(|&p| p as u64 + PAGE_SIZE as u64 <= lo);
+        self.code_pages.get(i).is_some_and(|&p| (p as u64) < hi)
     }
 
     /// A byte at `addr` is about to change. One compare in the common
-    /// case (sequential writes to a non-code page); flushes the table
-    /// when the page holds cached decodes.
+    /// case (sequential writes to a non-code page); drops the page's
+    /// cached decodes and blocks when it holds any.
     #[inline]
     pub(crate) fn note_write(&mut self, addr: Addr) {
         let page = addr & PAGE_MASK;
@@ -305,35 +371,66 @@ impl DecodeCache {
             return;
         }
         if self.code_pages.binary_search(&page).is_ok() {
-            self.flush();
+            self.invalidate_range(page, PAGE_SIZE as u64);
         }
         self.last_clean_page = Some(page);
     }
 
     /// A whole range is about to change (chunked writes / pokes).
     pub(crate) fn note_write_range(&mut self, addr: Addr, len: usize) {
-        let mut page = addr & PAGE_MASK;
-        let last = addr.wrapping_add(len.saturating_sub(1) as u32) & PAGE_MASK;
-        loop {
+        for page in pages(addr, len as u32) {
             self.note_write(page);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
         }
     }
 
-    /// Drops every cached decode and lowered block (permission change, new
-    /// mapping, hook registration, snapshot restore, or a write to a
-    /// cached page). Clears only the occupied slots; the tables keep
-    /// their capacity.
+    /// Drops every per-insn decode and lowered block whose footprint
+    /// overlaps `[addr, addr + len)`, then bumps the generation (so an
+    /// in-flight IR block abandons itself) if anything went. Entries
+    /// elsewhere stay cached.
+    #[inline]
+    pub(crate) fn invalidate_range(&mut self, addr: Addr, len: u64) {
+        let (lo, hi) = (addr as u64, addr as u64 + len);
+        if !self.has_code_in(lo, hi) {
+            return;
+        }
+        let insns = self.insns.invalidate(lo, hi);
+        let blocks = self.blocks.invalidate(lo, hi);
+        if insns || blocks {
+            self.after_invalidate();
+        }
+    }
+
+    /// `pc` gained or lost a libc hook: drops the lowered blocks whose
+    /// footprint holds it (a block must stop before a hooked pc, and a
+    /// block that stopped before a now-unhooked one would run longer if
+    /// rebuilt). Per-insn decodes are hook-agnostic and stay.
+    #[inline]
+    pub(crate) fn invalidate_blocks_at(&mut self, pc: Addr) {
+        let (lo, hi) = (pc as u64, pc as u64 + 1);
+        if self.has_code_in(lo, hi) && self.blocks.invalidate(lo, hi) {
+            self.after_invalidate();
+        }
+    }
+
+    /// Rebuilds `code_pages` from the surviving footprints and bumps the
+    /// generation.
+    fn after_invalidate(&mut self) {
+        self.code_pages.clear();
+        let footprints = self.insns.iter().map(|e| (e.pc, e.len));
+        for (pc, len) in footprints.chain(self.blocks.iter().map(|e| (e.pc, e.len))) {
+            add_pages(&mut self.code_pages, pc, len);
+        }
+        self.last_clean_page = None;
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// Drops every cached decode and lowered block (new mapping,
+    /// permission change, hook registration, or a restore that drops
+    /// regions). Clears only the occupied slots; the tables keep their
+    /// capacity.
     pub(crate) fn flush(&mut self) {
-        for i in self.occupied.drain(..) {
-            self.slots[i] = None;
-        }
-        for i in self.ir_occupied.drain(..) {
-            self.ir_slots[i] = None;
-        }
+        self.insns.clear();
+        self.blocks.clear();
         self.code_pages.clear();
         self.last_clean_page = None;
         self.generation = self.generation.wrapping_add(1);
@@ -348,6 +445,10 @@ mod tests {
         CachedInsn::X86(x86::Insn::Nop, 1)
     }
 
+    fn block(pc: Addr) -> Arc<IrBlock> {
+        Arc::new(crate::ir::lower(&[x86_nop()], pc))
+    }
+
     #[test]
     fn get_insert_roundtrip_and_stats() {
         let mut c = DecodeCache::default();
@@ -358,16 +459,23 @@ mod tests {
             Some(CachedInsn::X86(x86::Insn::Nop, 1))
         ));
         assert_eq!(c.stats(), (1, 1));
+        // A block hit counts as a hit; a block miss counts nothing.
+        assert!(c.get_ir(0x1000).is_none());
+        c.insert_ir(0x1000, block(0x1000), 1);
+        assert!(c.get_ir(0x1000).is_some());
+        assert_eq!(c.stats(), (2, 1));
     }
 
     #[test]
-    fn write_to_cached_page_flushes() {
+    fn write_to_cached_page_drops_only_that_page() {
         let mut c = DecodeCache::default();
         c.insert(0x1000, x86_nop(), 1);
-        c.note_write(0x8000); // unrelated page: no flush
+        c.insert(0x3000, x86_nop(), 1);
+        c.note_write(0x8000); // unrelated page: nothing dropped
         assert!(c.get(0x1000).is_some());
-        c.note_write(0x1A00); // same page as the cached pc
+        c.note_write(0x1A00); // same page as the first cached pc
         assert!(c.get(0x1000).is_none());
+        assert!(c.get(0x3000).is_some(), "another page's decode survives");
     }
 
     #[test]
@@ -375,7 +483,7 @@ mod tests {
         let mut c = DecodeCache::default();
         c.note_write(0x1004); // page 0x1000 marked clean
         c.insert(0x1000, x86_nop(), 1); // …now it holds a decode
-        c.note_write(0x1004); // must flush despite the earlier verdict
+        c.note_write(0x1004); // must drop it despite the earlier verdict
         assert!(c.get(0x1000).is_none());
     }
 
@@ -385,6 +493,72 @@ mod tests {
         c.insert(0x1FFE, CachedInsn::X86(x86::Insn::Nop, 5), 5);
         c.note_write(0x2001); // tail page of the straddling encoding
         assert!(c.get(0x1FFE).is_none());
+    }
+
+    #[test]
+    fn straddling_entry_is_dropped_from_either_page() {
+        for written in [0x1000, 0x2000] {
+            let mut c = DecodeCache::default();
+            c.insert(0x1FFE, CachedInsn::X86(x86::Insn::Nop, 5), 5);
+            c.insert(0x1100, x86_nop(), 1);
+            c.insert(0x2100, x86_nop(), 1);
+            c.invalidate_range(written, PAGE_SIZE as u64);
+            assert!(c.get(0x1FFE).is_none(), "write to page {written:#x}");
+            let other = if written == 0x1000 { 0x2100 } else { 0x1100 };
+            assert!(c.get(other).is_some(), "write to page {written:#x}");
+        }
+    }
+
+    #[test]
+    fn range_invalidation_keeps_probe_chains_intact() {
+        // pcs 0x100 apart share a home slot in any table of at most 256
+        // slots, so these three sit in one probe chain.
+        let pcs = [0x1000, 0x1100, 0x1200];
+        assert!(pcs.iter().all(|&pc| hash(pc) & 0xFF == hash(0x1000) & 0xFF));
+        let mut c = DecodeCache::default();
+        for pc in pcs {
+            c.insert(pc, x86_nop(), 1);
+            c.insert_ir(pc, block(pc), 1);
+        }
+        c.invalidate_range(0x1100, 1);
+        assert!(c.get(0x1100).is_none(), "the middle decode went");
+        assert!(c.get(0x1200).is_some(), "the later decode is still found");
+        assert!(c.get(0x1000).is_some());
+        assert!(c.get_ir(0x1100).is_none(), "the middle block went");
+        assert!(c.get_ir(0x1200).is_some(), "the later block is still found");
+        assert!(c.get_ir(0x1000).is_some());
+        assert_eq!(c.insns.occupied.len(), 2);
+        assert_eq!(c.blocks.occupied.len(), 2);
+    }
+
+    #[test]
+    fn generation_bumps_only_when_something_was_dropped() {
+        let mut c = DecodeCache::default();
+        c.insert(0x1000, x86_nop(), 1);
+        let generation = c.generation();
+        c.invalidate_range(0x8000, 0x1000); // no code there
+        c.invalidate_range(0x1800, 0x100); // a code page, but no footprint
+        c.invalidate_blocks_at(0x1000); // no blocks at all
+        assert_eq!(c.generation(), generation);
+        c.invalidate_range(0x1000, 1);
+        assert_eq!(c.generation(), generation + 1);
+        assert!(c.code_pages.is_empty(), "code pages follow the survivors");
+    }
+
+    #[test]
+    fn hook_invalidation_drops_blocks_and_keeps_decodes() {
+        let mut c = DecodeCache::default();
+        c.insert(0x1000, x86_nop(), 1);
+        c.insert_ir(0x1000, block(0x1000), 1);
+        c.insert_ir(0x1800, block(0x1800), 1);
+        // Just past the block's last byte: the builder probed that pc.
+        c.invalidate_blocks_at(0x1001);
+        assert!(c.get_ir(0x1000).is_none());
+        assert!(c.get_ir(0x1800).is_some());
+        assert!(
+            c.get(0x1000).is_some(),
+            "per-insn decodes are hook-agnostic"
+        );
     }
 
     #[test]
@@ -404,10 +578,9 @@ mod tests {
         let n = INITIAL_SLOTS as u32 * 2;
         for i in 0..n {
             c.insert(0x1000 + i, x86_nop(), 1);
-            let block = Arc::new(crate::ir::lower(&[x86_nop()], 0x1000 + i));
-            c.insert_ir(0x1000 + i, block, 1);
+            c.insert_ir(0x1000 + i, block(0x1000 + i), 1);
         }
-        assert!(c.slots.len() > INITIAL_SLOTS && c.ir_slots.len() > INITIAL_SLOTS);
+        assert!(c.insns.slots.len() > INITIAL_SLOTS && c.blocks.slots.len() > INITIAL_SLOTS);
         let generation = c.generation();
         c.flush();
         assert_eq!(c.generation(), generation + 1);
@@ -418,8 +591,8 @@ mod tests {
                 "block {i} survived the flush"
             );
         }
-        assert!(c.slots.iter().all(Option::is_none));
-        assert!(c.ir_slots.iter().all(Option::is_none));
+        assert!(c.insns.slots.iter().all(Option::is_none));
+        assert!(c.blocks.slots.iter().all(Option::is_none));
         // The emptied tables fill again from scratch.
         c.insert(0x1000, x86_nop(), 1);
         assert!(c.get(0x1000).is_some());
@@ -428,10 +601,13 @@ mod tests {
     #[test]
     fn flush_releases_lowered_blocks() {
         let mut c = DecodeCache::default();
-        let block = Arc::new(crate::ir::lower(&[x86_nop()], 0x1000));
-        c.insert_ir(0x1000, Arc::clone(&block), 1);
-        assert_eq!(Arc::strong_count(&block), 2);
+        let b = block(0x1000);
+        c.insert_ir(0x1000, Arc::clone(&b), 1);
+        assert_eq!(Arc::strong_count(&b), 2);
         c.flush();
-        assert_eq!(Arc::strong_count(&block), 1, "the table kept a reference");
+        assert_eq!(Arc::strong_count(&b), 1, "the table kept a reference");
+        c.insert_ir(0x1000, Arc::clone(&b), 1);
+        c.invalidate_range(0x1000, 1);
+        assert_eq!(Arc::strong_count(&b), 1, "the spare area kept a reference");
     }
 }

@@ -37,8 +37,9 @@
 //! `tests/ir.rs` and the unit suites. Coverage notes one edge per block
 //! entry. Invalidation reuses the decode cache's push model: the IR
 //! table lives beside the per-instruction table and is dropped by the
-//! same flushes, and the dispatch loop re-checks the flush generation
-//! after every op that can write memory.
+//! same invalidations (plus hook changes around a block), and the
+//! dispatch loop re-checks the invalidation generation after every op
+//! that can write memory.
 
 use std::sync::Arc;
 
@@ -303,7 +304,7 @@ pub(crate) enum IrOp {
 }
 
 /// A lowered basic block: the op stream plus the parallel pc tables the
-/// dispatcher needs only on early exits (budget expiry, faults, flush).
+/// dispatcher needs only on early exits (budget expiry, faults, invalidation).
 #[derive(Debug)]
 pub(crate) struct IrBlock {
     /// Guest address of the first instruction.
@@ -835,7 +836,7 @@ fn exec_ir(
                             terminal => return (used, terminal),
                         }
                         if m.regs.pc() != ends[i] || m.mem.dcache_generation() != gen {
-                            // Taken branch or cache flush: pc is already
+                            // Taken branch or invalidation: pc is already
                             // architecturally correct — hand back to run().
                             return (used, Ok(None));
                         }

@@ -569,7 +569,9 @@ impl<'a> Loader<'a> {
     /// same image, so a fork-per-device loop reslides with RNG draws and
     /// arithmetic alone: symbol values are rewritten in the existing
     /// buffer, regions move from a stack array, and the hooks are
-    /// installed as one batch behind one decode-cache flush. Only a map
+    /// installed as one batch. The decode cache drops only the ranges of
+    /// regions that moved and the lowered blocks around pcs whose hook
+    /// changed, so decodes of non-PIE code stay warm. Only a map
     /// from a *different* image rebuilds the table. This is the
     /// allocation-free path fork-per-device drivers (the firmware crate's
     /// `BootForge::fork`) take millions of times per campaign.
@@ -782,6 +784,58 @@ mod tests {
         let b = m.mem().read_bytes(sys, 4, 0).unwrap();
         let fb = fresh.mem().read_bytes(sys, 4, 0).unwrap();
         assert_eq!(b, fb);
+    }
+
+    #[test]
+    fn reslide_and_restore_keep_decodes_of_code_that_stays_only() {
+        let img = image();
+        let p = Protections::full();
+        let (mut m, map) = Loader::new(&img).protections(p).seed(7).load();
+        let boot = m.snapshot();
+        let text = layout::layout_for(Arch::X86).text_base;
+        // Steps one instruction at `pc` with the layout's initial sp: a
+        // `nop` in .text, or a `ret` in libc past the hooked `system`.
+        let step_at = |m: &mut Machine, map: &LoadMap, pc: Addr| {
+            m.regs_mut().set_pc(pc);
+            m.regs_mut().set_sp(map.stack_top() - 0x200);
+            m.step()
+        };
+        let ret_at = |map: &LoadMap| map.symbol("system").unwrap() + 4;
+        let boot_ret = ret_at(&map);
+        for pc in [text, boot_ret] {
+            assert_eq!(step_at(&mut m, &map, pc), Ok(None), "{pc:#x}");
+        }
+        let (_, misses) = m.decode_cache_stats();
+
+        // The reslide moves libc off its old range and leaves .text.
+        let slid = Loader::new(&img).protections(p).seed(21).reslide(&mut m);
+        assert!(m.mem().region_containing(boot_ret).is_none());
+        assert_eq!(step_at(&mut m, &slid, text), Ok(None));
+        assert_eq!(m.decode_cache_stats().1, misses, "the .text decode stayed");
+        assert!(
+            matches!(
+                step_at(&mut m, &slid, boot_ret),
+                Err(crate::Fault::UnmappedFetch { .. })
+            ),
+            "a decode cached at the old libc address ran"
+        );
+
+        // Restoring the boot moves libc back; the decode cached at the
+        // slid address must go with it.
+        let slid_ret = ret_at(&slid);
+        assert_eq!(step_at(&mut m, &slid, slid_ret), Ok(None));
+        m.restore(&boot);
+        assert!(m.mem().region_containing(slid_ret).is_none());
+        assert!(
+            matches!(
+                step_at(&mut m, &map, slid_ret),
+                Err(crate::Fault::UnmappedFetch { .. })
+            ),
+            "a decode cached at the slid libc address ran"
+        );
+        let misses = m.decode_cache_stats().1;
+        assert_eq!(step_at(&mut m, &map, text), Ok(None));
+        assert_eq!(m.decode_cache_stats().1, misses, "the .text decode stayed");
     }
 }
 

@@ -117,6 +117,9 @@ pub struct Machine {
     pub(crate) regs: Regs,
     /// Hooked addresses, sorted and distinct (probed by binary search).
     pub(crate) hooks: Vec<(Addr, LibcFn)>,
+    /// The hook list [`Machine::set_hooks`] replaced, kept for its
+    /// capacity so a warm reslide builds the new list without allocating.
+    spare_hooks: Vec<(Addr, LibcFn)>,
     pub(crate) shadow: Option<Vec<Addr>>,
     pub(crate) events: Vec<Event>,
     pub(crate) canary: u32,
@@ -154,6 +157,7 @@ impl Machine {
             mem: Memory::new(),
             regs: Regs::new(arch),
             hooks: Vec::new(),
+            spare_hooks: Vec::new(),
             shadow: None,
             events: Vec::new(),
             canary: 0,
@@ -178,7 +182,9 @@ impl Machine {
         &mut self.mem
     }
 
-    /// `(hits, misses)` counters of the predecoded-instruction cache.
+    /// `(hits, misses)` counters of the predecoded-instruction cache: a
+    /// hit is a dispatch served without decoding (a cached instruction
+    /// or a lowered IR block), a miss is an instruction decoded afresh.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         self.mem.dcache_stats()
     }
@@ -264,20 +270,17 @@ impl Machine {
     }
 
     /// Rewinds the machine to `snap`. Memory restore copies back only
-    /// the pages dirtied since the snapshot and pushes them through the
-    /// decode cache's invalidation hooks, so predecoded instructions and
-    /// lowered IR blocks for restored pages can never execute stale. Tracing
-    /// is reset; [`insn_count`](Machine::insn_count) keeps counting.
+    /// the pages dirtied since the snapshot and drops the decode-cache
+    /// entries of what it rewinds (see [`Memory::restore`]); a hook set
+    /// that differs from the snapshot's drops only the lowered IR blocks
+    /// around the pcs that gained or lost a hook. Decodes of untouched
+    /// code stay warm across the fork. Tracing is reset;
+    /// [`insn_count`](Machine::insn_count) keeps counting.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.mem.restore(&snap.mem);
         self.regs = snap.regs;
         if self.hooks != snap.hooks {
-            // Restoring a different hook set re-legitimises addresses a
-            // later `register_hook` poisoned (or vice versa); cached
-            // blocks spanning them would run straight through. The
-            // comparison keeps the fork-many fuzz path — identical
-            // hooks every restore — on its warm cache.
-            self.mem.dcache_flush();
+            invalidate_hook_changes(&mut self.mem, &self.hooks, &snap.hooks);
         }
         self.hooks.clone_from(&snap.hooks);
         self.shadow.clone_from(&snap.shadow);
@@ -310,14 +313,18 @@ impl Machine {
     }
 
     /// Replaces every registered hook with `hooks`, whose addresses must
-    /// be distinct, behind a single decode-cache flush (the loader's
-    /// boot and reslide paths install a whole image's hooks this way).
+    /// be distinct (the loader's boot and reslide paths install a whole
+    /// image's hooks this way). The decode cache drops only the lowered
+    /// IR blocks around pcs that gained or lost a hook, so a reslide that
+    /// moves libc keeps the `.text` blocks warm.
     pub(crate) fn set_hooks(&mut self, hooks: impl Iterator<Item = (Addr, LibcFn)>) {
-        self.hooks.clear();
-        self.hooks.extend(hooks);
-        self.hooks.sort_unstable_by_key(|&(a, _)| a);
-        debug_assert!(self.hooks.windows(2).all(|w| w[0].0 < w[1].0));
-        self.mem.dcache_flush();
+        let mut new = std::mem::take(&mut self.spare_hooks);
+        new.clear();
+        new.extend(hooks);
+        new.sort_unstable_by_key(|&(a, _)| a);
+        debug_assert!(new.windows(2).all(|w| w[0].0 < w[1].0));
+        invalidate_hook_changes(&mut self.mem, &self.hooks, &new);
+        self.spare_hooks = std::mem::replace(&mut self.hooks, new);
     }
 
     /// The hooked function at `addr`, if any.
@@ -604,6 +611,38 @@ impl Machine {
         };
         self.events.push(Event::ShellSpawned(spawn.clone()));
         Ok(Some(RunOutcome::ShellSpawned(spawn)))
+    }
+}
+
+/// Drops the lowered IR blocks a change of hook set from `old` to `new`
+/// (both sorted by address) invalidates: one merge pass visits every pc
+/// hooked in exactly one of them. A pc whose hooked function merely
+/// changed needs nothing, since blocks never contain a hooked pc and
+/// `step` looks the function up at dispatch.
+fn invalidate_hook_changes(mem: &mut Memory, old: &[(Addr, LibcFn)], new: &[(Addr, LibcFn)]) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let pc = match (old.get(i).map(|h| h.0), new.get(j).map(|h| h.0)) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {
+                i += 1;
+                j += 1;
+                continue;
+            }
+            (Some(a), None) => {
+                i += 1;
+                a
+            }
+            (Some(a), Some(b)) if a < b => {
+                i += 1;
+                a
+            }
+            (_, Some(b)) => {
+                j += 1;
+                b
+            }
+        };
+        mem.dcache_invalidate_blocks_at(pc);
     }
 }
 

@@ -711,9 +711,13 @@ impl Memory {
     /// Rewinds the address space to `snap`: every page dirtied since the
     /// snapshot is copied back (O(dirty pages), not O(image)), regions
     /// mapped afterwards are dropped, and bases/permissions that drifted
-    /// are reset. Restored code pages are pushed through the decode
-    /// cache's write hooks, so stale predecoded instructions and lowered
-    /// IR blocks can never execute. Any armed redzone is disarmed.
+    /// are reset. The decode cache drops exactly what this changes: each
+    /// restored page goes through its write hook, and a region whose
+    /// permissions or base drifted drops its ranges (old and restored),
+    /// so stale predecoded instructions and lowered IR blocks can never
+    /// execute while decodes of untouched code stay warm. Dropping
+    /// regions mapped after the snapshot flushes. Any armed redzone is
+    /// disarmed.
     ///
     /// Dirty tracking is re-armed, so the same snapshot can be restored
     /// any number of times.
@@ -731,15 +735,16 @@ impl Memory {
             let Some(r) = self.regions.iter_mut().find(|r| r.name == rs.name) else {
                 unreachable!("snapshot region {} cannot be unmapped", rs.name);
             };
-            if r.perms != rs.perms {
+            if r.perms != rs.perms || r.base != rs.base {
+                // Drift from an `mprotect` or a post-snapshot reslide:
+                // drop what was cached where the region sits now, and
+                // what looks ahead into where it goes back to.
+                let len = r.data.len() as u64;
+                self.dcache.invalidate_range(r.base, len);
+                self.dcache.invalidate_range(rs.base, len);
+                resort |= r.base != rs.base;
                 r.perms = rs.perms;
-                self.dcache.flush();
-            }
-            if r.base != rs.base {
-                // A post-snapshot reslide moved the region; move it back.
                 r.base = rs.base;
-                resort = true;
-                self.dcache.flush();
             }
             r.kind = rs.kind;
             if let Some(bits) = &mut r.dirty {
@@ -777,8 +782,10 @@ impl Memory {
     /// Moves sections to new bases (the loader's re-slide path for
     /// forking a snapshot under a different ASLR seed): `bases` holds the
     /// new base per [`SectionKind::index`], `None` leaving that kind in
-    /// place. Contents and dirty tracking travel with the region; the
-    /// decode cache is flushed because every cached pc is now stale.
+    /// place. Contents and dirty tracking travel with the region. The
+    /// decode cache drops the old and new range of each region that
+    /// moved; the entries of regions that stay put (a non-PIE `.text`
+    /// under ASLR) survive.
     ///
     /// # Panics
     ///
@@ -786,7 +793,12 @@ impl Memory {
     pub(crate) fn rebase_regions(&mut self, bases: &[Option<Addr>; SectionKind::COUNT]) {
         for r in &mut self.regions {
             if let Some(base) = r.kind.and_then(|k| bases[k.index()]) {
-                r.base = base;
+                if base != r.base {
+                    let len = r.data.len() as u64;
+                    self.dcache.invalidate_range(r.base, len);
+                    self.dcache.invalidate_range(base, len);
+                    r.base = base;
+                }
             }
         }
         self.regions.sort_by_key(|r| r.base);
@@ -799,7 +811,6 @@ impl Memory {
             );
         }
         self.last_region.set(0);
-        self.dcache.flush();
     }
 
     // ---- predecoded-instruction cache plumbing (used by the
@@ -823,6 +834,10 @@ impl Memory {
 
     pub(crate) fn dcache_flush(&mut self) {
         self.dcache.flush();
+    }
+
+    pub(crate) fn dcache_invalidate_blocks_at(&mut self, pc: Addr) {
+        self.dcache.invalidate_blocks_at(pc);
     }
 
     // ---- threaded-code IR block table plumbing ----
@@ -899,7 +914,7 @@ impl Memory {
     /// writable, **non-executable** region with no redzone armed. The
     /// fast push/pop ops may then skip per-access permission checks and
     /// decode-cache write notes — a non-X region holds no cached
-    /// decodes, and turning one executable flushes the caches.
+    /// decodes, since a permission change drops the region's entries.
     pub(crate) fn stack_precheck(&self, addr: Addr, len: u32) -> bool {
         if self.redzone.is_some() {
             return false;

@@ -1,9 +1,11 @@
 //! The predecoded-instruction cache must never serve stale decodes:
 //! self-modifying shellcode, permission flips and page-straddling
-//! instructions all have to observe the current bytes.
+//! instructions all have to observe the current bytes, and a restore
+//! that changes the hook set must drop exactly the lowered blocks the
+//! change affects.
 
 use cml_image::{Arch, Perms, SectionKind};
-use cml_vm::{x86, Fault, Machine, X86Reg};
+use cml_vm::{x86, Fault, LibcFn, Machine, MachineSnapshot, RunOutcome, X86Reg};
 
 fn x86_machine(code: &[u8], perms: Perms) -> Machine {
     let mut m = Machine::new(Arch::X86);
@@ -135,4 +137,82 @@ fn arm_self_modifying_word_is_not_stale() {
         9,
         "patched word must be decoded"
     );
+}
+
+/// One straight-line block at 0x1000 that ends in `jmp eax` to an
+/// `exit` hook at 0x1100, with `exit(9)`'s frame on the stack, and the
+/// snapshot of that state. `extra_hook` is registered afterwards and
+/// captured in a second snapshot.
+fn hook_machine(extra_hook: u32) -> (Machine, MachineSnapshot, MachineSnapshot) {
+    let code = x86::Asm::new()
+        .mov_r_imm(X86Reg::Eax, 1) // 0x1000
+        .mov_r_imm(X86Reg::Ebx, 2) // 0x1005
+        .mov_r_imm(X86Reg::Eax, 0x1100) // 0x100A
+        .jmp_r(X86Reg::Eax) // 0x100F
+        .finish();
+    let mut m = x86_machine(&code, Perms::RX);
+    m.mem_mut().poke(0x8800, &[0, 0, 0, 0, 9, 0, 0, 0]).unwrap();
+    m.register_hook(0x1100, LibcFn::Exit);
+    let plain = m.snapshot();
+    m.register_hook(extra_hook, LibcFn::Exit);
+    let hooked = m.snapshot();
+    (m, plain, hooked)
+}
+
+#[test]
+fn restoring_a_hook_inside_a_cached_block_enters_it() {
+    let (mut m, plain, hooked) = hook_machine(0x1005);
+    m.restore(&plain);
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    assert_eq!(m.regs().x86().get(X86Reg::Ebx), 2, "the block ran through");
+
+    // The snapshot's hook set adds 0x1005, inside the lowered block.
+    m.restore(&hooked);
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    assert_eq!(
+        m.regs().x86().get(X86Reg::Ebx),
+        0,
+        "the run must stop at the new hook before `mov ebx, 2`"
+    );
+}
+
+#[test]
+fn a_hook_change_outside_a_cached_block_keeps_it() {
+    // Same page as the block, well past the bytes it was built from.
+    let (mut m, plain, hooked) = hook_machine(0x1080);
+    m.restore(&plain);
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    let (hits, misses) = m.decode_cache_stats();
+
+    m.restore(&hooked);
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    assert_eq!(m.regs().x86().get(X86Reg::Ebx), 2);
+    let (hits_after, misses_after) = m.decode_cache_stats();
+    assert!(hits_after > hits, "the lowered block served the run");
+    assert_eq!(misses_after, misses, "nothing was decoded again");
+}
+
+#[test]
+fn dropping_a_hook_just_past_a_cached_block_regrows_it() {
+    // Under the hooked snapshot the block at 0x1000 stops before the
+    // hook at 0x1005. Once a restore removes that hook the block must
+    // be rebuilt to run on, as on a machine that never saw the hook:
+    // coverage notes one edge per block entry, so a stale short block
+    // would log an extra one.
+    let run_plain = |m: &mut Machine, plain: &MachineSnapshot| {
+        m.restore(plain);
+        m.coverage_reset();
+        assert_eq!(m.run(100), RunOutcome::Exited(9));
+        m.coverage().expect("coverage is on").bytes().to_vec()
+    };
+    let (mut fresh, plain, _) = hook_machine(0x1005);
+    fresh.set_coverage_enabled(true);
+    let want = run_plain(&mut fresh, &plain);
+
+    let (mut m, plain, hooked) = hook_machine(0x1005);
+    m.set_coverage_enabled(true);
+    m.restore(&hooked);
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    assert_eq!(m.regs().x86().get(X86Reg::Ebx), 0, "the hook cut the block");
+    assert_eq!(run_plain(&mut m, &plain), want);
 }

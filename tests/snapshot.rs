@@ -12,7 +12,7 @@ use connman_lab::dns::forge::ResponseForge;
 use connman_lab::dns::{Message, Name, RecordType};
 use connman_lab::exploit::matrix::LEVELS;
 use connman_lab::exploit::target::deliver_labels;
-use connman_lab::exploit::{matched_strategy, matrix};
+use connman_lab::exploit::{matched_strategy, matrix, shellcode, DosCrash, ExploitStrategy};
 use connman_lab::image::{Addr, SectionKind};
 use connman_lab::vm::{arm, riscv, x86, Fault};
 use connman_lab::{Arch, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
@@ -176,29 +176,7 @@ fn text_written_after_a_fork_never_runs_a_stale_decode() {
             .to_labels()
             .expect("labelizes");
         let fw = lab.firmware();
-        let spin = match arch {
-            Arch::X86 => x86::Asm::new().jmp_rel8(-2).finish(),
-            Arch::Armv7 => arm::Asm::new().b(-8).finish(),
-            Arch::Riscv => riscv::Asm::new().jal(0, 0).finish(),
-        };
-
-        // A `.text` pc the chain executes, read off a traced fresh boot
-        // (tracing single-steps; the forks below dispatch through IR).
-        let gadget = {
-            let mut daemon = fw.boot(protections, SEED);
-            daemon.machine_mut().enable_trace(4096);
-            deliver_labels(&mut daemon, labels.clone());
-            let m = daemon.machine();
-            m.trace()
-                .expect("tracing is on")
-                .entries()
-                .iter()
-                .map(|e| e.pc)
-                .find(|&pc| {
-                    m.mem().region_containing(pc).and_then(|r| r.kind()) == Some(SectionKind::Text)
-                })
-                .expect("the chain runs a .text gadget")
-        };
+        let gadget = first_text_pc(fw, protections, SEED, &labels);
 
         let mut forge = fw.forge(protections, SEED);
         let first = deliver_labels(forge.fork(SEED), labels.clone()).expect("query issued");
@@ -206,7 +184,7 @@ fn text_written_after_a_fork_never_runs_a_stale_decode() {
 
         let daemon = forge.fork(SEED);
         let mem = daemon.machine_mut().mem_mut();
-        mem.poke(gadget, &spin).expect(".text is mapped");
+        mem.poke(gadget, &spin_loop(arch)).expect(".text is mapped");
         let spun = deliver_labels(daemon, labels.clone()).expect("query issued");
         assert!(
             matches!(&spun, ProxyOutcome::Crashed(r) if matches!(r.fault, Fault::StepLimit { .. }))
@@ -221,6 +199,161 @@ fn text_written_after_a_fork_never_runs_a_stale_decode() {
             "{arch}: the fork after the poke ran a stale decode"
         );
     }
+}
+
+/// The reslide path of the same safety net. The forge boots at one seed
+/// and every fork reslides to another, so each restore moves the slid
+/// regions back and swaps the libc hooks, and each reslide moves them
+/// again: the paths that keep the non-PIE gadget decodes warm. After a
+/// session at a fresh seed caches the chain, a fork at a second fresh
+/// seed pokes a branch-to-self over an executed `.text` gadget and must
+/// spin there; a fork at a third fresh seed must rewind the page, drop
+/// the loop and pop the shell exactly as a fresh boot at that seed does.
+#[test]
+fn text_written_after_a_reslid_fork_never_runs_a_stale_decode() {
+    const SEED: u64 = 0x5EA1E;
+    let protections = Protections::full();
+    for arch in Arch::ALL {
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(protections);
+        let target = lab.recon().expect("recon succeeds on vulnerable build");
+        let labels = matched_strategy(arch, &protections)
+            .build(&target)
+            .expect("payload builds")
+            .to_labels()
+            .expect("labelizes");
+        let fw = lab.firmware();
+        let gadget = first_text_pc(fw, protections, SEED + 1, &labels);
+
+        let mut forge = fw.forge(protections, SEED);
+        let warm = deliver_labels(forge.fork(SEED + 1), labels.clone()).expect("query issued");
+        assert!(warm.is_root_shell(), "{arch}: {warm:?}");
+
+        let daemon = forge.fork(SEED + 2);
+        daemon
+            .machine_mut()
+            .mem_mut()
+            .poke(gadget, &spin_loop(arch))
+            .expect(".text is mapped");
+        let spun = deliver_labels(daemon, labels.clone()).expect("query issued");
+        assert!(
+            matches!(&spun, ProxyOutcome::Crashed(r) if matches!(r.fault, Fault::StepLimit { .. }))
+                && daemon.machine().regs().pc() == gadget,
+            "{arch}: the loop poked at {gadget:#x} did not run: {spun:?}"
+        );
+
+        let again = deliver_response_print(forge.fork(SEED + 3), &labels);
+        let fresh = deliver_response_print(&mut fw.boot(protections, SEED + 3), &labels);
+        assert_eq!(
+            again, fresh,
+            "{arch}: the fork after the poke ran a stale decode"
+        );
+        assert!(again.starts_with("Some(Compromised"), "{arch}: {again}");
+    }
+}
+
+/// The injection cells' safety net. Under no protection the payload's
+/// sled and shellcode run from the stack, so every session leaves
+/// decodes on a stack page that the next fork rewinds and the next
+/// payload overwrites. Consecutive forks deliver different stack
+/// payloads: the shellcode, the DoS overflow, the shellcode with its
+/// sled turned into branch-to-self loops, and the shellcode again. Each
+/// fork's outcome and event stream must equal a fresh boot's at the
+/// same seed; a stale sled decode would pop a shell where the fresh
+/// boot spins.
+#[test]
+fn stack_code_rewound_by_a_fork_never_runs_a_stale_decode() {
+    const SEED: u64 = 0x1CED;
+    let protections = Protections::none();
+    for arch in Arch::ALL {
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(protections);
+        let target = lab.recon().expect("recon succeeds on vulnerable build");
+        let build = |strategy: &dyn ExploitStrategy| {
+            strategy
+                .build(&target)
+                .expect("payload builds")
+                .to_labels()
+                .expect("labelizes")
+        };
+        let injection = build(matched_strategy(arch, &protections).as_ref());
+        let dos = build(&DosCrash::new());
+        let spun = spin_the_sled(arch, &injection);
+        let fw = lab.firmware();
+
+        let mut forge = fw.forge(protections, SEED);
+        let sessions = [
+            ("shellcode", &injection, true),
+            ("DoS", &dos, false),
+            ("shellcode", &injection, true),
+            ("spun sled", &spun, false),
+            ("shellcode", &injection, true),
+        ];
+        for (i, (name, labels, pops)) in sessions.into_iter().enumerate() {
+            let seed = SEED + i as u64;
+            let forked = deliver_response_print(forge.fork(seed), labels);
+            let fresh = deliver_response_print(&mut fw.boot(protections, seed), labels);
+            assert_eq!(forked, fresh, "{arch}: session {i} ({name}) after a fork");
+            let popped = forked.starts_with("Some(Compromised");
+            assert_eq!(popped, pops, "{arch} {name}: {forked}");
+        }
+    }
+}
+
+/// The first `.text` pc a chain executes, read off a traced fresh boot
+/// (tracing single-steps; the forks dispatch through IR).
+fn first_text_pc(fw: &Firmware, protections: Protections, seed: u64, labels: &[Vec<u8>]) -> Addr {
+    let mut daemon = fw.boot(protections, seed);
+    daemon.machine_mut().enable_trace(4096);
+    deliver_labels(&mut daemon, labels.to_vec());
+    let m = daemon.machine();
+    m.trace()
+        .expect("tracing is on")
+        .entries()
+        .iter()
+        .map(|e| e.pc)
+        .find(|&pc| m.mem().region_containing(pc).and_then(|r| r.kind()) == Some(SectionKind::Text))
+        .expect("the chain runs a .text gadget")
+}
+
+/// A branch to itself, in the smallest encoding each ISA has.
+fn spin_loop(arch: Arch) -> Vec<u8> {
+    match arch {
+        Arch::X86 => x86::Asm::new().jmp_rel8(-2).finish(),
+        Arch::Armv7 => arm::Asm::new().b(-8).finish(),
+        Arch::Riscv => riscv::Asm::new().c_j(0).finish(),
+    }
+}
+
+/// `labels` with the NOP sled in front of the shellcode rewritten as
+/// back-to-back [`spin_loop`]s, so a return anywhere into the sled
+/// spins.
+fn spin_the_sled(arch: Arch, labels: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let code = match arch {
+        Arch::X86 => shellcode::x86_execve_bin_sh(),
+        Arch::Armv7 => shellcode::arm_execve_bin_sh(),
+        Arch::Riscv => shellcode::riscv_execve_bin_sh(),
+    };
+    let spin = spin_loop(arch);
+    let nops = arch.nop_bytes().repeat(spin.len() / arch.nop_bytes().len());
+    assert_eq!(nops.len(), spin.len(), "{arch}: a loop replaces whole NOPs");
+    let mut out = labels.to_vec();
+    // The sled and the code's first instructions share a label; the
+    // embedded string may spill into the next one.
+    let entry = &code[..8];
+    let (label, mut end) = out
+        .iter_mut()
+        .find_map(|l| {
+            let at = l.windows(entry.len()).position(|w| w == entry)?;
+            Some((l, at))
+        })
+        .expect("a label holds the shellcode's entry");
+    let mut loops = 0;
+    while end >= spin.len() && label[end - spin.len()..end] == nops[..] {
+        label[end - spin.len()..end].copy_from_slice(&spin);
+        end -= spin.len();
+        loops += 1;
+    }
+    assert!(loops >= 4, "{arch}: only {loops} loops replaced the sled");
+    out
 }
 
 /// Resolves `update.example` and answers it with a 1,300-byte overflow.

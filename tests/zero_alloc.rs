@@ -6,7 +6,9 @@
 //! fresh seed (restore + reslide) and at the base seed (pure restore),
 //! a warm `Message::encode_into` with name compression, and a proxy
 //! cache lookup, hit or miss. A warm `Daemon::resolve` miss makes at
-//! most four.
+//! most four. A warm delivery of the banked ROP response makes as few
+//! allocations after a fresh-seed fork as after a base-seed one, since
+//! the chain's decodes survive the reslide.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -15,7 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use connman_lab::dns::{BufPool, Message, Name, Question, RecordType};
-use connman_lab::exploit::{MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides};
+use connman_lab::exploit::{
+    matched_strategy, MaliciousDnsServer, PayloadTemplate, RopMemcpyChain, Slides,
+};
 use connman_lab::firmware::Firmware;
 use connman_lab::{Arch, FirmwareKind, Lab, Protections};
 
@@ -300,5 +304,56 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
                 "{arch}: 64 warm forks at {label} seeds must not touch the heap"
             );
         }
+
+        // Deliver of the banked ROP response: the W⊕X+ASLR chain runs
+        // only non-PIE code, so its decodes and lowered blocks survive a
+        // reslide and a fresh-seed fork's delivery allocates no more than
+        // a base-seed fork's. Neither clones the pending query.
+        let target = Lab::new(FirmwareKind::OpenElec, arch)
+            .with_protections(Protections::full())
+            .recon()
+            .expect("replica recon");
+        let payload = matched_strategy(arch, &Protections::full())
+            .build(&target)
+            .expect("payload builds");
+        let mut rop_server = MaliciousDnsServer::with_labels(
+            payload.to_labels().expect("labelizes"),
+            payload.name(),
+        );
+        let bank = AnswerBank::capture(&mut rop_server, &qbytes).expect("the query is answered");
+        // Returns the allocations one delivery made.
+        let deliver = |daemon: &mut connman_lab::connman::Daemon| {
+            assert!(matches!(
+                daemon.resolve(&name, RecordType::A),
+                Resolution::Query(q) if q == qbytes
+            ));
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let outcome = daemon.deliver_response(bank.response());
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert!(outcome.is_root_shell(), "{arch}: {outcome:?}");
+            allocs
+        };
+        for seed in 0..4u64 {
+            deliver(forge.fork(2_000 + seed));
+            deliver(forge.fork(7));
+        }
+        let fresh: Vec<u64> = (0..16u64)
+            .map(|seed| deliver(forge.fork(0xF1_0000 + seed)))
+            .collect();
+        let base: Vec<u64> = (0..16u64).map(|_| deliver(forge.fork(7))).collect();
+        let (fresh_max, base_min) = (*fresh.iter().max().unwrap(), *base.iter().min().unwrap());
+        assert!(
+            fresh_max <= base_min,
+            "{arch}: a fresh-seed delivery made {fresh_max} allocations, a base-seed one {base_min}"
+        );
+        // Today's counts, so any new allocation on the path fails here.
+        let bound = match arch {
+            Arch::X86 | Arch::Riscv => 7,
+            Arch::Armv7 => 12,
+        };
+        assert!(
+            base.iter().all(|&a| a <= bound),
+            "{arch}: a warm delivery made {base:?} allocations, over {bound}"
+        );
     }
 }
