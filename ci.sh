@@ -7,9 +7,13 @@ export CARGO_NET_OFFLINE=true
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+# perfbench is its own workspace (see perfbench/), so it is linted by
+# its manifest.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline

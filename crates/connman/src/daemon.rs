@@ -457,7 +457,7 @@ impl Daemon {
 
         // 4. parse_rr's pointer checks (the ARM NULL-slot quirk).
         if let Err(fault) = frame.run_parse_rr_checks(&self.machine, self.parse_pc) {
-            return self.crash_with_context(fault);
+            return self.crash(fault);
         }
 
         // 5. Canary verification (when compiled in).
@@ -498,7 +498,7 @@ impl Daemon {
                 self.state = DaemonState::Exited(code);
                 ProxyOutcome::HijackedExit { code }
             }
-            RunOutcome::Fault(fault) => self.crash_with_context(fault),
+            RunOutcome::Fault(fault) => self.crash(fault),
         }
     }
 
@@ -599,10 +599,6 @@ impl Daemon {
     fn crash(&mut self, fault: Fault) -> ProxyOutcome {
         self.state = DaemonState::Crashed(fault.clone());
         ProxyOutcome::Crashed(Box::new(FaultReport::capture(&self.machine, fault)))
-    }
-
-    fn crash_with_context(&mut self, fault: Fault) -> ProxyOutcome {
-        self.crash(fault)
     }
 }
 

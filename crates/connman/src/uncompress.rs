@@ -17,6 +17,8 @@
 //! the simulated MMU, so the overflow lands in real (simulated) stack
 //! memory.
 
+use std::ops::Range;
+
 use cml_vm::{Addr, Fault, Machine};
 
 use crate::{cov, ConnmanVersion, NAME_BUFFER_SIZE};
@@ -106,19 +108,42 @@ pub fn get_name_into(
     let mut name_len = 0usize;
     let mut hops = 0usize;
     let mut resume: Option<usize> = None;
+    // The wire already stores each `label_len` immediately followed by
+    // the label bytes, and a run of labels with no pointer between them
+    // ends in the root byte: exactly the layout the buffer wants. So the
+    // C loop's per-label
+    //
+    //   name[(*name_len)++] = label_len;
+    //   memcpy(name + *name_len, p + 1, label_len); *name_len += label_len;
+    //
+    // collapses into one copy per contiguous run, straight from the
+    // packet. `run` is the run's first packet offset; it lands in the
+    // buffer at `run_name`. The run is flushed before any other event
+    // (a pointer hop, a malformed byte, the 1.35 bounds check firing,
+    // the end of the name), so coverage notes keep their order.
+    let mut run = pos;
+    let mut run_name = 0usize;
     loop {
-        let len = match packet.get(pos) {
-            Some(&b) => b as usize,
-            None => {
+        let Some(&byte) = packet.get(pos) else {
+            flush_run(machine, packet, run..pos, buf_addr, run_name, pc)?;
+            machine.cov_note(cov::NAME_MALFORMED);
+            return Err(UncompressError::Malformed);
+        };
+        let len = byte as usize;
+        if len == 0 {
+            // Trailing root byte: the run's last.
+            pos += 1;
+            name_len += 1;
+            flush_run(machine, packet, run..pos, buf_addr, run_name, pc)?;
+            break;
+        }
+        if len & 0xC0 != 0 {
+            // A pointer or a reserved-bit byte ends the run.
+            flush_run(machine, packet, run..pos, buf_addr, run_name, pc)?;
+            if len & 0xC0 != 0xC0 {
                 machine.cov_note(cov::NAME_MALFORMED);
                 return Err(UncompressError::Malformed);
             }
-        };
-        if len == 0 {
-            pos += 1;
-            break;
-        }
-        if len & 0xC0 == 0xC0 {
             let lo = match packet.get(pos + 1) {
                 Some(&b) => b as usize,
                 None => {
@@ -137,66 +162,82 @@ pub fn get_name_into(
                 resume = Some(pos + 2);
             }
             pos = target;
+            run = pos;
+            run_name = name_len;
             continue;
         }
-        if len & 0xC0 != 0 {
+        if pos + 1 + len > packet.len() {
+            flush_run(machine, packet, run..pos, buf_addr, run_name, pc)?;
             machine.cov_note(cov::NAME_MALFORMED);
             return Err(UncompressError::Malformed);
         }
-        // The wire already stores `label_len` immediately followed by the
-        // label bytes, which is exactly the layout the buffer wants, so
-        // both C statements
-        //
-        //   name[(*name_len)++] = label_len;
-        //   memcpy(name + *name_len, p + 1, label_len); *name_len += label_len;
-        //
-        // collapse into one copy straight from the packet. `write_bytes`
-        // stops at the first inaccessible byte with everything before it
-        // written, so overflow and fault behaviour stay byte-identical to
-        // the split writes.
-        let Some(chunk) = packet.get(pos..pos + 1 + len) else {
-            machine.cov_note(cov::NAME_MALFORMED);
-            return Err(UncompressError::Malformed);
-        };
         if !version.is_vulnerable() {
             // The 1.35 fix: refuse labels that would overflow the buffer
             // (length byte + label + eventual terminator).
             if name_len + len + 2 > buf_cap {
+                flush_run(machine, packet, run..pos, buf_addr, run_name, pc)?;
                 machine.cov_note(cov::NAME_FULL | cov::bucket(name_len + len + 2));
                 return Err(UncompressError::BufferFull {
                     needed: name_len + len + 2,
                 });
             }
         }
-        if let Err(f) =
-            machine
-                .mem_mut()
-                .write_bytes(buf_addr.wrapping_add(name_len as u32), chunk, pc)
-        {
-            machine.cov_note(cov::NAME_FAULT);
-            return Err(UncompressError::MachineFault(f));
-        }
         name_len += 1 + len;
         pos += 1 + len;
-        // Bucketed growth of the name buffer — the gradient that walks
-        // the fuzzer's corpus toward (and past) the 1024-byte boundary.
-        machine.cov_note(cov::LABEL | cov::bucket(name_len));
     }
-    // Trailing root byte.
-    if let Err(f) = machine
-        .mem_mut()
-        .write_u8(buf_addr.wrapping_add(name_len as u32), 0, pc)
-    {
-        machine.cov_note(cov::NAME_FAULT);
-        return Err(UncompressError::MachineFault(f));
-    }
-    name_len += 1;
     machine.cov_note(cov::NAME_OK | cov::bucket(name_len));
     Ok(Uncompressed {
         name_len,
         next_offset: resume.unwrap_or(pos),
     })
 }
+
+/// Writes one run of contiguous wire labels, `packet[run]`, into the
+/// buffer at offset `name_base` with a single `write_bytes`, then notes
+/// each label (bucketed growth of the name buffer: the gradient that
+/// walks the fuzzer's corpus toward and past the 1024-byte boundary).
+///
+/// `write_bytes` stops at the first inaccessible byte with everything
+/// before it written, so a fault leaves the same prefix as per-label
+/// writes would; only the labels written whole before it are noted.
+fn flush_run(
+    machine: &mut Machine,
+    packet: &[u8],
+    run: Range<usize>,
+    buf_addr: Addr,
+    name_base: usize,
+    pc: Addr,
+) -> Result<(), UncompressError> {
+    if run.is_empty() {
+        return Ok(());
+    }
+    let bytes = &packet[run];
+    let at = buf_addr.wrapping_add(name_base as u32);
+    let res = machine.mem_mut().write_bytes(at, bytes, pc);
+    let written = match &res {
+        Ok(()) => bytes.len(),
+        Err(Fault::UnmappedWrite { addr, .. } | Fault::ProtectedWrite { addr, .. }) => {
+            addr.wrapping_sub(at) as usize
+        }
+        Err(_) => 0,
+    };
+    let mut end = 0;
+    // A zero length byte is the root, which ends the run.
+    while let Some(&len) = bytes.get(end).filter(|&&len| len != 0) {
+        end += 1 + len as usize;
+        if end > written {
+            break;
+        }
+        machine.cov_note(cov::LABEL | cov::bucket(name_base + end));
+    }
+    res.map_err(|f| {
+        machine.cov_note(cov::NAME_FAULT);
+        UncompressError::MachineFault(f)
+    })
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

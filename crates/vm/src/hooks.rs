@@ -178,10 +178,10 @@ pub(crate) fn invoke(m: &mut Machine, f: LibcFn, pc: Addr) -> Result<Option<RunO
         LibcFn::System => {
             let cmd = m.mem.read_cstr(args[0], 256, pc)?;
             if !cmd.is_empty() && cmd.iter().all(|b| b.is_ascii_graphic() || *b == b' ') {
-                let program = format!("sh -c {}", String::from_utf8_lossy(&cmd));
+                let cmd = crate::machine::guest_text(cmd);
                 let spawn = crate::machine::ShellSpawn {
-                    program,
-                    argv: vec![String::from_utf8_lossy(&cmd).into_owned()],
+                    program: format!("sh -c {cmd}"),
+                    argv: vec![cmd],
                     via: "system",
                     uid: 0,
                 };

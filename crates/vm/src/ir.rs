@@ -599,7 +599,7 @@ fn exec_ir(
                         let res = if byte {
                             m.mem.read_u8(a, pcs[i]).map(u32::from)
                         } else {
-                            m.mem.read_u32_ir(a, pcs[i])
+                            m.mem.read_u32(a, pcs[i])
                         };
                         match res {
                             Ok(v) => m.regs.set_gp(rd, v),
@@ -627,7 +627,7 @@ fn exec_ir(
                         let res = if byte {
                             m.mem.write_u8(a, v as u8, pcs[i])
                         } else {
-                            m.mem.write_u32_ir(a, v, pcs[i])
+                            m.mem.write_u32(a, v, pcs[i])
                         };
                         match res {
                             Ok(()) => {
@@ -656,7 +656,7 @@ fn exec_ir(
                         } else {
                             // Slow path replicates `push_u32`: the fault pc
                             // is the already-advanced next pc.
-                            match m.mem.write_u32_ir(sp, v, ends[i]) {
+                            match m.mem.write_u32(sp, v, ends[i]) {
                                 Ok(()) => {
                                     m.regs.set_sp(sp);
                                     if m.mem.dcache_generation() != gen {
@@ -680,7 +680,7 @@ fn exec_ir(
                         if fast && stack_ok && m.mem.stack_write_u32(sp, imm) {
                             m.regs.set_sp(sp);
                         } else {
-                            match m.mem.write_u32_ir(sp, imm, ends[i]) {
+                            match m.mem.write_u32(sp, imm, ends[i]) {
                                 Ok(()) => {
                                     m.regs.set_sp(sp);
                                     if m.mem.dcache_generation() != gen {
@@ -704,7 +704,7 @@ fn exec_ir(
                         let v = if fast && stack_ok {
                             match m.mem.stack_read_u32(sp) {
                                 Some(v) => v,
-                                None => match m.mem.read_u32_ir(sp, ends[i]) {
+                                None => match m.mem.read_u32(sp, ends[i]) {
                                     Ok(v) => v,
                                     Err(f) => {
                                         m.regs.set_pc(ends[i]);
@@ -713,7 +713,7 @@ fn exec_ir(
                                 },
                             }
                         } else {
-                            match m.mem.read_u32_ir(sp, ends[i]) {
+                            match m.mem.read_u32(sp, ends[i]) {
                                 Ok(v) => v,
                                 Err(f) => {
                                     m.regs.set_pc(ends[i]);

@@ -597,14 +597,12 @@ impl Machine {
                     if p == 0 {
                         break;
                     }
-                    argv.push(
-                        String::from_utf8_lossy(&self.mem.read_cstr(p, 256, pc)?).into_owned(),
-                    );
+                    argv.push(guest_text(self.mem.read_cstr(p, 256, pc)?));
                 }
             }
         }
         let spawn = ShellSpawn {
-            program: String::from_utf8_lossy(&path).into_owned(),
+            program: guest_text(path),
             argv,
             via,
             uid: 0,
@@ -612,6 +610,12 @@ impl Machine {
         self.events.push(Event::ShellSpawned(spawn.clone()));
         Ok(Some(RunOutcome::ShellSpawned(spawn)))
     }
+}
+
+/// A guest C string as host text: lossy like `String::from_utf8_lossy`,
+/// but valid UTF-8 keeps the bytes' allocation instead of copying it.
+pub(crate) fn guest_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Drops the lowered IR blocks a change of hook set from `old` to `new`

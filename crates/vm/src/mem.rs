@@ -264,25 +264,24 @@ impl Memory {
 
     /// The region containing `addr`, if any.
     pub fn region_containing(&self, addr: Addr) -> Option<&Region> {
-        let cached = self.last_region.get();
-        if let Some(r) = self.regions.get(cached) {
-            if r.contains(addr) {
-                return Some(r);
-            }
-        }
-        let i = self.regions.iter().position(|r| r.contains(addr))?;
-        self.last_region.set(i);
-        Some(&self.regions[i])
+        self.region_index(addr).map(|i| &self.regions[i])
     }
 
     fn region_mut(&mut self, addr: Addr) -> Option<&mut Region> {
+        self.region_index(addr).map(|i| &mut self.regions[i])
+    }
+
+    /// The one region probe every accessor pays: the memoised last hit,
+    /// else a scan that re-seats the memo.
+    #[inline]
+    fn region_index(&self, addr: Addr) -> Option<usize> {
         let cached = self.last_region.get();
         if self.regions.get(cached).is_some_and(|r| r.contains(addr)) {
-            return self.regions.get_mut(cached);
+            return Some(cached);
         }
         let i = self.regions.iter().position(|r| r.contains(addr))?;
         self.last_region.set(i);
-        self.regions.get_mut(i)
+        Some(i)
     }
 
     /// Changes the permissions of the region containing `addr`
@@ -326,12 +325,35 @@ impl Memory {
         Ok(r.data[(addr - r.base) as usize])
     }
 
-    /// Reads a little-endian 32-bit word.
+    /// Reads a little-endian 32-bit word with one region probe. Any
+    /// anomaly — an armed redzone, a region straddle, a missing R bit,
+    /// nothing mapped — takes the byte loop instead, so faults and
+    /// sanitizer records are exactly those of four [`read_u8`]s.
+    ///
+    /// [`read_u8`]: Memory::read_u8
     ///
     /// # Errors
     ///
-    /// Returns a read fault if any of the four bytes is inaccessible.
+    /// Returns a read fault at the first inaccessible byte.
+    #[inline]
     pub fn read_u32(&self, addr: Addr, pc: Addr) -> Result<u32, Fault> {
+        if self.redzone.is_none() {
+            if let Some(r) = self.region_containing(addr) {
+                let off = (addr - r.base) as usize;
+                if r.perms.readable() {
+                    if let Some(b) = r.data.get(off..off + 4) {
+                        return Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+                    }
+                }
+            }
+        }
+        self.read_u32_bytes(addr, pc)
+    }
+
+    /// The byte-at-a-time word load behind [`read_u32`](Memory::read_u32)'s
+    /// anomalies.
+    #[cold]
+    fn read_u32_bytes(&self, addr: Addr, pc: Addr) -> Result<u32, Fault> {
         let mut v = 0u32;
         for i in 0..4 {
             let a = addr.wrapping_add(i);
@@ -424,7 +446,10 @@ impl Memory {
         Ok(&r.data[off..off + len])
     }
 
-    /// Reads a NUL-terminated C string of at most `max` bytes.
+    /// Reads a NUL-terminated C string of at most `max` bytes, scanning
+    /// each region's bytes for the NUL with one probe per region
+    /// crossed. An armed redzone takes the byte loop, so every poisoned
+    /// byte is diverted (reads as the terminating `0`) and recorded.
     ///
     /// # Errors
     ///
@@ -433,12 +458,38 @@ impl Memory {
     /// prefix is returned).
     pub fn read_cstr(&self, addr: Addr, max: usize, pc: Addr) -> Result<Vec<u8>, Fault> {
         let mut out = Vec::new();
-        for i in 0..max {
-            let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
-            if b == 0 {
-                break;
+        if self.redzone.is_some() {
+            for i in 0..max {
+                let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
+                if b == 0 {
+                    break;
+                }
+                out.push(b);
             }
-            out.push(b);
+            return Ok(out);
+        }
+        while out.len() < max {
+            let a = addr.wrapping_add(out.len() as u32);
+            let r = self
+                .region_containing(a)
+                .ok_or(Fault::UnmappedRead { addr: a, pc })?;
+            if !r.perms.readable() {
+                return Err(Fault::ProtectedRead {
+                    addr: a,
+                    perms: r.perms,
+                    pc,
+                });
+            }
+            let off = (a - r.base) as usize;
+            let take = (r.data.len() - off).min(max - out.len());
+            let window = &r.data[off..off + take];
+            match window.iter().position(|&b| b == 0) {
+                Some(nul) => {
+                    out.extend_from_slice(&window[..nul]);
+                    break;
+                }
+                None => out.extend_from_slice(window),
+            }
         }
         Ok(out)
     }
@@ -468,12 +519,40 @@ impl Memory {
         Ok(())
     }
 
-    /// Writes a little-endian 32-bit word.
+    /// Writes a little-endian 32-bit word with one region probe. Any
+    /// anomaly — an armed redzone, a region straddle, a missing W bit,
+    /// nothing mapped — takes the byte loop instead, which notes each
+    /// byte to the decode cache before its own permission check: the
+    /// committed prefix, the fault, the dropped decodes and the sanitizer
+    /// record are exactly those of four [`write_u8`]s.
+    ///
+    /// [`write_u8`]: Memory::write_u8
     ///
     /// # Errors
     ///
-    /// Returns a write fault if any of the four bytes is inaccessible.
+    /// Returns a write fault at the first inaccessible byte; bytes before
+    /// it will already have been written.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, v: u32, pc: Addr) -> Result<(), Fault> {
+        if self.redzone.is_none() {
+            if let Some(i) = self.region_index(addr) {
+                let r = &mut self.regions[i];
+                let off = (addr - r.base) as usize;
+                if r.perms.writable() && off + 4 <= r.data.len() {
+                    self.dcache.note_write_range(addr, 4);
+                    r.mark_dirty_range(addr, 4);
+                    r.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
+                    return Ok(());
+                }
+            }
+        }
+        self.write_u32_bytes(addr, v, pc)
+    }
+
+    /// The byte-at-a-time word store behind
+    /// [`write_u32`](Memory::write_u32)'s anomalies.
+    #[cold]
+    fn write_u32_bytes(&mut self, addr: Addr, v: u32, pc: Addr) -> Result<(), Fault> {
         for (i, b) in v.to_le_bytes().iter().enumerate() {
             self.write_u8(addr.wrapping_add(i as u32), *b, pc)?;
         }
@@ -858,57 +937,6 @@ impl Memory {
         self.dcache.ir_enabled()
     }
 
-    // ---- word-at-a-time fast paths for the IR dispatcher ----
-    //
-    // Each falls back to the canonical byte path on any anomaly —
-    // redzone armed, region straddle, permission violation, unmapped —
-    // so the observable faults and sanitizer records stay
-    // byte-identical with per-instruction execution.
-
-    /// Word load with a single region probe; exact same result as
-    /// [`read_u32`](Memory::read_u32).
-    #[inline]
-    pub(crate) fn read_u32_ir(&self, addr: Addr, pc: Addr) -> Result<u32, Fault> {
-        if self.redzone.is_none() {
-            if let Some(r) = self.region_containing(addr) {
-                if r.perms.readable() {
-                    let off = (addr.wrapping_sub(r.base)) as usize;
-                    if let Some(b) = r.data.get(off..off + 4) {
-                        return Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                    }
-                }
-            }
-        }
-        self.read_u32(addr, pc)
-    }
-
-    /// Word store with a single region probe. The decode-cache write
-    /// note precedes the permission check, matching the byte path's
-    /// ordering (a store that faults still invalidates).
-    #[inline]
-    pub(crate) fn write_u32_ir(&mut self, addr: Addr, v: u32, pc: Addr) -> Result<(), Fault> {
-        if self.redzone.is_none() {
-            self.dcache.note_write_range(addr, 4);
-            let done = match self.region_mut(addr) {
-                Some(r) if r.perms.writable() => {
-                    let off = (addr.wrapping_sub(r.base)) as usize;
-                    if off + 4 <= r.data.len() {
-                        r.mark_dirty_range(addr, 4);
-                        r.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                        true
-                    } else {
-                        false
-                    }
-                }
-                _ => false,
-            };
-            if done {
-                return Ok(());
-            }
-        }
-        self.write_u32(addr, v, pc)
-    }
-
     /// Block-entry licence for the IR's fast stack ops: `true` when the
     /// whole `len`-byte window at `addr` sits inside one readable,
     /// writable, **non-executable** region with no redzone armed. The
@@ -1156,5 +1184,211 @@ mod tests {
         let mut m = mem();
         m.poke(0x1000, &[0xC3]).unwrap();
         assert_eq!(m.read_u8(0x1000, 0).unwrap(), 0xC3);
+    }
+
+    // ---- the one-probe word path against four byte accesses ----
+
+    fn bytewise_write_u32(m: &mut Memory, addr: Addr, v: u32, pc: Addr) -> Result<(), Fault> {
+        for (i, b) in v.to_le_bytes().into_iter().enumerate() {
+            m.write_u8(addr.wrapping_add(i as u32), b, pc)?;
+        }
+        Ok(())
+    }
+
+    fn bytewise_read_u32(m: &Memory, addr: Addr, pc: Addr) -> Result<u32, Fault> {
+        let mut b = [0u8; 4];
+        for (i, slot) in b.iter_mut().enumerate() {
+            *slot = m.read_u8(addr.wrapping_add(i as u32), pc)?;
+        }
+        Ok(u32::from_le_bytes(b))
+    }
+
+    /// Asserts two memories hold the same bytes, dirty pages,
+    /// permissions and decode-cache generation, and disarm to the same
+    /// sanitizer record.
+    fn assert_same(mut word: Memory, mut bytes: Memory) {
+        assert_eq!(word.regions.len(), bytes.regions.len());
+        for (w, b) in word.regions.iter().zip(&bytes.regions) {
+            assert_eq!((w.base, w.perms), (b.base, b.perms), "{}", w.name);
+            assert_eq!(w.data, b.data, "{} contents", w.name);
+            assert_eq!(w.dirty, b.dirty, "{} dirty pages", w.name);
+        }
+        assert_eq!(word.dcache_generation(), bytes.dcache_generation());
+        assert_eq!(word.disarm_redzone(), bytes.disarm_redzone());
+    }
+
+    /// Runs one word store and one word load each way on clones of `m`.
+    fn check_word(m: &Memory, addr: Addr, v: u32) -> (Result<(), Fault>, Result<u32, Fault>) {
+        let (mut word, mut bytes) = (m.clone(), m.clone());
+        let stored = word.write_u32(addr, v, 0x42);
+        assert_eq!(stored, bytewise_write_u32(&mut bytes, addr, v, 0x42));
+        let loaded = word.read_u32(addr, 0x43);
+        assert_eq!(loaded, bytewise_read_u32(&bytes, addr, 0x43));
+        assert_same(word, bytes);
+        (stored, loaded)
+    }
+
+    #[test]
+    fn word_store_straddling_into_unmapped_writes_the_prefix() {
+        let mut m = mem();
+        m.snapshot();
+        let (stored, loaded) = check_word(&m, 0x80FE, 0xDDCC_BBAA);
+        assert_eq!(
+            stored,
+            Err(Fault::UnmappedWrite {
+                addr: 0x8100,
+                pc: 0x42
+            })
+        );
+        assert_eq!(
+            loaded,
+            Err(Fault::UnmappedRead {
+                addr: 0x8100,
+                pc: 0x43
+            })
+        );
+        let mut word = m.clone();
+        let _ = word.write_u32(0x80FE, 0xDDCC_BBAA, 0x42);
+        assert_eq!(word.read_bytes(0x80FE, 2, 0).unwrap(), [0xAA, 0xBB]);
+    }
+
+    #[test]
+    fn word_store_straddling_into_read_only_writes_the_prefix() {
+        let mut m = mem();
+        m.map("ro", None, 0x8100, 0x100, Perms::READ);
+        let (stored, loaded) = check_word(&m, 0x80FD, 0x1122_3344);
+        assert!(matches!(
+            stored,
+            Err(Fault::ProtectedWrite { addr: 0x8100, .. })
+        ));
+        assert_eq!(loaded, Ok(0x0022_3344), "the read-only byte reads back 0");
+    }
+
+    #[test]
+    fn word_store_to_read_only_writes_nothing() {
+        let m = mem();
+        let (stored, loaded) = check_word(&m, 0x1010, 0xFFFF_FFFF);
+        assert!(matches!(
+            stored,
+            Err(Fault::ProtectedWrite {
+                addr: 0x1010,
+                pc: 0x42,
+                ..
+            })
+        ));
+        assert_eq!(loaded, Ok(0));
+    }
+
+    #[test]
+    fn word_access_past_everything_faults_at_its_first_byte() {
+        let m = mem();
+        let (stored, loaded) = check_word(&m, 0x4000, 1);
+        assert_eq!(
+            stored,
+            Err(Fault::UnmappedWrite {
+                addr: 0x4000,
+                pc: 0x42
+            })
+        );
+        assert!(matches!(
+            loaded,
+            Err(Fault::UnmappedRead { addr: 0x4000, .. })
+        ));
+    }
+
+    #[test]
+    fn armed_redzone_records_every_poisoned_byte_of_a_word() {
+        let mut m = mem();
+        m.write_bytes(0x8000, &[0x5A; 16], 0).unwrap();
+        m.arm_redzone(0x8000, 8, 0x8100);
+        // Bytes 0x8006..0x8008 commit; 0x8008 and 0x8009 are diverted.
+        let (stored, loaded) = check_word(&m, 0x8006, 0x0403_0201);
+        assert_eq!((stored, loaded), (Ok(()), Ok(0x0000_0201)));
+        let mut word = m.clone();
+        word.write_u32(0x8006, 0x0403_0201, 0x42).unwrap();
+        let hit = word.disarm_redzone().unwrap();
+        assert_eq!((hit.first, hit.last, hit.pc), (0x8008, 0x8009, 0x42));
+        assert_eq!(hit.access, RedzoneAccess::Store);
+        assert_eq!(word.read_bytes(0x8006, 4, 0).unwrap(), [1, 2, 0x5A, 0x5A]);
+    }
+
+    #[test]
+    fn word_store_to_cached_code_drops_decodes_and_restore_rewinds() {
+        let mut m = Memory::new();
+        m.map("code", Some(SectionKind::Stack), 0x8000, 0x2000, Perms::RWX);
+        let snap = m.snapshot();
+        let nop = CachedInsn::X86(crate::x86::Insn::Nop, 1);
+        // One decode on the stored-to page, one on the next page.
+        m.dcache_insert(0x8010, nop, 1);
+        m.dcache_insert(0x9010, nop, 1);
+        let generation = m.dcache_generation();
+        let (stored, _) = check_word(&m, 0x8010, 0xCCCC_CCCC);
+        assert_eq!(stored, Ok(()));
+
+        m.write_u32(0x8010, 0xCCCC_CCCC, 0).unwrap();
+        assert_eq!(m.dcache_generation(), generation + 1);
+        assert!(m.dcache_get(0x8010).is_none(), "stale decode dropped");
+        assert!(m.dcache_get(0x9010).is_some(), "other page stays warm");
+
+        m.restore(&snap);
+        assert_eq!(m.read_u32(0x8010, 0).unwrap(), 0, "store rewound");
+        let rewound = m.regions[0].dirty.as_ref().unwrap();
+        assert!(rewound.iter().all(|&w| w == 0), "dirty tracking re-armed");
+    }
+
+    #[test]
+    fn word_path_matches_bytes_at_every_offset_near_region_edges() {
+        let mut m = mem();
+        m.map("ro", None, 0x8100, 0x10, Perms::READ);
+        m.snapshot();
+        for addr in (0x0FFC..0x1008).chain(0x80F8..0x8114) {
+            let _ = check_word(&m, addr, 0xA1B2_C3D4);
+        }
+    }
+
+    fn bytewise_read_cstr(m: &Memory, addr: Addr, max: usize) -> Result<Vec<u8>, Fault> {
+        let mut out = Vec::new();
+        for i in 0..max {
+            match m.read_u8(addr.wrapping_add(i as u32), 0x9)? {
+                0 => break,
+                b => out.push(b),
+            }
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn cstr_scan_matches_byte_reads_across_regions() {
+        let mut m = mem();
+        m.map("next", None, 0x8100, 0x10, Perms::RW);
+        m.map("locked", None, 0x8110, 0x10, Perms::NONE);
+        m.write_bytes(0x80F0, &[b'a'; 0x20], 0).unwrap();
+        m.write_u8(0x8108, 0, 0).unwrap();
+        for (addr, max) in [
+            (0x80F0, 64),
+            (0x80F0, 5),
+            (0x80F0, 16),
+            (0x8109, 64),
+            (0x10F0, 64),
+        ] {
+            assert_eq!(
+                m.read_cstr(addr, max, 0x9),
+                bytewise_read_cstr(&m, addr, max),
+                "{addr:#x}/{max}"
+            );
+        }
+        assert_eq!(m.read_cstr(0x80F0, 64, 0).unwrap(), [b'a'; 0x18]);
+        assert!(matches!(
+            m.read_cstr(0x8109, 64, 0),
+            Err(Fault::ProtectedRead { addr: 0x8110, .. })
+        ));
+        // Armed: poisoned bytes read as the terminator and are recorded.
+        m.arm_redzone(0x80F0, 4, 0x8100);
+        assert_eq!(m.read_cstr(0x80F0, 64, 0x9).unwrap(), b"aaaa");
+        let hit = m.disarm_redzone().unwrap();
+        assert_eq!(
+            (hit.first, hit.last, hit.access),
+            (0x80F4, 0x80F4, RedzoneAccess::Load)
+        );
     }
 }

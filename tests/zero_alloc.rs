@@ -348,8 +348,8 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         );
         // Today's counts, so any new allocation on the path fails here.
         let bound = match arch {
-            Arch::X86 | Arch::Riscv => 7,
-            Arch::Armv7 => 12,
+            Arch::X86 | Arch::Riscv => 6,
+            Arch::Armv7 => 11,
         };
         assert!(
             base.iter().all(|&a| a <= bound),
