@@ -72,6 +72,15 @@ fleet_smoke() {
 diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
 
+echo "==> cml experiments --jobs 1 vs --jobs 4"
+# Determinism contract across all of E1-E10: the serial and parallel
+# tables must match byte for byte (they carry no wall-clock fields).
+experiments() {
+  cargo run --release --offline -q -p connman-lab --bin cml -- experiments --jobs "$1"
+}
+cmp <(experiments 1) <(experiments 4) || {
+  echo "experiments: serial vs parallel tables differ"; exit 1; }
+
 echo "==> repro --bench-smoke"
 # Tiny-iteration run of the BENCH record checked against the newest
 # committed BENCH_*.json. The guards (json path, floor/ceiling/equals,

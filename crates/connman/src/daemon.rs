@@ -7,7 +7,6 @@
 //! the bytes. That call is where every outcome of the paper happens:
 //! rejection, normal caching, crash (DoS), or control-flow hijack (RCE).
 
-use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::net::IpAddr;
@@ -69,7 +68,6 @@ pub enum DaemonState {
 #[derive(Debug, Clone)]
 pub struct PendingQuery {
     message: Message,
-    issued_at: u64,
 }
 
 impl PendingQuery {
@@ -81,11 +79,6 @@ impl PendingQuery {
     /// Transaction id the response must echo.
     pub fn id(&self) -> u16 {
         self.message.id()
-    }
-
-    /// Monotone issue counter (for oldest-first eviction).
-    pub fn issued_at(&self) -> u64 {
-        self.issued_at
     }
 }
 
@@ -116,9 +109,7 @@ pub struct DaemonSnapshot {
     resume_pc: Addr,
     boot_sp: Addr,
     next_id: u16,
-    pending: HashMap<u16, PendingQuery>,
-    pending_order: VecDeque<(u16, u64)>,
-    issued: u64,
+    pending: Vec<PendingQuery>,
     clock: u64,
     state: DaemonState,
     sanitize: bool,
@@ -137,13 +128,10 @@ pub struct Daemon {
     resume_pc: Addr,
     boot_sp: Addr,
     next_id: u16,
-    pending: HashMap<u16, PendingQuery>,
-    /// Issue order of pending queries, for O(1) amortized oldest-first
-    /// eviction. Entries whose query was since answered go stale here
-    /// and are skipped (lazy deletion); the `issued_at` tag disambiguates
-    /// a reused transaction id from the stale record of its predecessor.
-    pending_order: VecDeque<(u16, u64)>,
-    issued: u64,
+    /// Outstanding queries in issue order, at most [`MAX_PENDING`]: a
+    /// lookup scans at most that many ids, and eviction drops index 0,
+    /// the oldest.
+    pending: Vec<PendingQuery>,
     clock: u64,
     state: DaemonState,
     /// When set, a shadow-memory redzone guards the name buffer during
@@ -201,9 +189,7 @@ impl Daemon {
             resume_pc,
             boot_sp,
             next_id: 0x1000,
-            pending: HashMap::new(),
-            pending_order: VecDeque::new(),
-            issued: 0,
+            pending: Vec::new(),
             clock: 0,
             state: DaemonState::Running,
             sanitize: false,
@@ -295,7 +281,7 @@ impl Daemon {
 
     /// The outstanding query with the given transaction id.
     pub fn pending_for(&self, id: u16) -> Option<&PendingQuery> {
-        self.pending.get(&id)
+        self.pending.iter().find(|p| p.id() == id)
     }
 
     /// Advances the daemon's clock (TTL bookkeeping).
@@ -321,28 +307,9 @@ impl Daemon {
         let bytes = query.encode().expect("queries are small and well-formed");
         if self.pending.len() >= MAX_PENDING {
             // Evict the oldest request, as the real bounded list does.
-            // Pop issue-order records until one still names a live query
-            // (answered queries leave stale records behind).
-            while let Some((old_id, issued_at)) = self.pending_order.pop_front() {
-                if self
-                    .pending
-                    .get(&old_id)
-                    .is_some_and(|p| p.issued_at == issued_at)
-                {
-                    self.pending.remove(&old_id);
-                    break;
-                }
-            }
+            self.pending.remove(0);
         }
-        self.issued += 1;
-        self.pending.insert(
-            id,
-            PendingQuery {
-                message: query,
-                issued_at: self.issued,
-            },
-        );
-        self.pending_order.push_back((id, self.issued));
+        self.pending.push(PendingQuery { message: query });
         Resolution::Query(bytes)
     }
 
@@ -358,14 +325,14 @@ impl Daemon {
             bytes.first().copied().unwrap_or(0),
             bytes.get(1).copied().unwrap_or(0),
         ]);
-        let Some(pending) = self.pending.get(&found_id) else {
+        let Some(slot) = self.pending.iter().position(|p| p.id() == found_id) else {
             return ProxyOutcome::Rejected(ResponseRejection::IdMismatch {
                 expected: 0,
                 found: found_id,
             });
         };
         // 1. Header gate — "otherwise Connman dumps the packet".
-        let gate = match gate_response(pending.message(), bytes) {
+        let gate = match gate_response(self.pending[slot].message(), bytes) {
             Ok(g) => g,
             Err(rej) => return ProxyOutcome::Rejected(rej),
         };
@@ -475,16 +442,14 @@ impl Daemon {
             if let Some(reason) = parse_failure {
                 return ProxyOutcome::ParseFailed { reason };
             }
-            let qname = self.pending[&found_id].message().questions()[0]
-                .qname()
-                .clone();
+            let qname = self.pending[slot].message().questions()[0].qname().clone();
             let mut cached = 0;
             for (rtype, addrs, ttl) in to_cache {
                 if self.cache.insert(&qname, rtype, addrs, ttl, self.clock) {
                     cached += 1;
                 }
             }
-            self.pending.remove(&found_id);
+            self.pending.remove(slot);
             return ProxyOutcome::Answered { cached };
         }
 
@@ -520,8 +485,6 @@ impl Daemon {
             boot_sp: self.boot_sp,
             next_id: self.next_id,
             pending: self.pending.clone(),
-            pending_order: self.pending_order.clone(),
-            issued: self.issued,
             clock: self.clock,
             state: self.state.clone(),
             sanitize: self.sanitize,
@@ -544,8 +507,6 @@ impl Daemon {
         self.boot_sp = snap.boot_sp;
         self.next_id = snap.next_id;
         self.pending.clone_from(&snap.pending);
-        self.pending_order.clone_from(&snap.pending_order);
-        self.issued = snap.issued;
         self.clock = snap.clock;
         self.state.clone_from(&snap.state);
         self.sanitize = snap.sanitize;
@@ -1049,7 +1010,7 @@ mod pending_tests {
     }
 
     #[test]
-    fn answered_query_leaves_a_stale_order_record_that_is_skipped() {
+    fn answered_oldest_query_moves_eviction_to_the_next_oldest() {
         let mut d = boot_daemon(Arch::X86, ConnmanVersion::V1_34, Protections::none());
         let mut queries = Vec::new();
         for i in 0..MAX_PENDING {
@@ -1059,7 +1020,7 @@ mod pending_tests {
             };
             queries.push(Message::decode(&bytes).unwrap());
         }
-        // Answer the OLDEST query: its order record goes stale.
+        // Answer the OLDEST query: it leaves the request list.
         let resp = ResponseForge::answering(&queries[0])
             .with_payload_labels(vec![b"ok".to_vec()])
             .unwrap()
@@ -1070,9 +1031,8 @@ mod pending_tests {
             ProxyOutcome::Answered { cached: 1 }
         );
         assert_eq!(d.pending_count(), MAX_PENDING - 1);
-        // Refill to capacity (no eviction), then one more: the stale
-        // record for queries[0] must be skipped and queries[1] — the
-        // oldest *live* query — evicted instead.
+        // Refill to capacity (no eviction), then one more: queries[1] —
+        // now the oldest outstanding query — is the one evicted.
         for i in 0..2 {
             let name = Name::parse(&format!("extra{i}.example")).unwrap();
             let Resolution::Query(_) = d.resolve(&name, RecordType::A) else {

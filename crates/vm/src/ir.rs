@@ -17,11 +17,9 @@
 //! * **flag fusion** — `cmp`/`dec` followed by a conditional branch
 //!   fuses into `CmpBr`/`DecBr`, so the zero flag is consumed where it
 //!   is produced;
-//! * **memory pre-check** — the block's push/pop stack traffic is
-//!   range-checked against the permission map once per block entry
-//!   (and per-op accesses use word-at-a-time checked fast paths),
-//!   falling back to the canonical byte path whenever a check cannot be
-//!   hoisted (redzone armed, region straddle, unknown sp);
+//! * **one memory path** — loads, stores, pushes and pops call the
+//!   canonical [`Memory`](crate::Memory) word accessors, one region
+//!   probe each, with the same fault pcs as per-instruction dispatch;
 //! * **inline coverage** — the AFL edge-map update runs once in the
 //!   block-entry preamble with its hash premixed at build time,
 //!   replacing the generic per-entry hook;
@@ -53,9 +51,6 @@ use crate::{arm, riscv, x86, Fault};
 /// Sentinel register index meaning "no base register" (absolute
 /// addressing / pc-relative folded to a constant).
 const NO_BASE: u8 = 0xFF;
-
-/// x86 stack-pointer index in the gpr file.
-const ESP: u8 = 4;
 
 /// ARM bitwise-immediate flavours (ARM data-processing sets no flags in
 /// the supported subset).
@@ -210,27 +205,20 @@ pub(crate) enum IrOp {
         /// Byte-sized access.
         byte: bool,
     },
-    /// x86 `push r32`. `fast` marks eligibility for the prechecked
-    /// stack path (sp still derivable from the entry sp).
+    /// x86 `push r32`.
     PushR {
         /// Pushed register index.
         r: u8,
-        /// Covered by the block-entry stack precheck.
-        fast: bool,
     },
     /// x86 `push imm32`.
     PushImm {
         /// Pushed immediate.
         imm: u32,
-        /// Covered by the block-entry stack precheck.
-        fast: bool,
     },
     /// x86 `pop r32`.
     PopR {
         /// Destination register index.
         r: u8,
-        /// Covered by the block-entry stack precheck.
-        fast: bool,
     },
     /// Unconditional constant-target jump (x86 `jmp rel`, ARM `b`).
     Jmp {
@@ -320,10 +308,6 @@ pub(crate) struct IrBlock {
     pcs: Vec<Addr>,
     /// Fall-through pc after each op's last guest instruction.
     ends: Vec<Addr>,
-    /// Lowest sp-relative byte the fast push/pop ops touch (≤ 0).
-    stack_lo: i32,
-    /// Size of the fast-op stack window; 0 disables the precheck.
-    stack_len: u32,
 }
 
 /// Executes lowered IR starting at the current pc for up to `budget`
@@ -376,20 +360,13 @@ fn exec_ir(
     let mut used: u64 = 0;
     'blocks: loop {
         // Block-entry preamble: the inlined edge-bitmap update (hash
-        // premixed at build time) and one stack-range probe that
-        // licences the fast push/pop ops below to skip per-byte
-        // permission checks.
+        // premixed at build time).
         let cov = block.cov;
         if has_cov {
             if let Some(c) = &mut m.cov {
                 c.note_premixed(cov);
             }
         }
-        let stack_lo = block.stack_lo;
-        let stack_len = block.stack_len;
-        let mut stack_ok = stack_len > 0
-            && m.mem
-                .stack_precheck(m.regs.sp().wrapping_add(stack_lo as u32), stack_len);
         let start = block.start;
         let end = start.wrapping_add(block.span);
         let ops = &block.ops;
@@ -426,12 +403,6 @@ fn exec_ir(
                                     c.note_premixed(cov);
                                 }
                             }
-                            if stack_len > 0 {
-                                stack_ok = m.mem.stack_precheck(
-                                    m.regs.sp().wrapping_add(stack_lo as u32),
-                                    stack_len,
-                                );
-                            }
                             i = 0;
                             continue 'ops;
                         }
@@ -444,6 +415,33 @@ fn exec_ir(
                     }
                     m.regs.set_pc(t);
                     return (used, Ok(None));
+                }};
+            }
+
+            /// x86 push of `$v`, as `push_u32`: the fault pc is the
+            /// already-advanced next pc, and a store into cached code
+            /// abandons the block like any other store.
+            macro_rules! push {
+                ($v:expr) => {{
+                    if used >= budget {
+                        out_of_budget!();
+                    }
+                    used += 1;
+                    let v = $v;
+                    let sp = m.regs.sp().wrapping_sub(4);
+                    match m.mem.write_u32(sp, v, ends[i]) {
+                        Ok(()) => {
+                            m.regs.set_sp(sp);
+                            if m.mem.dcache_generation() != gen {
+                                m.regs.set_pc(ends[i]);
+                                return (used, Ok(None));
+                            }
+                        }
+                        Err(f) => {
+                            m.regs.set_pc(ends[i]);
+                            return (used, Err(f));
+                        }
+                    }
                 }};
             }
 
@@ -644,87 +642,29 @@ fn exec_ir(
                             }
                         }
                     }
-                    IrOp::PushR { r, fast } => {
+                    IrOp::PushR { r } => push!(m.regs.gp(r)),
+                    IrOp::PushImm { imm } => push!(imm),
+                    IrOp::PopR { r } => {
                         if used >= budget {
                             out_of_budget!();
                         }
                         used += 1;
-                        let v = m.regs.gp(r);
-                        let sp = m.regs.sp().wrapping_sub(4);
-                        if fast && stack_ok && m.mem.stack_write_u32(sp, v) {
-                            m.regs.set_sp(sp);
-                        } else {
-                            // Slow path replicates `push_u32`: the fault pc
-                            // is the already-advanced next pc.
-                            match m.mem.write_u32(sp, v, ends[i]) {
-                                Ok(()) => {
-                                    m.regs.set_sp(sp);
-                                    if m.mem.dcache_generation() != gen {
-                                        m.regs.set_pc(ends[i]);
-                                        return (used, Ok(None));
-                                    }
-                                }
-                                Err(f) => {
-                                    m.regs.set_pc(ends[i]);
-                                    return (used, Err(f));
-                                }
-                            }
-                        }
-                    }
-                    IrOp::PushImm { imm, fast } => {
-                        if used >= budget {
-                            out_of_budget!();
-                        }
-                        used += 1;
-                        let sp = m.regs.sp().wrapping_sub(4);
-                        if fast && stack_ok && m.mem.stack_write_u32(sp, imm) {
-                            m.regs.set_sp(sp);
-                        } else {
-                            match m.mem.write_u32(sp, imm, ends[i]) {
-                                Ok(()) => {
-                                    m.regs.set_sp(sp);
-                                    if m.mem.dcache_generation() != gen {
-                                        m.regs.set_pc(ends[i]);
-                                        return (used, Ok(None));
-                                    }
-                                }
-                                Err(f) => {
-                                    m.regs.set_pc(ends[i]);
-                                    return (used, Err(f));
-                                }
-                            }
-                        }
-                    }
-                    IrOp::PopR { r, fast } => {
-                        if used >= budget {
-                            out_of_budget!();
-                        }
-                        used += 1;
+                        // As `pop_u32`: the fault pc is the already-advanced
+                        // next pc.
                         let sp = m.regs.sp();
-                        let v = if fast && stack_ok {
-                            match m.mem.stack_read_u32(sp) {
-                                Some(v) => v,
-                                None => match m.mem.read_u32(sp, ends[i]) {
-                                    Ok(v) => v,
-                                    Err(f) => {
-                                        m.regs.set_pc(ends[i]);
-                                        return (used, Err(f));
-                                    }
-                                },
+                        match m.mem.read_u32(sp, ends[i]) {
+                            Ok(v) => {
+                                // sp first, then the register write —
+                                // `pop esp` must end with esp = the popped
+                                // value.
+                                m.regs.set_sp(sp.wrapping_add(4));
+                                m.regs.set_gp(r, v);
                             }
-                        } else {
-                            match m.mem.read_u32(sp, ends[i]) {
-                                Ok(v) => v,
-                                Err(f) => {
-                                    m.regs.set_pc(ends[i]);
-                                    return (used, Err(f));
-                                }
+                            Err(f) => {
+                                m.regs.set_pc(ends[i]);
+                                return (used, Err(f));
                             }
-                        };
-                        // sp first, then the register write — `pop esp`
-                        // must end with esp = the popped value.
-                        m.regs.set_sp(sp.wrapping_add(4));
-                        m.regs.set_gp(r, v);
+                        }
                     }
                     IrOp::Jmp { target } => {
                         if used >= budget {
@@ -857,14 +797,6 @@ struct Lowerer {
     ops: Vec<IrOp>,
     pcs: Vec<Addr>,
     ends: Vec<Addr>,
-    /// Whether sp is still the entry sp plus `sp_off` (no Exec op or
-    /// sp-writing ALU op seen yet) — the licence for fast push/pop.
-    sp_known: bool,
-    /// Current sp offset from the entry sp, while `sp_known`.
-    sp_off: i32,
-    /// Stack-window extents (sp-relative) the fast ops touch.
-    lo: i32,
-    hi: i32,
 }
 
 impl Lowerer {
@@ -872,36 +804,6 @@ impl Lowerer {
         self.ops.push(op);
         self.pcs.push(pc);
         self.ends.push(next);
-    }
-
-    /// Emits an op that writes register `rd`; a write to the stack
-    /// pointer ends sp tracking for later push/pop ops.
-    fn emit_w(&mut self, op: IrOp, pc: Addr, next: Addr, rd: u8) {
-        self.emit(op, pc, next);
-        if rd == ESP {
-            self.sp_known = false;
-        }
-    }
-
-    /// Emits the universal fallback; native semantics may move sp
-    /// arbitrarily (leave, ret, syscalls), so tracking stops.
-    fn exec(&mut self, ci: CachedInsn, pc: Addr, next: Addr) {
-        self.sp_known = false;
-        self.emit(IrOp::Exec { ci }, pc, next);
-    }
-
-    /// Accounts a fast push's write window.
-    fn note_push(&mut self) {
-        self.sp_off -= 4;
-        self.lo = self.lo.min(self.sp_off);
-        self.hi = self.hi.max(self.sp_off + 4);
-    }
-
-    /// Accounts a fast pop's read window.
-    fn note_pop(&mut self) {
-        self.lo = self.lo.min(self.sp_off);
-        self.hi = self.hi.max(self.sp_off + 4);
-        self.sp_off += 4;
     }
 
     /// Emits an x86 ALU-immediate, folding it into an immediately
@@ -936,9 +838,6 @@ impl Lowerer {
             pc,
             next,
         );
-        if rd == ESP {
-            self.sp_known = false;
-        }
     }
 
     /// Emits a conditional branch, fusing it with an immediately
@@ -995,10 +894,6 @@ pub(crate) fn lower(insns: &[CachedInsn], start: Addr) -> IrBlock {
         ops: Vec::with_capacity(insns.len() + 1),
         pcs: Vec::with_capacity(insns.len() + 1),
         ends: Vec::with_capacity(insns.len() + 1),
-        sp_known: true,
-        sp_off: 0,
-        lo: 0,
-        hi: 0,
     };
     let mut pc = start;
     for &ci in insns {
@@ -1017,8 +912,6 @@ pub(crate) fn lower(insns: &[CachedInsn], start: Addr) -> IrBlock {
         ops: lw.ops,
         pcs: lw.pcs,
         ends: lw.ends,
-        stack_lo: lw.lo,
-        stack_len: (lw.hi - lw.lo) as u32,
     }
 }
 
@@ -1026,43 +919,21 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
     use x86::{Insn as I, Operand as O};
     match insn {
         I::Nop => lw.emit(IrOp::Nop, pc, next),
-        I::PushR(r) => {
-            let fast = lw.sp_known;
-            if fast {
-                lw.note_push();
-            }
-            lw.emit(IrOp::PushR { r: r.bits(), fast }, pc, next);
-        }
-        I::PushImm(imm) => {
-            let fast = lw.sp_known;
-            if fast {
-                lw.note_push();
-            }
-            lw.emit(IrOp::PushImm { imm, fast }, pc, next);
-        }
-        I::PopR(r) => {
-            let fast = lw.sp_known && r.bits() != ESP;
-            if fast {
-                lw.note_pop();
-            }
-            lw.emit(IrOp::PopR { r: r.bits(), fast }, pc, next);
-            if r.bits() == ESP {
-                lw.sp_known = false;
-            }
-        }
-        I::MovRImm(r, imm) => lw.emit_w(IrOp::MovImm { rd: r.bits(), imm }, pc, next, r.bits()),
-        I::MovR8Imm(r, imm) => lw.emit_w(IrOp::MovLow8 { rd: r.bits(), imm }, pc, next, r.bits()),
+        I::PushR(r) => lw.emit(IrOp::PushR { r: r.bits() }, pc, next),
+        I::PushImm(imm) => lw.emit(IrOp::PushImm { imm }, pc, next),
+        I::PopR(r) => lw.emit(IrOp::PopR { r: r.bits() }, pc, next),
+        I::MovRImm(r, imm) => lw.emit(IrOp::MovImm { rd: r.bits(), imm }, pc, next),
+        I::MovR8Imm(r, imm) => lw.emit(IrOp::MovLow8 { rd: r.bits(), imm }, pc, next),
         I::MovRmR {
             dst: O::Reg(d),
             src,
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::MovReg {
                 rd: d.bits(),
                 rm: src.bits(),
             },
             pc,
             next,
-            d.bits(),
         ),
         I::MovRmR {
             dst: O::Mem { base, disp },
@@ -1080,19 +951,18 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
         I::MovRRm {
             dst,
             src: O::Reg(s),
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::MovReg {
                 rd: dst.bits(),
                 rm: s.bits(),
             },
             pc,
             next,
-            dst.bits(),
         ),
         I::MovRRm {
             dst,
             src: O::Mem { base, disp },
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::Load {
                 rd: dst.bits(),
                 base: base.map_or(NO_BASE, |b| b.bits()),
@@ -1101,12 +971,11 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            dst.bits(),
         ),
         I::XorRmR {
             dst: O::Reg(d),
             src,
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::AluRR {
                 dst: d.bits(),
                 src: src.bits(),
@@ -1114,12 +983,11 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            d.bits(),
         ),
         I::AndRmR {
             dst: O::Reg(d),
             src,
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::AluRR {
                 dst: d.bits(),
                 src: src.bits(),
@@ -1127,12 +995,11 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            d.bits(),
         ),
         I::OrRmR {
             dst: O::Reg(d),
             src,
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::AluRR {
                 dst: d.bits(),
                 src: src.bits(),
@@ -1140,7 +1007,6 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            d.bits(),
         ),
         I::CmpRmR {
             dst: O::Reg(d),
@@ -1187,7 +1053,7 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             pc,
             next,
         ),
-        I::ShlRImm8 { reg, imm } => lw.emit_w(
+        I::ShlRImm8 { reg, imm } => lw.emit(
             IrOp::ShiftImm {
                 rd: reg.bits(),
                 rm: reg.bits(),
@@ -1197,9 +1063,8 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            reg.bits(),
         ),
-        I::ShrRImm8 { reg, imm } => lw.emit_w(
+        I::ShrRImm8 { reg, imm } => lw.emit(
             IrOp::ShiftImm {
                 rd: reg.bits(),
                 rm: reg.bits(),
@@ -1209,7 +1074,6 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            reg.bits(),
         ),
         I::Lea {
             dst,
@@ -1217,7 +1081,7 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
                 base: Some(b),
                 disp,
             },
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::Lea {
                 rd: dst.bits(),
                 base: b.bits(),
@@ -1225,19 +1089,17 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
             },
             pc,
             next,
-            dst.bits(),
         ),
         I::Lea {
             dst,
             src: O::Mem { base: None, disp },
-        } => lw.emit_w(
+        } => lw.emit(
             IrOp::MovImm {
                 rd: dst.bits(),
                 imm: disp as u32,
             },
             pc,
             next,
-            dst.bits(),
         ),
         I::JmpRel8(rel) => lw.emit(
             IrOp::Jmp {
@@ -1260,7 +1122,13 @@ fn lower_x86(lw: &mut Lowerer, insn: x86::Insn, ilen: u8, pc: Addr, next: Addr) 
         // Everything else — calls, returns, indirect jumps, syscalls,
         // memory-destination RMW forms, movzx, xchg, leave — runs
         // through the interpreter verbatim.
-        other => lw.exec(CachedInsn::X86(other, ilen), pc, next),
+        other => lw.emit(
+            IrOp::Exec {
+                ci: CachedInsn::X86(other, ilen),
+            },
+            pc,
+            next,
+        ),
     }
 }
 
@@ -1425,7 +1293,13 @@ fn lower_arm(lw: &mut Lowerer, insn: arm::Insn, pc: Addr, next: Addr) {
         I::BNe { offset } => lw.br(false, pc8.wrapping_add(offset as u32), pc, next),
         // push/pop multiples, bx/blx/bl, svc, and every pc-destination
         // form run through the interpreter verbatim.
-        other => lw.exec(CachedInsn::Arm(other), pc, next),
+        other => lw.emit(
+            IrOp::Exec {
+                ci: CachedInsn::Arm(other),
+            },
+            pc,
+            next,
+        ),
     }
 }
 
@@ -1630,7 +1504,13 @@ fn lower_riscv(lw: &mut Lowerer, insn: riscv::Insn, ilen: u8, pc: Addr, next: Ad
         // Linking jumps, indirect jumps/returns, reg-reg add/sub and the
         // traps run through the interpreter verbatim (they touch the
         // shadow stack, CFI, or the syscall layer).
-        other => lw.exec(CachedInsn::Riscv(other, ilen), pc, next),
+        other => lw.emit(
+            IrOp::Exec {
+                ci: CachedInsn::Riscv(other, ilen),
+            },
+            pc,
+            next,
+        ),
     }
 }
 

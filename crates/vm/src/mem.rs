@@ -364,9 +364,8 @@ impl Memory {
 
     /// Reads `len` bytes (region-sized chunks, not byte-at-a-time).
     ///
-    /// Prefer [`read_into`](Memory::read_into) or
-    /// [`read_slice`](Memory::read_slice) on hot paths — this variant
-    /// allocates the returned `Vec`.
+    /// Prefer [`read_into`](Memory::read_into) on hot paths — this
+    /// variant allocates the returned `Vec`.
     ///
     /// # Errors
     ///
@@ -412,38 +411,6 @@ impl Memory {
             done += n;
         }
         Ok(())
-    }
-
-    /// Borrowing read fast path: a permission-checked view of `len`
-    /// bytes at `addr` with **zero** copies, valid only when the whole
-    /// range lies inside one region (the common case for packet buffers
-    /// and stack frames).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fault::UnmappedRead`] when nothing is mapped at `addr`
-    /// *or* when the range spills past the containing region (callers
-    /// needing cross-region reads use [`read_into`](Memory::read_into)),
-    /// and [`Fault::ProtectedRead`] on a permission violation.
-    pub fn read_slice(&self, addr: Addr, len: usize, pc: Addr) -> Result<&[u8], Fault> {
-        let r = self
-            .region_containing(addr)
-            .ok_or(Fault::UnmappedRead { addr, pc })?;
-        if !r.perms.readable() {
-            return Err(Fault::ProtectedRead {
-                addr,
-                perms: r.perms,
-                pc,
-            });
-        }
-        let off = (addr - r.base) as usize;
-        if r.data.len() - off < len {
-            return Err(Fault::UnmappedRead {
-                addr: addr.wrapping_add((r.data.len() - off) as u32),
-                pc,
-            });
-        }
-        Ok(&r.data[off..off + len])
     }
 
     /// Reads a NUL-terminated C string of at most `max` bytes, scanning
@@ -626,40 +593,11 @@ impl Memory {
         Ok(())
     }
 
-    /// Fetches an instruction byte: like a read but also requires the X
-    /// permission.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fault::UnmappedFetch`] or [`Fault::NxViolation`].
-    pub fn fetch_u8(&self, pc: Addr, offset: u32) -> Result<u8, Fault> {
-        let addr = pc.wrapping_add(offset);
-        let r = self
-            .region_containing(addr)
-            .ok_or(Fault::UnmappedFetch { pc })?;
-        if !r.perms.executable() {
-            return Err(Fault::NxViolation { pc, perms: r.perms });
-        }
-        Ok(r.data[(addr - r.base) as usize])
-    }
-
-    /// Fetches up to `len` instruction bytes starting at `pc`, stopping
-    /// early at a region boundary (the decoder treats a short fetch like
-    /// truncated code).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fault::UnmappedFetch`] or [`Fault::NxViolation`] if even
-    /// the first byte is unavailable.
-    pub fn fetch_window(&self, pc: Addr, len: usize) -> Result<Vec<u8>, Fault> {
-        let mut out = vec![0; len];
-        let n = self.fetch_into(pc, &mut out)?;
-        out.truncate(n);
-        Ok(out)
-    }
-
-    /// Allocation-free [`fetch_window`](Memory::fetch_window): fills
-    /// `buf` and returns how many bytes were fetchable.
+    /// Fetches up to `buf.len()` instruction bytes starting at `pc`:
+    /// like a read, but every byte also needs the X permission. Stops
+    /// early at the first unmapped or non-executable byte (the decoder
+    /// treats a short fetch like truncated code) and returns how many
+    /// bytes were fetchable.
     ///
     /// # Errors
     ///
@@ -698,9 +636,7 @@ impl Memory {
     /// too.
     ///
     /// Only one redzone can be armed at a time; re-arming replaces any
-    /// previous one. `poke`, instruction fetch, and the borrowing
-    /// [`read_slice`](Memory::read_slice) fast path (host-side views,
-    /// not guest loads) are unaffected.
+    /// previous one. `poke` and instruction fetch are unaffected.
     pub fn arm_redzone(&mut self, buffer: Addr, capacity: u32, zone_end: u64) {
         let zone_start = buffer.wrapping_add(capacity);
         self.redzone = Some(Box::new(Redzone {
@@ -936,65 +872,16 @@ impl Memory {
     pub(crate) fn dcache_ir_enabled(&self) -> bool {
         self.dcache.ir_enabled()
     }
-
-    /// Block-entry licence for the IR's fast stack ops: `true` when the
-    /// whole `len`-byte window at `addr` sits inside one readable,
-    /// writable, **non-executable** region with no redzone armed. The
-    /// fast push/pop ops may then skip per-access permission checks and
-    /// decode-cache write notes — a non-X region holds no cached
-    /// decodes, since a permission change drops the region's entries.
-    pub(crate) fn stack_precheck(&self, addr: Addr, len: u32) -> bool {
-        if self.redzone.is_some() {
-            return false;
-        }
-        match self.region_containing(addr) {
-            Some(r) => {
-                r.perms.readable()
-                    && r.perms.writable()
-                    && !r.perms.executable()
-                    && (addr as u64) + len as u64 <= r.end()
-            }
-            None => false,
-        }
-    }
-
-    /// Prechecked word store — sound only under a passing
-    /// [`stack_precheck`](Memory::stack_precheck) covering `addr`.
-    /// Returns `false` (nothing written) if the probe lands badly so
-    /// the caller can take the canonical path instead.
-    #[inline]
-    pub(crate) fn stack_write_u32(&mut self, addr: Addr, v: u32) -> bool {
-        match self.region_mut(addr) {
-            Some(r) if r.perms.writable() && !r.perms.executable() => {
-                let off = (addr.wrapping_sub(r.base)) as usize;
-                if off + 4 <= r.data.len() {
-                    r.mark_dirty_range(addr, 4);
-                    r.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Prechecked word load; `None` sends the caller to the slow path.
-    #[inline]
-    pub(crate) fn stack_read_u32(&self, addr: Addr) -> Option<u32> {
-        let r = self.region_containing(addr)?;
-        if !r.perms.readable() {
-            return None;
-        }
-        let off = (addr.wrapping_sub(r.base)) as usize;
-        let b = r.data.get(off..off + 4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fetches the one instruction byte at `pc`, as the interpreters do.
+    fn fetch1(m: &Memory, pc: Addr) -> Result<usize, Fault> {
+        m.fetch_into(pc, &mut [0u8; 1])
+    }
 
     fn mem() -> Memory {
         let mut m = Memory::new();
@@ -1043,24 +930,25 @@ mod tests {
     fn nx_enforced_on_fetch() {
         let m = mem();
         assert!(matches!(
-            m.fetch_u8(0x8000, 0),
+            fetch1(&m, 0x8000),
             Err(Fault::NxViolation { pc: 0x8000, .. })
         ));
-        assert!(m.fetch_u8(0x1000, 0).is_ok());
+        assert_eq!(fetch1(&m, 0x1000), Ok(1));
     }
 
     #[test]
     fn rwx_stack_allows_fetch() {
         let mut m = Memory::new();
         m.map("stack", Some(SectionKind::Stack), 0x8000, 0x10, Perms::RWX);
-        assert!(m.fetch_u8(0x8005, 0).is_ok());
+        assert_eq!(fetch1(&m, 0x8005), Ok(1));
     }
 
     #[test]
     fn mprotect_analogue() {
         let mut m = mem();
+        assert!(fetch1(&m, 0x8000).is_err());
         assert!(m.set_perms(0x8000, Perms::RWX));
-        assert!(m.fetch_u8(0x8000, 0).is_ok());
+        assert_eq!(fetch1(&m, 0x8000), Ok(1));
         assert!(!m.set_perms(0x4000, Perms::RW));
     }
 
@@ -1083,13 +971,15 @@ mod tests {
     }
 
     #[test]
-    fn fetch_window_stops_at_boundary() {
-        let m = mem();
-        let w = m.fetch_window(0x10FE, 8).unwrap();
-        assert_eq!(w.len(), 2);
+    fn fetch_into_stops_at_boundary() {
+        let mut m = mem();
+        m.poke(0x10FE, &[0x90, 0xC3]).unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(m.fetch_into(0x10FE, &mut buf), Ok(2));
+        assert_eq!(&buf[..2], &[0x90, 0xC3]);
         assert!(matches!(
-            m.fetch_window(0x2000, 4),
-            Err(Fault::UnmappedFetch { .. })
+            m.fetch_into(0x2000, &mut buf),
+            Err(Fault::UnmappedFetch { pc: 0x2000 })
         ));
     }
 

@@ -134,6 +134,13 @@ fn value<T: FromStr<Err = String>>(flag: &str, v: Option<&String>) -> Result<T, 
     v.ok_or_else(|| format!("{flag} wants a value"))?.parse()
 }
 
+/// Parses the count given to `flag`.
+fn count(flag: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or_else(|| format!("{flag} wants a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} wants a number, got {v:?}"))
+}
+
 impl Opts {
     /// Parses the options after the command; unknown values are errors.
     fn parse(args: &[String]) -> Result<Opts, String> {
@@ -176,21 +183,13 @@ impl Opts {
                     }
                 }
                 "--firmware" => o.firmware = value("--firmware", it.next())?,
-                "--jobs" => {
-                    o.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--jobs wants a number, using 1");
-                        1
-                    });
-                }
-                "--devices" => {
-                    o.devices = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--devices wants a number, using 100");
-                        100
-                    });
-                }
+                "--jobs" => o.jobs = count("--jobs", it.next())?,
+                "--devices" => o.devices = count("--devices", it.next())?,
                 "--snapshot" => o.snapshot = true,
                 "--fresh-boot" => o.snapshot = false,
-                "--cohorts" => o.cohorts = it.next().cloned(),
+                "--cohorts" => {
+                    o.cohorts = Some(it.next().ok_or("--cohorts wants a value")?.clone());
+                }
                 "--stream" => o.stream = true,
                 "--resolver" => o.resolver = true,
                 other => o.rest.push(other.to_string()),

@@ -153,6 +153,24 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         assert!(err.contains(err_part), "{flag} {value}: {err}");
         assert!(out.is_empty(), "{flag} {value}: nothing may run:\n{out}");
     }
+    // A bad count or a missing cohort spec exits 1 before anything runs.
+    for (args, err_part) in [
+        (
+            &["fleet", "--jobs", "x"][..],
+            "--jobs wants a number, got \"x\"",
+        ),
+        (
+            &["fleet", "--devices", "x"][..],
+            "--devices wants a number, got \"x\"",
+        ),
+        (&["fleet", "--devices"][..], "--devices wants a value"),
+        (&["fleet", "--cohorts"][..], "--cohorts wants a value"),
+    ] {
+        let (out, err, code) = cml(args);
+        assert_eq!(code, Some(1), "{args:?}: stdout {out}");
+        assert!(err.contains(err_part), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: nothing may run:\n{out}");
+    }
 }
 
 #[test]

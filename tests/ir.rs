@@ -68,8 +68,8 @@ fn boot(arch: Arch, code: &[u8]) -> Machine {
 
 /// An x86 program that hits every lowered op shape: immediate and
 /// register moves, a foldable `inc` run, register-register ALU, shifts,
-/// `lea`, absolute and based loads/stores, the prechecked push/pop
-/// window, `cmp`+`jnz` fusion and an unconditional jump — looped so IR
+/// `lea`, absolute and based loads/stores, pushes and pops,
+/// `cmp`+`jnz` fusion and an unconditional jump — looped so IR
 /// chaining and the self-loop fast path both fire.
 fn x86_program() -> Vec<u8> {
     let head = Asm::new().mov_r_imm(X86Reg::Ecx, 3);
@@ -238,38 +238,150 @@ fn step_budget_parity_at_every_boundary() {
     }
 }
 
-/// Faulting mid-block must leave identical fault details and pc across
-/// the tiers: the store to unmapped memory sits behind a folded run so
-/// the IR reaches it mid-block.
+/// One [`mid_block_fault_parity`] program and the machine it runs on.
+struct FaultCase {
+    name: &'static str,
+    code: Vec<u8>,
+    /// Initial stack pointer.
+    sp: u32,
+    /// Permissions of the `[0x8000, 0x9000)` stack region.
+    stack: Perms,
+    /// Run the code from the stack base instead of `.text`.
+    on_stack: bool,
+    expected: fn(&RunOutcome) -> bool,
+}
+
+/// Faulting mid-block, and pushing or popping at the stack's edges,
+/// must leave identical outcomes, fault details, pc, registers, stack
+/// bytes and events across the tiers. Each access sits behind a folded
+/// `inc` run so the IR reaches it mid-block.
 #[test]
 fn mid_block_fault_parity() {
-    let code = Asm::new()
-        .mov_r_imm(X86Reg::Ebx, 0x4000_0000) // unmapped
-        .inc_r(X86Reg::Eax)
-        .inc_r(X86Reg::Eax)
-        .mov_mem_r(X86Reg::Ebx, 0, X86Reg::Eax)
-        .nop()
-        .int80()
-        .finish();
-    let mut prints: Vec<(&str, String)> = Vec::new();
-    for (mode, ir_on) in MODES {
-        let mut m = boot(Arch::X86, &code);
-        m.set_ir_dispatch_enabled(ir_on);
-        let out = m.run(1_000);
-        assert!(out.is_crash(), "{mode}: store to unmapped memory faults");
-        prints.push((
-            mode,
-            format!(
-                "{out:?}\npc={:#x} insns={}\n{:?}",
-                m.regs().pc(),
-                m.insn_count(),
-                m.events()
+    use X86Reg::{Eax, Ebx, Ecx, Esp};
+    let run_up = || Asm::new().inc_r(Eax).inc_r(Eax);
+    let exit_42 = |a: Asm| {
+        a.xor_rr(Eax, Eax)
+            .mov_r8_imm(Eax, 1)
+            .mov_r_imm(Ebx, 42)
+            .int80()
+            .finish()
+    };
+    let crashes: fn(&RunOutcome) -> bool = |o| o.is_crash();
+    let case = |name, code, sp, stack, expected| FaultCase {
+        name,
+        code,
+        sp,
+        stack,
+        on_stack: false,
+        expected,
+    };
+    // On an RWX stack, `push` overwrites the four `nop`s after it with
+    // `inc ebx` x4: the block must be abandoned and re-decoded, so the
+    // exit code is 44, not 40.
+    let smc_head = Asm::new()
+        .xor_rr(Eax, Eax)
+        .mov_r8_imm(Eax, 1)
+        .mov_r_imm(Ebx, 40)
+        .inc_r(Ecx)
+        .inc_r(Ecx)
+        .push_imm(0x4343_4343);
+    let smc_sp = 0x8000 + smc_head.len() as u32 + 4;
+    let cases = [
+        case(
+            "store to unmapped memory",
+            exit_42(
+                Asm::new()
+                    .mov_r_imm(Ebx, 0x4000_0000)
+                    .inc_r(Eax)
+                    .inc_r(Eax)
+                    .mov_mem_r(Ebx, 0, Eax)
+                    .nop(),
             ),
-        ));
-    }
-    let (ref_mode, reference) = &prints[0];
-    for (mode, fingerprint) in &prints[1..] {
-        assert_eq!(fingerprint, reference, "{mode} diverged from {ref_mode}");
+            0x8800,
+            Perms::RW,
+            crashes,
+        ),
+        case(
+            "push below the stack region",
+            exit_42(run_up().push_r(Eax).nop()),
+            0x8000,
+            Perms::RW,
+            crashes,
+        ),
+        case(
+            "pop past the stack top",
+            exit_42(run_up().pop_r(Ecx).nop()),
+            0x9000,
+            Perms::RW,
+            crashes,
+        ),
+        case(
+            "push onto a read-only stack",
+            exit_42(run_up().push_imm(7).nop()),
+            0x8800,
+            Perms::READ,
+            crashes,
+        ),
+        case(
+            "pop esp",
+            run_up()
+                .push_imm(0x8100)
+                .pop_r(Esp)
+                .push_r(Eax)
+                .pop_r(Ecx)
+                .mov_rr(Ebx, Esp)
+                .xor_rr(Eax, Eax)
+                .mov_r8_imm(Eax, 1)
+                .int80()
+                .finish(),
+            0x8800,
+            Perms::RW,
+            |o| *o == RunOutcome::Exited(0x8100),
+        ),
+        FaultCase {
+            on_stack: true,
+            ..case(
+                "push over the block's next instruction",
+                smc_head.nop().nop().nop().nop().int80().finish(),
+                smc_sp,
+                Perms::RWX,
+                |o| *o == RunOutcome::Exited(44),
+            )
+        },
+    ];
+    for c in &cases {
+        let mut prints: Vec<(&str, String)> = Vec::new();
+        for (mode, ir_on) in MODES {
+            let mut m = boot(Arch::X86, &c.code);
+            assert!(m.mem_mut().set_perms(0x8000, c.stack));
+            if c.on_stack {
+                m.mem_mut().poke(0x8000, &c.code).unwrap();
+                m.regs_mut().set_pc(0x8000);
+            }
+            m.regs_mut().set_sp(c.sp);
+            m.set_ir_dispatch_enabled(ir_on);
+            let out = m.run(1_000);
+            assert!((c.expected)(&out), "{}/{mode}: unexpected {out:?}", c.name);
+            prints.push((
+                mode,
+                format!(
+                    "{out:?}\npc={:#x} insns={} regs={:?}\nstack={:?}\n{:?}",
+                    m.regs().pc(),
+                    m.insn_count(),
+                    m.regs(),
+                    m.mem().read_bytes(0x8000, 0x1000, 0),
+                    m.events()
+                ),
+            ));
+        }
+        let (ref_mode, reference) = &prints[0];
+        for (mode, fingerprint) in &prints[1..] {
+            assert_eq!(
+                fingerprint, reference,
+                "{}: {mode} diverged from {ref_mode}",
+                c.name
+            );
+        }
     }
 }
 
