@@ -60,6 +60,13 @@ echo "==> cml resolve --smoke"
 # one-poisoning redirection must all hold on the fixed demo topology.
 cargo run --release --offline -q -p connman-lab --bin cml -- resolve --smoke
 
+echo "==> cml resolve --trace golden"
+# The demo walk's trace, answer and counters (simulated clock only, no
+# wall-clock fields) must match the committed golden file byte for byte.
+diff <(cargo run --release --offline -q -p connman-lab --bin cml -- \
+  resolve www.vendor.example --trace) tests/golden/resolve_www_trace.txt || {
+  echo "resolve --trace: output differs from tests/golden/resolve_www_trace.txt"; exit 1; }
+
 echo "==> cml fleet 10k smoke"
 # Million-device fleet path at smoke scale: a 10k-device cohort campaign
 # must complete and render byte-identical per-cohort sections serial vs
