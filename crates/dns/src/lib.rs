@@ -46,17 +46,19 @@ mod name;
 mod question;
 mod record;
 pub mod validate;
+mod view;
 mod wire;
 pub mod zone;
 
 pub use error::DnsError;
 pub use header::{Header, Opcode, Rcode};
-pub use message::Message;
+pub use message::{EncodeRecord, Message, ResponseEncoder};
 pub use name::{CompressionTable, Label, Name, FOLDED_KEY_LEN, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use record::{Record, RecordClass, RecordData, RecordType};
+pub use view::{Labels, MessageView, NameRef, QuestionRef, RecordRef, Records};
 pub use wire::{BufPool, WireBuf, WireReader, WireWriter};
-pub use zone::{Zone, ZoneServer};
+pub use zone::{Delegation, RecordSets, Zone, ZoneServer};
 
 /// Maximum size of a DNS message carried over UDP without EDNS0, in bytes.
 pub const MAX_UDP_MESSAGE: usize = 512;

@@ -6,7 +6,8 @@ use crate::header::{Header, Rcode};
 use crate::name::CompressionTable;
 use crate::question::Question;
 use crate::record::Record;
-use crate::wire::{WireBuf, WireReader, WireWriter};
+use crate::view::{MessageView, RecordRef};
+use crate::wire::{WireBuf, WireWriter};
 use crate::DnsError;
 
 /// A complete DNS message: header plus the four sections.
@@ -183,58 +184,145 @@ impl Message {
         Ok(w.into_bytes())
     }
 
-    /// Decodes a complete message, rejecting trailing bytes.
+    /// Decodes a complete message, rejecting trailing bytes: the
+    /// [`MessageView`] checks, then every entry materialized.
     ///
     /// # Errors
     ///
     /// Returns a [`DnsError`] describing the first malformation.
     pub fn decode(bytes: &[u8]) -> Result<Self, DnsError> {
-        let mut r = WireReader::new(bytes);
-        let m = Self::decode_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(DnsError::TrailingBytes(r.remaining()));
-        }
-        Ok(m)
-    }
-
-    /// Decodes a message from a reader, leaving the cursor after it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DnsError`] describing the first malformation.
-    pub fn decode_from(r: &mut WireReader<'_>) -> Result<Self, DnsError> {
-        let header = Header::decode(r)?;
-        let mut m = Message {
-            header,
-            questions: Vec::with_capacity(header.qdcount as usize),
-            answers: Vec::with_capacity(header.ancount.min(64) as usize),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        };
-        for _ in 0..header.qdcount {
-            m.questions
-                .push(Question::decode(r).map_err(|e| section_err(e, "question"))?);
-        }
-        for _ in 0..header.ancount {
-            m.answers
-                .push(Record::decode(r).map_err(|e| section_err(e, "answer"))?);
-        }
-        for _ in 0..header.nscount {
-            m.authorities
-                .push(Record::decode(r).map_err(|e| section_err(e, "authority"))?);
-        }
-        for _ in 0..header.arcount {
-            m.additionals
-                .push(Record::decode(r).map_err(|e| section_err(e, "additional"))?);
-        }
-        Ok(m)
+        let view = MessageView::parse(bytes)?;
+        Ok(Message {
+            header: *view.header(),
+            questions: view.questions().map(|q| q.to_question()).collect(),
+            answers: view.answers().map(|r| r.to_record()).collect(),
+            authorities: view.authorities().map(|r| r.to_record()).collect(),
+            additionals: view.additionals().map(|r| r.to_record()).collect(),
+        })
     }
 }
 
-fn section_err(e: DnsError, section: &'static str) -> DnsError {
-    match e {
-        DnsError::Truncated { .. } => DnsError::CountMismatch { section },
-        other => other,
+/// A record a [`ResponseEncoder`] appends: an owned [`Record`], or a
+/// [`RecordRef`] read off another message, which encodes to the same
+/// bytes as the record it would materialize.
+pub trait EncodeRecord {
+    /// Encodes the record, sharing name compression state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encode errors.
+    fn encode_record(
+        &self,
+        w: &mut WireWriter,
+        table: &mut CompressionTable,
+    ) -> Result<(), DnsError>;
+}
+
+impl EncodeRecord for Record {
+    fn encode_record(
+        &self,
+        w: &mut WireWriter,
+        table: &mut CompressionTable,
+    ) -> Result<(), DnsError> {
+        self.encode(w, table)
+    }
+}
+
+impl EncodeRecord for RecordRef<'_> {
+    fn encode_record(
+        &self,
+        w: &mut WireWriter,
+        table: &mut CompressionTable,
+    ) -> Result<(), DnsError> {
+        self.encode(w, table)
+    }
+}
+
+/// Encodes a response to a viewed query straight into a pooled buffer,
+/// one borrowed record at a time, without building a [`Message`]. The
+/// bytes are those of [`Message::response_to`] on the decoded query,
+/// the same records pushed, a response code set and
+/// [`Message::encode_into`]: the id, RD bit and every question are
+/// echoed, QR and RA are set, names share one compression table.
+///
+/// Records must arrive in section order: answers, then authorities,
+/// then additionals.
+#[derive(Debug)]
+pub struct ResponseEncoder {
+    w: WireWriter,
+    table: CompressionTable,
+    counts: [u16; 3],
+}
+
+impl ResponseEncoder {
+    /// Starts the response in `out`'s storage (its capacity is kept):
+    /// writes the header and echoes the question section.
+    ///
+    /// # Errors
+    ///
+    /// Propagates writer errors.
+    pub fn new(out: &mut WireBuf, query: &MessageView<'_>, rcode: Rcode) -> Result<Self, DnsError> {
+        let header = Header {
+            id: query.id(),
+            response: true,
+            recursion_desired: query.header().recursion_desired,
+            recursion_available: true,
+            rcode,
+            qdcount: query.header().qdcount,
+            ..Header::default()
+        };
+        let mut w = WireWriter::from_vec(std::mem::take(out.as_mut_vec()));
+        let mut table = CompressionTable::new();
+        header.encode(&mut w)?;
+        for q in query.questions() {
+            q.encode(&mut w, &mut table)?;
+        }
+        Ok(ResponseEncoder {
+            w,
+            table,
+            counts: [0; 3],
+        })
+    }
+
+    /// Appends an answer record.
+    ///
+    /// # Errors
+    ///
+    /// Propagates record encode errors.
+    pub fn answer(&mut self, r: &impl EncodeRecord) -> Result<(), DnsError> {
+        self.push(0, r)
+    }
+
+    /// Appends an authority record.
+    ///
+    /// # Errors
+    ///
+    /// Propagates record encode errors.
+    pub fn authority(&mut self, r: &impl EncodeRecord) -> Result<(), DnsError> {
+        self.push(1, r)
+    }
+
+    /// Appends an additional record.
+    ///
+    /// # Errors
+    ///
+    /// Propagates record encode errors.
+    pub fn additional(&mut self, r: &impl EncodeRecord) -> Result<(), DnsError> {
+        self.push(2, r)
+    }
+
+    fn push(&mut self, section: usize, r: &impl EncodeRecord) -> Result<(), DnsError> {
+        r.encode_record(&mut self.w, &mut self.table)?;
+        self.counts[section] = self.counts[section].wrapping_add(1);
+        Ok(())
+    }
+
+    /// Patches the section counts and hands the bytes back to `out`.
+    pub fn finish(mut self, out: &mut WireBuf) {
+        for (i, &count) in self.counts.iter().enumerate() {
+            self.w.patch_u16(6 + 2 * i, count);
+        }
+        *out.as_mut_vec() = self.w.into_bytes();
     }
 }
 

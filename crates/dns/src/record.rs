@@ -4,6 +4,7 @@ use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::name::{CompressionTable, Name};
+use crate::view::RecordRef;
 use crate::wire::{WireReader, WireWriter};
 use crate::DnsError;
 
@@ -346,101 +347,9 @@ impl Record {
     /// Returns a [`DnsError`] on truncation, malformed names, or RDATA
     /// whose length disagrees with its type.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Self, DnsError> {
-        let name = Name::decode(r)?;
-        let rtype = RecordType::from_u16(r.read_u16("record type")?);
-        let class = RecordClass::from_u16(r.read_u16("record class")?);
-        let ttl = r.read_u32("record ttl")?;
-        let rdlen = r.read_u16("record rdlength")? as usize;
-        let rd_start = r.position();
-        if r.remaining() < rdlen {
-            return Err(DnsError::Truncated {
-                context: "record rdata",
-            });
-        }
-        let data = Self::decode_rdata(r, rtype, rdlen)?;
-        // Names inside RDATA may use compression; ensure we end exactly at
-        // the RDATA boundary regardless.
-        r.seek(rd_start + rdlen)?;
-        Ok(Record {
-            name,
-            rtype,
-            class,
-            ttl,
-            data,
-        })
-    }
-
-    fn decode_rdata(
-        r: &mut WireReader<'_>,
-        rtype: RecordType,
-        rdlen: usize,
-    ) -> Result<RecordData, DnsError> {
-        match rtype {
-            RecordType::A => {
-                if rdlen != 4 {
-                    return Err(DnsError::BadRdata {
-                        rtype: rtype.to_u16(),
-                        detail: "A rdata must be 4 bytes",
-                    });
-                }
-                let b = r.read_bytes(4, "A rdata")?;
-                Ok(RecordData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3])))
-            }
-            RecordType::Aaaa => {
-                if rdlen != 16 {
-                    return Err(DnsError::BadRdata {
-                        rtype: rtype.to_u16(),
-                        detail: "AAAA rdata must be 16 bytes",
-                    });
-                }
-                let b = r.read_bytes(16, "AAAA rdata")?;
-                let mut oct = [0u8; 16];
-                oct.copy_from_slice(b);
-                Ok(RecordData::Aaaa(Ipv6Addr::from(oct)))
-            }
-            RecordType::Cname => Ok(RecordData::Cname(Name::decode(r)?)),
-            RecordType::Ns => Ok(RecordData::Ns(Name::decode(r)?)),
-            RecordType::Ptr => Ok(RecordData::Ptr(Name::decode(r)?)),
-            RecordType::Mx => {
-                let preference = r.read_u16("MX preference")?;
-                let exchange = Name::decode(r)?;
-                Ok(RecordData::Mx {
-                    preference,
-                    exchange,
-                })
-            }
-            RecordType::Txt => {
-                let mut strings = Vec::new();
-                let end = r.position() + rdlen;
-                while r.position() < end {
-                    let len = r.read_u8("TXT string length")? as usize;
-                    if r.position() + len > end {
-                        return Err(DnsError::BadRdata {
-                            rtype: rtype.to_u16(),
-                            detail: "txt string overruns rdata",
-                        });
-                    }
-                    strings.push(r.read_bytes(len, "TXT string")?.to_vec());
-                }
-                Ok(RecordData::Txt(strings))
-            }
-            RecordType::Soa => {
-                let mname = Name::decode(r)?;
-                let rname = Name::decode(r)?;
-                Ok(RecordData::Soa {
-                    mname,
-                    rname,
-                    serial: r.read_u32("SOA serial")?,
-                    refresh: r.read_u32("SOA refresh")?,
-                    retry: r.read_u32("SOA retry")?,
-                    expire: r.read_u32("SOA expire")?,
-                    minimum: r.read_u32("SOA minimum")?,
-                })
-            }
-            RecordType::Other(_) => Ok(RecordData::Opaque(
-                r.read_bytes(rdlen, "opaque rdata")?.to_vec(),
-            )),
-        }
+        let rec = RecordRef::scan(r.message(), r.position())?;
+        r.seek(rec.end())?;
+        Ok(rec.to_record())
     }
 }
 

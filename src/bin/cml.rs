@@ -466,7 +466,13 @@ fn resolve_cmd(opts: &Opts) -> ExitCode {
                 }
             },
             "--trace" => trace = true,
-            other if !other.starts_with('-') => name_arg = Some(other.to_string()),
+            other if !other.starts_with('-') => {
+                if let Some(first) = &name_arg {
+                    eprintln!("resolve takes one name, got {first:?} and {other:?}");
+                    return ExitCode::FAILURE;
+                }
+                name_arg = Some(other.to_string());
+            }
             other => {
                 eprintln!("unknown resolve option {other:?}");
                 return ExitCode::FAILURE;

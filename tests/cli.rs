@@ -153,7 +153,8 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         assert!(err.contains(err_part), "{flag} {value}: {err}");
         assert!(out.is_empty(), "{flag} {value}: nothing may run:\n{out}");
     }
-    // A bad count or a missing cohort spec exits 1 before anything runs.
+    // A bad count, a missing cohort spec or a second resolve name exits 1
+    // before anything runs.
     for (args, err_part) in [
         (
             &["fleet", "--jobs", "x"][..],
@@ -165,6 +166,10 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         ),
         (&["fleet", "--devices"][..], "--devices wants a value"),
         (&["fleet", "--cohorts"][..], "--cohorts wants a value"),
+        (
+            &["resolve", "telemetry.vendor.example", "www.vendor.example"][..],
+            "resolve takes one name, got \"telemetry.vendor.example\" and \"www.vendor.example\"",
+        ),
     ] {
         let (out, err, code) = cml(args);
         assert_eq!(code, Some(1), "{args:?}: stdout {out}");

@@ -4,11 +4,13 @@
 //! canonical proxy query into a pooled buffer — performs **zero** heap
 //! allocations. So does a warm full-entropy `BootForge::fork`, at a
 //! fresh seed (restore + reslide) and at the base seed (pure restore),
-//! a warm `Message::encode_into` with name compression, and a proxy
-//! cache lookup, hit or miss. A warm `Daemon::resolve` miss makes at
-//! most three. A warm delivery of the banked ROP response makes as few
-//! allocations after a fresh-seed fork as after a base-seed one, since
-//! the chain's decodes survive the reslide.
+//! a warm `Message::encode_into` with name compression, a proxy cache
+//! lookup, hit or miss, and a warm authoritative referral from
+//! `ZoneServer::handle_into`. A warm `Daemon::resolve` miss makes at
+//! most three allocations, and so does a warm recursive-resolver miss.
+//! A warm delivery of the banked ROP response makes as few allocations
+//! after a fresh-seed fork as after a base-seed one, since the chain's
+//! decodes survive the reslide.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -247,6 +249,72 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         3,
         "only the first miss recursed"
     );
+
+    // Resolver miss: `www.vendor.example` walks referrals, a CNAME and
+    // a glue chase (9 upstream round trips). Once its answer has
+    // expired and every server, pooled buffer, frame stack and trace
+    // string is warm, the whole miss allocates only the three frame
+    // names it materializes: the client's question, the CNAME target
+    // and the glueless nameserver.
+    use connman_lab::netsim::TICKS_PER_SEC;
+
+    let www = Message::query(
+        0x3112,
+        Question::new(
+            Name::parse("www.vendor.example").expect("valid"),
+            RecordType::A,
+        ),
+    )
+    .encode()
+    .expect("encodes");
+    let mut warm_miss = || {
+        resolver.advance_to(resolver.now() + 3600 * TICKS_PER_SEC);
+        resolver.clear_trace();
+        let upstream = resolver.stats().upstream_queries;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        assert!(resolver.handle_query_into(&mut net, &www, &mut rbuf));
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(
+            resolver.stats().upstream_queries - upstream,
+            9,
+            "a full miss"
+        );
+        after - before
+    };
+    for _ in 0..3 {
+        warm_miss();
+    }
+    let miss_allocs = warm_miss();
+    assert!(
+        miss_allocs <= 3,
+        "a warm resolver miss made {miss_allocs} allocations"
+    );
+
+    // Authoritative referral: a warm `ZoneServer::handle_into` reads
+    // the query in place and encodes the NS set and glue straight from
+    // the zone's records, touching no heap.
+    use connman_lab::dns::{WireBuf, Zone, ZoneServer};
+
+    let mut tld = Zone::rooted("example");
+    tld.ns("vendor.example", 86400, "ns1.vendor.example").a(
+        "ns1.vendor.example",
+        86400,
+        std::net::Ipv4Addr::new(203, 0, 113, 53),
+    );
+    let mut tld = ZoneServer::new(tld);
+    let mut reply = WireBuf::new();
+    assert!(tld.handle_into(&www, &mut reply));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..64 {
+        assert!(tld.handle_into(&www, &mut reply));
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "a warm authoritative referral must not touch the heap"
+    );
+    assert_eq!(tld.referrals(), 65);
 
     // Boot forge: after warm-up, forking the booted daemon at a fresh
     // seed (dirty-page restore + reslide to that seed's layout) and at
