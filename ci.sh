@@ -54,6 +54,29 @@ echo "==> cml fuzz --smoke"
 # find nothing on patched 1.35, within a small deterministic budget.
 cargo run --release --offline -q -p connman-lab --bin cml -- fuzz --smoke --jobs 2
 
+echo "==> cml fuzz golden"
+# Seed-7 campaigns on all three ISAs: the stats line (less its
+# `artifacts:` path) and a checksum of every corpus and crash file must
+# match the committed golden file byte for byte. Every seed-7 campaign
+# finds crashes, so `cml fuzz` must exit 2 (crashes found).
+fuzz_golden() {
+  local arch dir code
+  for arch in x86 arm riscv; do
+    dir=$(mktemp -d)
+    echo "== --arch $arch"
+    code=0
+    cargo run --release --offline -q -p connman-lab --bin cml -- \
+      fuzz --arch "$arch" --seed 7 --max-execs 20000 --jobs 1 --out "$dir/out" \
+      > "$dir/stdout" || code=$?
+    [ "$code" -eq 2 ] || { echo "fuzz --arch $arch: exit $code, want 2"; return 1; }
+    grep -v '^artifacts: ' "$dir/stdout"
+    (cd "$dir/out" && find corpus crashes -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum)
+    rm -rf "$dir"
+  done
+}
+diff <(fuzz_golden) tests/golden/fuzz_seed7.txt || {
+  echo "fuzz golden: output differs from tests/golden/fuzz_seed7.txt"; exit 1; }
+
 echo "==> cml resolve --smoke"
 # Recursive-resolver gate: delegation chasing, CNAME following, glue
 # chasing, warm cache hits, same-seed trace determinism, and the
