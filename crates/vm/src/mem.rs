@@ -326,9 +326,10 @@ impl Memory {
     }
 
     /// Reads a little-endian 32-bit word with one region probe. Any
-    /// anomaly — an armed redzone, a region straddle, a missing R bit,
-    /// nothing mapped — takes the byte loop instead, so faults and
-    /// sanitizer records are exactly those of four [`read_u8`]s.
+    /// anomaly — a word touching the armed redzone, a region straddle, a
+    /// missing R bit, nothing mapped — takes the byte loop instead, so
+    /// faults and sanitizer records are exactly those of four
+    /// [`read_u8`]s.
     ///
     /// [`read_u8`]: Memory::read_u8
     ///
@@ -337,7 +338,7 @@ impl Memory {
     /// Returns a read fault at the first inaccessible byte.
     #[inline]
     pub fn read_u32(&self, addr: Addr, pc: Addr) -> Result<u32, Fault> {
-        if self.redzone.is_none() {
+        if self.misses_redzone(addr, 4) {
             if let Some(r) = self.region_containing(addr) {
                 let off = (addr - r.base) as usize;
                 if r.perms.readable() {
@@ -384,7 +385,7 @@ impl Memory {
     ///
     /// Returns a read fault at the first inaccessible byte.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8], pc: Addr) -> Result<(), Fault> {
-        if self.redzone.is_some() {
+        if !self.misses_redzone(addr, buf.len()) {
             // Byte-at-a-time so every poisoned byte is diverted and
             // recorded individually, mirroring `write_bytes`.
             for (i, slot) in buf.iter_mut().enumerate() {
@@ -415,8 +416,9 @@ impl Memory {
 
     /// Reads a NUL-terminated C string of at most `max` bytes, scanning
     /// each region's bytes for the NUL with one probe per region
-    /// crossed. An armed redzone takes the byte loop, so every poisoned
-    /// byte is diverted (reads as the terminating `0`) and recorded.
+    /// crossed. The bytes from the armed redzone's start on take the
+    /// byte loop, so every poisoned byte is diverted (reads as the
+    /// terminating `0`) and recorded.
     ///
     /// # Errors
     ///
@@ -425,18 +427,41 @@ impl Memory {
     /// prefix is returned).
     pub fn read_cstr(&self, addr: Addr, max: usize, pc: Addr) -> Result<Vec<u8>, Fault> {
         let mut out = Vec::new();
-        if self.redzone.is_some() {
-            for i in 0..max {
-                let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
-                if b == 0 {
-                    break;
-                }
-                out.push(b);
+        // Scan fast up to the zone's start; from there, byte by byte.
+        let fast = if self.misses_redzone(addr, max) {
+            max
+        } else {
+            match self.redzone.as_deref() {
+                Some(z) if addr < z.zone_start => max.min((z.zone_start - addr) as usize),
+                _ => 0,
             }
+        };
+        if self.scan_cstr(addr, fast, pc, &mut out)? {
             return Ok(out);
         }
-        while out.len() < max {
-            let a = addr.wrapping_add(out.len() as u32);
+        for i in fast..max {
+            let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
+            if b == 0 {
+                break;
+            }
+            out.push(b);
+        }
+        Ok(out)
+    }
+
+    /// Appends the bytes of `[addr, addr + max)` up to the first NUL to
+    /// `out`, one region probe per region crossed; returns whether a NUL
+    /// ended the scan.
+    fn scan_cstr(
+        &self,
+        addr: Addr,
+        max: usize,
+        pc: Addr,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, Fault> {
+        let mut done = 0usize;
+        while done < max {
+            let a = addr.wrapping_add(done as u32);
             let r = self
                 .region_containing(a)
                 .ok_or(Fault::UnmappedRead { addr: a, pc })?;
@@ -448,17 +473,16 @@ impl Memory {
                 });
             }
             let off = (a - r.base) as usize;
-            let take = (r.data.len() - off).min(max - out.len());
+            let take = (r.data.len() - off).min(max - done);
             let window = &r.data[off..off + take];
-            match window.iter().position(|&b| b == 0) {
-                Some(nul) => {
-                    out.extend_from_slice(&window[..nul]);
-                    break;
-                }
-                None => out.extend_from_slice(window),
+            if let Some(nul) = window.iter().position(|&b| b == 0) {
+                out.extend_from_slice(&window[..nul]);
+                return Ok(true);
             }
+            out.extend_from_slice(window);
+            done += take;
         }
-        Ok(out)
+        Ok(false)
     }
 
     /// Writes one byte, honouring permissions.
@@ -487,11 +511,11 @@ impl Memory {
     }
 
     /// Writes a little-endian 32-bit word with one region probe. Any
-    /// anomaly — an armed redzone, a region straddle, a missing W bit,
-    /// nothing mapped — takes the byte loop instead, which notes each
-    /// byte to the decode cache before its own permission check: the
-    /// committed prefix, the fault, the dropped decodes and the sanitizer
-    /// record are exactly those of four [`write_u8`]s.
+    /// anomaly — a word touching the armed redzone, a region straddle, a
+    /// missing W bit, nothing mapped — takes the byte loop instead, which
+    /// notes each byte to the decode cache before its own permission
+    /// check: the committed prefix, the fault, the dropped decodes and
+    /// the sanitizer record are exactly those of four [`write_u8`]s.
     ///
     /// [`write_u8`]: Memory::write_u8
     ///
@@ -501,7 +525,7 @@ impl Memory {
     /// it will already have been written.
     #[inline]
     pub fn write_u32(&mut self, addr: Addr, v: u32, pc: Addr) -> Result<(), Fault> {
-        if self.redzone.is_none() {
+        if self.misses_redzone(addr, 4) {
             if let Some(i) = self.region_index(addr) {
                 let r = &mut self.regions[i];
                 let off = (addr - r.base) as usize;
@@ -536,7 +560,7 @@ impl Memory {
         if bytes.is_empty() {
             return Ok(());
         }
-        if self.redzone.is_some() {
+        if !self.misses_redzone(addr, bytes.len()) {
             // Byte-at-a-time so the in-bounds prefix commits and every
             // poisoned byte is recorded individually.
             for (i, b) in bytes.iter().enumerate() {
@@ -670,6 +694,22 @@ impl Memory {
     /// Whether a redzone is currently armed.
     pub fn redzone_armed(&self) -> bool {
         self.redzone.is_some()
+    }
+
+    /// Whether the access `[addr, addr + len)` lies wholly outside the
+    /// armed redzone (always, when none is armed), so it may take a
+    /// fast path: only an access that touches the zone needs the byte
+    /// loop's per-byte diversion and recording. An access that wraps
+    /// past 2^32 counts as touching it.
+    #[inline]
+    fn misses_redzone(&self, addr: Addr, len: usize) -> bool {
+        match self.redzone.as_deref() {
+            None => true,
+            Some(z) => {
+                let end = addr as u64 + len as u64;
+                end <= 1 << 32 && (end <= z.zone_start as u64 || addr as u64 >= z.zone_end)
+            }
+        }
     }
 
     /// Records `addr` if it falls in the poisoned range; returns `true`
@@ -1233,6 +1273,133 @@ mod tests {
         m.snapshot();
         for addr in (0x0FFC..0x1008).chain(0x80F8..0x8114) {
             let _ = check_word(&m, addr, 0xA1B2_C3D4);
+        }
+    }
+
+    // ---- the redzone range check against the byte loops ----
+
+    fn bytewise_read_into(m: &Memory, addr: Addr, buf: &mut [u8], pc: Addr) -> Result<(), Fault> {
+        for (i, slot) in buf.iter_mut().enumerate() {
+            *slot = m.read_u8(addr.wrapping_add(i as u32), pc)?;
+        }
+        Ok(())
+    }
+
+    fn bytewise_write_bytes(
+        m: &mut Memory,
+        addr: Addr,
+        bytes: &[u8],
+        pc: Addr,
+    ) -> Result<(), Fault> {
+        for (i, &b) in bytes.iter().enumerate() {
+            m.write_u8(addr.wrapping_add(i as u32), b, pc)?;
+        }
+        Ok(())
+    }
+
+    /// Holds every accessor with a redzone-miss fast path to its byte
+    /// loop for one `len`-byte access at `addr` (wrapping past 2^32 like
+    /// the byte loops do), and the miss test itself to its definition:
+    /// no byte of the access is poisoned and none wraps. (An empty
+    /// access does nothing on either path, so its verdict is free.)
+    fn check_range(m: &Memory, addr: u64, len: usize) {
+        let addr = addr as Addr;
+        let z = m.redzone.as_deref().expect("armed");
+        let touches = (addr as u64..addr as u64 + len as u64)
+            .any(|a| a >= 1 << 32 || (a >= z.zone_start as u64 && a < z.zone_end));
+        let at = format!("{addr:#x}+{len}");
+        if len > 0 {
+            assert_eq!(m.misses_redzone(addr, len), !touches, "miss test at {at}");
+        }
+
+        if len == 4 {
+            let _ = check_word(m, addr, 0xA1B2_C3D4);
+        }
+        let (fast, slow) = (m.clone(), m.clone());
+        let (mut a, mut b) = (vec![0xEE; len], vec![0xEE; len]);
+        let got = fast.read_into(addr, &mut a, 0x44);
+        assert_eq!(
+            got,
+            bytewise_read_into(&slow, addr, &mut b, 0x44),
+            "read_into at {at}"
+        );
+        assert_eq!(a, b, "read_into bytes at {at}");
+        assert_same(fast, slow);
+
+        let (mut fast, mut slow) = (m.clone(), m.clone());
+        let data: Vec<u8> = (0..len).map(|i| 0x80 | i as u8).collect();
+        let got = fast.write_bytes(addr, &data, 0x45);
+        assert_eq!(
+            got,
+            bytewise_write_bytes(&mut slow, addr, &data, 0x45),
+            "write_bytes at {at}"
+        );
+        assert_same(fast, slow);
+
+        let (fast, slow) = (m.clone(), m.clone());
+        let got = fast.read_cstr(addr, len, 0x9);
+        assert_eq!(
+            got,
+            bytewise_read_cstr(&slow, addr, len),
+            "read_cstr at {at}"
+        );
+        assert_same(fast, slow);
+    }
+
+    #[test]
+    fn redzone_miss_fast_paths_match_the_byte_loops_at_every_boundary() {
+        /// RW regions, filled with 'a'; the zone's buffer, capacity and
+        /// end; a NUL byte.
+        type Setup = (&'static [(Addr, u32)], Addr, u32, u64, Option<Addr>);
+        let setups: [Setup; 5] = [
+            // The zone runs to the end of the mapping, as in the daemon.
+            (&[(0x8000, 0x100)], 0x8000, 0x40, 0x8100, None),
+            // The same, with another region right after it.
+            (
+                &[(0x8000, 0x100), (0x8100, 0x20)],
+                0x8000,
+                0x40,
+                0x8100,
+                None,
+            ),
+            // The zone ends mid-region; a NUL past it ends strings there.
+            (&[(0x8000, 0x100)], 0x8000, 0x40, 0x8080, Some(0x8090)),
+            // A NUL just before the zone ends strings short of it.
+            (&[(0x8000, 0x100)], 0x8000, 0x40, 0x8080, Some(0x803D)),
+            // The zone ends at 2^32; an access past it wraps to 0.
+            (
+                &[(0xFFFF_FF00, 0x100), (0, 0x20)],
+                0xFFFF_FF00,
+                0x80,
+                1 << 32,
+                None,
+            ),
+        ];
+        for (regions, buffer, capacity, zone_end, nul) in setups {
+            let mut m = Memory::new();
+            for &(base, size) in regions {
+                m.map("rw", None, base, size, Perms::RW);
+                m.write_bytes(base, &vec![b'a'; size as usize], 0).unwrap();
+            }
+            if let Some(at) = nul {
+                m.write_u8(at, 0, 0).unwrap();
+            }
+            m.snapshot();
+            m.arm_redzone(buffer, capacity, zone_end);
+            let zone_start = buffer as u64 + capacity as u64;
+            for boundary in [zone_start, zone_end] {
+                // Ends just before, straddles, sits inside, or starts at
+                // the boundary, and a few bytes either side.
+                for start in boundary - 12..=boundary + 4 {
+                    for len in 0..=12 {
+                        check_range(&m, start, len);
+                    }
+                }
+            }
+            // Accesses spanning the whole zone and past it.
+            for start in [buffer as u64, zone_start - 1, zone_start] {
+                check_range(&m, start, (zone_end - start) as usize + 8);
+            }
         }
     }
 
