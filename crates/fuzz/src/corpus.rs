@@ -1,6 +1,6 @@
 //! Coverage-novelty admission and the corpus itself.
 
-use cml_vm::COV_MAP_SIZE;
+use cml_vm::{CoverageMap, COV_MAP_SIZE};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -20,6 +20,16 @@ fn class_bit(count: u8) -> u8 {
         32..=127 => 1 << 6,
         _ => 1 << 7,
     }
+}
+
+/// Folds one counter into its virgin byte; `true` when it shows a count
+/// class the byte had not seen.
+#[inline]
+fn fold(seen: &mut u8, count: u8) -> bool {
+    let bit = class_bit(count);
+    let novel = bit & !*seen != 0;
+    *seen |= bit;
+    novel
 }
 
 /// The campaign-global "virgin map": which count classes each edge has
@@ -44,13 +54,27 @@ impl CoverageAccum {
         }
     }
 
-    /// Folds one execution's coverage map in. Returns `true` when the
-    /// run showed any new edge/count-class — the admission signal.
+    /// Folds one execution's coverage map in, walking only the
+    /// counters it lit ([`CoverageMap::touched`]). Returns `true` when
+    /// the run showed any new edge/count-class — the admission signal.
+    /// Same verdict and virgin map as
+    /// [`note_new`](CoverageAccum::note_new) of the map's bytes.
+    pub fn note_touched(&mut self, map: &CoverageMap) -> bool {
+        let counts = map.bytes();
+        let mut novel = false;
+        for &idx in map.touched() {
+            let idx = idx as usize;
+            novel |= fold(&mut self.virgin[idx], counts[idx]);
+        }
+        novel
+    }
+
+    /// Folds a raw counter map in. Returns `true` when it showed any
+    /// new edge/count-class. This scans the whole map, skipping zero
+    /// bytes a word at a time; the fuzz harness folds through
+    /// [`note_touched`](CoverageAccum::note_touched) instead, which
+    /// costs only the edges an execution lit.
     pub fn note_new(&mut self, map: &[u8]) -> bool {
-        // The map is sparse (a few hundred lit edges out of 8 Ki), so
-        // the scan skips zero bytes a word at a time: this runs once
-        // per fuzz exec and the byte-wise version was ~a third of the
-        // whole coverage overhead.
         let mut novel = false;
         let words = self.virgin.len().min(map.len()) / 8;
         for (seen8, map8) in self.virgin[..words * 8]
@@ -61,19 +85,11 @@ impl CoverageAccum {
                 continue;
             }
             for (seen, &count) in seen8.iter_mut().zip(map8) {
-                let bit = class_bit(count);
-                if bit & !*seen != 0 {
-                    novel = true;
-                    *seen |= bit;
-                }
+                novel |= fold(seen, count);
             }
         }
         for (seen, &count) in self.virgin[words * 8..].iter_mut().zip(&map[words * 8..]) {
-            let bit = class_bit(count);
-            if bit & !*seen != 0 {
-                novel = true;
-                *seen |= bit;
-            }
+            novel |= fold(seen, count);
         }
         novel
     }
@@ -160,6 +176,43 @@ mod tests {
         map[5] = 7;
         assert!(!acc.note_new(&map), "same class");
         assert_eq!(acc.edges_seen(), 1);
+    }
+
+    #[test]
+    fn touched_fold_matches_the_full_map_fold() {
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        // 150 locations give ~22k distinct edges, so indices collide.
+        let locs: Vec<u32> = (0..150).map(|_| rng.gen()).collect();
+        let mut map = CoverageMap::new();
+        let (mut touched, mut full) = (CoverageAccum::new(), CoverageAccum::new());
+        let mut novel_execs = 0;
+        for exec in 0..300 {
+            // Short runs over a few locations, so later execs often
+            // bring nothing new and count classes keep climbing.
+            let pool = rng.gen_range(2usize..locs.len());
+            for _ in 0..rng.gen_range(0usize..400) {
+                map.note(locs[rng.gen_range(0usize..pool)]);
+            }
+            if exec % 7 == 0 {
+                // A tight loop saturates its edges at 255.
+                for _ in 0..300 {
+                    map.note(locs[0]);
+                    map.note(locs[1]);
+                }
+            }
+            let nonzero = map.bytes().iter().filter(|&&c| c != 0).count();
+            assert_eq!(map.edges(), nonzero, "exec {exec}");
+            let verdict = touched.note_touched(&map);
+            assert_eq!(verdict, full.note_new(map.bytes()), "exec {exec}: verdict");
+            assert_eq!(touched.virgin, full.virgin, "exec {exec}: virgin map");
+            novel_execs += verdict as u32;
+            map.reset();
+            assert!(map.bytes().iter().all(|&c| c == 0), "exec {exec}: reset");
+        }
+        assert!(
+            novel_execs > 10 && novel_execs < 290,
+            "{novel_execs} novel execs"
+        );
     }
 
     #[test]

@@ -95,6 +95,12 @@ impl Harness {
     /// Forks (or reboots), re-issues the canonical query, and delivers
     /// `input` as the upstream response under the sanitizer oracle.
     pub fn exec(&mut self, input: &[u8], accum: &mut CoverageAccum) -> ExecOutcome {
+        self.run(input, Some(accum))
+    }
+
+    /// [`exec`](Harness::exec), folding the run's coverage into `accum`
+    /// only when one is given.
+    fn run(&mut self, input: &[u8], accum: Option<&mut CoverageAccum>) -> ExecOutcome {
         let coverage = self.coverage;
         let boot_seed = self.boot_seed;
         let daemon = if self.reboot_per_exec {
@@ -111,9 +117,9 @@ impl Harness {
         // seed corpus stays valid across the whole campaign.
         let _query = daemon.resolve(&self.qname, RecordType::A);
         let outcome = daemon.deliver_response(input);
-        let novel = match daemon.machine().coverage() {
-            Some(map) => accum.note_new(map.bytes()),
-            None => false,
+        let novel = match (daemon.machine().coverage(), accum) {
+            (Some(map), Some(accum)) => accum.note_touched(map),
+            _ => false,
         };
         let (tag, crash, fault): (&'static str, Option<String>, Option<String>) = match &outcome {
             ProxyOutcome::Rejected(_) => ("rejected", None, None),
@@ -151,12 +157,10 @@ impl Harness {
     }
 
     /// Re-runs `input` and reports whether it crashes with `key` —
-    /// the minimization predicate. Coverage novelty is deliberately not
-    /// recorded (a throwaway accumulator), so minimization cannot
-    /// perturb corpus admission.
+    /// the minimization predicate. Coverage is deliberately not folded
+    /// anywhere, so minimization cannot perturb corpus admission.
     pub fn reproduces(&mut self, input: &[u8], key: &str) -> bool {
-        let mut scratch = CoverageAccum::new();
-        let out = self.exec(input, &mut scratch);
+        let out = self.run(input, None);
         out.crash_key.as_deref() == Some(key)
     }
 

@@ -17,6 +17,12 @@
 //! interleaving of boot-time execution and parse progress is itself an
 //! observable path signal.
 //!
+//! The map also lists the index of every counter that went 0→1, in
+//! first-hit order ([`CoverageMap::touched`]). A fuzz execution lights
+//! a few hundred of the 8 Ki counters, so the fuzzer's novelty fold and
+//! the per-input [`CoverageMap::reset`] walk that list rather than the
+//! whole map, and an execution pays for the edges it lit.
+//!
 //! The hook is off by default and costs exploit runs a single `Option`
 //! check per dispatched block, mirroring the shadow-memory sanitizer's
 //! "pay only when armed" contract.
@@ -44,11 +50,15 @@ pub(crate) fn premix(loc: u32) -> u32 {
     mix(loc)
 }
 
-/// A fixed-size edge-coverage map: saturating hit counters plus the
-/// rolling `prev` location register.
+/// A fixed-size edge-coverage map: saturating hit counters, the list
+/// of counters lit since the last reset, and the rolling `prev`
+/// location register.
 #[derive(Debug, Clone)]
 pub struct CoverageMap {
     map: Box<[u8]>,
+    /// Index of every nonzero counter, in first-hit order. A counter
+    /// saturates rather than wraps, so each index appears exactly once.
+    touched: Vec<u16>,
     prev: u32,
 }
 
@@ -63,6 +73,8 @@ impl CoverageMap {
     pub fn new() -> Self {
         CoverageMap {
             map: vec![0u8; COV_MAP_SIZE].into_boxed_slice(),
+            // Room for every counter, so noting never reallocates.
+            touched: Vec::with_capacity(COV_MAP_SIZE),
             prev: 0,
         }
     }
@@ -71,11 +83,7 @@ impl CoverageMap {
     /// previously noted location to `loc`.
     #[inline]
     pub fn note(&mut self, loc: u32) {
-        let h = mix(loc);
-        let idx = (self.prev ^ h) as usize & (COV_MAP_SIZE - 1);
-        self.map[idx] = self.map[idx].saturating_add(1);
-        // Shift so that A→B and B→A land in different slots.
-        self.prev = h >> 1;
+        self.note_premixed(mix(loc));
     }
 
     /// Records one location whose [`premix`] hash was computed at IR
@@ -85,14 +93,24 @@ impl CoverageMap {
     #[inline]
     pub(crate) fn note_premixed(&mut self, h: u32) {
         let idx = (self.prev ^ h) as usize & (COV_MAP_SIZE - 1);
-        self.map[idx] = self.map[idx].saturating_add(1);
+        let c = &mut self.map[idx];
+        if *c == 0 {
+            self.touched.push(idx as u16);
+        }
+        *c = c.saturating_add(1);
+        // Shift so that A→B and B→A land in different slots.
         self.prev = h >> 1;
     }
 
     /// Zeroes every counter and the `prev` register — called by the
     /// fuzzer between inputs so each execution reports its own edges.
+    /// Only the touched counters are written, so a reset costs the edges
+    /// the last execution lit, not the whole map.
     pub fn reset(&mut self) {
-        self.map.fill(0);
+        for &idx in &self.touched {
+            self.map[idx as usize] = 0;
+        }
+        self.touched.clear();
         self.prev = 0;
     }
 
@@ -101,9 +119,15 @@ impl CoverageMap {
         &self.map
     }
 
+    /// The index of every nonzero counter, in first-hit order: the
+    /// sparse view of [`bytes`](CoverageMap::bytes) the fuzzer folds.
+    pub fn touched(&self) -> &[u16] {
+        &self.touched
+    }
+
     /// How many distinct edges have a nonzero counter.
     pub fn edges(&self) -> usize {
-        self.map.iter().filter(|&&c| c != 0).count()
+        self.touched.len()
     }
 }
 
@@ -142,6 +166,46 @@ mod tests {
             pre.note_premixed(premix(loc));
         }
         assert_eq!(plain.bytes(), pre.bytes(), "same edges, same map");
+    }
+
+    #[test]
+    fn touched_list_is_exactly_the_nonzero_counters() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        // 150 locations give ~22k distinct edges, so indices collide.
+        let locs: Vec<u32> = (0..150).map(|_| rng.gen()).collect();
+        let mut m = CoverageMap::new();
+        for exec in 0..200 {
+            for _ in 0..rng.gen_range(0usize..1500) {
+                let loc = locs[rng.gen_range(0usize..locs.len())];
+                if rng.gen_range(0u32..2) == 0 {
+                    m.note(loc);
+                } else {
+                    m.note_premixed(premix(loc));
+                }
+            }
+            if exec % 3 == 0 {
+                // A tight loop saturates its edges at 255.
+                for _ in 0..300 {
+                    m.note(locs[0]);
+                    m.note(locs[1]);
+                }
+                assert!(m.bytes().contains(&255));
+            }
+            let nonzero: Vec<usize> = (0..COV_MAP_SIZE).filter(|&i| m.bytes()[i] != 0).collect();
+            let mut touched: Vec<usize> = m.touched().iter().map(|&i| i as usize).collect();
+            touched.sort_unstable();
+            assert_eq!(
+                touched, nonzero,
+                "exec {exec}: each lit counter listed once"
+            );
+            assert_eq!(m.edges(), nonzero.len());
+            m.reset();
+            assert!(m.bytes().iter().all(|&c| c == 0), "exec {exec}: reset");
+            assert_eq!(m.edges(), 0);
+        }
     }
 
     #[test]
