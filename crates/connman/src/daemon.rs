@@ -20,7 +20,9 @@ use cml_vm::{Fault, LoadMap, Loader, Machine, MachineSnapshot, RunOutcome, Shell
 use crate::cov;
 use crate::frame::{Frame, FrameLayout};
 use crate::uncompress::{get_name_into, UncompressError};
-use crate::{Cache, ConnmanVersion, ProxyOutcome, SYM_DAEMON_LOOP, SYM_PARSE_RESPONSE};
+use crate::{
+    Cache, ConnmanVersion, ParseFailure, ProxyOutcome, SYM_DAEMON_LOOP, SYM_PARSE_RESPONSE,
+};
 
 /// Stack distance between the boot-time stack pointer and the daemon
 /// loop's frame when it calls `parse_response`.
@@ -372,7 +374,7 @@ impl Daemon {
         // 3. Walk the answer records through the (possibly unchecked)
         //    decompressor.
         let mut offset = gate.answers_offset;
-        let mut parse_failure: Option<String> = None;
+        let mut parse_failure: Option<ParseFailure> = None;
         let mut to_cache: Vec<(RecordType, Vec<IpAddr>, u32)> = Vec::new();
         for rr_idx in 0..gate.header.ancount {
             match get_name_into(
@@ -385,16 +387,21 @@ impl Daemon {
                 self.parse_pc,
             ) {
                 Ok(out) => offset = out.next_offset,
-                Err(UncompressError::MachineFault(fault)) => {
-                    // Prefer the precise sanitizer diagnostic over the
-                    // raw machine fault, if the redzone saw the overflow.
-                    if let Some(f) = self.sanitizer_verdict() {
-                        return self.crash(f);
-                    }
-                    return self.crash(fault);
-                }
                 Err(e) => {
-                    parse_failure = Some(uncompress_reason(&e));
+                    parse_failure = Some(match e {
+                        UncompressError::Malformed => ParseFailure::MalformedName,
+                        UncompressError::PointerLoop => ParseFailure::PointerLoop,
+                        UncompressError::BufferFull { needed } => {
+                            ParseFailure::BufferFull { needed }
+                        }
+                        UncompressError::MachineFault(fault) => {
+                            // Prefer the precise sanitizer diagnostic over
+                            // the raw machine fault, if the redzone saw the
+                            // overflow.
+                            let fault = self.sanitizer_verdict().unwrap_or(fault);
+                            return self.crash(fault);
+                        }
+                    });
                     break;
                 }
             }
@@ -409,7 +416,7 @@ impl Daemon {
                     }
                 }
                 Err(reason) => {
-                    parse_failure = Some(reason.to_string());
+                    parse_failure = Some(reason);
                     break;
                 }
             }
@@ -563,17 +570,6 @@ impl Daemon {
     }
 }
 
-fn uncompress_reason(e: &UncompressError) -> String {
-    match e {
-        UncompressError::Malformed => "malformed name in answer".to_string(),
-        UncompressError::PointerLoop => "compression pointer loop".to_string(),
-        UncompressError::BufferFull { needed } => {
-            format!("name of {needed} bytes exceeds buffer (patched bounds check)")
-        }
-        UncompressError::MachineFault(f) => f.to_string(),
-    }
-}
-
 /// Fixed RR fields, borrowing `rdata` straight from the packet — one
 /// record is parsed per decompressed name, so a per-record `Vec` here
 /// would be the only allocation left in the DNS decode loop.
@@ -602,18 +598,17 @@ impl RrFixed<'_> {
     }
 }
 
-fn parse_rr_fixed(bytes: &[u8], offset: usize) -> Result<RrFixed<'_>, &'static str> {
+fn parse_rr_fixed(bytes: &[u8], offset: usize) -> Result<RrFixed<'_>, ParseFailure> {
+    let truncated = |_| ParseFailure::RecordTruncated;
     let mut r = WireReader::new(bytes);
-    r.seek(offset).map_err(|_| "record header truncated")?;
-    let rtype = RecordType::from_u16(r.read_u16("type").map_err(|_| "record header truncated")?);
-    let _class = r.read_u16("class").map_err(|_| "record header truncated")?;
-    let ttl = r.read_u32("ttl").map_err(|_| "record header truncated")?;
-    let rdlen = r
-        .read_u16("rdlength")
-        .map_err(|_| "record header truncated")? as usize;
+    r.seek(offset).map_err(truncated)?;
+    let rtype = RecordType::from_u16(r.read_u16("type").map_err(truncated)?);
+    let _class = r.read_u16("class").map_err(truncated)?;
+    let ttl = r.read_u32("ttl").map_err(truncated)?;
+    let rdlen = r.read_u16("rdlength").map_err(truncated)? as usize;
     let rdata = r
         .read_bytes(rdlen, "rdata")
-        .map_err(|_| "rdata truncated")?;
+        .map_err(|_| ParseFailure::RdataTruncated)?;
     Ok(RrFixed {
         rtype,
         ttl,

@@ -37,7 +37,7 @@ mod version;
 pub use cache::{Cache, CacheEntry};
 pub use daemon::{Daemon, DaemonError, DaemonSnapshot, DaemonState, PendingQuery, Resolution};
 pub use frame::{layout_for, Frame, FrameLayout};
-pub use outcome::ProxyOutcome;
+pub use outcome::{ParseFailure, ProxyOutcome};
 pub use version::ConnmanVersion;
 
 /// Size of the `name` buffer in `parse_response` — the constant whose

@@ -15,8 +15,8 @@ pub enum ProxyOutcome {
     /// The answer section failed to parse (including the 1.35 bounds
     /// check); the daemon keeps running.
     ParseFailed {
-        /// Human-readable reason.
-        reason: String,
+        /// Why the parse stopped.
+        reason: ParseFailure,
     },
     /// Normal operation: the response was parsed and forwarded.
     Answered {
@@ -35,6 +35,42 @@ pub enum ProxyOutcome {
     },
     /// The daemon was already dead when the response arrived.
     DaemonDown,
+}
+
+/// Why a response's answer section failed to parse. `Copy`, so a parse
+/// failure allocates nothing; `Display` gives the human-readable reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseFailure {
+    /// A name ran past the end of the packet.
+    MalformedName,
+    /// A name's compression pointers hopped too often.
+    PointerLoop,
+    /// The 1.35 bounds check fired.
+    BufferFull {
+        /// Bytes the name would have needed.
+        needed: usize,
+    },
+    /// A record's type, class, TTL or RDLENGTH ran past the packet.
+    RecordTruncated,
+    /// A record's RDATA ran past the packet.
+    RdataTruncated,
+}
+
+impl fmt::Display for ParseFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseFailure::MalformedName => f.write_str("malformed name in answer"),
+            ParseFailure::PointerLoop => f.write_str("compression pointer loop"),
+            ParseFailure::BufferFull { needed } => {
+                write!(
+                    f,
+                    "name of {needed} bytes exceeds buffer (patched bounds check)"
+                )
+            }
+            ParseFailure::RecordTruncated => f.write_str("record header truncated"),
+            ParseFailure::RdataTruncated => f.write_str("rdata truncated"),
+        }
+    }
 }
 
 impl ProxyOutcome {
@@ -80,6 +116,24 @@ impl fmt::Display for ProxyOutcome {
 mod tests {
     use super::*;
     use cml_vm::Fault;
+
+    #[test]
+    fn parse_failure_reasons_read_as_before() {
+        for (reason, text) in [
+            (ParseFailure::MalformedName, "malformed name in answer"),
+            (ParseFailure::PointerLoop, "compression pointer loop"),
+            (
+                ParseFailure::BufferFull { needed: 1300 },
+                "name of 1300 bytes exceeds buffer (patched bounds check)",
+            ),
+            (ParseFailure::RecordTruncated, "record header truncated"),
+            (ParseFailure::RdataTruncated, "rdata truncated"),
+        ] {
+            let outcome = ProxyOutcome::ParseFailed { reason };
+            assert_eq!(outcome.to_string(), format!("parse failed: {text}"));
+            assert!(outcome.daemon_alive());
+        }
+    }
 
     #[test]
     fn classification() {

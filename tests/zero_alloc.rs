@@ -10,7 +10,8 @@
 //! most three allocations, and so does a warm recursive-resolver miss.
 //! A warm delivery of the banked ROP response makes as few allocations
 //! after a fresh-seed fork as after a base-seed one, since the chain's
-//! decodes survive the reslide.
+//! decodes survive the reslide. A warm fuzz exec of a parse-failed or a
+//! gate-rejected input makes at most five and three.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -423,5 +424,41 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             base.iter().all(|&a| a <= bound),
             "{arch}: a warm delivery made {base:?} allocations, over {bound}"
         );
+    }
+
+    // Fuzz execs that never reach a crash: a response whose only record
+    // lost its RDATA (parse failed) and one with a wrong transaction id
+    // (the header gate rejects it), each run warm in fork mode with the
+    // sanitizer and coverage armed. Today's counts: 3 allocations in the
+    // canonical query's resolve, and 2 more once the header gate passes.
+    // The parse failure's reason is a `Copy` value, not a `String`, and
+    // the coverage fold and reset allocate nothing.
+    use connman_lab::fuzz::{CoverageAccum, Harness};
+    for arch in Arch::ALL {
+        let mut harness = Harness::new(FirmwareKind::OpenElec, arch, 0xF022, true, false);
+        let benign = harness.seed_inputs().swap_remove(0);
+        let parse_failed = benign[..benign.len() - 2].to_vec();
+        let mut rejected = benign.clone();
+        rejected[0] ^= 0xFF;
+        let mut accum = CoverageAccum::new();
+        for (input, tag, bound) in [
+            (&parse_failed, "parse-failed", 5),
+            (&rejected, "rejected", 3),
+        ] {
+            for _ in 0..4 {
+                assert_eq!(harness.exec(input, &mut accum).tag, tag, "{arch}");
+            }
+            let per_exec: Vec<u64> = (0..64)
+                .map(|_| {
+                    let before = ALLOCS.load(Ordering::Relaxed);
+                    harness.exec(input, &mut accum);
+                    ALLOCS.load(Ordering::Relaxed) - before
+                })
+                .collect();
+            assert!(
+                per_exec.iter().all(|&a| a <= bound),
+                "{arch}: a warm {tag} exec made {per_exec:?} allocations, over {bound}"
+            );
+        }
     }
 }
