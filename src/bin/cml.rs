@@ -127,6 +127,8 @@ struct Opts {
     stream: bool,
     resolver: bool,
     rest: Vec<String>,
+    /// Every argument after the command, as given.
+    args: Vec<String>,
 }
 
 /// Parses the value of `flag` with its type's own spelling table.
@@ -157,6 +159,7 @@ impl Opts {
             stream: false,
             resolver: false,
             rest: Vec::new(),
+            args: args.to_vec(),
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -196,6 +199,26 @@ impl Opts {
             }
         }
         Ok(o)
+    }
+
+    /// Whether `--smoke` was given. A smoke gate runs fixed settings, so
+    /// any argument beside it other than the global `--jobs N` is an
+    /// error instead of being silently ignored.
+    fn smoke(&self) -> Result<bool, String> {
+        if !self.rest.iter().any(|a| a == "--smoke") {
+            return Ok(false);
+        }
+        let mut it = self.args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--smoke" => {}
+                "--jobs" => {
+                    it.next();
+                }
+                other => return Err(format!("--smoke takes no other arguments, got {other:?}")),
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -449,8 +472,13 @@ fn resolve_cmd(opts: &Opts) -> ExitCode {
     use connman_lab::dns::{Message, Name, Question, RecordType};
     use connman_lab::netsim::{example_internet, RecursiveResolver};
 
-    if opts.rest.iter().any(|a| a == "--smoke") {
-        return resolve_smoke();
+    match opts.smoke() {
+        Ok(true) => return resolve_smoke(),
+        Ok(false) => {}
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     }
     let mut seed = 7u64;
     let mut trace = false;
@@ -633,7 +661,14 @@ fn resolve_smoke() -> ExitCode {
 fn fuzz_cmd(opts: &Opts) -> ExitCode {
     use connman_lab::fuzz::{fuzz, FuzzConfig};
 
-    if opts.rest.iter().any(|a| a == "--smoke") {
+    let smoke = match opts.smoke() {
+        Ok(smoke) => smoke,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if smoke {
         // Fixed-seed CI gate: the three campaigns below must behave
         // exactly this way on every run or the build fails.
         let budget = 1500;

@@ -153,8 +153,8 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         assert!(err.contains(err_part), "{flag} {value}: {err}");
         assert!(out.is_empty(), "{flag} {value}: nothing may run:\n{out}");
     }
-    // A bad count, a missing cohort spec or a second resolve name exits 1
-    // before anything runs.
+    // A bad count, a missing cohort spec, a second resolve name or a
+    // smoke gate given any other argument exits 1 before anything runs.
     for (args, err_part) in [
         (
             &["fleet", "--jobs", "x"][..],
@@ -169,6 +169,14 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         (
             &["resolve", "telemetry.vendor.example", "www.vendor.example"][..],
             "resolve takes one name, got \"telemetry.vendor.example\" and \"www.vendor.example\"",
+        ),
+        (
+            &["fuzz", "--smoke", "--seed", "x"][..],
+            "--smoke takes no other arguments, got \"--seed\"",
+        ),
+        (
+            &["resolve", "--smoke", "--seed", "x"][..],
+            "--smoke takes no other arguments, got \"--seed\"",
         ),
     ] {
         let (out, err, code) = cml(args);
