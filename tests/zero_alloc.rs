@@ -430,9 +430,10 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
     // lost its RDATA (parse failed) and one with a wrong transaction id
     // (the header gate rejects it), each run warm in fork mode with the
     // sanitizer and coverage armed. Today's counts: 3 allocations in the
-    // canonical query's resolve, and 2 more once the header gate passes.
-    // The parse failure's reason is a `Copy` value, not a `String`, and
-    // the coverage fold and reset allocate nothing.
+    // canonical query's resolve; past the header gate, 1 in its decode of
+    // the echoed question and 1 in arming the sanitizer's redzone. The
+    // parse failure's reason is a `Copy` value, not a `String`, and the
+    // coverage fold and reset allocate nothing.
     use connman_lab::fuzz::{CoverageAccum, Harness};
     for arch in Arch::ALL {
         let mut harness = Harness::new(FirmwareKind::OpenElec, arch, 0xF022, true, false);
