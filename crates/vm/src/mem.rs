@@ -416,9 +416,9 @@ impl Memory {
 
     /// Reads a NUL-terminated C string of at most `max` bytes, scanning
     /// each region's bytes for the NUL with one probe per region
-    /// crossed. The bytes from the armed redzone's start on take the
-    /// byte loop, so every poisoned byte is diverted (reads as the
-    /// terminating `0`) and recorded.
+    /// crossed. A `[addr, addr + max)` range that touches the armed
+    /// redzone takes the byte loop, so every poisoned byte is diverted
+    /// (reads as the terminating `0`) and recorded.
     ///
     /// # Errors
     ///
@@ -427,41 +427,18 @@ impl Memory {
     /// prefix is returned).
     pub fn read_cstr(&self, addr: Addr, max: usize, pc: Addr) -> Result<Vec<u8>, Fault> {
         let mut out = Vec::new();
-        // Scan fast up to the zone's start; from there, byte by byte.
-        let fast = if self.misses_redzone(addr, max) {
-            max
-        } else {
-            match self.redzone.as_deref() {
-                Some(z) if addr < z.zone_start => max.min((z.zone_start - addr) as usize),
-                _ => 0,
+        if !self.misses_redzone(addr, max) {
+            for i in 0..max {
+                let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
+                if b == 0 {
+                    break;
+                }
+                out.push(b);
             }
-        };
-        if self.scan_cstr(addr, fast, pc, &mut out)? {
             return Ok(out);
         }
-        for i in fast..max {
-            let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
-            if b == 0 {
-                break;
-            }
-            out.push(b);
-        }
-        Ok(out)
-    }
-
-    /// Appends the bytes of `[addr, addr + max)` up to the first NUL to
-    /// `out`, one region probe per region crossed; returns whether a NUL
-    /// ended the scan.
-    fn scan_cstr(
-        &self,
-        addr: Addr,
-        max: usize,
-        pc: Addr,
-        out: &mut Vec<u8>,
-    ) -> Result<bool, Fault> {
-        let mut done = 0usize;
-        while done < max {
-            let a = addr.wrapping_add(done as u32);
+        while out.len() < max {
+            let a = addr.wrapping_add(out.len() as u32);
             let r = self
                 .region_containing(a)
                 .ok_or(Fault::UnmappedRead { addr: a, pc })?;
@@ -473,16 +450,17 @@ impl Memory {
                 });
             }
             let off = (a - r.base) as usize;
-            let take = (r.data.len() - off).min(max - done);
+            let take = (r.data.len() - off).min(max - out.len());
             let window = &r.data[off..off + take];
-            if let Some(nul) = window.iter().position(|&b| b == 0) {
-                out.extend_from_slice(&window[..nul]);
-                return Ok(true);
+            match window.iter().position(|&b| b == 0) {
+                Some(nul) => {
+                    out.extend_from_slice(&window[..nul]);
+                    break;
+                }
+                None => out.extend_from_slice(window),
             }
-            out.extend_from_slice(window);
-            done += take;
         }
-        Ok(false)
+        Ok(out)
     }
 
     /// Writes one byte, honouring permissions.
