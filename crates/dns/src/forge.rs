@@ -22,8 +22,6 @@
 //! # }
 //! ```
 
-use std::net::Ipv4Addr;
-
 use crate::message::Message;
 use crate::name::MAX_LABEL_LEN;
 use crate::record::{RecordClass, RecordType};
@@ -46,47 +44,23 @@ pub enum NameTermination {
 #[derive(Debug, Clone)]
 pub struct ResponseForge {
     id: u16,
-    question: Option<QuestionEcho>,
+    /// The echoed question section's wire bytes; `None` emits no
+    /// question at all.
+    question: Option<Vec<u8>>,
     labels: Vec<Vec<u8>>,
     termination: NameTermination,
     rtype: RecordType,
     ttl: u32,
     rdata: Vec<u8>,
-    extra_answers_claimed: u16,
-}
-
-#[derive(Debug, Clone)]
-struct QuestionEcho {
-    wire: Vec<u8>,
 }
 
 impl ResponseForge {
     /// Starts a forge that answers `query`, copying its transaction id and
     /// echoing its question section verbatim.
     pub fn answering(query: &Message) -> Self {
-        let mut w = WireWriter::new();
-        // The echoed question encodes names uncompressed: a one-question
-        // echo never benefits from compression, and it keeps offsets in
-        // the forged record independent of compression state.
-        for q in query.questions() {
-            q.qname()
-                .encode_uncompressed(&mut w)
-                .expect("unbounded writer");
-            w.write_u16(q.qtype().to_u16()).expect("unbounded writer");
-            w.write_u16(q.qclass().to_u16()).expect("unbounded writer");
-        }
-        ResponseForge {
-            id: query.id(),
-            question: Some(QuestionEcho {
-                wire: w.into_bytes(),
-            }),
-            labels: Vec::new(),
-            termination: NameTermination::Root,
-            rtype: RecordType::A,
-            ttl: 120,
-            rdata: vec![10, 13, 37, 1],
-            extra_answers_claimed: 0,
-        }
+        let mut forge = ResponseForge::for_id(query.id());
+        forge.retarget_to(query);
+        forge
     }
 
     /// Starts a forge for a raw transaction id with no echoed question
@@ -100,7 +74,6 @@ impl ResponseForge {
             rtype: RecordType::A,
             ttl: 120,
             rdata: vec![10, 13, 37, 1],
-            extra_answers_claimed: 0,
         }
     }
 
@@ -168,22 +141,10 @@ impl ResponseForge {
         self
     }
 
-    /// Convenience: a plausible A-record address.
-    pub fn a_address(self, addr: Ipv4Addr) -> Self {
-        self.rdata(addr.octets().to_vec())
-    }
-
-    /// Inflates ANCOUNT beyond the records actually present (header-lying
-    /// responses for count-mismatch tests).
-    pub fn claim_extra_answers(mut self, extra: u16) -> Self {
-        self.extra_answers_claimed = extra;
-        self
-    }
-
     /// Offset within the built message where the malicious answer name
     /// starts — useful for constructing self-referential pointers.
     pub fn answer_name_offset(&self) -> u16 {
-        let qlen: usize = self.question.as_ref().map_or(0, |q| q.wire.len());
+        let qlen = self.question.as_ref().map_or(0, Vec::len);
         (12 + qlen) as u16
     }
 
@@ -192,21 +153,33 @@ impl ResponseForge {
     /// echoed question section with `question_wire` (the query's raw
     /// question bytes — the proxy's own queries encode their single
     /// question uncompressed, so the echo is a verbatim copy). Labels,
-    /// termination, TTL and claimed counts are kept; capacity of the
-    /// stored echo is reused.
+    /// termination and TTL are kept; capacity of the stored echo is
+    /// reused.
     pub fn retarget(&mut self, id: u16, question_wire: &[u8]) {
         self.id = id;
-        match &mut self.question {
-            Some(q) => {
-                q.wire.clear();
-                q.wire.extend_from_slice(question_wire);
-            }
-            None => {
-                self.question = Some(QuestionEcho {
-                    wire: question_wire.to_vec(),
-                });
-            }
+        let wire = self.question.get_or_insert_with(Vec::new);
+        wire.clear();
+        wire.extend_from_slice(question_wire);
+    }
+
+    /// [`retarget`](Self::retarget) at a decoded query: takes its id and
+    /// re-encodes its whole question section as the echo, exactly as
+    /// [`answering`](Self::answering) starts a fresh forge.
+    pub fn retarget_to(&mut self, query: &Message) {
+        self.id = query.id();
+        let wire = self.question.get_or_insert_with(Vec::new);
+        // The echo encodes names uncompressed: a one-question echo never
+        // benefits from compression, and it keeps offsets in the forged
+        // record independent of compression state.
+        let mut w = WireWriter::from_vec(std::mem::take(wire));
+        for q in query.questions() {
+            q.qname()
+                .encode_uncompressed(&mut w)
+                .expect("unbounded writer");
+            w.write_u16(q.qtype().to_u16()).expect("unbounded writer");
+            w.write_u16(q.qclass().to_u16()).expect("unbounded writer");
         }
+        *wire = w.into_bytes();
     }
 
     /// In-place companion to [`record_type`](Self::record_type) for
@@ -252,11 +225,11 @@ impl ResponseForge {
         w.write_u16(self.id)?;
         w.write_u16(0x8180)?;
         w.write_u16(if self.question.is_some() { 1 } else { 0 })?;
-        w.write_u16(1 + self.extra_answers_claimed)?;
+        w.write_u16(1)?;
         w.write_u16(0)?;
         w.write_u16(0)?;
         if let Some(q) = &self.question {
-            w.write_bytes(&q.wire)?;
+            w.write_bytes(q)?;
         }
         // The malicious answer record.
         for label in &self.labels {

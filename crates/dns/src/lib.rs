@@ -56,7 +56,7 @@ pub use message::{EncodeRecord, Message, ResponseEncoder};
 pub use name::{CompressionTable, Label, Name, FOLDED_KEY_LEN, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use record::{Record, RecordClass, RecordData, RecordType};
-pub use view::{Labels, MessageView, NameRef, QuestionRef, RecordRef, Records};
+pub use view::{canonical_question, Labels, MessageView, NameRef, QuestionRef, RecordRef, Records};
 pub use wire::{BufPool, WireBuf, WireReader, WireWriter};
 pub use zone::{Delegation, RecordSets, Zone, ZoneServer};
 

@@ -84,11 +84,6 @@ impl Message {
         self.header.rcode = rcode;
     }
 
-    /// Marks the message truncated (TC bit).
-    pub fn set_truncated(&mut self, truncated: bool) {
-        self.header.truncated = truncated;
-    }
-
     /// Question section.
     pub fn questions(&self) -> &[Question] {
         &self.questions

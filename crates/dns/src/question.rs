@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::name::{CompressionTable, Name};
 use crate::record::{RecordClass, RecordType};
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::WireWriter;
 use crate::DnsError;
 
 /// One entry of the question section: the name, type and class being
@@ -60,22 +60,6 @@ impl Question {
         w.write_u16(self.qtype.to_u16())?;
         w.write_u16(self.qclass.to_u16())
     }
-
-    /// Decodes one question.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DnsError`] on truncation or a malformed name.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, DnsError> {
-        let qname = Name::decode(r)?;
-        let qtype = RecordType::from_u16(r.read_u16("question type")?);
-        let qclass = RecordClass::from_u16(r.read_u16("question class")?);
-        Ok(Question {
-            qname,
-            qtype,
-            qclass,
-        })
-    }
 }
 
 impl fmt::Display for Question {
@@ -89,29 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip() {
-        let q = Question::new(Name::parse("a.b").unwrap(), RecordType::Aaaa);
-        let mut w = WireWriter::new();
-        q.encode(&mut w, &mut CompressionTable::new()).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(Question::decode(&mut r).unwrap(), q);
-        assert!(r.is_empty());
-    }
-
-    #[test]
     fn display() {
         let q = Question::new(Name::parse("x.example").unwrap(), RecordType::A);
         assert_eq!(q.to_string(), "x.example IN A");
-    }
-
-    #[test]
-    fn decode_truncated() {
-        let bytes = [1, b'a', 0, 0]; // name then half a qtype
-        let mut r = WireReader::new(&bytes);
-        assert!(matches!(
-            Question::decode(&mut r),
-            Err(DnsError::Truncated { .. })
-        ));
     }
 }

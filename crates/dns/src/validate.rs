@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::header::{Header, Opcode, Rcode};
 use crate::message::Message;
-use crate::question::Question;
+use crate::view::read_question;
 use crate::wire::WireReader;
 use crate::DnsError;
 
@@ -93,8 +93,8 @@ pub struct GateReport {
 /// Returns the first [`ResponseRejection`] encountered, mirroring the
 /// order of checks in `dnsproxy.c`.
 pub fn gate_response(query: &Message, bytes: &[u8]) -> Result<GateReport, ResponseRejection> {
-    let mut r = WireReader::new(bytes);
-    let header = Header::decode(&mut r).map_err(ResponseRejection::BadHeader)?;
+    let header =
+        Header::decode(&mut WireReader::new(bytes)).map_err(ResponseRejection::BadHeader)?;
     if !header.response {
         return Err(ResponseRejection::NotAResponse);
     }
@@ -113,21 +113,25 @@ pub fn gate_response(query: &Message, bytes: &[u8]) -> Result<GateReport, Respon
     if header.qdcount as usize != query.questions().len() {
         return Err(ResponseRejection::QuestionMismatch);
     }
+    // Each echoed question is read in place and compared with the
+    // query's, case-insensitively: nothing is materialized.
+    let mut pos = Header::WIRE_LEN;
     for expected in query.questions() {
-        let q = Question::decode(&mut r).map_err(ResponseRejection::BadQuestion)?;
-        if !q.qname().eq_ignore_case(expected.qname())
+        let (q, end) = read_question(bytes, pos).map_err(ResponseRejection::BadQuestion)?;
+        if !q.name().eq_name(expected.qname())
             || q.qtype() != expected.qtype()
             || q.qclass() != expected.qclass()
         {
             return Err(ResponseRejection::QuestionMismatch);
         }
+        pos = end;
     }
     if header.ancount == 0 {
         return Err(ResponseRejection::NoAnswers);
     }
     Ok(GateReport {
         header,
-        answers_offset: r.position(),
+        answers_offset: pos,
     })
 }
 
@@ -136,6 +140,7 @@ mod tests {
     use super::*;
     use crate::forge::ResponseForge;
     use crate::name::Name;
+    use crate::question::Question;
     use crate::record::RecordType;
 
     fn query() -> Message {

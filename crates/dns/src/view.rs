@@ -14,7 +14,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::header::{Header, Rcode};
 use crate::name::{encode_labels_compressed, fmt_labels, fold_key, walk_name, Label, MAX_LABELS};
-use crate::name::{CompressionTable, Name, FOLDED_KEY_LEN};
+use crate::name::{CompressionTable, Name, FOLDED_KEY_LEN, MAX_NAME_LEN};
 use crate::question::Question;
 use crate::record::{Record, RecordClass, RecordData, RecordType};
 use crate::wire::{WireReader, WireWriter};
@@ -42,7 +42,9 @@ impl<'a> MessageView<'a> {
         let header = Header::decode(&mut WireReader::new(msg))?;
         let mut pos = Header::WIRE_LEN;
         for _ in 0..header.qdcount {
-            pos = scan_question(msg, pos).map_err(|e| section_err(e, "question"))?;
+            pos = read_question(msg, pos)
+                .map_err(|e| section_err(e, "question"))?
+                .1;
         }
         let mut sections = [0; 3];
         let counts = [header.ancount, header.nscount, header.arcount];
@@ -137,13 +139,57 @@ fn section_err(e: DnsError, section: &'static str) -> DnsError {
     }
 }
 
-/// Checks one question entry at `pos`; returns the offset after it.
-fn scan_question(msg: &[u8], pos: usize) -> Result<usize, DnsError> {
+/// Reads one question entry at `pos` with the strict checks — the name
+/// walk, then the type and class — and returns it with the offset after
+/// it.
+pub(crate) fn read_question(msg: &[u8], pos: usize) -> Result<(QuestionRef<'_>, usize), DnsError> {
     let mut r = WireReader::new(msg);
     r.seek(walk_name(msg, pos, |_| {})?)?;
-    r.read_u16("question type")?;
-    r.read_u16("question class")?;
-    Ok(r.position())
+    let qtype = RecordType::from_u16(r.read_u16("question type")?);
+    let qclass = RecordClass::from_u16(r.read_u16("question class")?);
+    let name = NameRef { msg, at: pos };
+    Ok((
+        QuestionRef {
+            name,
+            qtype,
+            qclass,
+        },
+        r.position(),
+    ))
+}
+
+/// Reads the one query shape the simulated proxy sends: a header with
+/// QR clear, QDCOUNT 1 and empty record sections, then exactly one
+/// uncompressed question and nothing after it. Returns the id, the
+/// qtype and the question-section bytes; the qname's wire form is those
+/// bytes less the last 4 (qtype and qclass).
+///
+/// On this shape the checks are the strict decoder's (label lengths
+/// 1..=63, at most [`MAX_NAME_LEN`] bytes of name, label content
+/// unrestricted, no trailing bytes), so a caller that falls back to
+/// [`Message::decode`](crate::Message::decode) on `None` keeps every
+/// accept and drop verdict.
+#[inline]
+pub fn canonical_question(b: &[u8]) -> Option<(u16, RecordType, &[u8])> {
+    if b.len() < 12 || b[2] & 0x80 != 0 || b[4..12] != [0, 1, 0, 0, 0, 0, 0, 0] {
+        return None;
+    }
+    let mut i = 12;
+    loop {
+        let l = *b.get(i)? as usize;
+        i += 1;
+        if l == 0 {
+            break;
+        }
+        if l & 0xC0 != 0 {
+            return None; // compression pointer or reserved label type
+        }
+        i += l;
+    }
+    if i - 12 > MAX_NAME_LEN || b.len() != i + 4 {
+        return None;
+    }
+    Some((be16(b, 0), RecordType::from_u16(be16(b, i)), &b[12..]))
 }
 
 /// The offset just past the in-place bytes of the (validated) name at

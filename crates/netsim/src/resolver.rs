@@ -48,8 +48,8 @@ use std::fmt::{self, Write};
 use std::net::Ipv4Addr;
 
 use cml_dns::{
-    BufPool, DnsError, Header, MessageView, Name, Rcode, RecordClass, RecordType, ResponseEncoder,
-    WireBuf, WireWriter, ZoneServer,
+    canonical_question, BufPool, DnsError, Header, MessageView, Name, Rcode, RecordClass,
+    RecordType, ResponseEncoder, WireBuf, WireWriter, ZoneServer,
 };
 
 use crate::scheduler::{link_latency_us, mix64, Scheduler, SimTime};
@@ -63,48 +63,24 @@ const MAX_CNAME_FOLLOWS: u8 = 8;
 /// Most referrals one resolution will chase.
 const MAX_REFERRALS: u8 = 16;
 
-/// Parses the canonical query shape (header with QR clear, QDCOUNT 1,
-/// empty record sections, one uncompressed question, nothing trailing)
-/// and returns `(id, qtype, qname wire bytes including the root byte)`.
-fn wire_question(b: &[u8]) -> Option<(u16, u16, &[u8])> {
-    if b.len() < 12 || b[2] & 0x80 != 0 {
-        return None;
-    }
-    if b[4..12] != [0, 1, 0, 0, 0, 0, 0, 0] {
-        return None;
-    }
-    let mut i = 12usize;
-    loop {
-        let l = *b.get(i)? as usize;
-        i += 1;
-        if l == 0 {
-            break;
-        }
-        if l & 0xC0 != 0 {
-            return None;
-        }
-        i += l;
-    }
-    if i - 12 > cml_dns::MAX_NAME_LEN || b.len() != i + 4 {
-        return None;
-    }
-    let id = u16::from_be_bytes([b[0], b[1]]);
-    let qtype = u16::from_be_bytes([b[i], b[i + 1]]);
-    Some((id, qtype, &b[12..i]))
-}
-
 /// FNV-1a over the case-folded qname wire plus the qtype, finished with
 /// a SplitMix64 mix. Length bytes are at most 63, outside the ASCII
 /// uppercase range, so folding every byte never corrupts the structure.
-fn canonical_key(qname_wire: &[u8], qtype: u16) -> u64 {
+fn canonical_key(qname_wire: &[u8], qtype: RecordType) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in qname_wire {
         h = (h ^ b.to_ascii_lowercase() as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    for b in qtype.to_be_bytes() {
+    for b in qtype.to_u16().to_be_bytes() {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
     mix64(h)
+}
+
+/// The qname's wire form (root byte included) within a question
+/// section: everything before the qtype and qclass.
+fn qname_wire(question: &[u8]) -> &[u8] {
+    &question[..question.len() - 4]
 }
 
 /// Counters the cache keeps.
@@ -128,7 +104,7 @@ pub struct CacheStats {
 struct CacheEntry {
     /// Canonical (lowercased) qname wire bytes, for collision safety.
     qname: WireBuf,
-    qtype: u16,
+    qtype: RecordType,
     /// The full response message; byte 0..2 (the id) is patched per hit.
     answer: WireBuf,
     expires_at: SimTime,
@@ -185,7 +161,8 @@ impl ResolverCache {
     /// id patched in, and returns `true`. A warm `out` makes the whole
     /// hit allocation-free.
     pub fn lookup_into(&mut self, now: SimTime, query: &[u8], out: &mut Vec<u8>) -> bool {
-        if let Some((id, qtype, qname)) = wire_question(query) {
+        if let Some((id, qtype, question)) = canonical_question(query) {
+            let qname = qname_wire(question);
             let key = canonical_key(qname, qtype);
             if let Some(e) = self.entries.get(&key) {
                 if now < e.expires_at
@@ -218,9 +195,10 @@ impl ResolverCache {
         if ttl_ticks == 0 || response.len() < 12 {
             return false;
         }
-        let Some((_, qtype, qname)) = wire_question(query) else {
+        let Some((_, qtype, question)) = canonical_question(query) else {
             return false;
         };
+        let qname = qname_wire(question);
         let key = canonical_key(qname, qtype);
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             self.evict_soonest();
@@ -543,8 +521,7 @@ impl RecursiveResolver {
             .cache
             .poison(now, query, response, ttl_secs as SimTime * TICKS_PER_SEC);
         // A stored entry implies a canonical question.
-        if let Some((_, qtype, _)) = wire_question(query).filter(|_| stored) {
-            let qtype = RecordType::from_u16(qtype);
+        if let Some((_, qtype, _)) = canonical_question(query).filter(|_| stored) {
             let line = format_args!("poisoned {qtype} ttl={ttl_secs}s");
             trace_line(&mut self.trace, now, line);
         }
