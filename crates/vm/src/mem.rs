@@ -203,7 +203,7 @@ pub struct Memory {
     /// it so cached decodes can never go stale.
     dcache: DecodeCache,
     /// Armed shadow-memory redzone, if any (ASan-style sanitizer).
-    redzone: Option<Box<Redzone>>,
+    redzone: Option<Redzone>,
 }
 
 impl Memory {
@@ -641,7 +641,7 @@ impl Memory {
     /// previous one. `poke` and instruction fetch are unaffected.
     pub fn arm_redzone(&mut self, buffer: Addr, capacity: u32, zone_end: u64) {
         let zone_start = buffer.wrapping_add(capacity);
-        self.redzone = Some(Box::new(Redzone {
+        self.redzone = Some(Redzone {
             buffer,
             capacity,
             zone_start,
@@ -650,7 +650,7 @@ impl Memory {
             last: Cell::new(0),
             pc: Cell::new(0),
             access: Cell::new(RedzoneAccess::Store),
-        }));
+        });
     }
 
     /// Disarms the redzone. Returns the absorbed-overflow diagnostic if
@@ -681,7 +681,7 @@ impl Memory {
     /// past 2^32 counts as touching it.
     #[inline]
     fn misses_redzone(&self, addr: Addr, len: usize) -> bool {
-        match self.redzone.as_deref() {
+        match self.redzone.as_ref() {
             None => true,
             Some(z) => {
                 let end = addr as u64 + len as u64;
@@ -694,7 +694,7 @@ impl Memory {
     /// when the access must be diverted. `&self` because loads arrive
     /// through shared accessors — the recording fields are `Cell`s.
     fn redzone_absorbs(&self, addr: Addr, pc: Addr, access: RedzoneAccess) -> bool {
-        let Some(z) = self.redzone.as_deref() else {
+        let Some(z) = self.redzone.as_ref() else {
             return false;
         };
         if (addr as u64) < (z.zone_start as u64) || (addr as u64) >= z.zone_end {
@@ -1282,7 +1282,7 @@ mod tests {
     /// access does nothing on either path, so its verdict is free.)
     fn check_range(m: &Memory, addr: u64, len: usize) {
         let addr = addr as Addr;
-        let z = m.redzone.as_deref().expect("armed");
+        let z = m.redzone.as_ref().expect("armed");
         let touches = (addr as u64..addr as u64 + len as u64)
             .any(|a| a >= 1 << 32 || (a >= z.zone_start as u64 && a < z.zone_end));
         let at = format!("{addr:#x}+{len}");
