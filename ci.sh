@@ -97,10 +97,17 @@ echo "==> cml fleet 10k smoke"
 # and are excluded from the comparison).
 fleet_smoke() {
   cargo run --release --offline -q -p connman-lab --bin cml -- \
-    fleet --devices 10000 --jobs "$1" | grep -v '^('
+    fleet --devices 10000 --jobs "$@" | grep -v '^('
 }
 diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
+
+echo "==> cml fleet --resolver parity"
+# Resolver topology: every cohort's lookups go through one shared
+# upstream cache, poisoned once and keyed by the canonical question. The
+# per-cohort report must match the direct path's byte for byte.
+diff <(fleet_smoke 1) <(fleet_smoke 4 --resolver) || {
+  echo "fleet --resolver: report differs from the direct path"; exit 1; }
 
 echo "==> cml experiments --jobs 1 vs --jobs 4"
 # Determinism contract across all of E1-E10: the serial and parallel
