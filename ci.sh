@@ -109,14 +109,18 @@ echo "==> cml fleet --resolver parity"
 diff <(fleet_smoke 1) <(fleet_smoke 4 --resolver) || {
   echo "fleet --resolver: report differs from the direct path"; exit 1; }
 
-echo "==> cml experiments --jobs 1 vs --jobs 4"
+echo "==> cml experiments --jobs 1 vs --jobs 4, and repro"
 # Determinism contract across all of E1-E10: the serial and parallel
 # tables must match byte for byte (they carry no wall-clock fields).
+# Both front ends run the one experiment registry, so `repro` must
+# print the same tables too.
 experiments() {
   cargo run --release --offline -q -p connman-lab --bin cml -- experiments --jobs "$1"
 }
 cmp <(experiments 1) <(experiments 4) || {
   echo "experiments: serial vs parallel tables differ"; exit 1; }
+cmp <(experiments 1) <(cargo run --release --offline -q -p cml-bench --bin repro -- --jobs 2) || {
+  echo "experiments: repro tables differ from cml experiments"; exit 1; }
 
 echo "==> repro --bench-smoke"
 # Tiny-iteration run of the BENCH record checked against the newest

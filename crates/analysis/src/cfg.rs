@@ -94,13 +94,6 @@ pub struct Function {
     pub truncated: bool,
 }
 
-impl Function {
-    /// The block starting at `addr`, if any.
-    pub fn block_at(&self, addr: Addr) -> Option<&BasicBlock> {
-        self.blocks.iter().find(|b| b.start == addr)
-    }
-}
-
 /// A direct call resolved through the symbol table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallEdge {

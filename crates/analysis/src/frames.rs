@@ -69,7 +69,7 @@ pub fn recover_frames(cfg: &Cfg) -> Vec<FrameInfo> {
 }
 
 /// The frame layout of one function.
-pub fn frame_of(arch: Arch, f: &Function) -> FrameInfo {
+fn frame_of(arch: Arch, f: &Function) -> FrameInfo {
     let mut info = FrameInfo {
         function: f.name.clone(),
         frame_size: 0,

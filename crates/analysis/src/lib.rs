@@ -10,7 +10,7 @@
 //!    interpreter's decode cache).
 //! 2. [`callgraph::CallGraph`] organizes the resolved call edges into a
 //!    whole-image graph with per-function [`callgraph::FnSummary`]s.
-//! 3. [`taint::taint_pass`] runs an abstract interpretation that flags
+//! 3. [`taint::taint_pass_with`] runs an abstract interpretation that flags
 //!    DNS-response bytes flowing into a fixed-size stack buffer through
 //!    a copy loop with no untainted bound — the `get_name` bug shape —
 //!    propagating taint interprocedurally down the recovered
@@ -394,7 +394,7 @@ pub fn analyze(image: &Image) -> AnalysisReport {
 }
 
 /// [`analyze`] with an explicit source/sink configuration.
-pub fn analyze_with(image: &Image, config: &TaintConfig) -> AnalysisReport {
+fn analyze_with(image: &Image, config: &TaintConfig) -> AnalysisReport {
     let cfg = cfg::recover(image);
     let summaries = Summaries::compute(&cfg);
     let graph = CallGraph::build(&cfg);

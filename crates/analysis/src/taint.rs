@@ -207,12 +207,14 @@ pub struct TaintFinding {
 }
 
 /// Runs the taint pass over a recovered CFG, computing call summaries
-/// on the fly. [`taint_pass_with`] accepts precomputed summaries.
-pub fn taint_pass(cfg: &Cfg, config: &TaintConfig) -> Vec<TaintFinding> {
+/// on the fly.
+#[cfg(test)]
+fn taint_pass(cfg: &Cfg, config: &TaintConfig) -> Vec<TaintFinding> {
     taint_pass_with(cfg, config, &Summaries::compute(cfg))
 }
 
-/// [`taint_pass`] with precomputed call summaries.
+/// Runs the taint pass over a recovered CFG with precomputed call
+/// summaries.
 pub fn taint_pass_with(
     cfg: &Cfg,
     config: &TaintConfig,

@@ -67,12 +67,12 @@ impl StridedInterval {
     }
 
     /// `Some(v)` when the interval is the singleton `v`.
-    pub fn as_exact(&self) -> Option<i64> {
+    fn as_exact(&self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
     /// Whether the upper bound is unknown.
-    pub fn unbounded_above(&self) -> bool {
+    fn unbounded_above(&self) -> bool {
         self.hi == i64::MAX
     }
 
@@ -104,7 +104,7 @@ impl StridedInterval {
 
     /// Widening: any bound that moved jumps straight to ±∞ so loop
     /// fixpoints terminate.
-    pub fn widen(self, next: Self) -> Self {
+    fn widen(self, next: Self) -> Self {
         let joined = self.join(next);
         StridedInterval {
             stride: joined.stride,

@@ -15,8 +15,6 @@
 //! repro --bench-smoke   # tiny-iteration run of the same record checked
 //!                       # against the newest committed BENCH_*.json by
 //!                       # the `GUARDS` table; exits 1 when a guard fails
-//! repro --no-snapshot   # boot every E8 trial from scratch instead of
-//!                       # forking a per-entropy-level snapshot
 //! repro --sanitize      # run the 9-cell exploit matrix under the VM
 //!                       # shadow-memory sanitizer and print precise
 //!                       # overflow diagnostics per cell
@@ -30,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use cml_core::experiments;
-use cml_core::fleet::{run_fleet_cfg, run_fleet_with, FleetConfig, FleetSpec, ENTROPY_FULL};
+use cml_core::fleet::{run_fleet, run_fleet_cfg, FleetConfig, FleetSpec, ENTROPY_FULL};
 use cml_core::json::{self, n, obj, s, u, Value};
 use cml_core::report::Suite;
 use cml_core::{Arch, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
@@ -78,7 +76,6 @@ fn allocs_so_far() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-const ALL_IDS: [&str; 10] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
 const FLEET_DEVICES: u64 = 1000;
 
 /// Devices in the `fleet_scale` headline scenario (homogeneous cohort,
@@ -90,7 +87,7 @@ const FLEET_SCALE_DEVICES: u64 = 1_000_000;
 const FLEET_FULL_ENTROPY_DEVICES: u64 = 100_000;
 
 const USAGE: &str = "usage: repro [--exp e1 e2 …] [--out FILE] [--json] [--jobs N] \
-                     [--bench-json|--timings] [--bench-smoke] [--no-snapshot] [--sanitize]";
+                     [--bench-json|--timings] [--bench-smoke] [--sanitize]";
 
 /// Reports a command-line mistake and exits 1.
 fn usage_error(msg: &str) -> ! {
@@ -99,13 +96,12 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut ids: Vec<String> = Vec::new();
+    let mut ids: Vec<(&'static str, experiments::Run)> = Vec::new();
     let mut out_path: Option<String> = None;
     let mut json = false;
     let mut bench_json = false;
     let mut bench_smoke = false;
     let mut sanitize = false;
-    let mut snapshot = true;
     let mut jobs = 1usize;
     let mut args = std::env::args().skip(1);
     // An option's value is the next argument, unless that is an option.
@@ -122,7 +118,6 @@ fn main() {
             "--bench-json" | "--timings" => bench_json = true,
             "--bench-smoke" => bench_smoke = true,
             "--sanitize" => sanitize = true,
-            "--no-snapshot" => snapshot = false,
             "--jobs" => match value(&mut args).and_then(|v| v.parse().ok()) {
                 Some(n) => jobs = n,
                 None => usage_error("--jobs wants a number"),
@@ -132,8 +127,13 @@ fn main() {
                 return;
             }
             other if other.starts_with('-') => usage_error(&format!("unknown option {other:?}")),
-            id if ALL_IDS.contains(&id.to_ascii_lowercase().as_str()) => ids.push(id.to_string()),
-            other => usage_error(&format!("unknown experiment id {other:?} (want e1..e10)")),
+            id => match experiments::ALL
+                .iter()
+                .find(|(name, _)| name.eq_ignore_ascii_case(id))
+            {
+                Some(&entry) => ids.push(entry),
+                None => usage_error(&format!("unknown experiment id {id:?} (want e1..e10)")),
+            },
         }
     }
 
@@ -144,26 +144,22 @@ fn main() {
         std::process::exit(sanitize_matrix());
     }
 
-    let run_ids: Vec<String> = if ids.is_empty() {
-        ALL_IDS.iter().map(|s| s.to_string()).collect()
-    } else {
-        ids.clone()
-    };
     if ids.is_empty() {
         eprintln!("running all experiments (E1..E10) on {jobs} worker(s)…");
+        ids = experiments::ALL.to_vec();
     }
 
     // Run experiment-by-experiment so --bench-json can attribute wall
     // time to each table; concatenating per-id runs reproduces
-    // run_all_jobs() output exactly (both are ordered merges).
+    // run_all() output exactly (both are ordered merges).
     let mut tables = Vec::new();
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    for id in &run_ids {
+    let mut timings: Vec<(&'static str, f64)> = Vec::new();
+    for (id, run) in ids {
         let t0 = Instant::now();
-        let table = experiments::run_one_jobs_with(id, jobs, snapshot).expect("id checked above");
+        let table = run(jobs);
         let secs = t0.elapsed().as_secs_f64();
         eprintln!("finished {id} in {secs:.2}s");
-        timings.push((id.clone(), secs));
+        timings.push((id, secs));
         tables.push(table);
     }
     let suite = Suite { tables };
@@ -182,7 +178,7 @@ fn main() {
     }
 
     if bench_json {
-        let record = bench_record(jobs, &timings, snapshot);
+        let record = bench_record(jobs, &timings);
         let path = next_bench_path();
         match std::fs::write(&path, record.to_string() + "\n") {
             Ok(()) => eprintln!("wrote {path}"),
@@ -820,10 +816,10 @@ fn dispatch_loop_machine() -> Machine {
 /// The full `BENCH_<n>.json` record: the wall time of each experiment
 /// just run, a 1,000-device heterogeneous fleet, and the [`measure`]d
 /// sections at full size.
-fn bench_record(jobs: usize, timings: &[(String, f64)], snapshot: bool) -> Value<'static> {
+fn bench_record(jobs: usize, timings: &[(&'static str, f64)]) -> Value<'static> {
     let spec = FleetSpec::heterogeneous(FLEET_DEVICES, 0xF1EE7);
     eprintln!("timing a {FLEET_DEVICES}-device fleet on {jobs} worker(s)…");
-    let report = run_fleet_with(&spec, jobs, snapshot);
+    let report = run_fleet(&spec, jobs);
     let fleet = obj([
         ("devices", u(report.devices)),
         ("jobs", u(report.jobs as u64)),
@@ -835,7 +831,7 @@ fn bench_record(jobs: usize, timings: &[(String, f64)], snapshot: bool) -> Value
     eprintln!("fleet: {fleet}");
     let experiments = timings
         .iter()
-        .map(|(id, secs)| obj([("id", s(id.clone())), ("wall_secs", n(*secs))]));
+        .map(|&(id, secs)| obj([("id", s(id)), ("wall_secs", n(secs))]));
     let mut record = vec![
         ("jobs", u(jobs as u64)),
         ("experiments", Value::Arr(experiments.collect())),

@@ -23,10 +23,14 @@ fn repro(args: &[&str]) -> (String, String, Option<i32>) {
 
 #[test]
 fn unknown_option_fails() {
-    let (out, err, code) = repro(&["--bench-jsn"]);
-    assert_eq!(code, Some(1), "{err}");
-    assert!(err.contains("unknown option \"--bench-jsn\""), "{err}");
-    assert!(out.is_empty(), "nothing ran: {out}");
+    // `--no-snapshot` stays rejected: BENCH's
+    // `ablations.snapshot_vs_reboot` already measures the fresh-boot path.
+    for flag in ["--bench-jsn", "--no-snapshot"] {
+        let (out, err, code) = repro(&[flag]);
+        assert_eq!(code, Some(1), "{flag}: {err}");
+        assert!(err.contains(&format!("unknown option {flag:?}")), "{err}");
+        assert!(out.is_empty(), "nothing ran: {out}");
+    }
 }
 
 #[test]

@@ -68,18 +68,18 @@ pub enum DaemonState {
 
 /// An upstream query awaiting its response.
 #[derive(Debug, Clone)]
-pub struct PendingQuery {
+struct PendingQuery {
     message: Message,
 }
 
 impl PendingQuery {
     /// The outstanding query message.
-    pub fn message(&self) -> &Message {
+    fn message(&self) -> &Message {
         &self.message
     }
 
     /// Transaction id the response must echo.
-    pub fn id(&self) -> u16 {
+    fn id(&self) -> u16 {
         self.message.id()
     }
 }
@@ -206,11 +206,6 @@ impl Daemon {
         self
     }
 
-    /// The active frame geometry.
-    pub fn frame_layout(&self) -> FrameLayout {
-        self.layout
-    }
-
     /// Enables the shadow-memory sanitizer: during each parse a redzone
     /// is armed past the name buffer, out-of-bounds writes are diverted
     /// instead of corrupting the frame, and an overflow surfaces as a
@@ -225,11 +220,6 @@ impl Daemon {
     /// are already booted (e.g. a snapshot fork).
     pub fn set_sanitizer(&mut self, on: bool) {
         self.sanitize = on;
-    }
-
-    /// Whether the shadow-memory sanitizer is enabled.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitize
     }
 
     /// The Connman release being simulated.
@@ -277,12 +267,14 @@ impl Daemon {
     }
 
     /// Number of queries awaiting answers.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self) -> usize {
         self.pending.len()
     }
 
     /// The outstanding query with the given transaction id.
-    pub fn pending_for(&self, id: u16) -> Option<&PendingQuery> {
+    #[cfg(test)]
+    fn pending_for(&self, id: u16) -> Option<&PendingQuery> {
         self.pending.iter().find(|p| p.id() == id)
     }
 

@@ -113,15 +113,9 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Lays the frame out as if the daemon loop (running with stack
-    /// pointer `caller_sp`) had just called `parse_response`, and plants
-    /// the legitimate saved state: return address `resume_pc`, canary
-    /// (when non-zero), NULL locals, and benign saved-register values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Fault`] if the stack mapping rejects the setup writes.
-    pub fn enter(
+    /// [`Frame::enter_with`] with this ISA's Connman geometry.
+    #[cfg(test)]
+    fn enter(
         machine: &mut Machine,
         caller_sp: Addr,
         resume_pc: Addr,
@@ -132,8 +126,12 @@ impl Frame {
         Frame::enter_with(machine, layout, caller_sp, resume_pc, canary, pc)
     }
 
-    /// Like [`Frame::enter`] but with an explicit geometry — used to
-    /// model services other than Connman (paper §V).
+    /// Lays the frame out as if the daemon loop (running with stack
+    /// pointer `caller_sp`) had just called `parse_response`, and plants
+    /// the legitimate saved state: return address `resume_pc`, canary
+    /// (when non-zero), NULL locals, and benign saved-register values.
+    /// `layout` is Connman's frame geometry or another service's (paper
+    /// §V).
     ///
     /// # Errors
     ///
@@ -199,7 +197,7 @@ impl Frame {
     }
 
     /// Address of the canary slot.
-    pub fn canary_slot(&self) -> Addr {
+    fn canary_slot(&self) -> Addr {
         self.buf_addr.wrapping_add(self.layout.canary_offset as u32)
     }
 
@@ -208,7 +206,7 @@ impl Frame {
     /// # Errors
     ///
     /// Returns a [`Fault`] if the slot is unreadable.
-    pub fn saved_ret(&self, machine: &Machine) -> Result<Addr, Fault> {
+    fn saved_ret(&self, machine: &Machine) -> Result<Addr, Fault> {
         machine.mem().read_u32(self.ret_slot(), 0)
     }
 

@@ -67,17 +67,6 @@ impl IotDevice {
         }
     }
 
-    /// Wraps an already-booted daemon (e.g. a [`BootForge`] fork) as a
-    /// device with a fresh wireless interface.
-    ///
-    /// [`BootForge`]: cml_firmware::BootForge
-    pub fn with_daemon(daemon: Daemon, mac: HwAddr, ssid: Ssid) -> Self {
-        IotDevice {
-            daemon,
-            station: Station::new(mac, ssid),
-        }
-    }
-
     /// The embedded Connman daemon.
     pub fn daemon(&self) -> &Daemon {
         &self.daemon

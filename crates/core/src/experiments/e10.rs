@@ -216,15 +216,10 @@ fn run_cell(cell: &Cell, base_seed: u64, cell_idx: u64) -> CellResult {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the sweep on `jobs` workers, one cell per work item. Cells are
 /// self-contained simulations merged in order, so the table is
 /// byte-identical at any worker count.
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let base_seed = 0xD05ED;
     let runner = Runner::new(jobs);
     let results = runner.run(CELLS.iter().collect(), |idx, cell: &Cell| {
@@ -285,13 +280,13 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_serial_vs_parallel() {
-        assert_eq!(run_jobs(1).to_markdown(), run_jobs(2).to_markdown());
-        assert_eq!(run_jobs(1).to_markdown(), run_jobs(4).to_markdown());
+        assert_eq!(run(1).to_markdown(), run(2).to_markdown());
+        assert_eq!(run(1).to_markdown(), run(4).to_markdown());
     }
 
     #[test]
     fn poisoning_window_narrows_with_ttl_and_cache_size() {
-        let t = run();
+        let t = run(1);
         assert_eq!(t.rows.len(), 4);
         let compromised: Vec<u64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
         // The headline: one injection, the whole cohort falls, and the

@@ -14,15 +14,10 @@ use crate::lab::Lab;
 use crate::report::Table;
 use crate::runner::{derive_seed, Runner};
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the experiment on `jobs` workers. Per-cell victim seeds are
 /// derived from the cell's matrix position, and rows are merged in
 /// matrix order, so the table is byte-identical at any `jobs` value.
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let mut t = Table::new(
         "E2",
         "the six PoCs grown to nine: protections × architectures × techniques",
@@ -110,12 +105,12 @@ mod tests {
 
     #[test]
     fn parallel_run_is_byte_identical_to_serial() {
-        assert_eq!(run_jobs(1).to_markdown(), run_jobs(4).to_markdown());
+        assert_eq!(run(1).to_markdown(), run(4).to_markdown());
     }
 
     #[test]
     fn all_cells_match_predictions_and_diagonal_succeeds() {
-        let t = run();
+        let t = run(1);
         // 3 arches × 3 protections × 3 strategies = 27 cells.
         assert_eq!(t.rows.len(), 27);
         for row in &t.rows {

@@ -13,14 +13,9 @@ use crate::lab::{AttackOutcome, Lab, LabError};
 use crate::report::Table;
 use crate::runner::{derive_seed, Runner};
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the experiment on `jobs` workers; output is byte-identical to
 /// the serial run (derived per-cell seeds, ordered merge).
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let mut header = vec!["firmware", "connman", "vulnerable?"];
     header.extend(Arch::ALL.map(Arch::name));
     let mut t = Table::new(
@@ -71,7 +66,7 @@ mod tests {
 
     #[test]
     fn survey_matches_paper() {
-        let t = run();
+        let t = run(1);
         assert_eq!(t.rows.len(), 4);
         for row in &t.rows {
             assert_eq!(row.len(), 3 + Arch::ALL.len(), "{row:?}");

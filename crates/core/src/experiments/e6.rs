@@ -16,14 +16,9 @@ use crate::runner::{derive_seed, Runner};
 /// Columns per row for seed derivation (4 protection cells + diversity).
 const CELLS_PER_ROW: u64 = 8;
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the experiment on `jobs` workers; one work item per
 /// (arch, technique) row, byte-identical output at any width.
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let mut t = Table::new(
         "E6",
         "mitigations (paper §IV): canary, CFI, PIE and software diversity vs. each technique",
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn mitigations_block_the_rop_chain() {
-        let t = run();
+        let t = run(1);
         for row in &t.rows {
             if row[1] == "rop-memcpy-chain" {
                 assert_eq!(row[2], "SHELL", "{row:?}");

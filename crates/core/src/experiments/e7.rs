@@ -14,14 +14,9 @@ use cml_firmware::{Arch, Firmware, FirmwareKind, Protections};
 use crate::report::Table;
 use crate::runner::{derive_seed, Runner};
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the experiment on `jobs` workers; byte-identical output at any
 /// width (derived per-cell victim seeds, ordered merge).
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let mut t = Table::new(
         "E7",
         "adaptation across builds (paper §V): recon-only retargeting",
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn unchanged_strategy_works_across_builds_and_services() {
-        let t = run();
+        let t = run(1);
         assert_eq!(t.rows.len(), 12 + 9);
         for row in &t.rows {
             assert_eq!(row[4], "root shell", "{row:?}");

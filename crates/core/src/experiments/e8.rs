@@ -28,7 +28,7 @@ pub fn run() -> Table {
 /// each trial from one boot per entropy level (restore + reslide);
 /// otherwise every trial pays for a full boot. Output is byte-identical
 /// either way — that equivalence is what `tests/snapshot.rs` pins down.
-pub fn run_with(snapshot: bool) -> Table {
+fn run_with(snapshot: bool) -> Table {
     let mut t = Table::new(
         "E8",
         "ASLR brute force: ret2libc success rate vs. entropy (x86)",

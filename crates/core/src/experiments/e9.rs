@@ -18,14 +18,9 @@ const COHORTS: &str = "tv=openelec/armv7/full/4000/entropy=6,\
                        settop=tizen/armv7/full/2000/loss=2%/entropy=6,\
                        camera=patched/armv7/full/1000/entropy=6";
 
-/// Runs the experiment serially.
-pub fn run() -> Table {
-    run_jobs(1)
-}
-
 /// Runs the campaign on `jobs` workers. The streamed per-cohort report
 /// is byte-identical at any worker count, so the table is too.
-pub fn run_jobs(jobs: usize) -> Table {
+pub fn run(jobs: usize) -> Table {
     let spec = FleetSpec {
         base_seed: 0xF1EE7,
         cohorts: CohortSpec::parse_list(COHORTS).expect("cohort spec parses"),
@@ -54,12 +49,12 @@ mod tests {
 
     #[test]
     fn table_is_byte_identical_serial_vs_parallel() {
-        assert_eq!(run_jobs(1).to_markdown(), run_jobs(4).to_markdown());
+        assert_eq!(run(1).to_markdown(), run(4).to_markdown());
     }
 
     #[test]
     fn cohort_rates_match_the_threat_model() {
-        let t = run();
+        let t = run(1);
         // Rows: tv, thermostat, settop, camera. Columns: cohort,
         // firmware, arch, protections, devices, compromised, rate,
         // alive, lost.

@@ -1,10 +1,13 @@
 //! The experiment suite: every table/figure of the paper plus the
 //! DESIGN.md extension experiments, regenerated from the simulation.
 //!
+//! [`ALL`] lists them in suite order; [`run_all`] and [`run_one`] run
+//! from it.
+//!
 //! | id | reproduces | entry point |
 //! |----|------------|-------------|
 //! | E1 | §III DoS preamble | [`e1::run`] |
-//! | E2 | the six PoCs of §III-A/B/C | [`e2::run`] |
+//! | E2 | the §III-A/B/C PoCs: 9 cells on 3 ISAs | [`e2::run`] |
 //! | E3 | §III-D Wi-Fi Pineapple + Fig. 1 topology | [`e3::run`] |
 //! | E4 | the firmware survey (Yocto/OpenELEC/Tizen) | [`e4::run`] |
 //! | E5 | Listings 2–5 (generated chains) | [`e5::run`] |
@@ -25,66 +28,39 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 
-use crate::report::Suite;
+use crate::report::{Suite, Table};
 
-/// Runs every experiment, in order, serially.
-pub fn run_all() -> Suite {
-    run_all_jobs(1)
-}
+/// One experiment's entry point: runs it on `jobs` workers. Experiments
+/// without a matrix fan-out ignore `jobs`.
+pub type Run = fn(usize) -> Table;
+
+/// Every experiment, in suite order: the only list of experiment ids.
+pub const ALL: [(&str, Run); 10] = [
+    ("e1", |_| e1::run()),
+    ("e2", e2::run),
+    ("e3", |_| e3::run()),
+    ("e4", e4::run),
+    ("e5", |_| e5::run()),
+    ("e6", e6::run),
+    ("e7", e7::run),
+    ("e8", |_| e8::run()),
+    ("e9", e9::run),
+    ("e10", e10::run),
+];
 
 /// Runs every experiment in order on `jobs` workers. The matrix
-/// experiments (E2/E4/E6/E7) fan their cells across the pool; output is
+/// experiments fan their cells across the pool; output is
 /// byte-identical to a serial run at any `jobs` value.
-pub fn run_all_jobs(jobs: usize) -> Suite {
-    run_all_jobs_with(jobs, true)
-}
-
-/// [`run_all_jobs`] with an explicit victim boot path for the
-/// boot-heavy experiments (currently E8): `snapshot` forks each trial
-/// from one boot per configuration instead of booting per trial. Output
-/// is byte-identical either way.
-pub fn run_all_jobs_with(jobs: usize, snapshot: bool) -> Suite {
+pub fn run_all(jobs: usize) -> Suite {
     Suite {
-        tables: vec![
-            e1::run(),
-            e2::run_jobs(jobs),
-            e3::run(),
-            e4::run_jobs(jobs),
-            e5::run(),
-            e6::run_jobs(jobs),
-            e7::run_jobs(jobs),
-            e8::run_with(snapshot),
-            e9::run_jobs(jobs),
-            e10::run_jobs(jobs),
-        ],
+        tables: ALL.iter().map(|(_, run)| run(jobs)).collect(),
     }
 }
 
-/// Runs one experiment by id (`"e1"`…`"e9"`), if known, serially.
-pub fn run_one(id: &str) -> Option<crate::report::Table> {
-    run_one_jobs(id, 1)
-}
-
-/// Runs one experiment by id on `jobs` workers (ids without a matrix
-/// fan-out run serially regardless).
-pub fn run_one_jobs(id: &str, jobs: usize) -> Option<crate::report::Table> {
-    run_one_jobs_with(id, jobs, true)
-}
-
-/// [`run_one_jobs`] with an explicit victim boot path (see
-/// [`run_all_jobs_with`]).
-pub fn run_one_jobs_with(id: &str, jobs: usize, snapshot: bool) -> Option<crate::report::Table> {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => Some(e1::run()),
-        "e2" => Some(e2::run_jobs(jobs)),
-        "e3" => Some(e3::run()),
-        "e4" => Some(e4::run_jobs(jobs)),
-        "e5" => Some(e5::run()),
-        "e6" => Some(e6::run_jobs(jobs)),
-        "e7" => Some(e7::run_jobs(jobs)),
-        "e8" => Some(e8::run_with(snapshot)),
-        "e9" => Some(e9::run_jobs(jobs)),
-        "e10" => Some(e10::run_jobs(jobs)),
-        _ => None,
-    }
+/// Runs one experiment by id (`"e1"`…`"e10"`, any case) on `jobs`
+/// workers, or `None` for an unknown id.
+pub fn run_one(id: &str, jobs: usize) -> Option<Table> {
+    ALL.iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(id))
+        .map(|(_, run)| run(jobs))
 }

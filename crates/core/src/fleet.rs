@@ -128,7 +128,7 @@ impl CohortSpec {
     }
 
     /// Devices per address class (the last class may be shorter).
-    pub fn run_len(&self) -> u64 {
+    fn run_len(&self) -> u64 {
         let classes = self.classes().max(1);
         self.count.div_ceil(classes).max(1)
     }
@@ -672,20 +672,6 @@ pub fn run_fleet(spec: &FleetSpec, jobs: usize) -> FleetReport {
     run_fleet_cfg(spec, &FleetConfig::new(jobs))
 }
 
-/// [`run_fleet`] with an explicit boot path: when `snapshot` is false,
-/// every session boots its daemon from scratch instead of forking a
-/// snapshot. The report renders byte-identically either way.
-pub fn run_fleet_with(spec: &FleetSpec, jobs: usize, snapshot: bool) -> FleetReport {
-    run_fleet_cfg(
-        spec,
-        &FleetConfig {
-            jobs,
-            no_snapshot: !snapshot,
-            ..FleetConfig::default()
-        },
-    )
-}
-
 /// Profile key: firmware kind + arch + protection bits, used to index
 /// worker forges and shared boots in O(1).
 fn profile_key(kind: FirmwareKind, arch: Arch, p: &Protections) -> u64 {
@@ -1157,11 +1143,21 @@ mod tests {
         }
     }
 
+    /// The fresh-boot reference path: every session boots its daemon
+    /// from scratch instead of forking the shared snapshot.
+    fn fresh_boot(jobs: usize) -> FleetConfig {
+        FleetConfig {
+            jobs,
+            no_snapshot: true,
+            ..FleetConfig::default()
+        }
+    }
+
     #[test]
     fn snapshot_fleet_matches_fresh_boot_fleet() {
         let spec = FleetSpec::heterogeneous(12, 0xF1EE7);
-        let fresh = run_fleet_with(&spec, 2, false).render();
-        let forked = run_fleet_with(&spec, 2, true).render();
+        let fresh = run_fleet_cfg(&spec, &fresh_boot(2)).render();
+        let forked = run_fleet(&spec, 2).render();
         assert_eq!(fresh, forked);
     }
 
@@ -1189,7 +1185,7 @@ mod tests {
             cohorts,
         };
         let shared = run_fleet_cfg(&spec, &FleetConfig::new(2));
-        let fresh = run_fleet_with(&spec, 2, false);
+        let fresh = run_fleet_cfg(&spec, &fresh_boot(2));
         assert_eq!(shared.render(), fresh.render());
         // Every vulnerable cell actually fell (modulo injected loss).
         for c in &shared.cohorts {

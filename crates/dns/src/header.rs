@@ -20,7 +20,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Numeric wire value.
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -30,7 +30,7 @@ impl Opcode {
     }
 
     /// Decodes the 4-bit wire value.
-    pub fn from_u8(v: u8) -> Self {
+    fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Opcode::Query,
             1 => Opcode::IQuery,
@@ -61,7 +61,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// Numeric wire value.
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -74,7 +74,7 @@ impl Rcode {
     }
 
     /// Decodes the 4-bit wire value.
-    pub fn from_u8(v: u8) -> Self {
+    fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,
@@ -155,7 +155,7 @@ impl Header {
     pub const WIRE_LEN: usize = 12;
 
     /// Packs the flag fields into the second 16-bit word.
-    pub fn flags_word(&self) -> u16 {
+    fn flags_word(&self) -> u16 {
         let mut w = 0u16;
         if self.response {
             w |= 0x8000;
@@ -178,7 +178,7 @@ impl Header {
     }
 
     /// Unpacks the second 16-bit word into flag fields (counts untouched).
-    pub fn apply_flags_word(&mut self, w: u16) {
+    fn apply_flags_word(&mut self, w: u16) {
         self.response = w & 0x8000 != 0;
         self.opcode = Opcode::from_u8((w >> 11) as u8);
         self.authoritative = w & 0x0400 != 0;

@@ -277,11 +277,6 @@ impl Name {
         self.labels.is_empty()
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Length of the uncompressed wire encoding, including each label's
     /// length byte and the trailing root byte.
     pub fn wire_len(&self) -> usize {
@@ -646,9 +641,9 @@ mod tests {
     #[test]
     fn parse_and_display_roundtrip() {
         let n = Name::parse("www.Example.com").unwrap();
-        assert_eq!(n.label_count(), 3);
+        assert_eq!(n.labels().len(), 3);
         assert_eq!(n.to_string(), "www.Example.com");
-        assert_eq!(Name::parse("www.example.com.").unwrap().label_count(), 3);
+        assert_eq!(Name::parse("www.example.com.").unwrap().labels().len(), 3);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl RecordData {
     /// The record type this payload corresponds to; `Opaque` reports the
     /// type it was decoded under via [`Record::rtype`], so here it maps to
     /// `Other(0)` and callers should prefer the record's own type field.
-    pub fn natural_type(&self) -> RecordType {
+    fn natural_type(&self) -> RecordType {
         match self {
             RecordData::A(_) => RecordType::A,
             RecordData::Aaaa(_) => RecordType::Aaaa,

@@ -346,7 +346,8 @@ impl BufPool {
     }
 
     /// Number of idle buffers.
-    pub fn available(&self) -> usize {
+    #[cfg(test)]
+    fn available(&self) -> usize {
         self.free.len()
     }
 }

@@ -201,16 +201,6 @@ impl Firmware {
         self.gadgets
     }
 
-    /// Ground-truth `parse_response` frame geometry for this build — the
-    /// layout the runtime materializes on every parse. The static
-    /// analyzer never reads this; the static↔dynamic oracle compares the
-    /// analyzer's *recovered* frame (buffer slot, buf→ret distance,
-    /// canary placement) against it, the way a differential test would
-    /// consult DWARF on a real binary.
-    pub fn frame_truth(&self) -> FrameLayout {
-        FrameLayout::scaled(self.arch, ServiceProfile::CONNMAN.buf_size)
-    }
-
     /// Boots the firmware: loads the image under `protections` with the
     /// per-boot `seed` and starts the Connman daemon.
     pub fn boot(&self, protections: Protections, seed: u64) -> Daemon {
@@ -252,7 +242,7 @@ impl Firmware {
     }
 
     /// [`Firmware::forge`] with an explicit service profile.
-    pub fn forge_service(
+    fn forge_service(
         &self,
         protections: Protections,
         seed: u64,

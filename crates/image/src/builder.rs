@@ -96,30 +96,6 @@ impl ImageBuilder {
         addr
     }
 
-    /// Pads the named section's initialized bytes so the next append
-    /// lands on an `align`-byte boundary; returns the aligned address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the section was not declared, `align` is 0, or padding
-    /// would overflow the section.
-    pub fn align_to(&mut self, kind: SectionKind, align: usize) -> Addr {
-        assert!(align > 0, "alignment must be non-zero");
-        let s = self
-            .sections
-            .iter_mut()
-            .find(|s| s.kind == kind)
-            .unwrap_or_else(|| panic!("section {kind} not declared"));
-        let pos = s.base as usize + s.bytes.len();
-        let pad = (align - pos % align) % align;
-        assert!(
-            s.bytes.len() + pad <= s.size as usize,
-            "padding overflows section {kind}"
-        );
-        s.bytes.extend(std::iter::repeat_n(0u8, pad));
-        s.base + s.bytes.len() as Addr
-    }
-
     /// Current append cursor of a section.
     ///
     /// # Panics
@@ -172,16 +148,12 @@ mod tests {
         b.section_default(SectionKind::Text, 0x1_0000, 0x1000);
         assert_eq!(b.cursor(SectionKind::Text), 0x1_0000);
         let a1 = b.append_code(SectionKind::Text, &[1, 2, 3]);
-        let aligned = b.align_to(SectionKind::Text, 4);
         let a2 = b.append_code(SectionKind::Text, &[4; 4]);
         assert_eq!(a1, 0x1_0000);
-        assert_eq!(aligned, 0x1_0004);
-        assert_eq!(a2, 0x1_0004);
+        assert_eq!(a2, 0x1_0003);
+        assert_eq!(b.cursor(SectionKind::Text), 0x1_0007);
         let img = b.build().unwrap();
-        assert_eq!(
-            img.bytes_at(0x1_0000, 8),
-            Some(&[1, 2, 3, 0, 4, 4, 4, 4][..])
-        );
+        assert_eq!(img.bytes_at(0x1_0000, 7), Some(&[1, 2, 3, 4, 4, 4, 4][..]));
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub enum ImageError {
     DuplicateSymbol(String),
     /// A symbol's address is not covered by any section.
     DanglingSymbol(String),
-    /// A required symbol is missing.
-    MissingSymbol(String),
 }
 
 impl fmt::Display for ImageError {
@@ -33,7 +31,6 @@ impl fmt::Display for ImageError {
             ImageError::Overlap { a, b } => write!(f, "sections {a} and {b} overlap"),
             ImageError::DuplicateSymbol(n) => write!(f, "duplicate symbol {n}"),
             ImageError::DanglingSymbol(n) => write!(f, "symbol {n} outside all sections"),
-            ImageError::MissingSymbol(n) => write!(f, "missing symbol {n}"),
         }
     }
 }
@@ -161,17 +158,6 @@ impl Image {
         self.by_name.get(name).map(|&i| &self.symbols[i])
     }
 
-    /// Looks up a symbol, converting absence into an error (for loaders
-    /// that require certain symbols).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::MissingSymbol`] when absent.
-    pub fn require_symbol(&self, name: &str) -> Result<&Symbol, ImageError> {
-        self.symbol(name)
-            .ok_or_else(|| ImageError::MissingSymbol(name.to_string()))
-    }
-
     /// The section of the given kind, if present.
     pub fn section(&self, kind: SectionKind) -> Option<&Section> {
         self.sections.iter().find(|s| s.kind() == kind)
@@ -264,10 +250,6 @@ mod tests {
         let im = img();
         assert_eq!(im.symbol("main").unwrap().addr(), 0x1000);
         assert!(im.symbol("nope").is_none());
-        assert!(matches!(
-            im.require_symbol("nope"),
-            Err(ImageError::MissingSymbol(_))
-        ));
         assert_eq!(im.section(SectionKind::Bss).unwrap().base(), 0x3000);
         assert_eq!(
             im.section_containing(0x1005).unwrap().kind(),

@@ -87,19 +87,6 @@ impl AccessPoint {
         self.config.signal_dbm
     }
 
-    /// Adjusts transmit power (the Pineapple "boosts" above the
-    /// legitimate AP).
-    pub fn set_signal_dbm(&mut self, dbm: i32) {
-        self.config.signal_dbm = dbm;
-    }
-
-    /// Repoints the DHCP-advertised DNS server. Only future leases see
-    /// the new address; clients already holding a lease keep the old
-    /// one until they re-associate, as with a real DHCP renewal.
-    pub fn set_dns(&mut self, dns: Ipv4Addr) {
-        self.config.dhcp.dns = dns;
-    }
-
     /// Grants (or renews) a DHCP lease for a client.
     pub fn lease(&mut self, mac: HwAddr) -> Lease {
         if let Some(existing) = self.leases.get(&mac) {
@@ -114,11 +101,6 @@ impl AccessPoint {
         self.next_host = self.next_host.wrapping_add(1).max(10);
         self.leases.insert(mac, lease);
         lease
-    }
-
-    /// Number of associated clients.
-    pub fn client_count(&self) -> usize {
-        self.leases.len()
     }
 }
 
@@ -155,6 +137,6 @@ mod tests {
         let a = ap.lease(HwAddr::local(1)).ip;
         let b = ap.lease(HwAddr::local(2)).ip;
         assert_ne!(a, b);
-        assert_eq!(ap.client_count(), 2);
+        assert_eq!(ap.leases.len(), 2);
     }
 }

@@ -9,7 +9,6 @@ use parking_lot::Mutex;
 
 use crate::addr::{HwAddr, Ssid};
 use crate::ap::{AccessPoint, Lease};
-use crate::scheduler::{link_latency_us, SimTime};
 
 /// Handle to a deployed access point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,24 +31,6 @@ pub struct ScanResult {
 pub trait UdpService: Send {
     /// Handles one datagram; `Some(bytes)` is sent back to the caller.
     fn handle_datagram(&mut self, payload: &[u8]) -> Option<Vec<u8>>;
-
-    /// [`handle_datagram`](Self::handle_datagram) into a reusable
-    /// buffer: replaces `out`'s contents with the response and returns
-    /// `true`, or returns `false` when the datagram goes unanswered.
-    ///
-    /// The default just wraps `handle_datagram`; services with a
-    /// zero-copy encoder override this so a warm `out` never
-    /// reallocates.
-    fn handle_datagram_into(&mut self, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        match self.handle_datagram(payload) {
-            Some(resp) => {
-                out.clear();
-                out.extend_from_slice(&resp);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 impl<F> UdpService for F
@@ -109,19 +90,11 @@ pub enum NetEvent {
 }
 
 /// The simulated airspace plus the IP services reachable through it.
-///
-/// Every delivered datagram advances a virtual clock by a per-link
-/// latency draw — a pure function of `(latency seed, destination,
-/// delivery index)` via [`link_latency_us`] — so packet timing is
-/// jittered but exactly reproducible for a given seed.
 #[derive(Default)]
 pub struct RadioEnvironment {
     aps: Vec<Option<AccessPoint>>,
     services: HashMap<Ipv4Addr, SharedService>,
     events: Vec<NetEvent>,
-    latency_seed: u64,
-    sends: u64,
-    clock_us: SimTime,
 }
 
 impl std::fmt::Debug for RadioEnvironment {
@@ -138,27 +111,6 @@ impl RadioEnvironment {
     /// An empty environment.
     pub fn new() -> Self {
         RadioEnvironment::default()
-    }
-
-    /// An empty environment whose link-latency jitter derives from
-    /// `seed`. Equal seeds replay identical per-delivery delays.
-    pub fn with_latency_seed(seed: u64) -> Self {
-        RadioEnvironment {
-            latency_seed: seed,
-            ..RadioEnvironment::default()
-        }
-    }
-
-    /// Re-seeds the link-latency jitter (the delivery index keeps
-    /// counting, so reseeding mid-run stays deterministic).
-    pub fn set_latency_seed(&mut self, seed: u64) {
-        self.latency_seed = seed;
-    }
-
-    /// The virtual clock: total simulated latency of every delivery
-    /// attempt so far, in microseconds.
-    pub fn now_us(&self) -> SimTime {
-        self.clock_us
     }
 
     /// Deploys an access point.
@@ -180,11 +132,6 @@ impl RadioEnvironment {
                 self.events.push(NetEvent::ApDown { ap: id });
             }
         }
-    }
-
-    /// Mutable access to a deployed AP (e.g. to retune signal).
-    pub fn ap_mut(&mut self, id: ApId) -> Option<&mut AccessPoint> {
-        self.aps.get_mut(id.0).and_then(|s| s.as_mut())
     }
 
     /// Registers a UDP service at an address.
@@ -243,52 +190,22 @@ impl RadioEnvironment {
 
     /// Sends a datagram to the service at `dst`, returning its response.
     pub fn send(&mut self, dst: Ipv4Addr, payload: &[u8]) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        if self.send_into(dst, payload, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// [`send`](Self::send) into a reusable buffer: replaces `out`'s
-    /// contents with the response and returns `true`, or returns `false`
-    /// when the datagram was unroutable or unanswered. With a service
-    /// that overrides [`UdpService::handle_datagram_into`], a warm `out`
-    /// makes the whole round trip allocation-free.
-    pub fn send_into(&mut self, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        let delay = link_latency_us(self.latency_seed, u32::from(dst) as u64, self.sends);
-        self.sends += 1;
-        self.clock_us = self.clock_us.saturating_add(delay);
-        match self.services.get(&dst).cloned() {
-            Some(service) => {
-                let answered = service.lock().handle_datagram_into(payload, out);
-                self.events.push(NetEvent::Delivered {
-                    dst,
-                    len: payload.len(),
-                    answered,
-                });
-                answered
-            }
-            None => {
-                self.events.push(NetEvent::Unroutable { dst });
-                false
-            }
-        }
+        let Some(service) = self.services.get(&dst).cloned() else {
+            self.events.push(NetEvent::Unroutable { dst });
+            return None;
+        };
+        let response = service.lock().handle_datagram(payload);
+        self.events.push(NetEvent::Delivered {
+            dst,
+            len: payload.len(),
+            answered: response.is_some(),
+        });
+        response
     }
 
     /// The event transcript so far.
     pub fn events(&self) -> &[NetEvent] {
         &self.events
-    }
-
-    /// Discards the event transcript, releasing its memory for reuse.
-    ///
-    /// Long-lived environments (the fleet harness runs thousands of
-    /// sessions through one) call this between sessions so the
-    /// transcript does not grow without bound.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -338,34 +255,6 @@ mod tests {
         let (chosen, _) = env.associate(HwAddr::local(9), &"Home".into()).unwrap();
         assert_ne!(chosen, id, "fallback to the weaker survivor");
         assert_eq!(env.scan().len(), 1);
-    }
-
-    #[test]
-    fn link_latency_jitters_deterministically() {
-        let run = |seed| {
-            let mut env = RadioEnvironment::with_latency_seed(seed);
-            let echo = share(|payload: &[u8]| Some(payload.to_vec()));
-            env.register_service(Ipv4Addr::new(10, 0, 0, 53), echo);
-            let mut stamps = Vec::new();
-            for _ in 0..8 {
-                env.send(Ipv4Addr::new(10, 0, 0, 53), b"q");
-                stamps.push(env.now_us());
-            }
-            stamps
-        };
-        let a = run(7);
-        assert_eq!(a, run(7), "same seed, same clock trace");
-        assert_ne!(a, run(8), "different seed, different jitter");
-        let deltas: Vec<_> = std::iter::once(a[0])
-            .chain(a.windows(2).map(|w| w[1] - w[0]))
-            .collect();
-        assert!(
-            deltas.windows(2).any(|w| w[0] != w[1]),
-            "per-delivery delays must actually jitter: {deltas:?}"
-        );
-        assert!(deltas
-            .iter()
-            .all(|&d| d >= crate::scheduler::MIN_LATENCY_US));
     }
 
     #[test]

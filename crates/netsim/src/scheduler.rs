@@ -143,7 +143,7 @@ impl<E> Scheduler<E> {
     /// Enqueues `event` at an absolute due time (clamped to the present
     /// so time never runs backwards). Returns the event's sequence
     /// number.
-    pub fn schedule_at(&mut self, due: SimTime, event: E) -> u64 {
+    fn schedule_at(&mut self, due: SimTime, event: E) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Pending {

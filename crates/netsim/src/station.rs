@@ -39,11 +39,6 @@ impl Station {
         self.mac
     }
 
-    /// The SSID this station auto-joins.
-    pub fn preferred_ssid(&self) -> &Ssid {
-        &self.preferred_ssid
-    }
-
     /// Current association, if any.
     pub fn association(&self) -> Option<Association> {
         self.association
@@ -75,21 +70,6 @@ impl Station {
     pub fn query_dns(&self, env: &mut RadioEnvironment, query: &[u8]) -> Option<Vec<u8>> {
         let dns = self.dns_server()?;
         env.send(dns, query)
-    }
-
-    /// [`query_dns`](Self::query_dns) into a reusable buffer: replaces
-    /// `out`'s contents with the response and returns `true`, or
-    /// returns `false` when disconnected or unanswered.
-    pub fn query_dns_into(
-        &self,
-        env: &mut RadioEnvironment,
-        query: &[u8],
-        out: &mut Vec<u8>,
-    ) -> bool {
-        match self.dns_server() {
-            Some(dns) => env.send_into(dns, query, out),
-            None => false,
-        }
     }
 }
 

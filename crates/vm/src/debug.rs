@@ -3,59 +3,27 @@
 //! The paper's exploit-construction workflow is: run the target under
 //! gdb, examine the `parse_response` frame, find libc/symbol addresses,
 //! crash it with a pattern and read the faulting pc. [`Inspector`]
-//! provides those operations against a [`Machine`], and
+//! provides gdb's `find` and `x/i` against a [`Machine`], and
 //! [`FaultReport`] packages what a crash log would show.
 
 use std::fmt;
 
 use cml_image::Addr;
 
-use crate::loader::LoadMap;
 use crate::machine::Machine;
 use crate::{arm, riscv, x86, Fault};
 
-/// A read-only view over a machine for address discovery and frame
-/// inspection.
+/// A read-only view over a machine for address discovery: byte search
+/// and disassembly.
 #[derive(Debug)]
 pub struct Inspector<'m> {
     machine: &'m Machine,
-    map: Option<&'m LoadMap>,
 }
 
 impl<'m> Inspector<'m> {
     /// Attaches to a machine.
     pub fn new(machine: &'m Machine) -> Self {
-        Inspector { machine, map: None }
-    }
-
-    /// Attaches with a load map for symbol resolution.
-    pub fn with_map(machine: &'m Machine, map: &'m LoadMap) -> Self {
-        Inspector {
-            machine,
-            map: Some(map),
-        }
-    }
-
-    /// Resolves a symbol to its runtime address (requires a load map).
-    pub fn symbol(&self, name: &str) -> Option<Addr> {
-        self.map.and_then(|m| m.symbol(name))
-    }
-
-    /// Reads `count` stack words starting at the stack pointer.
-    pub fn stack_words(&self, count: usize) -> Vec<(Addr, Option<u32>)> {
-        let sp = self.machine.regs().sp();
-        (0..count)
-            .map(|i| {
-                let addr = sp.wrapping_add(4 * i as u32);
-                (addr, self.machine.mem().read_u32(addr, 0).ok())
-            })
-            .collect()
-    }
-
-    /// Reads a word anywhere (ignoring nothing: permissions still apply,
-    /// as a debugger of a live process sees what the process could read).
-    pub fn word(&self, addr: Addr) -> Option<u32> {
-        self.machine.mem().read_u32(addr, 0).ok()
+        Inspector { machine }
     }
 
     /// Searches all mapped regions for a byte pattern, returning
@@ -110,86 +78,6 @@ impl<'m> Inspector<'m> {
             pc = pc.wrapping_add(len as u32);
         }
         lines
-    }
-
-    /// Hexdump of `len` bytes at `addr` (`x/` analogue); unreadable
-    /// bytes render as `??`.
-    pub fn hexdump(&self, addr: Addr, len: usize) -> String {
-        let mut out = String::new();
-        for row in 0..len.div_ceil(16) {
-            let base = addr.wrapping_add((row * 16) as u32);
-            out.push_str(&format!("{base:#010x}: "));
-            let mut ascii = String::new();
-            for i in 0..16.min(len - row * 16) {
-                match self.machine.mem().read_u8(base.wrapping_add(i as u32), 0) {
-                    Ok(b) => {
-                        out.push_str(&format!("{b:02x} "));
-                        ascii.push(if b.is_ascii_graphic() { b as char } else { '.' });
-                    }
-                    Err(_) => {
-                        out.push_str("?? ");
-                        ascii.push('?');
-                    }
-                }
-            }
-            out.push_str(&format!(" |{ascii}|\n"));
-        }
-        out
-    }
-
-    /// Formats a register dump (`info registers` analogue).
-    pub fn registers(&self) -> String {
-        match self.machine.regs() {
-            crate::Regs::X86(r) => {
-                use crate::X86Reg::*;
-                format!(
-                    "eax={:#010x} ebx={:#010x} ecx={:#010x} edx={:#010x}\n\
-                     esi={:#010x} edi={:#010x} ebp={:#010x} esp={:#010x}\n\
-                     eip={:#010x} zf={}",
-                    r.get(Eax),
-                    r.get(Ebx),
-                    r.get(Ecx),
-                    r.get(Edx),
-                    r.get(Esi),
-                    r.get(Edi),
-                    r.get(Ebp),
-                    r.get(Esp),
-                    r.eip,
-                    r.zf as u8
-                )
-            }
-            crate::Regs::Arm(r) => {
-                let mut s = String::new();
-                for i in 0..13u8 {
-                    s.push_str(&format!(
-                        "r{i}={:#010x}{}",
-                        r.get(crate::ArmReg(i)),
-                        if i % 4 == 3 { "\n" } else { " " }
-                    ));
-                }
-                s.push_str(&format!(
-                    "sp={:#010x} lr={:#010x} pc={:#010x} zf={}",
-                    r.sp(),
-                    r.get(crate::ArmReg::LR),
-                    r.pc(),
-                    r.zf as u8
-                ));
-                s
-            }
-            crate::Regs::Riscv(r) => {
-                let mut s = String::new();
-                for i in 0..32u8 {
-                    let reg = crate::RiscvReg(i);
-                    s.push_str(&format!(
-                        "{reg}={:#010x}{}",
-                        r.get(reg),
-                        if i % 4 == 3 { "\n" } else { " " }
-                    ));
-                }
-                s.push_str(&format!("pc={:#010x}", r.pc));
-                s
-            }
-        }
     }
 }
 
@@ -279,17 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_words_view() {
-        let mut m = machine();
-        m.push_u32(0x1111).unwrap();
-        m.push_u32(0x2222).unwrap();
-        let insp = Inspector::new(&m);
-        let words = insp.stack_words(2);
-        assert_eq!(words[0].1, Some(0x2222));
-        assert_eq!(words[1].1, Some(0x1111));
-    }
-
-    #[test]
     fn fault_report_shows_hijacked_pc() {
         let mut m = machine();
         m.regs_mut().set_pc(0x6161_6161);
@@ -302,11 +179,5 @@ mod tests {
         assert_eq!(report.pc, Some(0x6161_6161));
         let text = report.to_string();
         assert!(text.contains("0x61616161"));
-    }
-
-    #[test]
-    fn register_dump_mentions_eip() {
-        let m = machine();
-        assert!(Inspector::new(&m).registers().contains("eip=0x00001000"));
     }
 }

@@ -199,7 +199,7 @@ impl Machine {
     }
 
     /// Whether threaded-code IR dispatch is enabled.
-    pub fn ir_dispatch_enabled(&self) -> bool {
+    fn ir_dispatch_enabled(&self) -> bool {
         self.mem.dcache_ir_enabled()
     }
 
@@ -213,11 +213,6 @@ impl Machine {
             (false, true) => self.cov = None,
             _ => {}
         }
-    }
-
-    /// Whether the edge-coverage bitmap is armed.
-    pub fn coverage_enabled(&self) -> bool {
-        self.cov.is_some()
     }
 
     /// The coverage map, when armed.
@@ -372,11 +367,6 @@ impl Machine {
     /// Events recorded so far, oldest first.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Records an event (used by the daemon model as well).
-    pub fn push_event(&mut self, e: Event) {
-        self.events.push(e);
     }
 
     /// Pushes a 32-bit word onto the stack (both ISAs grow down).
@@ -728,7 +718,7 @@ mod tests {
     fn coverage_map_records_dispatch_and_virtual_edges() {
         // A short loop so block dispatch takes distinct edges.
         let mut m = machine_with(loop_code());
-        assert!(!m.coverage_enabled());
+        assert!(m.coverage().is_none());
         m.cov_note(0xDEAD); // no-op while disarmed
         assert!(m.coverage().is_none());
 

@@ -669,11 +669,6 @@ impl Memory {
         })
     }
 
-    /// Whether a redzone is currently armed.
-    pub fn redzone_armed(&self) -> bool {
-        self.redzone.is_some()
-    }
-
     /// Whether the access `[addr, addr + len)` lies wholly outside the
     /// armed redzone (always, when none is armed), so it may take a
     /// fast path: only an access that touches the zone needs the byte
@@ -1013,7 +1008,7 @@ mod tests {
         let mut m = mem();
         // Buffer of 8 bytes at 0x8000; zone to end of the region.
         m.arm_redzone(0x8000, 8, 0x8100);
-        assert!(m.redzone_armed());
+        assert!(m.redzone.is_some());
         // 12-byte write: 8 in bounds, 4 diverted.
         m.write_bytes(0x8000, &[0xAA; 12], 0x42).unwrap();
         assert_eq!(m.read_u8(0x8007, 0).unwrap(), 0xAA);
@@ -1023,7 +1018,7 @@ mod tests {
         assert_eq!(hit.last, 0x800B);
         assert_eq!(hit.pc, 0x42);
         assert_eq!(hit.extent(), 4);
-        assert!(!m.redzone_armed());
+        assert!(m.redzone.is_none());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property tests over the two instruction sets: everything the
+//! Property tests over the three instruction sets: everything the
 //! assemblers can emit, the decoders must round-trip; decoding arbitrary
 //! bytes must be total (no panics) and report honest lengths.
 
 use proptest::prelude::*;
 
-use cml_vm::{arm, x86, X86Reg};
+use cml_vm::{arm, riscv, x86, X86Reg};
 
 /// A recipe for one x86 instruction, generatable by proptest.
 #[derive(Debug, Clone)]
@@ -276,6 +276,268 @@ proptest! {
         prop_assert_eq!(bytes.len(), insns.len() * 4);
         for (k, chunk) in bytes.chunks(4).enumerate() {
             arm::decode(chunk).unwrap_or_else(|e| panic!("insn {k}: {e}"));
+        }
+    }
+}
+
+/// A recipe for one RV32IC instruction: every `riscv::Asm` form, the
+/// compressed ones included. Operands are drawn inside each form's
+/// encodable range.
+#[derive(Debug, Clone)]
+enum RInsn {
+    Lui(u8, i32),
+    Auipc(u8, i32),
+    Jal(u8, i32),
+    Jalr(u8, u8, i32),
+    Beq(u8, u8, i32),
+    Bne(u8, u8, i32),
+    Lw(u8, u8, i32),
+    Lbu(u8, u8, i32),
+    Sw(u8, u8, i32),
+    Sb(u8, u8, i32),
+    Addi(u8, u8, i32),
+    Andi(u8, u8, i32),
+    Ori(u8, u8, i32),
+    Xori(u8, u8, i32),
+    Slli(u8, u8, u8),
+    Srli(u8, u8, u8),
+    Add(u8, u8, u8),
+    Sub(u8, u8, u8),
+    Ecall,
+    Ebreak,
+    CNop,
+    CAddi(u8, i32),
+    CLi(u8, i32),
+    CLui(u8, i32),
+    CAddi16sp(i32),
+    CAddi4spn(u8, i32),
+    CMv(u8, u8),
+    CAdd(u8, u8),
+    CJr(u8),
+    CRet,
+    CJalr(u8),
+    CEbreak,
+    CJ(i32),
+    CBeqz(u8, i32),
+    CBnez(u8, i32),
+    CSlli(u8, u8),
+    CLwsp(u8, i32),
+    CSwsp(u8, i32),
+    CLw(u8, u8, i32),
+    CSw(u8, u8, i32),
+}
+
+/// A nonzero 6-bit signed immediate, for the forms that reserve zero.
+fn nonzero_imm6() -> impl Strategy<Value = i32> {
+    (-32i32..31).prop_map(|k| if k >= 0 { k + 1 } else { k })
+}
+
+fn r_strategy() -> impl Strategy<Value = RInsn> {
+    let r = 0u8..32;
+    let nz = 1u8..32; // x0 is reserved in these compressed forms
+    let rc = 8u8..16; // the compressed register window x8..x15
+    let imm12 = -2048i32..2048;
+    let upper = -(1i32 << 19)..(1 << 19); // a U-type immediate's top 20 bits
+    prop_oneof![
+        (r.clone(), upper.clone()).prop_map(|(a, b)| RInsn::Lui(a, b)),
+        (r.clone(), upper).prop_map(|(a, b)| RInsn::Auipc(a, b)),
+        (r.clone(), -(1i32 << 19)..(1 << 19)).prop_map(|(a, h)| RInsn::Jal(a, h * 2)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Jalr(a, b, c)),
+        (r.clone(), r.clone(), -2048i32..2048).prop_map(|(a, b, h)| RInsn::Beq(a, b, h * 2)),
+        (r.clone(), r.clone(), -2048i32..2048).prop_map(|(a, b, h)| RInsn::Bne(a, b, h * 2)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Lw(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Lbu(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Sw(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Sb(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Addi(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Andi(a, b, c)),
+        (r.clone(), r.clone(), imm12.clone()).prop_map(|(a, b, c)| RInsn::Ori(a, b, c)),
+        (r.clone(), r.clone(), imm12).prop_map(|(a, b, c)| RInsn::Xori(a, b, c)),
+        (r.clone(), r.clone(), 0u8..32).prop_map(|(a, b, c)| RInsn::Slli(a, b, c)),
+        (r.clone(), r.clone(), 0u8..32).prop_map(|(a, b, c)| RInsn::Srli(a, b, c)),
+        (r.clone(), r.clone(), r.clone()).prop_map(|(a, b, c)| RInsn::Add(a, b, c)),
+        (r.clone(), r.clone(), r.clone()).prop_map(|(a, b, c)| RInsn::Sub(a, b, c)),
+        Just(RInsn::Ecall),
+        Just(RInsn::Ebreak),
+        Just(RInsn::CNop),
+        (r.clone(), -32i32..32).prop_map(|(a, b)| RInsn::CAddi(a, b)),
+        (r.clone(), -32i32..32).prop_map(|(a, b)| RInsn::CLi(a, b)),
+        (
+            // x0 is reserved and x2 selects c.addi16sp.
+            (1u8..31).prop_map(|r| if r >= 2 { r + 1 } else { r }),
+            nonzero_imm6(),
+        )
+            .prop_map(|(a, h)| RInsn::CLui(a, h << 12)),
+        nonzero_imm6().prop_map(|k| RInsn::CAddi16sp(k * 16)),
+        (rc.clone(), 1i32..256).prop_map(|(a, k)| RInsn::CAddi4spn(a, k * 4)),
+        (nz.clone(), nz.clone()).prop_map(|(a, b)| RInsn::CMv(a, b)),
+        (nz.clone(), nz.clone()).prop_map(|(a, b)| RInsn::CAdd(a, b)),
+        nz.clone().prop_map(RInsn::CJr),
+        Just(RInsn::CRet),
+        nz.clone().prop_map(RInsn::CJalr),
+        Just(RInsn::CEbreak),
+        (-1024i32..1024).prop_map(|h| RInsn::CJ(h * 2)),
+        (rc.clone(), -128i32..128).prop_map(|(a, h)| RInsn::CBeqz(a, h * 2)),
+        (rc.clone(), -128i32..128).prop_map(|(a, h)| RInsn::CBnez(a, h * 2)),
+        (r.clone(), 0u8..32).prop_map(|(a, b)| RInsn::CSlli(a, b)),
+        (nz, 0i32..64).prop_map(|(a, k)| RInsn::CLwsp(a, k * 4)),
+        (r, 0i32..64).prop_map(|(a, k)| RInsn::CSwsp(a, k * 4)),
+        (rc.clone(), rc.clone(), 0i32..32).prop_map(|(a, b, k)| RInsn::CLw(a, b, k * 4)),
+        (rc.clone(), rc, 0i32..32).prop_map(|(a, b, k)| RInsn::CSw(a, b, k * 4)),
+    ]
+}
+
+/// Appends one recipe to `a`, returning the grown assembler with the
+/// instruction the decoder must recover (a compressed form's RV32I
+/// expansion) and its encoded length.
+fn emit_riscv(a: riscv::Asm, insn: &RInsn) -> (riscv::Asm, riscv::Insn, usize) {
+    use riscv::Insn as I;
+    let (a, want) = match *insn {
+        RInsn::Lui(rd, hi) => {
+            let imm = (hi << 12) as u32;
+            (a.lui(rd, imm), I::Lui { rd, imm })
+        }
+        RInsn::Auipc(rd, hi) => {
+            let imm = (hi << 12) as u32;
+            (a.auipc(rd, imm), I::Auipc { rd, imm })
+        }
+        RInsn::Jal(rd, offset) => (a.jal(rd, offset), I::Jal { rd, offset }),
+        RInsn::Jalr(rd, rs1, offset) => (a.jalr(rd, rs1, offset), I::Jalr { rd, rs1, offset }),
+        RInsn::Beq(rs1, rs2, offset) => (a.beq(rs1, rs2, offset), I::Beq { rs1, rs2, offset }),
+        RInsn::Bne(rs1, rs2, offset) => (a.bne(rs1, rs2, offset), I::Bne { rs1, rs2, offset }),
+        RInsn::Lw(rd, rs1, offset) => (a.lw(rd, rs1, offset), I::Lw { rd, rs1, offset }),
+        RInsn::Lbu(rd, rs1, offset) => (a.lbu(rd, rs1, offset), I::Lbu { rd, rs1, offset }),
+        RInsn::Sw(rs2, rs1, offset) => (a.sw(rs2, rs1, offset), I::Sw { rs2, rs1, offset }),
+        RInsn::Sb(rs2, rs1, offset) => (a.sb(rs2, rs1, offset), I::Sb { rs2, rs1, offset }),
+        RInsn::Addi(rd, rs1, imm) => (a.addi(rd, rs1, imm), I::Addi { rd, rs1, imm }),
+        RInsn::Andi(rd, rs1, imm) => (a.andi(rd, rs1, imm), I::Andi { rd, rs1, imm }),
+        RInsn::Ori(rd, rs1, imm) => (a.ori(rd, rs1, imm), I::Ori { rd, rs1, imm }),
+        RInsn::Xori(rd, rs1, imm) => (a.xori(rd, rs1, imm), I::Xori { rd, rs1, imm }),
+        RInsn::Slli(rd, rs1, shamt) => (a.slli(rd, rs1, shamt), I::Slli { rd, rs1, shamt }),
+        RInsn::Srli(rd, rs1, shamt) => (a.srli(rd, rs1, shamt), I::Srli { rd, rs1, shamt }),
+        RInsn::Add(rd, rs1, rs2) => (a.add(rd, rs1, rs2), I::Add { rd, rs1, rs2 }),
+        RInsn::Sub(rd, rs1, rs2) => (a.sub(rd, rs1, rs2), I::Sub { rd, rs1, rs2 }),
+        RInsn::Ecall => (a.ecall(), I::Ecall),
+        RInsn::Ebreak => (a.ebreak(), I::Ebreak),
+        _ => {
+            let (a, want) = match *insn {
+                RInsn::CNop => (
+                    a.c_nop(),
+                    I::Addi {
+                        rd: 0,
+                        rs1: 0,
+                        imm: 0,
+                    },
+                ),
+                RInsn::CAddi(rd, imm) => (a.c_addi(rd, imm), I::Addi { rd, rs1: rd, imm }),
+                RInsn::CLi(rd, imm) => (a.c_li(rd, imm), I::Addi { rd, rs1: 0, imm }),
+                RInsn::CLui(rd, imm) => (
+                    a.c_lui(rd, imm as u32),
+                    I::Lui {
+                        rd,
+                        imm: imm as u32,
+                    },
+                ),
+                RInsn::CAddi16sp(imm) => (a.c_addi16sp(imm), I::Addi { rd: 2, rs1: 2, imm }),
+                RInsn::CAddi4spn(rd, imm) => (a.c_addi4spn(rd, imm), I::Addi { rd, rs1: 2, imm }),
+                RInsn::CMv(rd, rs2) => (a.c_mv(rd, rs2), I::Add { rd, rs1: 0, rs2 }),
+                RInsn::CAdd(rd, rs2) => (a.c_add(rd, rs2), I::Add { rd, rs1: rd, rs2 }),
+                RInsn::CJr(rs1) => (
+                    a.c_jr(rs1),
+                    I::Jalr {
+                        rd: 0,
+                        rs1,
+                        offset: 0,
+                    },
+                ),
+                RInsn::CRet => (
+                    a.c_ret(),
+                    I::Jalr {
+                        rd: 0,
+                        rs1: 1,
+                        offset: 0,
+                    },
+                ),
+                RInsn::CJalr(rs1) => (
+                    a.c_jalr(rs1),
+                    I::Jalr {
+                        rd: 1,
+                        rs1,
+                        offset: 0,
+                    },
+                ),
+                RInsn::CEbreak => (a.c_ebreak(), I::Ebreak),
+                RInsn::CJ(offset) => (a.c_j(offset), I::Jal { rd: 0, offset }),
+                RInsn::CBeqz(rs1, offset) => (
+                    a.c_beqz(rs1, offset),
+                    I::Beq {
+                        rs1,
+                        rs2: 0,
+                        offset,
+                    },
+                ),
+                RInsn::CBnez(rs1, offset) => (
+                    a.c_bnez(rs1, offset),
+                    I::Bne {
+                        rs1,
+                        rs2: 0,
+                        offset,
+                    },
+                ),
+                RInsn::CSlli(rd, shamt) => (a.c_slli(rd, shamt), I::Slli { rd, rs1: rd, shamt }),
+                RInsn::CLwsp(rd, offset) => (a.c_lwsp(rd, offset), I::Lw { rd, rs1: 2, offset }),
+                RInsn::CSwsp(rs2, offset) => (
+                    a.c_swsp(rs2, offset),
+                    I::Sw {
+                        rs2,
+                        rs1: 2,
+                        offset,
+                    },
+                ),
+                RInsn::CLw(rd, rs1, offset) => (a.c_lw(rd, rs1, offset), I::Lw { rd, rs1, offset }),
+                RInsn::CSw(rs2, rs1, offset) => {
+                    (a.c_sw(rs2, rs1, offset), I::Sw { rs2, rs1, offset })
+                }
+                _ => unreachable!("base forms are handled above"),
+            };
+            return (a, want, 2);
+        }
+    };
+    (a, want, 4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Assembled RV32IC streams, base and compressed forms mixed, decode
+    /// back instruction by instruction to the expected `Insn` and
+    /// length, consuming every byte exactly.
+    #[test]
+    fn riscv_streams_roundtrip(insns in proptest::collection::vec(r_strategy(), 1..24)) {
+        let mut a = riscv::Asm::new();
+        let mut want = Vec::new();
+        for i in &insns {
+            let (next, insn, len) = emit_riscv(a, i);
+            a = next;
+            want.push((insn, len));
+        }
+        let bytes = a.finish();
+        let mut pos = 0usize;
+        for (k, (insn, len)) in want.into_iter().enumerate() {
+            let got = riscv::decode(&bytes[pos..])
+                .unwrap_or_else(|e| panic!("insn {k} ({:?}): {e}", insns[k]));
+            prop_assert_eq!(got, (insn, len), "insn {} ({:?})", k, &insns[k]);
+            pos += len;
+        }
+        prop_assert_eq!(pos, bytes.len());
+    }
+
+    /// RISC-V decode is total: any 0–8-byte window decodes to a 2- or
+    /// 4-byte instruction it fully contains, or to a typed error.
+    #[test]
+    fn riscv_decode_total(bytes in proptest::collection::vec(any::<u8>(), 0..=8)) {
+        if let Ok((_, len)) = riscv::decode(&bytes) {
+            prop_assert!((len == 2 || len == 4) && len <= bytes.len());
         }
     }
 }

@@ -223,7 +223,7 @@ impl Opts {
 }
 
 fn survey() -> ExitCode {
-    println!("{}", connman_lab::experiments::e4::run().to_markdown());
+    println!("{}", connman_lab::experiments::e4::run(1).to_markdown());
     ExitCode::SUCCESS
 }
 
@@ -765,26 +765,23 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
 }
 
 fn experiments(opts: &Opts) -> ExitCode {
+    use connman_lab::experiments::{run_all, run_one, ALL};
     if opts.rest.is_empty() {
-        println!(
-            "{}",
-            connman_lab::experiments::run_all_jobs(opts.jobs).to_markdown()
-        );
+        println!("{}", run_all(opts.jobs).to_markdown());
         return ExitCode::SUCCESS;
     }
-    let mut ok = true;
+    // Every id is checked before any experiment runs.
+    if let Some(id) = opts
+        .rest
+        .iter()
+        .find(|id| !ALL.iter().any(|(name, _)| name.eq_ignore_ascii_case(id)))
+    {
+        eprintln!("unknown experiment {id:?}");
+        return ExitCode::FAILURE;
+    }
     for id in &opts.rest {
-        match connman_lab::experiments::run_one_jobs(id, opts.jobs) {
-            Some(t) => println!("{}", t.to_markdown()),
-            None => {
-                eprintln!("unknown experiment {id:?}");
-                ok = false;
-            }
-        }
+        let table = run_one(id, opts.jobs).expect("id checked above");
+        println!("{}", table.to_markdown());
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

@@ -105,6 +105,14 @@ fn fleet_help_prints_usage_without_running_a_campaign() {
 }
 
 #[test]
+fn experiments_rejects_unknown_ids_before_running_any() {
+    let (out, err, code) = cml(&["experiments", "e99", "e5"]);
+    assert_eq!(code, Some(1), "stderr: {err}");
+    assert!(err.contains("\"e99\""), "{err}");
+    assert!(out.is_empty(), "no experiment may run:\n{out}");
+}
+
+#[test]
 fn fleet_rejects_unknown_options() {
     let (out, err, code) = cml(&["fleet", "--devcies", "10"]);
     assert_eq!(code, Some(1), "stdout: {out}");

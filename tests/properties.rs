@@ -255,12 +255,12 @@ proptest! {
         prop_assert!((MIN_LATENCY_US..MIN_LATENCY_US + JITTER_SPAN_US).contains(&d));
     }
 
-    /// The buffered server entry point — the same
-    /// [`UdpService::handle_datagram_into`] path the fleet and fuzz
-    /// drivers use — is total over arbitrary datagrams, for both the
-    /// armed and the benign server, with a warm reused buffer.
+    /// The buffered server entry point the fleet and fuzz drivers use,
+    /// [`MaliciousDnsServer::handle_into`], is total over arbitrary
+    /// datagrams, for both the armed and the benign server, with a warm
+    /// reused buffer.
     #[test]
-    fn server_handle_datagram_into_total_over_arbitrary_bytes(
+    fn server_handle_into_total_over_arbitrary_bytes(
         datagrams in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..256),
             1..8,
@@ -268,31 +268,14 @@ proptest! {
     ) {
         use connman_lab::dns::WireBuf;
         use connman_lab::exploit::MaliciousDnsServer;
-        use connman_lab::netsim::UdpService;
         use std::net::Ipv4Addr;
 
-        struct Svc(MaliciousDnsServer);
-        impl UdpService for Svc {
-            fn handle_datagram(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
-                self.0.handle(payload)
-            }
-            fn handle_datagram_into(&mut self, payload: &[u8], out: &mut Vec<u8>) -> bool {
-                let mut buf = WireBuf::from_vec(std::mem::take(out));
-                let answered = self.0.handle_into(payload, &mut buf);
-                *out = buf.into_vec();
-                answered
-            }
-        }
-
-        let mut armed = Svc(MaliciousDnsServer::with_labels(
-            vec![b"payload".to_vec()],
-            "probe",
-        ));
-        let mut benign = Svc(MaliciousDnsServer::benign(Ipv4Addr::new(10, 0, 0, 53)));
-        let mut out = Vec::new();
+        let mut armed = MaliciousDnsServer::with_labels(vec![b"payload".to_vec()], "probe");
+        let mut benign = MaliciousDnsServer::benign(Ipv4Addr::new(10, 0, 0, 53));
+        let mut out = WireBuf::new();
         for d in &datagrams {
-            let _ = armed.handle_datagram_into(d, &mut out);
-            let _ = benign.handle_datagram_into(d, &mut out);
+            let _ = armed.handle_into(d, &mut out);
+            let _ = benign.handle_into(d, &mut out);
         }
     }
 }
