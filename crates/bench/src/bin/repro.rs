@@ -198,8 +198,9 @@ const SMOKE_TRIALS: u64 = 6;
 /// of a shared machine does not move a guarded wall ratio.
 const ABLATION_RUNS: usize = 5;
 
-/// Measured sessions per ISA in the `fork_cache` ablation.
-const FORK_CACHE_SESSIONS: u64 = 16;
+/// Measured sessions per ISA in the `fork_cache` and `stack_code`
+/// ablations.
+const WARM_SESSIONS: u64 = 16;
 
 /// Inner repetitions per trial for the allocation-path ablations (one
 /// template relocation or pooled query is far below timer resolution).
@@ -446,36 +447,19 @@ fn run_ablations(trials: u64) -> Value<'static> {
     // Fork-surviving decode cache: decode misses of warm W⊕X+ASLR
     // sessions, each forked at a fresh seed so the fork reslides. The
     // chain runs only non-PIE code, so after one warm-up session no
-    // session may decode again. Rounded up: one miss reads as 1.
-    let fork_cache = Arch::ALL.iter().map(|&arch| {
-        let prot = Protections::full();
-        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
-        let labels = matched_strategy(arch, &prot)
-            .build(&lab.recon().expect("replica recon"))
-            .expect("payload builds")
-            .to_labels()
-            .expect("labelizes");
-        let mut forge = lab.firmware().forge(prot, 0xF04C);
-        let mut misses = 0;
-        for i in 0..=FORK_CACHE_SESSIONS {
-            let daemon = forge.fork(0xF04C + 1 + i);
-            let before = daemon.machine().decode_cache_stats().1;
-            let outcome = deliver_labels(daemon, labels.clone());
-            assert!(outcome.is_some_and(|o| o.is_root_shell()), "{arch}");
-            if i > 0 {
-                misses += daemon.machine().decode_cache_stats().1 - before;
-            }
-        }
-        obj([
-            ("isa", s(arch.to_string())),
-            ("sessions", u(FORK_CACHE_SESSIONS)),
-            (
-                "misses_per_session",
-                u(misses.div_ceil(FORK_CACHE_SESSIONS)),
-            ),
-        ])
-    });
+    // session may decode again.
+    let fork_cache = Arch::ALL
+        .iter()
+        .map(|&arch| warm_session_misses(arch, Protections::full()));
     let fork_cache = Value::Arr(fork_cache.collect());
+    // Second-chance IR blocks: the code-injection cells run shellcode
+    // from the stack page each fork rewinds, and the payload writes the
+    // same bytes back to the same addresses, so after one warm-up
+    // session no session may decode again either.
+    let stack_code = Arch::ALL
+        .iter()
+        .map(|&arch| warm_session_misses(arch, Protections::none()));
+    let stack_code = Value::Arr(stack_code.collect());
 
     // Fuzzing ablations: the same fixed-seed campaign three ways —
     // coverage-on fork (the production configuration), coverage-off
@@ -681,6 +665,7 @@ fn run_ablations(trials: u64) -> Value<'static> {
         ),
         ("decode_table", decode_table),
         ("fork_cache", fork_cache),
+        ("stack_code", stack_code),
         ("gadget", gadget_timings(trials)),
         (
             "riscv_fuzz",
@@ -693,6 +678,34 @@ fn run_ablations(trials: u64) -> Value<'static> {
                 ),
             ]),
         ),
+    ])
+}
+
+/// Decode misses per warm session of `arch`'s matched exploit under
+/// `prot`: one warm-up delivery, then [`WARM_SESSIONS`] more, each
+/// forked at a fresh seed. Rounded up, so one miss reads as 1.
+fn warm_session_misses(arch: Arch, prot: Protections) -> Value<'static> {
+    let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
+    let labels = matched_strategy(arch, &prot)
+        .build(&lab.recon().expect("replica recon"))
+        .expect("payload builds")
+        .to_labels()
+        .expect("labelizes");
+    let mut forge = lab.firmware().forge(prot, 0xF04C);
+    let mut misses = 0;
+    for i in 0..=WARM_SESSIONS {
+        let daemon = forge.fork(0xF04C + 1 + i);
+        let before = daemon.machine().decode_cache_stats().1;
+        let outcome = deliver_labels(daemon, labels.clone());
+        assert!(outcome.is_some_and(|o| o.is_root_shell()), "{arch}");
+        if i > 0 {
+            misses += daemon.machine().decode_cache_stats().1 - before;
+        }
+    }
+    obj([
+        ("isa", s(arch.to_string())),
+        ("sessions", u(WARM_SESSIONS)),
+        ("misses_per_session", u(misses.div_ceil(WARM_SESSIONS))),
     ])
 }
 
@@ -1050,6 +1063,18 @@ const GUARDS: &[(&str, Bound)] = &[
         "ablations.fork_cache[isa=RISC-V].misses_per_session",
         Bound::Equals(0.0),
     ),
+    (
+        "ablations.stack_code[isa=x86].misses_per_session",
+        Bound::Equals(0.0),
+    ),
+    (
+        "ablations.stack_code[isa=ARMv7].misses_per_session",
+        Bound::Equals(0.0),
+    ),
+    (
+        "ablations.stack_code[isa=RISC-V].misses_per_session",
+        Bound::Equals(0.0),
+    ),
     ("ablations.resolver.resolver_qps", Bound::Floor(COLLAPSE)),
     (
         "ablations.resolver.cached_allocs_per_query",
@@ -1348,16 +1373,19 @@ mod tests {
 
     /// BENCH_10 read as a current record: every guarded metric sits at
     /// its baseline, with `ir_vs_insn` at the fallback product and the
-    /// baseline-free `fork_cache` rows at their wanted 0.
+    /// baseline-free `fork_cache` and `stack_code` rows at their wanted
+    /// 0.
     fn current_at_bench_10() -> Value<'static> {
         let mut doc = bench_10();
         let Value::Obj(ablations) = at_mut(&mut doc, "ablations") else {
             panic!("ablations is an object")
         };
         ablations.push(("ir_vs_insn".into(), obj([("wall_ratio", n(4.88 * 3.15))])));
-        let fork_cache =
-            Arch::ALL.map(|arch| obj([("isa", s(arch.to_string())), ("misses_per_session", u(0))]));
-        ablations.push(("fork_cache".into(), Value::Arr(fork_cache.to_vec())));
+        for section in ["fork_cache", "stack_code"] {
+            let rows = Arch::ALL
+                .map(|arch| obj([("isa", s(arch.to_string())), ("misses_per_session", u(0))]));
+            ablations.push((section.into(), Value::Arr(rows.to_vec())));
+        }
         doc
     }
 

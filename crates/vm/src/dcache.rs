@@ -15,17 +15,28 @@
 //! Invalidation is precise: each entry covers a byte *footprint* — an
 //! instruction's encoding, or a lowered block's encodings plus the
 //! fetch window past its end that decided where the block stops — and
-//! [`DecodeCache::invalidate_range`] drops exactly the entries whose
-//! footprint overlaps the changed range. A write drops its page; a
-//! reslide or restore that moves a region drops the region's old and
-//! new ranges; a hook change drops only the blocks whose footprint
-//! holds a pc that gained or lost its hook (per-instruction entries are
-//! hook-agnostic: `step` checks hooks before it decodes). So a fork
-//! keeps every decode of code that did not move — the non-PIE `.text`
-//! gadgets and `.plt` stubs a W⊕X+ASLR chain runs stay warm across
-//! every reslide. Rare events (a new mapping, `register_hook`, an
-//! `mprotect`) still flush the whole table. The cache is always on;
-//! there is no switch to turn it off.
+//! drops exactly the entries whose footprint overlaps the changed
+//! bytes. A write drops only what it overlaps, so shellcode that pushes
+//! onto the page it runs from keeps its other decodes; a reslide or
+//! restore that moves a region drops the region's old and new ranges; a
+//! hook change drops only the blocks whose footprint holds a pc that
+//! gained or lost its hook (per-instruction entries are hook-agnostic:
+//! `step` checks hooks before it decodes). So a fork keeps every decode
+//! of code that did not move — the non-PIE `.text` gadgets and `.plt`
+//! stubs a W⊕X+ASLR chain runs stay warm across every reslide. Rare
+//! events (a new mapping, `register_hook`, an `mprotect`) still flush
+//! the whole table. The cache is always on; there is no switch to turn
+//! it off.
+//!
+//! A lowered block carries a copy of its footprint's bytes. When a
+//! *content* change (a guest write, or a restore copying a dirty page
+//! back) drops it, the block moves to a small victim table instead of
+//! being freed; an IR-table miss at its pc revives it when memory holds
+//! those bytes again — the injected stack code a fork rewinds and the
+//! payload rewrites at the same address. The compare runs only on the
+//! miss path (Valgrind's `--smc-check=stack` idea), so a hit still
+//! validates nothing. Layout changes discard overlapping victims, since
+//! equal bytes cannot show a moved region, a revoked X bit or a hook.
 
 use std::sync::Arc;
 
@@ -43,6 +54,16 @@ pub(crate) const PAGE_MASK: u32 = !(PAGE_SIZE - 1);
 /// window of any ISA (x86's 16 bytes), which also covers a hook at the
 /// first pc after the block.
 const BLOCK_LOOKAHEAD: u32 = 16;
+
+/// Lowered blocks that a content invalidation dropped and that an
+/// IR-table miss may still revive; the oldest go first past this many.
+const VICTIMS: usize = 32;
+
+/// Footprint length of a lowered block whose encodings span `span`
+/// bytes.
+pub(crate) fn block_footprint(span: u32) -> u32 {
+    span.saturating_add(BLOCK_LOOKAHEAD)
+}
 
 /// A memoised decode for either ISA.
 #[derive(Debug, Clone, Copy)]
@@ -136,7 +157,7 @@ impl<T> Table<T> {
     fn insert(&mut self, pc: Addr, len: u32, val: T) {
         if self.slots.len() * 3 <= (self.occupied.len() + 1) * 4 {
             let cap = (self.slots.len() * 4).max(INITIAL_SLOTS);
-            self.rehash(cap, |_| true);
+            self.rehash(cap, Some);
         }
         self.place(Slot { pc, len, val });
     }
@@ -168,26 +189,32 @@ impl<T> Table<T> {
         }
     }
 
-    /// Drops every entry whose footprint overlaps `[lo, hi)`. Returns
-    /// whether anything was dropped.
-    fn invalidate(&mut self, lo: u64, hi: u64) -> bool {
+    /// Hands every entry whose footprint overlaps `[lo, hi)` to
+    /// `dropped`. Returns whether anything was dropped.
+    fn invalidate(&mut self, lo: u64, hi: u64, mut dropped: impl FnMut(Slot<T>)) -> bool {
         if !self.iter().any(|e| e.overlaps(lo, hi)) {
             return false;
         }
-        self.rehash(self.slots.len(), |e| !e.overlaps(lo, hi));
+        self.rehash(self.slots.len(), |e| {
+            if e.overlaps(lo, hi) {
+                dropped(e);
+                None
+            } else {
+                Some(e)
+            }
+        });
         true
     }
 
-    /// Re-seats the entries `keep` accepts into `cap` slots. Every entry
-    /// leaves the table before any is placed again, so no survivor's
-    /// probe chain can run through a slot a dropped entry vacated.
-    fn rehash(&mut self, cap: usize, keep: impl Fn(&Slot<T>) -> bool) {
+    /// Re-seats the entries `keep` hands back into `cap` slots. Every
+    /// entry leaves the table before any is placed again, so no
+    /// survivor's probe chain can run through a slot a dropped entry
+    /// vacated.
+    fn rehash(&mut self, cap: usize, mut keep: impl FnMut(Slot<T>) -> Option<Slot<T>>) {
         let mut held = std::mem::take(&mut self.spare);
         for i in self.occupied.drain(..) {
-            if let Some(e) = self.slots[i].take() {
-                if keep(&e) {
-                    held.push(e);
-                }
+            if let Some(e) = self.slots[i].take().and_then(&mut keep) {
+                held.push(e);
             }
         }
         if cap != self.slots.len() {
@@ -231,6 +258,9 @@ pub(crate) struct DecodeCache {
     ir_enabled: bool,
     insns: Table<CachedInsn>,
     blocks: Table<Arc<IrBlock>>,
+    /// Blocks a content invalidation dropped, oldest first, at most
+    /// [`VICTIMS`]; each keeps the footprint bytes it was lowered from.
+    victims: Vec<Slot<Arc<IrBlock>>>,
     /// Sorted page bases that some cached footprint touches. Writes and
     /// range invalidations consult this before scanning the tables.
     code_pages: Vec<u32>,
@@ -242,7 +272,7 @@ pub(crate) struct DecodeCache {
     /// lowered block.
     generation: u64,
     /// Dispatches served without decoding: per-insn hits plus IR block
-    /// hits.
+    /// hits and revivals.
     hits: u64,
     /// Per-insn lookups that had to decode.
     misses: u64,
@@ -254,6 +284,7 @@ impl Default for DecodeCache {
             ir_enabled: true,
             insns: Table::default(),
             blocks: Table::default(),
+            victims: Vec::new(),
             code_pages: Vec::new(),
             last_clean_page: None,
             generation: 0,
@@ -326,14 +357,37 @@ impl DecodeCache {
         found
     }
 
-    /// Memoises a lowered IR block whose encodings span `span` bytes.
-    pub(crate) fn insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>, span: u32) {
+    /// Memoises a lowered IR block (its footprint is
+    /// [`block_footprint`] of its span).
+    pub(crate) fn insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>) {
         if !self.ir_enabled {
             return;
         }
-        let len = span.saturating_add(BLOCK_LOOKAHEAD);
+        let len = block_footprint(block.span);
         self.blocks.insert(pc, len, block);
         self.note_code_pages(pc, len);
+    }
+
+    /// Whether an IR-table miss has any victim to try.
+    #[inline]
+    pub(crate) fn has_victims(&self) -> bool {
+        !self.victims.is_empty()
+    }
+
+    /// Removes and returns the victim block at `pc`. The caller revives
+    /// it with [`revive_ir`](DecodeCache::revive_ir) only when memory
+    /// still holds its footprint bytes; otherwise it is gone for good.
+    pub(crate) fn take_victim(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
+        let i = self.victims.iter().position(|v| v.pc == pc)?;
+        Some(self.victims.remove(i).val)
+    }
+
+    /// Puts a victim whose footprint bytes matched memory back in the IR
+    /// table. Nothing was dropped, so the generation stays; serving the
+    /// block without decoding counts as a hit.
+    pub(crate) fn revive_ir(&mut self, pc: Addr, block: Arc<IrBlock>) {
+        self.hits += 1;
+        self.insert_ir(pc, block);
     }
 
     fn note_code_pages(&mut self, pc: Addr, len: u32) {
@@ -361,53 +415,88 @@ impl DecodeCache {
         self.code_pages.get(i).is_some_and(|&p| (p as u64) < hi)
     }
 
-    /// A byte at `addr` is about to change. One compare in the common
-    /// case (sequential writes to a non-code page); drops the page's
-    /// cached decodes and blocks when it holds any.
+    /// A byte at `addr` is about to change.
     #[inline]
     pub(crate) fn note_write(&mut self, addr: Addr) {
+        self.note_write_range(addr, 1);
+    }
+
+    /// `len` bytes from `addr` are about to change, or were just copied
+    /// back by a restore. One compare in the common case (writes to a
+    /// page verified to hold no footprint); otherwise drops the decodes
+    /// and blocks whose footprint overlaps the written bytes, moving the
+    /// blocks to the victim table.
+    #[inline]
+    pub(crate) fn note_write_range(&mut self, addr: Addr, len: usize) {
         let page = addr & PAGE_MASK;
-        if self.last_clean_page == Some(page) {
+        if self.last_clean_page == Some(page) && (addr - page) as usize + len <= PAGE_SIZE as usize
+        {
             return;
         }
-        if self.code_pages.binary_search(&page).is_ok() {
-            self.invalidate_range(page, PAGE_SIZE as u64);
-        }
-        self.last_clean_page = Some(page);
+        self.note_write_slow(addr, len);
     }
 
-    /// A whole range is about to change (chunked writes / pokes).
-    pub(crate) fn note_write_range(&mut self, addr: Addr, len: usize) {
-        for page in pages(addr, len as u32) {
-            self.note_write(page);
+    fn note_write_slow(&mut self, addr: Addr, len: usize) {
+        let (lo, hi) = (addr as u64, (addr as u64 + len.max(1) as u64).min(1 << 32));
+        self.drop_overlapping(lo, hi, true);
+        let last = (hi - 1) as u32 & PAGE_MASK;
+        if self.code_pages.binary_search(&last).is_err() {
+            self.last_clean_page = Some(last);
         }
     }
 
-    /// Drops every per-insn decode and lowered block whose footprint
-    /// overlaps `[addr, addr + len)`, then bumps the generation (so an
-    /// in-flight IR block abandons itself) if anything went. Entries
+    /// The region at `[addr, addr + len)` moves or changes permissions:
+    /// drops every per-insn decode, lowered block and victim whose
+    /// footprint overlaps it, then bumps the generation (so an in-flight
+    /// IR block abandons itself) if a table entry went. Entries
     /// elsewhere stay cached.
     #[inline]
     pub(crate) fn invalidate_range(&mut self, addr: Addr, len: u64) {
         let (lo, hi) = (addr as u64, addr as u64 + len);
+        self.discard_victims(lo, hi);
+        self.drop_overlapping(lo, hi, false);
+    }
+
+    /// Drops the per-insn decodes and blocks whose footprint overlaps
+    /// `[lo, hi)`; `keep_blocks` moves the blocks to the victim table.
+    fn drop_overlapping(&mut self, lo: u64, hi: u64, keep_blocks: bool) {
         if !self.has_code_in(lo, hi) {
             return;
         }
-        let insns = self.insns.invalidate(lo, hi);
-        let blocks = self.blocks.invalidate(lo, hi);
+        let insns = self.insns.invalidate(lo, hi, drop);
+        let victims = &mut self.victims;
+        let blocks = self.blocks.invalidate(lo, hi, |e| {
+            if keep_blocks {
+                victims.retain(|v| v.pc != e.pc);
+                if victims.len() == VICTIMS {
+                    victims.remove(0);
+                }
+                victims.push(e);
+            }
+        });
         if insns || blocks {
             self.after_invalidate();
         }
     }
 
-    /// `pc` gained or lost a libc hook: drops the lowered blocks whose
-    /// footprint holds it (a block must stop before a hooked pc, and a
-    /// block that stopped before a now-unhooked one would run longer if
-    /// rebuilt). Per-insn decodes are hook-agnostic and stay.
+    /// Discards the victims whose footprint overlaps `[lo, hi)`.
+    #[inline]
+    fn discard_victims(&mut self, lo: u64, hi: u64) {
+        if self.has_victims() {
+            self.victims.retain(|v| !v.overlaps(lo, hi));
+        }
+    }
+
+    /// `pc` gained or lost a libc hook: drops the lowered blocks and
+    /// victims whose footprint holds it (a block must stop before a
+    /// hooked pc, and a block that stopped before a now-unhooked one
+    /// would run longer if rebuilt). Per-insn decodes are hook-agnostic
+    /// and stay.
     #[inline]
     pub(crate) fn invalidate_blocks_at(&mut self, pc: Addr) {
         let (lo, hi) = (pc as u64, pc as u64 + 1);
-        if self.has_code_in(lo, hi) && self.blocks.invalidate(lo, hi) {
+        self.discard_victims(lo, hi);
+        if self.has_code_in(lo, hi) && self.blocks.invalidate(lo, hi, drop) {
             self.after_invalidate();
         }
     }
@@ -424,13 +513,14 @@ impl DecodeCache {
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// Drops every cached decode and lowered block (new mapping,
-    /// permission change, hook registration, or a restore that drops
-    /// regions). Clears only the occupied slots; the tables keep their
-    /// capacity.
+    /// Drops every cached decode, lowered block and victim (new mapping,
+    /// permission change, hook registration, IR turned off, or a restore
+    /// that drops regions). Clears only the occupied slots; the tables
+    /// keep their capacity.
     pub(crate) fn flush(&mut self) {
         self.insns.clear();
         self.blocks.clear();
+        self.victims.clear();
         self.code_pages.clear();
         self.last_clean_page = None;
         self.generation = self.generation.wrapping_add(1);
@@ -461,30 +551,83 @@ mod tests {
         assert_eq!(c.stats(), (1, 1));
         // A block hit counts as a hit; a block miss counts nothing.
         assert!(c.get_ir(0x1000).is_none());
-        c.insert_ir(0x1000, block(0x1000), 1);
+        c.insert_ir(0x1000, block(0x1000));
         assert!(c.get_ir(0x1000).is_some());
         assert_eq!(c.stats(), (2, 1));
     }
 
+    fn x86_nop5() -> CachedInsn {
+        CachedInsn::X86(x86::Insn::Nop, 5)
+    }
+
     #[test]
-    fn write_to_cached_page_drops_only_that_page() {
+    fn write_drops_only_the_footprints_it_overlaps() {
         let mut c = DecodeCache::default();
-        c.insert(0x1000, x86_nop(), 1);
+        c.insert(0x1000, x86_nop5(), 5);
+        c.insert(0x1800, x86_nop(), 1);
         c.insert(0x3000, x86_nop(), 1);
         c.note_write(0x8000); // unrelated page: nothing dropped
-        assert!(c.get(0x1000).is_some());
-        c.note_write(0x1A00); // same page as the first cached pc
+        c.note_write(0x1A00); // same page, outside every footprint
+        assert!(c.get(0x1000).is_some() && c.get(0x1800).is_some());
+        c.note_write(0x1002); // inside the first encoding
         assert!(c.get(0x1000).is_none());
+        assert!(c.get(0x1800).is_some(), "a same-page decode survives");
         assert!(c.get(0x3000).is_some(), "another page's decode survives");
+    }
+
+    #[test]
+    fn write_one_byte_before_inside_and_past_a_footprint() {
+        // A 5-byte encoding covers [0x1010, 0x1015); a block of one
+        // 1-byte insn covers its byte plus the 16-byte lookahead.
+        for (pc, footprint) in [(0x1010, 5), (0x1010, 17)] {
+            for (at, dropped) in [
+                (pc - 1, false),
+                (pc, true),
+                (pc + footprint - 1, true),
+                (pc + footprint, false),
+            ] {
+                let mut c = DecodeCache::default();
+                if footprint == 5 {
+                    c.insert(pc, x86_nop5(), 5);
+                } else {
+                    c.insert_ir(pc, block(pc));
+                }
+                let generation = c.generation();
+                c.note_write(at);
+                let gone = if footprint == 5 {
+                    c.get(pc).is_none()
+                } else {
+                    c.get_ir(pc).is_none()
+                };
+                assert_eq!(gone, dropped, "footprint {footprint}, write {at:#x}");
+                assert_eq!(c.generation() != generation, dropped);
+            }
+        }
     }
 
     #[test]
     fn clean_page_verdict_is_revoked_when_page_becomes_cached() {
         let mut c = DecodeCache::default();
         c.note_write(0x1004); // page 0x1000 marked clean
-        c.insert(0x1000, x86_nop(), 1); // …now it holds a decode
+        c.insert(0x1000, x86_nop5(), 5); // …now it holds a decode
+        c.note_write(0x1800); // same page, outside the footprint: kept
+        assert!(c.get(0x1000).is_some());
         c.note_write(0x1004); // must drop it despite the earlier verdict
         assert!(c.get(0x1000).is_none());
+    }
+
+    #[test]
+    fn a_page_that_still_holds_footprints_is_not_marked_clean() {
+        let mut c = DecodeCache::default();
+        c.insert(0x1000, x86_nop(), 1);
+        c.insert(0x1800, x86_nop(), 1);
+        c.note_write(0x1000);
+        assert!(c.get(0x1000).is_none());
+        c.note_write(0x1800); // the page still held a decode: checked again
+        assert!(c.get(0x1800).is_none());
+        assert!(c.code_pages.is_empty());
+        c.note_write(0x1900); // now clean
+        assert_eq!(c.last_clean_page, Some(0x1000));
     }
 
     #[test]
@@ -518,7 +661,7 @@ mod tests {
         let mut c = DecodeCache::default();
         for pc in pcs {
             c.insert(pc, x86_nop(), 1);
-            c.insert_ir(pc, block(pc), 1);
+            c.insert_ir(pc, block(pc));
         }
         c.invalidate_range(0x1100, 1);
         assert!(c.get(0x1100).is_none(), "the middle decode went");
@@ -549,8 +692,8 @@ mod tests {
     fn hook_invalidation_drops_blocks_and_keeps_decodes() {
         let mut c = DecodeCache::default();
         c.insert(0x1000, x86_nop(), 1);
-        c.insert_ir(0x1000, block(0x1000), 1);
-        c.insert_ir(0x1800, block(0x1800), 1);
+        c.insert_ir(0x1000, block(0x1000));
+        c.insert_ir(0x1800, block(0x1800));
         // Just past the block's last byte: the builder probed that pc.
         c.invalidate_blocks_at(0x1001);
         assert!(c.get_ir(0x1000).is_none());
@@ -578,7 +721,7 @@ mod tests {
         let n = INITIAL_SLOTS as u32 * 2;
         for i in 0..n {
             c.insert(0x1000 + i, x86_nop(), 1);
-            c.insert_ir(0x1000 + i, block(0x1000 + i), 1);
+            c.insert_ir(0x1000 + i, block(0x1000 + i));
         }
         assert!(c.insns.slots.len() > INITIAL_SLOTS && c.blocks.slots.len() > INITIAL_SLOTS);
         let generation = c.generation();
@@ -602,12 +745,95 @@ mod tests {
     fn flush_releases_lowered_blocks() {
         let mut c = DecodeCache::default();
         let b = block(0x1000);
-        c.insert_ir(0x1000, Arc::clone(&b), 1);
+        c.insert_ir(0x1000, Arc::clone(&b));
         assert_eq!(Arc::strong_count(&b), 2);
         c.flush();
         assert_eq!(Arc::strong_count(&b), 1, "the table kept a reference");
-        c.insert_ir(0x1000, Arc::clone(&b), 1);
+        c.insert_ir(0x1000, Arc::clone(&b));
         c.invalidate_range(0x1000, 1);
         assert_eq!(Arc::strong_count(&b), 1, "the spare area kept a reference");
+    }
+
+    #[test]
+    fn content_invalidation_keeps_blocks_as_victims_and_layout_discards_them() {
+        let mut c = DecodeCache::default();
+        c.insert(0x1000, x86_nop(), 1);
+        c.insert_ir(0x1000, block(0x1000));
+        c.note_write(0x1000);
+        assert!(c.get_ir(0x1000).is_none() && c.get(0x1000).is_none());
+        assert!(c.has_victims(), "the block waits for a revival");
+        assert!(c.take_victim(0x1000).is_some());
+        assert!(c.take_victim(0x1000).is_none(), "taking removes it");
+
+        // A restore's page copy-back is a content change too; moving the
+        // region is not.
+        c.insert_ir(0x1000, block(0x1000));
+        c.note_write_range(0x1000, PAGE_SIZE as usize);
+        assert!(c.has_victims());
+        c.invalidate_range(0x1010, 1); // overlaps the lookahead
+        assert!(!c.has_victims());
+    }
+
+    #[test]
+    fn revival_reinserts_without_a_generation_bump_and_counts_a_hit() {
+        let mut c = DecodeCache::default();
+        c.insert_ir(0x1000, block(0x1000));
+        c.note_write(0x1000);
+        let (generation, (hits, misses)) = (c.generation(), c.stats());
+        let b = c.take_victim(0x1000).unwrap();
+        c.revive_ir(0x1000, b);
+        assert_eq!(c.generation(), generation);
+        assert_eq!(c.stats(), (hits + 1, misses));
+        assert!(c.get_ir(0x1000).is_some());
+        c.note_write(0x1005); // the revived block's page is code again
+        assert!(c.get_ir(0x1000).is_none());
+    }
+
+    #[test]
+    fn victims_are_capped_oldest_first_and_unique_per_pc() {
+        let mut c = DecodeCache::default();
+        let n = VICTIMS as u32 + 4;
+        for i in 0..n {
+            let pc = 0x1000 + i * 0x100;
+            c.insert_ir(pc, block(pc));
+            c.note_write(pc);
+        }
+        c.insert_ir(0x1000 + (n - 1) * 0x100, block(0x1000));
+        c.note_write(0x1000 + (n - 1) * 0x100);
+        assert_eq!(c.victims.len(), VICTIMS);
+        for i in 0..4 {
+            assert!(c.take_victim(0x1000 + i * 0x100).is_none(), "victim {i}");
+        }
+        assert!(c.take_victim(0x1000 + 4 * 0x100).is_some());
+    }
+
+    #[test]
+    fn flushes_and_hook_changes_discard_victims() {
+        let kept = |c: &mut DecodeCache| {
+            c.insert_ir(0x1000, block(0x1000));
+            c.insert_ir(0x2000, block(0x2000));
+            c.note_write(0x1000);
+            c.note_write(0x2000);
+            assert_eq!(c.victims.len(), 2);
+        };
+        let mut c = DecodeCache::default();
+        kept(&mut c);
+        c.invalidate_blocks_at(0x1010); // a hook in the first's lookahead
+        assert!(c.take_victim(0x1000).is_none());
+        assert!(c.take_victim(0x2000).is_some());
+        kept(&mut c);
+        c.flush();
+        assert!(!c.has_victims());
+        kept(&mut c);
+        c.set_ir_enabled(false);
+        assert!(!c.has_victims());
+    }
+
+    #[test]
+    fn per_insn_decodes_are_never_kept() {
+        let mut c = DecodeCache::default();
+        c.insert(0x1000, x86_nop(), 1);
+        c.note_write(0x1000);
+        assert!(!c.has_victims());
     }
 }

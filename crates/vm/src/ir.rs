@@ -44,7 +44,7 @@ use std::sync::Arc;
 use cml_image::Addr;
 
 use crate::coverage::premix;
-use crate::dcache::CachedInsn;
+use crate::dcache::{block_footprint, CachedInsn};
 use crate::machine::{Machine, RunOutcome};
 use crate::{arm, riscv, x86, Fault};
 
@@ -308,6 +308,9 @@ pub(crate) struct IrBlock {
     pcs: Vec<Addr>,
     /// Fall-through pc after each op's last guest instruction.
     ends: Vec<Addr>,
+    /// The fetchable bytes of the block's footprint when it was lowered
+    /// (empty until the builder fills it): what a revival compares.
+    pub(crate) code: Vec<u8>,
 }
 
 /// Executes lowered IR starting at the current pc for up to `budget`
@@ -332,12 +335,14 @@ pub(crate) fn step_ir(m: &mut Machine, budget: u64) -> (u64, Result<Option<RunOu
     (used, res)
 }
 
-/// Decodes and lowers the block at `start`.
+/// Decodes and lowers the block at `start`, keeping its footprint's
+/// bytes so a content invalidation can later revive it.
 fn build_ir(m: &mut Machine, start: Addr) -> Option<Arc<IrBlock>> {
     let insns = m.build_block(start)?;
-    let ir = Arc::new(lower(&insns, start));
-    let span = ir.span;
-    m.mem.dcache_insert_ir(start, Arc::clone(&ir), span);
+    let mut ir = lower(&insns, start);
+    ir.code = m.mem.fetch_vec(start, block_footprint(ir.span));
+    let ir = Arc::new(ir);
+    m.mem.dcache_insert_ir(start, Arc::clone(&ir));
     Some(ir)
 }
 
@@ -912,6 +917,7 @@ pub(crate) fn lower(insns: &[CachedInsn], start: Addr) -> IrBlock {
         ops: lw.ops,
         pcs: lw.pcs,
         ends: lw.ends,
+        code: Vec::new(),
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cml_image::{Addr, Perms, SectionKind};
 
-use crate::dcache::{CachedInsn, DecodeCache, PAGE_SIZE};
+use crate::dcache::{block_footprint, CachedInsn, DecodeCache, PAGE_SIZE};
 use crate::ir::IrBlock;
 use crate::Fault;
 
@@ -606,18 +606,10 @@ impl Memory {
     /// Returns [`Fault::UnmappedFetch`] or [`Fault::NxViolation`] if even
     /// the first byte is unavailable.
     pub fn fetch_into(&self, pc: Addr, buf: &mut [u8]) -> Result<usize, Fault> {
-        let mut n = 0usize;
-        while n < buf.len() {
-            let a = pc.wrapping_add(n as u32);
-            let r = match self.region_containing(a) {
-                Some(r) if r.perms.executable() => r,
-                _ => break,
-            };
-            let off = (a - r.base) as usize;
-            let take = (r.data.len() - off).min(buf.len() - n);
-            buf[n..n + take].copy_from_slice(&r.data[off..off + take]);
-            n += take;
-        }
+        let n = self.fetch_chunks(pc, buf.len(), |at, chunk| {
+            buf[at..at + chunk.len()].copy_from_slice(chunk);
+            true
+        });
         if n == 0 {
             return match self.region_containing(pc) {
                 None => Err(Fault::UnmappedFetch { pc }),
@@ -625,6 +617,54 @@ impl Memory {
             };
         }
         Ok(n)
+    }
+
+    /// The fetchable prefix of `[pc, pc + len)`, with
+    /// [`fetch_into`](Memory::fetch_into)'s semantics: what a lowered
+    /// block keeps of its footprint.
+    pub(crate) fn fetch_vec(&self, pc: Addr, len: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.fetch_chunks(pc, len as usize, |_, chunk| {
+            out.extend_from_slice(chunk);
+            true
+        });
+        out
+    }
+
+    /// Whether exactly `want.len()` of the `len` bytes from `pc` are
+    /// fetchable and they equal `want`: the bytes
+    /// [`fetch_vec`](Memory::fetch_vec) returned are still there, and
+    /// the byte that ended them still cannot be fetched.
+    fn fetch_matches(&self, pc: Addr, want: &[u8], len: u32) -> bool {
+        let mut same = true;
+        let n = self.fetch_chunks(pc, len as usize, |at, chunk| {
+            same = want.get(at..at + chunk.len()) == Some(chunk);
+            same
+        });
+        same && n == want.len()
+    }
+
+    /// Walks the fetchable bytes of `[pc, pc + len)` one region-sized
+    /// chunk at a time, handing `f` each chunk's offset from `pc`, until
+    /// an unmapped or non-executable byte, the end of the range, or `f`
+    /// returning `false`. Returns the bytes walked.
+    #[inline]
+    fn fetch_chunks(&self, pc: Addr, len: usize, mut f: impl FnMut(usize, &[u8]) -> bool) -> usize {
+        let mut n = 0usize;
+        while n < len {
+            let a = pc.wrapping_add(n as u32);
+            let r = match self.region_containing(a) {
+                Some(r) if r.perms.executable() => r,
+                _ => break,
+            };
+            let off = (a - r.base) as usize;
+            let take = (r.data.len() - off).min(len - n);
+            if !f(n, &r.data[off..off + take]) {
+                break;
+            }
+            n += take;
+        }
+        n
     }
 
     // ---- shadow-memory sanitizer (ASan-style redzone) ----
@@ -743,9 +783,12 @@ impl Memory {
     /// restored page goes through its write hook, and a region whose
     /// permissions or base drifted drops its ranges (old and restored),
     /// so stale predecoded instructions and lowered IR blocks can never
-    /// execute while decodes of untouched code stay warm. Dropping
-    /// regions mapped after the snapshot flushes. Any armed redzone is
-    /// disarmed.
+    /// execute while decodes of untouched code stay warm. A restored
+    /// page is a content change, so the lowered blocks it drops wait in
+    /// the cache's victim table for a payload that writes the same bytes
+    /// back; a drifted region is a layout change and discards the
+    /// victims in its ranges. Dropping regions mapped after the snapshot
+    /// flushes. Any armed redzone is disarmed.
     ///
     /// Dirty tracking is re-armed, so the same snapshot can be restored
     /// any number of times.
@@ -870,12 +913,35 @@ impl Memory {
 
     // ---- threaded-code IR block table plumbing ----
 
+    /// Looks up the lowered block at `pc`; on a miss, revives a victim
+    /// block there whose footprint bytes memory holds again.
+    #[inline]
     pub(crate) fn dcache_get_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
-        self.dcache.get_ir(pc)
+        match self.dcache.get_ir(pc) {
+            None if self.dcache.has_victims() => self.revive_ir(pc),
+            found => found,
+        }
     }
 
-    pub(crate) fn dcache_insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>, span: u32) {
-        self.dcache.insert_ir(pc, block, span);
+    /// The second-chance path: a victim at `pc` comes back only when
+    /// exactly as many footprint bytes are fetchable as it kept, and
+    /// they are the same bytes. A declined victim is discarded.
+    #[cold]
+    #[inline(never)]
+    fn revive_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
+        if !self.dcache.ir_enabled() {
+            return None;
+        }
+        let block = self.dcache.take_victim(pc)?;
+        if !self.fetch_matches(pc, &block.code, block_footprint(block.span)) {
+            return None;
+        }
+        self.dcache.revive_ir(pc, Arc::clone(&block));
+        Some(block)
+    }
+
+    pub(crate) fn dcache_insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>) {
+        self.dcache.insert_ir(pc, block);
     }
 
     pub(crate) fn dcache_set_ir_enabled(&mut self, on: bool) {
@@ -1420,5 +1486,140 @@ mod tests {
             (hit.first, hit.last, hit.access),
             (0x80F4, 0x80F4, RedzoneAccess::Load)
         );
+    }
+
+    /// An RWX stack holding a 16-byte NOP run at 0x8100 written after
+    /// the snapshot, with the one-NOP block there lowered and cached as
+    /// the IR builder does.
+    fn stack_code() -> (Memory, MemorySnapshot) {
+        let mut m = Memory::new();
+        m.map(
+            "stack",
+            Some(SectionKind::Stack),
+            0x8000,
+            0x2000,
+            Perms::RWX,
+        );
+        let snap = m.snapshot();
+        m.poke(0x8100, &[0x90; 16]).unwrap();
+        let mut b = crate::ir::lower(&[CachedInsn::X86(crate::x86::Insn::Nop, 1)], 0x8100);
+        b.code = m.fetch_vec(0x8100, block_footprint(b.span));
+        assert_eq!(b.code.len(), 17);
+        m.dcache_insert_ir(0x8100, Arc::new(b));
+        (m, snap)
+    }
+
+    #[test]
+    fn restored_stack_code_is_revived_when_its_bytes_come_back() {
+        let (mut m, snap) = stack_code();
+        m.restore(&snap);
+        assert!(m.dcache.has_victims(), "the restore kept the block");
+        m.poke(0x8100, &[0x90; 16]).unwrap();
+        let generation = m.dcache_generation();
+        let (hits, misses) = m.dcache_stats();
+        assert!(m.dcache_get_ir(0x8100).is_some(), "same bytes revive");
+        assert_eq!(m.dcache_stats(), (hits + 1, misses));
+        assert_eq!(m.dcache_generation(), generation);
+        assert!(m.dcache_get_ir(0x8100).is_some(), "and stay in the table");
+    }
+
+    #[test]
+    fn one_changed_footprint_byte_declines_the_victim() {
+        // The encoding itself, and the last byte of the lookahead.
+        for at in [0x8100, 0x8110] {
+            let (mut m, snap) = stack_code();
+            m.restore(&snap);
+            m.poke(0x8100, &[0x90; 16]).unwrap();
+            m.poke(at, &[0xCC]).unwrap();
+            assert!(m.dcache_get_ir(0x8100).is_none(), "byte {at:#x}");
+            assert!(!m.dcache.has_victims(), "a declined victim is gone");
+        }
+    }
+
+    #[test]
+    fn victim_whose_tail_became_unfetchable_is_declined() {
+        // A block whose lookahead runs into the next region.
+        let mut m = Memory::new();
+        m.map(
+            "stack",
+            Some(SectionKind::Stack),
+            0x8000,
+            0x1000,
+            Perms::RWX,
+        );
+        m.map("next", None, 0x9000, 0x1000, Perms::RWX);
+        let mut b = crate::ir::lower(&[CachedInsn::X86(crate::x86::Insn::Nop, 1)], 0x8FF8);
+        b.code = m.fetch_vec(0x8FF8, block_footprint(b.span));
+        assert_eq!(b.code.len(), 17);
+        let code = b.code.clone();
+        m.dcache_insert_ir(0x8FF8, Arc::new(b));
+        m.write_u8(0x8FF8, 0, 0).unwrap();
+        m.write_u8(0x8FF8, code[0], 0).unwrap();
+        // No path keeps a victim across a permission change, so flip the
+        // bit behind the cache's back: only the length check sees it.
+        m.regions[1].perms = Perms::RW;
+        assert!(!m.fetch_matches(0x8FF8, &code, 17));
+        assert!(m.fetch_matches(0x8FF8, &code[..8], 17), "a short capture");
+        assert!(m.dcache_get_ir(0x8FF8).is_none());
+        m.regions[1].perms = Perms::RWX;
+        assert!(m.fetch_matches(0x8FF8, &code, 17));
+        assert!(!m.fetch_matches(0x8FF8, &code[..8], 17), "bytes long");
+    }
+
+    #[test]
+    fn layout_changes_discard_victims() {
+        let mut moved = [None; SectionKind::COUNT];
+        moved[SectionKind::Stack.index()] = Some(0x2_0000);
+        let changes = [
+            "set_perms",
+            "map",
+            "flush",
+            "hook change",
+            "reslide",
+            "IR off",
+        ];
+        for name in changes {
+            let (mut m, snap) = stack_code();
+            m.restore(&snap);
+            assert!(m.dcache.has_victims(), "{name}");
+            match name {
+                "set_perms" => assert!(m.set_perms(0x8000, Perms::RWX)),
+                "map" => {
+                    m.map("late", None, 0x4_0000, 0x1000, Perms::RW);
+                }
+                "flush" => m.dcache_flush(),
+                "hook change" => m.dcache_invalidate_blocks_at(0x8110),
+                "reslide" => m.rebase_regions(&moved),
+                _ => m.dcache_set_ir_enabled(false),
+            }
+            assert!(!m.dcache.has_victims(), "{name}");
+            m.dcache_set_ir_enabled(true);
+            m.poke(0x8100, &[0x90; 16]).unwrap_or(());
+            assert!(m.dcache_get_ir(0x8100).is_none(), "{name}");
+        }
+    }
+
+    #[test]
+    fn restore_drift_discards_victims() {
+        let mut m = Memory::new();
+        m.map(
+            "stack",
+            Some(SectionKind::Stack),
+            0x8000,
+            0x2000,
+            Perms::RWX,
+        );
+        let snap = m.snapshot();
+        let mut moved = [None; SectionKind::COUNT];
+        moved[SectionKind::Stack.index()] = Some(0x2_0000);
+        m.rebase_regions(&moved);
+        m.poke(0x2_0100, &[0x90; 16]).unwrap();
+        let mut b = crate::ir::lower(&[CachedInsn::X86(crate::x86::Insn::Nop, 1)], 0x2_0100);
+        b.code = m.fetch_vec(0x2_0100, block_footprint(b.span));
+        m.dcache_insert_ir(0x2_0100, Arc::new(b));
+        m.write_u8(0x2_0100, 0x90, 0).unwrap();
+        assert!(m.dcache.has_victims());
+        m.restore(&snap);
+        assert!(!m.dcache.has_victims(), "the region moved back");
     }
 }

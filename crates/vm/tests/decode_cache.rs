@@ -216,3 +216,87 @@ fn dropping_a_hook_just_past_a_cached_block_regrows_it() {
     assert_eq!(m.regs().x86().get(X86Reg::Ebx), 0, "the hook cut the block");
     assert_eq!(run_plain(&mut m, &plain), want);
 }
+
+/// `hook_machine`'s straight line, `exit(9)` frame and snapshots, with
+/// the code on an RWX stack page instead, written only after each
+/// restore (as an injected payload is). Returns the code too.
+fn stack_code_machine(extra_hook: u32) -> (Machine, MachineSnapshot, MachineSnapshot, Vec<u8>) {
+    let code = x86::Asm::new()
+        .mov_r_imm(X86Reg::Eax, 1) // 0x8100
+        .mov_r_imm(X86Reg::Ebx, 2) // 0x8105
+        .mov_r_imm(X86Reg::Eax, 0x1100) // 0x810A
+        .jmp_r(X86Reg::Eax) // 0x810F
+        .finish();
+    let mut m = x86_machine(&[], Perms::RX);
+    assert!(m.mem_mut().set_perms(0x8000, Perms::RWX));
+    m.mem_mut().poke(0x8800, &[0, 0, 0, 0, 9, 0, 0, 0]).unwrap();
+    m.register_hook(0x1100, LibcFn::Exit);
+    let plain = m.snapshot();
+    m.register_hook(extra_hook, LibcFn::Exit);
+    let hooked = m.snapshot();
+    (m, plain, hooked, code)
+}
+
+/// Restores `snap`, applies `between`, writes `code` to 0x8100 and runs
+/// it to `exit(9)`. Returns ebx and the instructions decoded.
+fn run_stack_code(
+    m: &mut Machine,
+    snap: &MachineSnapshot,
+    between: impl FnOnce(&mut Machine),
+    code: &[u8],
+) -> (u32, u64) {
+    m.restore(snap);
+    between(m);
+    m.mem_mut().write_bytes(0x8100, code, 0).unwrap();
+    m.regs_mut().set_pc(0x8100);
+    let misses = m.decode_cache_stats().1;
+    assert_eq!(m.run(100), RunOutcome::Exited(9));
+    (
+        m.regs().x86().get(X86Reg::Ebx),
+        m.decode_cache_stats().1 - misses,
+    )
+}
+
+#[test]
+fn stack_code_written_back_after_a_restore_decodes_nothing() {
+    let (mut m, plain, _, code) = stack_code_machine(0x2000);
+    let (ebx, misses) = run_stack_code(&mut m, &plain, |_| {}, &code);
+    assert!(ebx == 2 && misses > 0, "the first run decodes");
+    let revived = run_stack_code(&mut m, &plain, |_| {}, &code);
+    assert_eq!(revived, (2, 0), "the same bytes revive the block");
+
+    // `mov ebx, 2` → `mov ebx, 3`: one byte differs from the run before.
+    let mut changed = code.clone();
+    changed[6] = 3;
+    let (ebx, misses) = run_stack_code(&mut m, &plain, |_| {}, &changed);
+    assert!(ebx == 3 && misses > 0, "a changed byte decodes afresh");
+    assert_eq!(run_stack_code(&mut m, &plain, |_| {}, &code).0, 2);
+}
+
+#[test]
+fn hook_registration_and_the_ir_switch_discard_stack_code_victims() {
+    for name in ["register_hook", "IR off and on"] {
+        let change = |m: &mut Machine| {
+            if name == "register_hook" {
+                m.register_hook(0x3000, LibcFn::Exit);
+            } else {
+                m.set_ir_dispatch_enabled(false);
+                m.set_ir_dispatch_enabled(true);
+            }
+        };
+        let (mut m, plain, _, code) = stack_code_machine(0x2000);
+        run_stack_code(&mut m, &plain, |_| {}, &code);
+        let (ebx, misses) = run_stack_code(&mut m, &plain, change, &code);
+        assert!(ebx == 2 && misses > 0, "{name}: decoded {misses}");
+    }
+}
+
+#[test]
+fn a_hook_restored_inside_stack_code_cuts_the_revived_block() {
+    let (mut m, plain, hooked, code) = stack_code_machine(0x8105);
+    assert_eq!(run_stack_code(&mut m, &plain, |_| {}, &code).0, 2);
+    // The hooked snapshot adds a hook before `mov ebx, 2`: the block
+    // that ran through it must not come back.
+    assert_eq!(run_stack_code(&mut m, &hooked, |_| {}, &code).0, 0);
+    assert_eq!(run_stack_code(&mut m, &plain, |_| {}, &code).0, 2);
+}

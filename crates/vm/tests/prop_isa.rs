@@ -38,6 +38,9 @@ enum XInsn {
     JmpRel8(i8),
     Jz(i8),
     Jnz(i8),
+    Jz32(i32),
+    Jnz32(i32),
+    Movzx8(u8, u8),
     Int80,
     Hlt,
     MovMemR(u8, i8, u8),
@@ -82,6 +85,9 @@ fn x_strategy() -> impl Strategy<Value = XInsn> {
         any::<i8>().prop_map(XInsn::JmpRel8),
         any::<i8>().prop_map(XInsn::Jz),
         any::<i8>().prop_map(XInsn::Jnz),
+        any::<i32>().prop_map(XInsn::Jz32),
+        any::<i32>().prop_map(XInsn::Jnz32),
+        (r.clone(), r.clone()).prop_map(|(a, b)| XInsn::Movzx8(a, b)),
         Just(XInsn::Int80),
         Just(XInsn::Hlt),
         (r.clone(), any::<i8>(), r.clone()).prop_map(|(a, b, c)| XInsn::MovMemR(a, b, c)),
@@ -124,6 +130,9 @@ fn assemble_x86(insns: &[XInsn]) -> Vec<u8> {
             XInsn::JmpRel8(v) => a.jmp_rel8(v),
             XInsn::Jz(v) => a.jz_rel8(v),
             XInsn::Jnz(v) => a.jnz_rel8(v),
+            XInsn::Jz32(v) => a.jz_rel32(v),
+            XInsn::Jnz32(v) => a.jnz_rel32(v),
+            XInsn::Movzx8(d, s) => a.movzx_rr8(reg(d), reg(s)),
             XInsn::Int80 => a.int80(),
             XInsn::Hlt => a.hlt(),
             XInsn::MovMemR(b, disp, s) => a.mov_mem_r(reg(b), disp, reg(s)),
@@ -154,6 +163,23 @@ proptest! {
         }
         prop_assert_eq!(pos, bytes.len());
         prop_assert_eq!(count, insns.len());
+    }
+
+    /// The near conditional branches and `movzx` decode back to their
+    /// own forms, operands and lengths (6, 6 and 3 bytes).
+    #[test]
+    fn x86_near_branches_and_movzx_decode_to_their_forms(
+        rel in any::<i32>(),
+        d in 0u8..8,
+        s in 0u8..8,
+    ) {
+        let jz = x86::Asm::new().jz_rel32(rel).finish();
+        prop_assert_eq!(x86::decode(&jz).unwrap(), (x86::Insn::Jz32(rel), 6));
+        let jnz = x86::Asm::new().jnz_rel32(rel).finish();
+        prop_assert_eq!(x86::decode(&jnz).unwrap(), (x86::Insn::Jnz32(rel), 6));
+        let movzx = x86::Asm::new().movzx_rr8(reg(d), reg(s)).finish();
+        let want = x86::Insn::Movzx8 { dst: reg(d), src: x86::Operand::Reg(reg(s)) };
+        prop_assert_eq!(x86::decode(&movzx).unwrap(), (want, 3));
     }
 
     /// x86 decode is total: arbitrary bytes either decode with an honest

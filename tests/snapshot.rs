@@ -14,7 +14,7 @@ use connman_lab::exploit::matrix::LEVELS;
 use connman_lab::exploit::target::deliver_labels;
 use connman_lab::exploit::{matched_strategy, matrix, shellcode, DosCrash, ExploitStrategy};
 use connman_lab::image::{Addr, SectionKind};
-use connman_lab::vm::{arm, riscv, x86, Fault};
+use connman_lab::vm::{arm, riscv, x86, Fault, X86Reg};
 use connman_lab::{Arch, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
 
 #[test]
@@ -277,25 +277,124 @@ fn stack_code_rewound_by_a_fork_never_runs_a_stale_decode() {
         let injection = build(matched_strategy(arch, &protections).as_ref());
         let dos = build(&DosCrash::new());
         let spun = spin_the_sled(arch, &injection);
+        let bumped = bump_the_syscall(arch, &injection);
+        let touched = touch_the_lookahead(arch, &injection);
         let fw = lab.firmware();
 
+        // (name, labels, pops a shell, must decode afresh)
         let mut forge = fw.forge(protections, SEED);
         let sessions = [
-            ("shellcode", &injection, true),
-            ("DoS", &dos, false),
-            ("shellcode", &injection, true),
-            ("spun sled", &spun, false),
-            ("shellcode", &injection, true),
+            ("shellcode", &injection, true, false),
+            ("DoS", &dos, false, false),
+            ("shellcode", &injection, true, false),
+            ("spun sled", &spun, false, true),
+            ("shellcode", &injection, true, false),
+            ("syscall bumped", &bumped, false, true),
+            ("shellcode", &injection, true, false),
+            ("lookahead touched", &touched, true, true),
+            ("shellcode", &injection, true, false),
         ];
-        for (i, (name, labels, pops)) in sessions.into_iter().enumerate() {
+        for (i, (name, labels, pops, decodes)) in sessions.into_iter().enumerate() {
             let seed = SEED + i as u64;
-            let forked = deliver_response_print(forge.fork(seed), labels);
+            let daemon = forge.fork(seed);
+            let misses = daemon.machine().decode_cache_stats().1;
+            let forked = deliver_response_print(daemon, labels);
+            let misses = daemon.machine().decode_cache_stats().1 - misses;
             let fresh = deliver_response_print(&mut fw.boot(protections, seed), labels);
             assert_eq!(forked, fresh, "{arch}: session {i} ({name}) after a fork");
             let popped = forked.starts_with("Some(Compromised");
             assert_eq!(popped, pops, "{arch} {name}: {forked}");
+            if decodes {
+                assert!(misses > 0, "{arch}: session {i} ({name}) decoded nothing");
+            }
         }
     }
+}
+
+/// The instruction that loads the shellcode's syscall number
+/// (`execve`), and the same instruction asking for the next syscall:
+/// one byte apart on every ISA.
+fn syscall_number_load(arch: Arch) -> (Vec<u8>, Vec<u8>) {
+    match arch {
+        Arch::X86 => {
+            let load = |nr| x86::Asm::new().mov_r8_imm(X86Reg::Eax, nr).finish();
+            (load(11), load(12))
+        }
+        Arch::Armv7 => {
+            let load = |nr| arm::Asm::new().mov_imm(7, nr).finish();
+            (load(11), load(12))
+        }
+        Arch::Riscv => {
+            let load = |nr| riscv::Asm::new().addi(17, 0, nr).finish();
+            (load(221), load(222))
+        }
+    }
+}
+
+/// The shellcode's syscall instruction.
+fn syscall_gate(arch: Arch) -> Vec<u8> {
+    match arch {
+        Arch::X86 => x86::Asm::new().int80().finish(),
+        Arch::Armv7 => arm::Asm::new().svc0().finish(),
+        Arch::Riscv => riscv::Asm::new().ecall().finish(),
+    }
+}
+
+/// Label index and offset of the one occurrence of `pattern`.
+fn find_once(labels: &[Vec<u8>], pattern: &[u8]) -> (usize, usize) {
+    let hits: Vec<(usize, usize)> = labels
+        .iter()
+        .enumerate()
+        .flat_map(|(l, label)| {
+            let n = label.len().saturating_sub(pattern.len() - 1);
+            (0..n)
+                .filter(move |&i| &label[i..i + pattern.len()] == pattern)
+                .map(move |i| (l, i))
+        })
+        .collect();
+    assert_eq!(hits.len(), 1, "{pattern:02x?} occurs once");
+    hits[0]
+}
+
+/// `labels` with the shellcode asking for the syscall after `execve`:
+/// one byte differs from the session before.
+fn bump_the_syscall(arch: Arch, labels: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let (execve, next) = syscall_number_load(arch);
+    let differing = execve.iter().zip(&next).filter(|(a, b)| a != b).count();
+    assert_eq!(differing, 1, "{arch}");
+    let (l, at) = find_once(labels, &execve);
+    let mut out = labels.to_vec();
+    out[l][at..at + next.len()].copy_from_slice(&next);
+    out
+}
+
+/// `labels` with the first filler byte after the shellcode's syscall
+/// instruction changed. No instruction runs it, but it lies in the
+/// lookahead of the block that ends at the syscall, so that block must
+/// not be revived.
+fn touch_the_lookahead(arch: Arch, labels: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let gate = syscall_gate(arch);
+    let (mut l, at) = find_once(labels, &gate);
+    let mut out = labels.to_vec();
+    // Bytes past the gate in guest memory, where one separator byte
+    // sits between two labels.
+    let (mut i, mut past) = (at + gate.len(), 0);
+    loop {
+        if i == out[l].len() {
+            (l, i) = (l + 1, 0);
+        } else if out[l][i] == b'a' {
+            break;
+        } else {
+            i += 1;
+        }
+        past += 1;
+    }
+    assert!(
+        past < 16,
+        "{arch}: the filler sits {past} bytes past the gate"
+    );
+    out[l][i] = b'b';
+    out
 }
 
 /// The first `.text` pc a chain executes, read off a traced fresh boot

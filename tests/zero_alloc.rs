@@ -13,7 +13,9 @@
 //! decodes survive the reslide. A warm fuzz exec of a parse-failed or a
 //! gate-rejected input makes at most three, all in the query's resolve:
 //! the header gate reads the echoed question in place and the sanitizer
-//! arms its redzone without allocating.
+//! arms its redzone without allocating. A warm code-injection session
+//! lowers none of its shellcode again: its fork allocates nothing and
+//! its delivery no more than today's count.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -426,6 +428,62 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             base.iter().all(|&a| a <= bound),
             "{arch}: a warm delivery made {base:?} allocations, over {bound}"
         );
+    }
+
+    // Warm session on each ISA's code-injection (`none`) cell: fork,
+    // resolve and delivery of the banked NOP-sled-and-shellcode response.
+    // The fork rewinds the stack page the shellcode ran from and the
+    // payload writes the same bytes back to the same addresses, so the
+    // shellcode's lowered blocks come back from the decode cache's victim
+    // table instead of being decoded and lowered again.
+    for arch in Arch::ALL {
+        let prot = Protections::none();
+        let lab = Lab::new(FirmwareKind::OpenElec, arch).with_protections(prot);
+        let payload = matched_strategy(arch, &prot)
+            .build(&lab.recon().expect("replica recon"))
+            .expect("payload builds");
+        let mut server = MaliciousDnsServer::with_labels(
+            payload.to_labels().expect("labelizes"),
+            payload.name(),
+        );
+        let mut forge = lab.firmware().forge(prot, 7);
+        let name = Name::parse("update.example").expect("valid");
+        let Resolution::Query(qbytes) = forge.fork(7).resolve(&name, RecordType::A) else {
+            panic!("cold cache");
+        };
+        let bank = AnswerBank::capture(&mut server, &qbytes).expect("the query is answered");
+        // Returns the allocations of the fork, the resolve and the delivery.
+        let mut session = |seed: u64| {
+            let t0 = ALLOCS.load(Ordering::Relaxed);
+            let daemon = forge.fork(seed);
+            let t1 = ALLOCS.load(Ordering::Relaxed);
+            assert!(matches!(
+                daemon.resolve(&name, RecordType::A),
+                Resolution::Query(q) if q == qbytes
+            ));
+            let t2 = ALLOCS.load(Ordering::Relaxed);
+            let outcome = daemon.deliver_response(bank.response());
+            let t3 = ALLOCS.load(Ordering::Relaxed);
+            assert!(outcome.is_root_shell(), "{arch}: {outcome:?}");
+            [t1 - t0, t2 - t1, t3 - t2]
+        };
+        for seed in 0..4u64 {
+            session(3_000 + seed);
+        }
+        // Today's counts of fork, resolve and delivery. The delivery
+        // lowered the shellcode afresh every session before victim
+        // revival: 49, 12 and 13 allocations on x86, ARMv7 and RISC-V.
+        let bound = match arch {
+            Arch::X86 => [0, 3, 11],
+            Arch::Armv7 | Arch::Riscv => [0, 3, 5],
+        };
+        for seed in 0..16u64 {
+            let ledger = session(0xF2_0000 + seed);
+            assert!(
+                ledger.iter().zip(&bound).all(|(a, b)| a <= b),
+                "{arch}: a warm injection session made {ledger:?} allocations, over {bound:?}"
+            );
+        }
     }
 
     // Fuzz execs that never reach a crash: a response whose only record
