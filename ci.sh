@@ -21,6 +21,14 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+echo "==> examples"
+# README's documented entry points must run to completion, not just
+# compile (clippy only builds them); any non-zero exit fails the gate.
+for example in quickstart rogue_access_point rop_workbench defense_lab; do
+  cargo run --release --offline -q --example "$example" > /dev/null || {
+    echo "example $example failed"; exit 1; }
+done
+
 echo "==> perfbench correctness tests"
 # The benchmark's own tiny-size runs: traced replays must equal the
 # untraced results and the deterministic counts must repeat, on all

@@ -15,7 +15,7 @@ use cml_dns::validate::{gate_response, ResponseRejection};
 use cml_dns::{Message, Name, Question, RecordType, WireReader};
 use cml_image::Addr;
 use cml_vm::debug::FaultReport;
-use cml_vm::{Fault, LoadMap, Loader, Machine, MachineSnapshot, RunOutcome, ShellSpawn};
+use cml_vm::{Fault, LoadMap, Loader, Machine, MachineSnapshot, RunOutcome};
 
 use crate::cov;
 use crate::frame::{Frame, FrameLayout};
@@ -52,19 +52,6 @@ impl fmt::Display for DaemonError {
 }
 
 impl Error for DaemonError {}
-
-/// Whether the daemon is alive, and if not, why.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DaemonState {
-    /// Serving queries.
-    Running,
-    /// Dead from a fault (the DoS outcome).
-    Crashed(Fault),
-    /// An attacker-controlled shell replaced it (the RCE outcome).
-    Compromised(ShellSpawn),
-    /// Hijacked execution exited cleanly.
-    Exited(i32),
-}
 
 /// An upstream query awaiting its response.
 #[derive(Debug, Clone)]
@@ -113,7 +100,7 @@ pub struct DaemonSnapshot {
     next_id: u16,
     pending: Vec<PendingQuery>,
     clock: u64,
-    state: DaemonState,
+    running: bool,
     sanitize: bool,
 }
 
@@ -135,7 +122,9 @@ pub struct Daemon {
     /// the oldest.
     pending: Vec<PendingQuery>,
     clock: u64,
-    state: DaemonState,
+    /// Whether the daemon still serves queries. How it died is the
+    /// [`ProxyOutcome`] that killed it.
+    running: bool,
     /// When set, a shadow-memory redzone guards the name buffer during
     /// each parse (see [`Daemon::with_sanitizer`]).
     sanitize: bool,
@@ -193,7 +182,7 @@ impl Daemon {
             next_id: 0x1000,
             pending: Vec::new(),
             clock: 0,
-            state: DaemonState::Running,
+            running: true,
             sanitize: false,
         })
     }
@@ -227,14 +216,9 @@ impl Daemon {
         self.version
     }
 
-    /// Current lifecycle state.
-    pub fn state(&self) -> &DaemonState {
-        &self.state
-    }
-
     /// Whether the daemon still serves queries.
     pub fn is_running(&self) -> bool {
-        matches!(self.state, DaemonState::Running)
+        self.running
     }
 
     /// The record cache.
@@ -253,12 +237,6 @@ impl Daemon {
     /// must not move regions or rewrite register state.
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// Enables execution tracing on the underlying machine: hijacked
-    /// control flow is recorded step by step (see [`cml_vm::Trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.machine.enable_trace(capacity);
     }
 
     /// The load map (runtime symbol addresses).
@@ -452,16 +430,12 @@ impl Daemon {
             return ProxyOutcome::Answered { cached };
         }
 
-        // 7. Hijacked: the machine now runs attacker-chosen control flow.
+        // 7. Hijacked: the machine now runs attacker-chosen control flow,
+        //    and every way that run can end kills the daemon.
+        self.running = false;
         match self.machine.run(HIJACK_STEP_BUDGET) {
-            RunOutcome::ShellSpawned(spawn) => {
-                self.state = DaemonState::Compromised(spawn.clone());
-                ProxyOutcome::Compromised(spawn)
-            }
-            RunOutcome::Exited(code) => {
-                self.state = DaemonState::Exited(code);
-                ProxyOutcome::HijackedExit { code }
-            }
+            RunOutcome::ShellSpawned(spawn) => ProxyOutcome::Compromised(spawn),
+            RunOutcome::Exited(code) => ProxyOutcome::HijackedExit { code },
             RunOutcome::Fault(fault) => self.crash(fault),
         }
     }
@@ -485,7 +459,7 @@ impl Daemon {
             next_id: self.next_id,
             pending: self.pending.clone(),
             clock: self.clock,
-            state: self.state.clone(),
+            running: self.running,
             sanitize: self.sanitize,
         }
     }
@@ -507,7 +481,7 @@ impl Daemon {
         self.next_id = snap.next_id;
         self.pending.clone_from(&snap.pending);
         self.clock = snap.clock;
-        self.state.clone_from(&snap.state);
+        self.running = snap.running;
         self.sanitize = snap.sanitize;
     }
 
@@ -557,7 +531,7 @@ impl Daemon {
     }
 
     fn crash(&mut self, fault: Fault) -> ProxyOutcome {
-        self.state = DaemonState::Crashed(fault.clone());
+        self.running = false;
         ProxyOutcome::Crashed(Box::new(FaultReport::capture(&self.machine, fault)))
     }
 }

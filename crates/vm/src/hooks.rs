@@ -179,14 +179,12 @@ pub(crate) fn invoke(m: &mut Machine, f: LibcFn, pc: Addr) -> Result<Option<RunO
             let cmd = m.mem.read_cstr(args[0], 256, pc)?;
             if !cmd.is_empty() && cmd.iter().all(|b| b.is_ascii_graphic() || *b == b' ') {
                 let cmd = crate::machine::guest_text(cmd);
-                let spawn = crate::machine::ShellSpawn {
+                Ok(Some(RunOutcome::ShellSpawned(crate::machine::ShellSpawn {
                     program: format!("sh -c {cmd}"),
                     argv: vec![cmd],
                     via: "system",
                     uid: 0,
-                };
-                m.events.push(Event::ShellSpawned(spawn.clone()));
-                Ok(Some(RunOutcome::ShellSpawned(spawn)))
+                })))
             } else {
                 // Garbage "command" (stale pointer): the spawned sh exits
                 // 127 and system() returns to the chain.
@@ -212,11 +210,7 @@ pub(crate) fn invoke(m: &mut Machine, f: LibcFn, pc: Addr) -> Result<Option<RunO
                 Ok(None)
             }
         },
-        LibcFn::Exit => {
-            let code = args[0] as i32;
-            m.events.push(Event::ProcessExited { code });
-            Ok(Some(RunOutcome::Exited(code)))
-        }
+        LibcFn::Exit => Ok(Some(RunOutcome::Exited(args[0] as i32))),
         LibcFn::StackChkFail => Ok(Some(RunOutcome::Fault(Fault::CanarySmashed {
             found: args[0],
             expected: m.canary,
@@ -231,11 +225,7 @@ pub(crate) fn syscall_x86(m: &mut Machine, pc: Addr) -> Result<Option<RunOutcome
     let number = r.get(X86Reg::Eax);
     m.events.push(Event::Syscall { number });
     match number {
-        1 => {
-            let code = r.get(X86Reg::Ebx) as i32;
-            m.events.push(Event::ProcessExited { code });
-            Ok(Some(RunOutcome::Exited(code)))
-        }
+        1 => Ok(Some(RunOutcome::Exited(r.get(X86Reg::Ebx) as i32))),
         11 => {
             let path = r.get(X86Reg::Ebx);
             let argv = r.get(X86Reg::Ecx);
@@ -258,11 +248,7 @@ pub(crate) fn syscall_arm(m: &mut Machine, pc: Addr) -> Result<Option<RunOutcome
     let number = r.get(ArmReg(7));
     m.events.push(Event::Syscall { number });
     match number {
-        1 => {
-            let code = r.get(ArmReg(0)) as i32;
-            m.events.push(Event::ProcessExited { code });
-            Ok(Some(RunOutcome::Exited(code)))
-        }
+        1 => Ok(Some(RunOutcome::Exited(r.get(ArmReg(0)) as i32))),
         11 => {
             let path = r.get(ArmReg(0));
             let argv = r.get(ArmReg(1));
@@ -287,11 +273,7 @@ pub(crate) fn syscall_riscv(m: &mut Machine, pc: Addr) -> Result<Option<RunOutco
     let number = r.get(RiscvReg::A7);
     m.events.push(Event::Syscall { number });
     match number {
-        93 => {
-            let code = r.get(RiscvReg::A0) as i32;
-            m.events.push(Event::ProcessExited { code });
-            Ok(Some(RunOutcome::Exited(code)))
-        }
+        93 => Ok(Some(RunOutcome::Exited(r.get(RiscvReg::A0) as i32))),
         221 => {
             let path = r.get(RiscvReg::A0);
             let argv = r.get(RiscvReg::A1);

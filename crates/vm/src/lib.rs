@@ -15,7 +15,7 @@
 //!   `exit` are native functions triggered when the program counter
 //!   enters their address, following each architecture's calling
 //!   convention — spawning `/bin/sh` becomes an observable
-//!   [`Event::ShellSpawned`] instead of an actual process;
+//!   [`RunOutcome::ShellSpawned`] instead of an actual process;
 //! * a [`loader`] that maps a [`cml_image::Image`] under a
 //!   [`Protections`] policy: W⊕X strips the execute bit from writable
 //!   regions, ASLR slides the libc/stack/heap bases by a per-boot random

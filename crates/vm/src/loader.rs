@@ -726,7 +726,7 @@ mod tests {
             .protections(Protections::full().with_canary().with_cfi())
             .seed(5)
             .load();
-        assert!(m.cfi_enabled());
+        assert!(m.shadow.is_some());
         assert_eq!(map.canary() & 0xFF, 0, "canary has NUL low byte");
         assert_eq!(m.canary(), map.canary());
         assert_ne!(map.canary(), 0);

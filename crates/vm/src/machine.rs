@@ -46,17 +46,12 @@ impl fmt::Display for ShellSpawn {
     }
 }
 
-/// An observable side effect recorded during execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A non-terminal side effect recorded during execution. How a run
+/// ended is its [`RunOutcome`]; the log holds only what happened on the
+/// way there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Event {
-    /// An exec-family call or `system` produced a shell/process.
-    ShellSpawned(ShellSpawn),
-    /// The process exited.
-    ProcessExited {
-        /// Exit code.
-        code: i32,
-    },
     /// A hooked libc function ran.
     LibcCall {
         /// Function name.
@@ -69,8 +64,6 @@ pub enum Event {
         /// Syscall number.
         number: u32,
     },
-    /// Execution ended in a fault.
-    Faulted(Fault),
 }
 
 /// Why [`Machine::run`] stopped.
@@ -121,6 +114,9 @@ pub struct Machine {
     /// capacity so a warm reslide builds the new list without allocating.
     spare_hooks: Vec<(Addr, LibcFn)>,
     pub(crate) shadow: Option<Vec<Addr>>,
+    /// Side-effect log. Like `insn_count` it observes execution: it is
+    /// not captured by [`Machine::snapshot`], and [`Machine::restore`]
+    /// empties it, keeping its capacity.
     pub(crate) events: Vec<Event>,
     pub(crate) canary: u32,
     pub(crate) trace: Option<Trace>,
@@ -136,16 +132,15 @@ pub struct Machine {
 }
 
 /// A point-in-time capture of a [`Machine`]: registers, memory (as
-/// `Arc`-shared pages — see [`MemorySnapshot`]), hooks, shadow stack,
-/// event log, and canary. Restoring costs O(pages dirtied since the
-/// snapshot); cloning the snapshot itself is cheap.
+/// `Arc`-shared pages — see [`MemorySnapshot`]), hooks, shadow stack
+/// and canary. Restoring costs O(pages dirtied since the snapshot);
+/// cloning the snapshot itself is cheap.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     mem: MemorySnapshot,
     regs: Regs,
     hooks: Vec<(Addr, LibcFn)>,
     shadow: Option<Vec<Addr>>,
-    events: Vec<Event>,
     canary: u32,
 }
 
@@ -251,15 +246,14 @@ impl Machine {
 
     /// Captures the machine: registers, memory (page-granular, with
     /// dirty tracking armed so restore is O(dirty pages)), hooks, shadow
-    /// stack, events, and canary. The execution trace (if any) and the
-    /// instruction meter are *not* captured.
+    /// stack and canary. The execution trace (if any), the event log and
+    /// the instruction meter are *not* captured.
     pub fn snapshot(&mut self) -> MachineSnapshot {
         MachineSnapshot {
             mem: self.mem.snapshot(),
             regs: self.regs,
             hooks: self.hooks.clone(),
             shadow: self.shadow.clone(),
-            events: self.events.clone(),
             canary: self.canary,
         }
     }
@@ -269,8 +263,8 @@ impl Machine {
     /// entries of what it rewinds (see [`Memory::restore`]); a hook set
     /// that differs from the snapshot's drops only the lowered IR blocks
     /// around the pcs that gained or lost a hook. Decodes of untouched
-    /// code stay warm across the fork. Tracing is reset;
-    /// [`insn_count`](Machine::insn_count) keeps counting.
+    /// code stay warm across the fork. Tracing is reset and the event
+    /// log emptied; [`insn_count`](Machine::insn_count) keeps counting.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.mem.restore(&snap.mem);
         self.regs = snap.regs;
@@ -279,7 +273,7 @@ impl Machine {
         }
         self.hooks.clone_from(&snap.hooks);
         self.shadow.clone_from(&snap.shadow);
-        self.events.clone_from(&snap.events);
+        self.events.clear();
         self.canary = snap.canary;
         self.trace = None;
     }
@@ -338,11 +332,6 @@ impl Machine {
         self.shadow = Some(Vec::new());
     }
 
-    /// Whether shadow-stack CFI is active.
-    pub fn cfi_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     /// The per-boot stack canary value.
     pub fn canary(&self) -> u32 {
         self.canary
@@ -364,7 +353,8 @@ impl Machine {
         self.trace.as_ref()
     }
 
-    /// Events recorded so far, oldest first.
+    /// Libc calls and syscalls since the last
+    /// [`restore`](Machine::restore), oldest first.
     pub fn events(&self) -> &[Event] {
         &self.events
     }
@@ -506,9 +496,6 @@ impl Machine {
     }
 
     /// Runs until a terminal state or `max_steps` instructions.
-    ///
-    /// Faults are recorded as [`Event::Faulted`] before being returned,
-    /// so post-mortem inspection sees them in the event log.
     pub fn run(&mut self, max_steps: u64) -> RunOutcome {
         let ir = self.ir_dispatch();
         let mut left = max_steps;
@@ -522,15 +509,10 @@ impl Machine {
             match res {
                 Ok(None) => {}
                 Ok(Some(outcome)) => return outcome,
-                Err(fault) => {
-                    self.events.push(Event::Faulted(fault.clone()));
-                    return RunOutcome::Fault(fault);
-                }
+                Err(fault) => return RunOutcome::Fault(fault),
             }
         }
-        let fault = Fault::StepLimit { limit: max_steps };
-        self.events.push(Event::Faulted(fault.clone()));
-        RunOutcome::Fault(fault)
+        RunOutcome::Fault(Fault::StepLimit { limit: max_steps })
     }
 
     /// Single-steps until the pc reaches `target` (checked before each
@@ -591,14 +573,12 @@ impl Machine {
                 }
             }
         }
-        let spawn = ShellSpawn {
+        Ok(Some(RunOutcome::ShellSpawned(ShellSpawn {
             program: guest_text(path),
             argv,
             via,
             uid: 0,
-        };
-        self.events.push(Event::ShellSpawned(spawn.clone()));
-        Ok(Some(RunOutcome::ShellSpawned(spawn)))
+        })))
     }
 }
 
@@ -679,16 +659,12 @@ mod tests {
             .finish();
         let mut m = machine_with(code);
         assert_eq!(m.run(100), RunOutcome::Exited(7));
-        assert!(m
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::ProcessExited { code: 7 })));
+        assert_eq!(m.events(), [Event::Syscall { number: 1 }]);
     }
 
-    #[test]
-    fn classic_execve_shellcode_spawns_shell() {
-        // The canonical 25-byte /bin//sh shellcode.
-        let code = Asm::new()
+    /// The canonical 25-byte /bin//sh shellcode.
+    fn execve_shellcode() -> Vec<u8> {
+        Asm::new()
             .xor_rr(X86Reg::Eax, X86Reg::Eax)
             .push_r(X86Reg::Eax)
             .push_imm(u32::from_le_bytes(*b"//sh"))
@@ -700,8 +676,12 @@ mod tests {
             .xor_rr(X86Reg::Edx, X86Reg::Edx)
             .mov_r8_imm(X86Reg::Eax, 11)
             .int80()
-            .finish();
-        let mut m = machine_with(code);
+            .finish()
+    }
+
+    #[test]
+    fn classic_execve_shellcode_spawns_shell() {
+        let mut m = machine_with(execve_shellcode());
         let out = m.run(100);
         assert!(out.is_root_shell(), "{out}");
         match out {
@@ -887,6 +867,92 @@ mod tests {
             "insn meter keeps counting across restore"
         );
         assert_eq!(m.run(10_000), first, "replay is identical");
+    }
+
+    #[test]
+    fn restore_empties_the_event_log() {
+        // A snapshot taken after a logged run does not capture the log:
+        // `events()` means "side effects since the last restore".
+        let mut m = machine_with(loop_code());
+        assert_eq!(m.run(10_000), RunOutcome::Exited(7));
+        let after_run = m.snapshot();
+        m.regs.set_pc(0x1000);
+        assert_eq!(m.run(10_000), RunOutcome::Exited(7));
+        assert_eq!(m.events(), [Event::Syscall { number: 1 }; 2]);
+        m.restore(&after_run);
+        assert!(m.events().is_empty(), "restore empties the log");
+    }
+
+    #[test]
+    fn terminal_outcomes_log_only_libc_calls_and_syscalls() {
+        // exit(7) via int 0x80, a hooked exit and __stack_chk_fail, an
+        // unknown syscall, a plain fault and the execve shellcode: how
+        // each run ended lives in its outcome alone.
+        let hooked = |f: LibcFn| {
+            let mut m = machine_with(vec![0x90]);
+            m.set_canary(0xAABB_CCDD);
+            m.register_hook(0x1000, f);
+            for v in [0x4141_4141u32, 0x0] {
+                m.push_u32(v).unwrap();
+            }
+            m
+        };
+        let unknown = Asm::new()
+            .xor_rr(X86Reg::Eax, X86Reg::Eax)
+            .mov_r8_imm(X86Reg::Eax, 99)
+            .int80()
+            .finish();
+        let mut nx = machine_with(vec![0x90]);
+        nx.regs.set_pc(0x8100);
+        let cases = [
+            (
+                machine_with(loop_code()),
+                RunOutcome::Exited(7),
+                vec![Event::Syscall { number: 1 }],
+            ),
+            (
+                hooked(LibcFn::Exit),
+                RunOutcome::Exited(0x4141_4141),
+                vec![Event::LibcCall {
+                    name: "exit",
+                    args: [0x4141_4141, 0, 0],
+                }],
+            ),
+            (
+                hooked(LibcFn::StackChkFail),
+                RunOutcome::Fault(Fault::CanarySmashed {
+                    found: 0x4141_4141,
+                    expected: 0xAABB_CCDD,
+                }),
+                vec![Event::LibcCall {
+                    name: "__stack_chk_fail",
+                    args: [0x4141_4141, 0, 0],
+                }],
+            ),
+            (
+                machine_with(unknown),
+                RunOutcome::Fault(Fault::UnknownSyscall {
+                    number: 99,
+                    pc: 0x1004,
+                }),
+                vec![Event::Syscall { number: 99 }],
+            ),
+            (
+                nx,
+                RunOutcome::Fault(Fault::NxViolation {
+                    pc: 0x8100,
+                    perms: Perms::RW,
+                }),
+                vec![],
+            ),
+        ];
+        for (mut m, outcome, events) in cases {
+            assert_eq!(m.run(10_000), outcome);
+            assert_eq!(m.events(), events, "{outcome}");
+        }
+        let mut m = machine_with(execve_shellcode());
+        assert!(m.run(100).is_root_shell());
+        assert_eq!(m.events(), [Event::Syscall { number: 11 }]);
     }
 
     #[test]

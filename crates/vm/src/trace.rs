@@ -33,7 +33,6 @@ impl fmt::Display for TraceEntry {
 pub struct Trace {
     entries: Vec<TraceEntry>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl Trace {
@@ -42,7 +41,6 @@ impl Trace {
         Trace {
             entries: Vec::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
-            dropped: 0,
         }
     }
 
@@ -50,7 +48,6 @@ impl Trace {
     pub fn push(&mut self, entry: TraceEntry) {
         if self.entries.len() == self.capacity {
             self.entries.remove(0);
-            self.dropped += 1;
         }
         self.entries.push(entry);
     }
@@ -60,21 +57,10 @@ impl Trace {
         &self.entries
     }
 
-    /// How many entries were evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The last `n` entries (or fewer).
     pub fn tail(&self, n: usize) -> &[TraceEntry] {
         let start = self.entries.len().saturating_sub(n);
         &self.entries[start..]
-    }
-
-    /// Clears the trace.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dropped = 0;
     }
 }
 
@@ -98,7 +84,6 @@ mod tests {
         }
         let pcs: Vec<Addr> = t.entries().iter().map(|x| x.pc).collect();
         assert_eq!(pcs, vec![3, 4, 5]);
-        assert_eq!(t.dropped(), 2);
         assert_eq!(t.tail(2).len(), 2);
         assert_eq!(t.tail(99).len(), 3);
     }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n=== 5. fire against a fresh ASLR boot (traced) ===");
     let mut victim = fw.boot(Protections::full(), 999_999);
-    victim.enable_trace(256);
+    victim.machine_mut().enable_trace(256);
     let outcome = deliver_labels(&mut victim, labels).expect("victim queries");
     println!("outcome: {outcome}");
 

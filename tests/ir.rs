@@ -3,8 +3,8 @@
 //! cell of the paper's exploit matrix — with the shadow-memory
 //! sanitizer both on and off — and for ISA-level programs that exercise
 //! every lowered op shape, IR dispatch and the single-step reference
-//! must produce byte-identical outcomes, fault details, event streams
-//! and instruction counts, including when the step budget expires in
+//! must produce byte-identical outcomes, fault details, libc/syscall
+//! logs and instruction counts, including when the step budget expires in
 //! the middle of a lowered block or a folded ALU run.
 
 use cml_image::{Arch, Perms, SectionKind};

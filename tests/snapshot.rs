@@ -257,7 +257,7 @@ fn text_written_after_a_reslid_fork_never_runs_a_stale_decode() {
 /// payload overwrites. Consecutive forks deliver different stack
 /// payloads: the shellcode, the DoS overflow, the shellcode with its
 /// sled turned into branch-to-self loops, and the shellcode again. Each
-/// fork's outcome and event stream must equal a fresh boot's at the
+/// fork's outcome and libc/syscall log must equal a fresh boot's at the
 /// same seed; a stale sled decode would pop a shell where the fresh
 /// boot spins.
 #[test]
@@ -472,7 +472,8 @@ fn attack_outcome(daemon: &mut Daemon) -> String {
 
 /// Delivers the payload and fingerprints everything the harness
 /// observes: the proxy outcome (faults carry full register/memory
-/// context in their `Debug` form) and the machine's event stream.
+/// context in their `Debug` form) and the machine's libc-call and
+/// syscall log.
 fn deliver_response_print(daemon: &mut Daemon, labels: &[Vec<u8>]) -> String {
     let outcome = deliver_labels(daemon, labels.to_vec());
     format!("{outcome:?}\n{:?}", daemon.machine().events())

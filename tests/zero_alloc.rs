@@ -420,9 +420,11 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             "{arch}: a fresh-seed delivery made {fresh_max} allocations, a base-seed one {base_min}"
         );
         // Today's counts, so any new allocation on the path fails here.
+        // The `ShellSpawn` is built once and moved into the outcome; no
+        // log or daemon state keeps a copy.
         let bound = match arch {
-            Arch::X86 | Arch::Riscv => 5,
-            Arch::Armv7 => 10,
+            Arch::X86 | Arch::Riscv => 3,
+            Arch::Armv7 => 8,
         };
         assert!(
             base.iter().all(|&a| a <= bound),
@@ -473,9 +475,12 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         // Today's counts of fork, resolve and delivery. The delivery
         // lowered the shellcode afresh every session before victim
         // revival: 49, 12 and 13 allocations on x86, ARMv7 and RISC-V.
+        // x86's two more are the argv its shellcode passes to `execve`
+        // (ARMv7's and RISC-V's pass NULL): the argv `Vec` and its one
+        // string.
         let bound = match arch {
-            Arch::X86 => [0, 3, 11],
-            Arch::Armv7 | Arch::Riscv => [0, 3, 5],
+            Arch::X86 => [0, 3, 5],
+            Arch::Armv7 | Arch::Riscv => [0, 3, 3],
         };
         for seed in 0..16u64 {
             let ledger = session(0xF2_0000 + seed);
