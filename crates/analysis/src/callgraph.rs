@@ -13,8 +13,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
+use cml_image::Addr;
+
 use crate::cfg::Cfg;
-use crate::taint;
+use crate::taint::{self, FnProfile};
 
 /// Static call summary for one recovered function.
 #[derive(Debug, Clone, Default)]
@@ -43,9 +45,14 @@ impl Summaries {
     /// profile per body, then a transitive closure of `may_overflow`
     /// over the call graph.
     pub fn compute(cfg: &Cfg) -> Summaries {
+        Summaries::from_profiles(cfg, &taint::profiles(cfg))
+    }
+
+    /// [`Summaries::compute`] over precomputed per-function profiles
+    /// (indexed like `cfg.functions`).
+    pub(crate) fn from_profiles(cfg: &Cfg, profiles: &[FnProfile]) -> Summaries {
         let mut map = BTreeMap::new();
-        for f in &cfg.functions {
-            let p = taint::function_profile(cfg.arch, f);
+        for (f, p) in cfg.functions.iter().zip(profiles) {
             map.insert(
                 f.name.clone(),
                 FnSummary {
@@ -87,6 +94,18 @@ impl Summaries {
     /// All summaries, sorted by function name.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FnSummary)> {
         self.map.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Call-site address → the constant the callee returns.
+    pub(crate) fn ret_const_sites(&self, cfg: &Cfg) -> HashMap<Addr, u32> {
+        cfg.call_edges
+            .iter()
+            .filter_map(|e| {
+                self.get(&e.callee)
+                    .and_then(|s| s.returns_const)
+                    .map(|v| (e.at, v))
+            })
+            .collect()
     }
 }
 

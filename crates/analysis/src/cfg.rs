@@ -416,9 +416,47 @@ fn lift_function(name: &str, entry: Addr, size: u32, pred: &mut Predecoder<'_>) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cml_firmware::build_image_for;
+
+    /// A hand-built x86 function: each block is its start address, its
+    /// instructions (laid out 2 bytes apart) and its terminator, whose
+    /// targets are the block's successors.
+    pub(crate) fn x86_function(
+        name: &str,
+        blocks: Vec<(Addr, Vec<x86::Insn>, Terminator)>,
+    ) -> Function {
+        let blocks: Vec<BasicBlock> = blocks
+            .into_iter()
+            .map(|(start, ops, term)| BasicBlock {
+                start,
+                end: start + 2 * ops.len() as u32,
+                insns: (0..)
+                    .zip(ops)
+                    .map(|(k, i)| LiftedInsn {
+                        addr: start + 2 * k,
+                        len: 2,
+                        op: Op::X86(i),
+                    })
+                    .collect(),
+                succs: match term {
+                    Terminator::Branch { taken, fall } => vec![taken, fall],
+                    Terminator::Jump(to) | Terminator::FallThrough(to) => vec![to],
+                    Terminator::Call { fall, .. } => vec![fall],
+                    Terminator::Return | Terminator::Indirect | Terminator::Halt => Vec::new(),
+                },
+                term,
+            })
+            .collect();
+        Function {
+            name: name.to_string(),
+            entry: blocks[0].start,
+            size: blocks.last().map_or(0, |b| b.end) - blocks[0].start,
+            blocks,
+            truncated: false,
+        }
+    }
 
     #[test]
     fn recovers_parse_response_loop_on_both_arches() {
