@@ -38,16 +38,22 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> cml analyze --self-test"
 cargo run --release --offline -q -p connman-lab --bin cml -- analyze --self-test
 
-echo "==> cml analyze --sarif (VSA report smoke)"
-# The interprocedural VSA layer must flag the vulnerable firmware
-# (exit 2 = findings present) and emit parseable SARIF, and must stay
-# quiet on patched 1.35 — on all three ISAs.
+echo "==> cml analyze on every firmware (JSON and SARIF)"
+# Every --firmware spelling on all three ISAs, in both renderings: the
+# vulnerable images must be flagged (exit 2 = findings present) and
+# patched 1.35 must stay quiet (exit 0).
 for arch in x86 arm riscv; do
-  cargo run --release --offline -q -p connman-lab --bin cml -- \
-    analyze --arch "$arch" --firmware openelec --sarif > /dev/null && {
-      echo "analyze --sarif: vulnerable $arch not flagged"; exit 1; } || [ $? -eq 2 ]
-  cargo run --release --offline -q -p connman-lab --bin cml -- \
-    analyze --arch "$arch" --firmware patched --sarif > /dev/null
+  for firmware in yocto openelec tizen patched; do
+    want=2
+    [ "$firmware" = patched ] && want=0
+    for sarif in "" --sarif; do
+      code=0
+      cargo run --release --offline -q -p connman-lab --bin cml -- \
+        analyze --arch "$arch" --firmware "$firmware" ${sarif:+"$sarif"} > /dev/null || code=$?
+      [ "$code" -eq "$want" ] || {
+        echo "analyze --arch $arch --firmware $firmware $sarif: exit $code, want $want"; exit 1; }
+    done
+  done
 done
 
 echo "==> repro --sanitize"
