@@ -462,10 +462,13 @@ pub fn fan_out(
 pub struct PhaseTimings {
     /// Forking (or booting) the victim daemon.
     pub forge_secs: f64,
-    /// Resolving through the proxy and obtaining the forged response
-    /// (answer bank or poisoned upstream cache).
+    /// The daemon's `resolve` (the outgoing query, or a hit in its own
+    /// cache) plus the lookup of the forged response in the answer bank
+    /// or, under `--resolver`, the poisoned upstream cache.
     pub deliver_secs: f64,
-    /// Executing the delivered payload in the victim VM.
+    /// All of `deliver_response`: the daemon parsing the forged
+    /// response and the victim VM running whatever it hijacks (plus the
+    /// live server's answer when the bank cannot serve the query).
     pub vm_secs: f64,
 }
 
