@@ -69,24 +69,30 @@ echo "==> cml fuzz --smoke"
 cargo run --release --offline -q -p connman-lab --bin cml -- fuzz --smoke --jobs 2
 
 echo "==> cml fuzz golden"
-# Seed-7 campaigns on all three ISAs: the stats line (less its
-# `artifacts:` path) and a checksum of every corpus and crash file must
-# match the committed golden file byte for byte. Every seed-7 campaign
-# finds crashes, so `cml fuzz` must exit 2 (crashes found).
+# Seed-7 campaigns on all three ISAs at --jobs 1, plus a three-worker
+# x86 campaign that pins the multi-worker path: the stats line (less
+# its `artifacts:` path) and a checksum of every corpus and crash file
+# must match the committed golden file byte for byte. Every seed-7
+# campaign finds crashes, so `cml fuzz` must exit 2 (crashes found).
+fuzz_campaign() {
+  local arch=$1 jobs=$2 dir code=0
+  dir=$(mktemp -d)
+  cargo run --release --offline -q -p connman-lab --bin cml -- \
+    fuzz --arch "$arch" --seed 7 --max-execs 20000 --jobs "$jobs" --out "$dir/out" \
+    > "$dir/stdout" || code=$?
+  [ "$code" -eq 2 ] || { echo "fuzz --arch $arch --jobs $jobs: exit $code, want 2"; return 1; }
+  grep -v '^artifacts: ' "$dir/stdout"
+  (cd "$dir/out" && find corpus crashes -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum)
+  rm -rf "$dir"
+}
 fuzz_golden() {
-  local arch dir code
+  local arch
   for arch in x86 arm riscv; do
-    dir=$(mktemp -d)
     echo "== --arch $arch"
-    code=0
-    cargo run --release --offline -q -p connman-lab --bin cml -- \
-      fuzz --arch "$arch" --seed 7 --max-execs 20000 --jobs 1 --out "$dir/out" \
-      > "$dir/stdout" || code=$?
-    [ "$code" -eq 2 ] || { echo "fuzz --arch $arch: exit $code, want 2"; return 1; }
-    grep -v '^artifacts: ' "$dir/stdout"
-    (cd "$dir/out" && find corpus crashes -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum)
-    rm -rf "$dir"
+    fuzz_campaign "$arch" 1 || return 1
   done
+  echo "== --arch x86 --jobs 3"
+  fuzz_campaign x86 3
 }
 diff <(fuzz_golden) tests/golden/fuzz_seed7.txt || {
   echo "fuzz golden: output differs from tests/golden/fuzz_seed7.txt"; exit 1; }
