@@ -427,17 +427,31 @@ pub(crate) mod tests {
         name: &str,
         blocks: Vec<(Addr, Vec<x86::Insn>, Terminator)>,
     ) -> Function {
+        let blocks = blocks
+            .into_iter()
+            .map(|(start, ops, term)| (start, ops.into_iter().map(Op::X86).collect(), term))
+            .collect();
+        hand_built(name, 2, blocks)
+    }
+
+    /// A hand-built function of any ISA, its instructions laid out
+    /// `len` bytes apart; blocks as for [`x86_function`].
+    pub(crate) fn hand_built(
+        name: &str,
+        len: u32,
+        blocks: Vec<(Addr, Vec<Op>, Terminator)>,
+    ) -> Function {
         let blocks: Vec<BasicBlock> = blocks
             .into_iter()
             .map(|(start, ops, term)| BasicBlock {
                 start,
-                end: start + 2 * ops.len() as u32,
+                end: start + len * ops.len() as u32,
                 insns: (0..)
                     .zip(ops)
-                    .map(|(k, i)| LiftedInsn {
-                        addr: start + 2 * k,
-                        len: 2,
-                        op: Op::X86(i),
+                    .map(|(k, op)| LiftedInsn {
+                        addr: start + len * k,
+                        len,
+                        op,
                     })
                     .collect(),
                 succs: match term {

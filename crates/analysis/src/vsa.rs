@@ -661,8 +661,10 @@ pub(crate) fn analyze_function(arch: Arch, f: &Function, cx: &Ctx<'_>) -> FnFact
 }
 
 /// The best trip-count bound for the loop `[head, end)`: the smallest
-/// `k − lo` over exits comparing an untainted counter with known lower
-/// bound `lo` against an exact untainted constant `k`.
+/// count over exits comparing an untainted counter against an exact
+/// untainted constant `k` — `k − lo` for a counter with a known lower
+/// bound `lo` below `k`, else `hi − k` for one with a known upper bound
+/// `hi` above it.
 fn loop_trip_bound(f: &Function, exits: &[Option<State>], head: Addr, end: Addr) -> Option<u64> {
     let in_range = |a: Addr| a >= head && a < end;
     let mut best: Option<u64> = None;
@@ -687,13 +689,17 @@ fn loop_trip_bound(f: &Function, exits: &[Option<State>], head: Addr, end: Addr)
             let Some(k) = konst.si.as_exact() else {
                 continue;
             };
-            if counter.si.lo == i64::MIN {
+            // An up-counter runs from a finite `lo` up to `k`, a
+            // down-counter from a finite `hi` down to it.
+            let (lo, hi) = (counter.si.lo, counter.si.hi);
+            let trips = if lo != i64::MIN && k > lo {
+                k.abs_diff(lo)
+            } else if hi != i64::MAX && hi > k {
+                hi.abs_diff(k)
+            } else {
                 continue;
-            }
-            if k > counter.si.lo {
-                let trips = (k - counter.si.lo) as u64;
-                best = Some(best.map_or(trips, |b| b.min(trips)));
-            }
+            };
+            best = Some(best.map_or(trips, |b| b.min(trips)));
         }
     }
     best
@@ -1110,6 +1116,74 @@ mod tests {
             Arch::Armv7 => 48,
             Arch::Riscv => 32,
         }
+    }
+
+    /// A stack copy bounded only by a count-down loop: `mov r0,#16;
+    /// sub r1,sp,#64; l: strb r2,[r1]; add r1,r1,#1; sub r0,r0,#1;
+    /// cmp r0,#0; bne l; bx lr`. Widening sends the counter's `lo` to
+    /// -inf; its `hi` stays 15 at the compare.
+    #[test]
+    fn a_count_down_loop_bounds_its_stores() {
+        use crate::cfg::CfgStats;
+        use arm::Insn as I;
+        let f = cfg::tests::hand_built(
+            "count_down",
+            4,
+            vec![
+                (
+                    0x100,
+                    vec![
+                        Op::Arm(I::MovImm { rd: 0, imm: 16 }),
+                        Op::Arm(I::SubImm {
+                            rd: 1,
+                            rn: 13,
+                            imm: 64,
+                        }),
+                    ],
+                    Terminator::FallThrough(0x108),
+                ),
+                (
+                    0x108,
+                    vec![
+                        Op::Arm(I::Strb {
+                            rd: 2,
+                            rn: 1,
+                            offset: 0,
+                        }),
+                        Op::Arm(I::AddImm {
+                            rd: 1,
+                            rn: 1,
+                            imm: 1,
+                        }),
+                        Op::Arm(I::SubImm {
+                            rd: 0,
+                            rn: 0,
+                            imm: 1,
+                        }),
+                        Op::Arm(I::CmpImm { rn: 0, imm: 0 }),
+                        Op::Arm(I::BNe { offset: -24 }),
+                    ],
+                    Terminator::Branch {
+                        taken: 0x108,
+                        fall: 0x11c,
+                    },
+                ),
+                (0x11c, vec![Op::Arm(I::Bx { rm: 14 })], Terminator::Return),
+            ],
+        );
+        let cfg = Cfg {
+            arch: Arch::Armv7,
+            functions: vec![f],
+            call_edges: Vec::new(),
+            stats: CfgStats::default(),
+        };
+        let (img, _) = build_image_for(Arch::Armv7, 0, false);
+        let v = &vsa_pass(&cfg, &img, &Default::default())[0];
+        assert_eq!(v.writes.len(), 1);
+        let w = &v.writes[0];
+        assert_eq!((w.store_addr, w.start, w.stride), (0x108, -64, 1));
+        assert!(w.in_loop);
+        assert_eq!(w.extent, Some(15), "one byte per trip of the down-counter");
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! packet-loss draws are a pure function of `(base_seed, i)`, so every
 //! aggregate is independent of worker count and chunk boundaries.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::str::FromStr;
@@ -712,7 +711,6 @@ fn prot_key(p: &Protections) -> u64 {
 struct FleetCtx<'a> {
     spec: &'a FleetSpec,
     cfg: &'a FleetConfig,
-    run_gen: u64,
     started: Instant,
     done: AtomicU64,
     /// Cohort start indices (parallel to `spec.cohorts`).
@@ -747,12 +745,9 @@ struct CohortState {
     upstream: Option<ResolverCache>,
 }
 
-/// Per-worker persistent attack state: built on the worker's first
-/// chunk of a run, reused for every later one.
+/// Per-worker attack state: built when the worker starts, reused for
+/// every chunk it claims, dropped when the run ends.
 struct Worker {
-    /// Which run this state belongs to; a stale generation (a previous
-    /// run on the same thread) rebuilds.
-    run_gen: u64,
     /// Boot-once/fork-many victims, **indexed by profile key** (O(1),
     /// replacing the linear scan the Vec-keyed version paid per fork).
     forges: HashMap<u64, BootForge>,
@@ -763,15 +758,6 @@ struct Worker {
     /// Warm DNS round-trip buffers.
     pool: BufPool,
 }
-
-thread_local! {
-    static WORKER: RefCell<Option<Worker>> = const { RefCell::new(None) };
-}
-
-/// Distinguishes runs so a worker thread surviving across calls (the
-/// `jobs == 1` path runs on the caller) never reuses another run's
-/// forges or servers.
-static RUN_GEN: AtomicU64 = AtomicU64::new(0);
 
 /// One chunk's partial result.
 struct ChunkPartial {
@@ -830,7 +816,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
         }
     }
 
-    let run_gen = RUN_GEN.fetch_add(1, Ordering::Relaxed) + 1;
     let runner = Runner::new(cfg.jobs);
     let chunk = if cfg.chunk > 0 {
         cfg.chunk
@@ -840,7 +825,6 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
     let ctx = FleetCtx {
         spec,
         cfg,
-        run_gen,
         started: Instant::now(),
         done: AtomicU64::new(0),
         starts,
@@ -849,7 +833,17 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
         references,
     };
 
-    let partials = runner.run_chunks(total, chunk, |range| process_chunk(&ctx, range));
+    let partials = runner.run_chunks(
+        total,
+        chunk,
+        || Worker {
+            forges: HashMap::new(),
+            cohorts: (0..spec.cohorts.len()).map(|_| None).collect(),
+            templates: TemplateSet::new(),
+            pool: BufPool::new(),
+        },
+        |worker, range| process_chunk(worker, &ctx, range),
+    );
 
     let mut accums = vec![CohortAccum::default(); spec.cohorts.len()];
     let mut phases = PhaseTimings::default();
@@ -882,32 +876,16 @@ pub fn run_fleet_cfg(spec: &FleetSpec, cfg: &FleetConfig) -> FleetReport {
 }
 
 /// Processes one contiguous device-index chunk on the calling worker.
-fn process_chunk(ctx: &FleetCtx<'_>, range: Range<u64>) -> ChunkPartial {
-    WORKER.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let worker = match slot.as_mut() {
-            Some(w) if w.run_gen == ctx.run_gen => w,
-            _ => {
-                *slot = Some(Worker {
-                    run_gen: ctx.run_gen,
-                    forges: HashMap::new(),
-                    cohorts: (0..ctx.spec.cohorts.len()).map(|_| None).collect(),
-                    templates: TemplateSet::new(),
-                    pool: BufPool::new(),
-                });
-                slot.as_mut().expect("just set")
-            }
-        };
-        let partial = run_range(worker, ctx, range.clone());
-        if let Some(progress) = &ctx.cfg.progress {
-            let done = ctx
-                .done
-                .fetch_add(range.end - range.start, Ordering::Relaxed)
-                + (range.end - range.start);
-            progress(done, ctx.started.elapsed().as_secs_f64());
-        }
-        partial
-    })
+fn process_chunk(worker: &mut Worker, ctx: &FleetCtx<'_>, range: Range<u64>) -> ChunkPartial {
+    let partial = run_range(worker, ctx, range.clone());
+    if let Some(progress) = &ctx.cfg.progress {
+        let done = ctx
+            .done
+            .fetch_add(range.end - range.start, Ordering::Relaxed)
+            + (range.end - range.start);
+        progress(done, ctx.started.elapsed().as_secs_f64());
+    }
+    partial
 }
 
 /// The chunk loop: walk the cohorts and address classes overlapping

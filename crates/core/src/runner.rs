@@ -1,4 +1,4 @@
-//! Sharded work-stealing runner for the experiment matrix.
+//! Claim-counter runner for the experiment matrix.
 //!
 //! The paper's matrices (E2/E4/E6/E7) and the fleet scenario are
 //! embarrassingly parallel: every cell boots its own machines and shares
@@ -14,14 +14,15 @@
 //!   back in cell order, so report rows appear exactly as a serial loop
 //!   would have emitted them no matter which worker finished first.
 //!
-//! Scheduling is sharded work-stealing: indices are dealt round-robin
-//! into one deque per worker; a worker pops from the front of its own
-//! shard and, when empty, steals from the back of a victim's. No new
-//! work is ever produced mid-run, so "every shard empty" is the
-//! termination condition.
+//! Scheduling is one atomic claim counter: each worker takes the next
+//! unclaimed chunk until none is left, so uneven chunk costs balance
+//! themselves. Each worker builds its own state once, before its first
+//! claim, and drops it before the run returns. No new work is ever
+//! produced mid-run, so "counter past the end" is the termination
+//! condition.
 
-use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -71,86 +72,62 @@ impl Runner {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.jobs.min(n).max(1);
-        if workers == 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| work(i, t))
-                .collect();
-        }
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        // Deal indices round-robin so adjacent (often similarly heavy)
-        // cells start on different workers.
-        let shards: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let shards = &shards;
-                let results = &results;
-                let work = &work;
-                scope.spawn(move || {
-                    while let Some(i) = next_index(w, shards) {
-                        let item = slots[i].lock().take();
-                        if let Some(item) = item {
-                            *results[i].lock() = Some(work(i, item));
-                        }
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every cell produces a result"))
-            .collect()
+        self.run_chunks(
+            slots.len() as u64,
+            1,
+            || (),
+            |(), cell| {
+                let i = cell.start as usize;
+                let item = slots[i].lock().take().expect("each cell is claimed once");
+                work(i, item)
+            },
+        )
     }
 
     /// Maps `work` over the index ranges `[k·chunk, (k+1)·chunk) ∩
     /// [0, total)` and returns one partial per chunk, ordered by chunk
     /// index regardless of completion order.
     ///
-    /// This is the O(1)-per-item scheduler for fleet-scale fan-outs:
-    /// where [`Runner::run`] materializes a slot and a mutex per item,
-    /// `run_chunks` keeps only an atomic claim counter and
-    /// `total / chunk` partials, so a million-device campaign's
-    /// scheduling state stays a few hundred accumulators. Chunks are
-    /// claimed dynamically, so uneven per-chunk cost load-balances like
-    /// work stealing.
+    /// Each worker calls `init` once, before its first claim, and hands
+    /// the state to `work` for every chunk it claims; the states are
+    /// dropped before `run_chunks` returns. With one worker everything
+    /// runs on the calling thread.
+    ///
+    /// Scheduling state is one atomic claim counter and `total / chunk`
+    /// partials, so a million-device campaign's bookkeeping stays a few
+    /// hundred accumulators.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is zero.
-    pub fn run_chunks<P, F>(&self, total: u64, chunk: u64, work: F) -> Vec<P>
+    pub fn run_chunks<S, P, I, F>(&self, total: u64, chunk: u64, init: I, work: F) -> Vec<P>
     where
         P: Send,
-        F: Fn(std::ops::Range<u64>) -> P + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, Range<u64>) -> P + Sync,
     {
         assert!(chunk > 0, "chunk size must be positive");
         let chunks = total.div_ceil(chunk);
+        let range = |k: u64| k * chunk..total.min((k + 1) * chunk);
         let workers = self.jobs.min(chunks.max(1) as usize).max(1);
         if workers == 1 {
-            return (0..chunks)
-                .map(|k| work(k * chunk..total.min((k + 1) * chunk)))
-                .collect();
+            let mut state = init();
+            return (0..chunks).map(|k| work(&mut state, range(k))).collect();
         }
         let next = AtomicU64::new(0);
         let partials: Vec<Mutex<Option<P>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let next = &next;
-                let partials = &partials;
-                let work = &work;
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= chunks {
-                        break;
+                scope.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= chunks {
+                            break;
+                        }
+                        *partials[k as usize].lock() = Some(work(&mut state, range(k)));
                     }
-                    let r = work(k * chunk..total.min((k + 1) * chunk));
-                    *partials[k as usize].lock() = Some(r);
                 });
             }
         });
@@ -159,21 +136,6 @@ impl Runner {
             .map(|m| m.into_inner().expect("every chunk produces a partial"))
             .collect()
     }
-}
-
-/// Pops the next index for worker `w`: front of its own shard, else the
-/// back of the first non-empty victim (classic steal-from-the-cold-end).
-fn next_index(w: usize, shards: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    if let Some(i) = shards[w].lock().pop_front() {
-        return Some(i);
-    }
-    let n = shards.len();
-    for off in 1..n {
-        if let Some(i) = shards[(w + off) % n].lock().pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -207,9 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_loads_are_stolen() {
+    fn uneven_loads_all_complete() {
         // One huge cell plus many small: with 4 workers, the small cells
-        // must all complete even though one shard is stuck.
+        // must all complete while one worker is stuck on the big one.
         let touched = AtomicUsize::new(0);
         let items: Vec<u64> = (0..32).map(|i| if i == 0 { 200_000 } else { 10 }).collect();
         let sums = Runner::new(4).run(items, |_, spin| {
@@ -235,7 +197,8 @@ mod tests {
         // are both checked.
         for jobs in [1, 2, 4, 8] {
             for (total, chunk) in [(0u64, 7u64), (1, 7), (97, 7), (96, 32), (5, 100)] {
-                let got = Runner::new(jobs).run_chunks(total, chunk, |r| (r.start, r.end));
+                let got =
+                    Runner::new(jobs).run_chunks(total, chunk, || (), |(), r| (r.start, r.end));
                 let chunks = total.div_ceil(chunk);
                 assert_eq!(got.len() as u64, chunks, "jobs={jobs} total={total}");
                 for (k, (s, e)) in got.iter().enumerate() {
@@ -252,10 +215,68 @@ mod tests {
         let want: u64 = (0..total).sum();
         for jobs in [1, 3, 8] {
             let got: u64 = Runner::new(jobs)
-                .run_chunks(total, 4096, |r| r.sum::<u64>())
+                .run_chunks(total, 4096, || (), |(), r| r.sum::<u64>())
                 .into_iter()
                 .sum();
             assert_eq!(got, want, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker_and_dropped_before_return() {
+        struct State<'a> {
+            drops: &'a AtomicUsize,
+            chunks: usize,
+        }
+        impl Drop for State<'_> {
+            fn drop(&mut self) {
+                self.drops.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for jobs in [1, 2, 4] {
+            for total in [0u64, 1, 3, 100] {
+                let inits = AtomicUsize::new(0);
+                let drops = AtomicUsize::new(0);
+                let got = Runner::new(jobs).run_chunks(
+                    total,
+                    2,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        State {
+                            drops: &drops,
+                            chunks: 0,
+                        }
+                    },
+                    |state, r| {
+                        state.chunks += 1;
+                        (r.start, state.chunks)
+                    },
+                );
+                let workers = jobs.min(total.div_ceil(2).max(1) as usize);
+                let inits = inits.load(Ordering::Relaxed);
+                assert!(
+                    inits <= workers && (inits > 0 || total == 0),
+                    "jobs={jobs} total={total}: {inits} inits for {workers} workers"
+                );
+                assert_eq!(
+                    drops.load(Ordering::Relaxed),
+                    inits,
+                    "jobs={jobs} total={total}"
+                );
+                // Every chunk ran once, in order, each on a state that
+                // had seen at most every chunk so far.
+                assert_eq!(got.len() as u64, total.div_ceil(2));
+                for (k, (start, seen)) in got.iter().enumerate() {
+                    assert_eq!(*start, 2 * k as u64);
+                    assert!((1..=k + 1).contains(seen));
+                }
+                if jobs == 1 {
+                    assert_eq!(
+                        got.iter().map(|&(_, seen)| seen).collect::<Vec<_>>(),
+                        (1..=got.len()).collect::<Vec<_>>()
+                    );
+                }
+            }
         }
     }
 }

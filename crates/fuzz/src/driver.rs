@@ -1,7 +1,7 @@
 //! The parallel fuzzing driver.
 //!
 //! Workers run *independent* campaigns over [`cml_core::Runner`]'s
-//! work-stealing shards: worker `w` derives its own RNG streams from
+//! claim counter: worker `w` derives its own RNG streams from
 //! `derive_seed(cfg.seed, w)`, owns its own fork server, mutation
 //! scratch buffer, corpus, and coverage accumulator, and spends a fixed
 //! slice of the exec budget. Nothing crosses threads mid-campaign, so

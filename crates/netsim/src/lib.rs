@@ -38,5 +38,5 @@ pub use resolver::{
     example_internet, CacheStats, Internet, RecursiveResolver, ResolverCache, ResolverStats,
     TICKS_PER_SEC,
 };
-pub use scheduler::{link_latency_us, Scheduler, SimTime, JITTER_SPAN_US, MIN_LATENCY_US};
+pub use scheduler::{link_latency_us, SimTime, JITTER_SPAN_US, MIN_LATENCY_US};
 pub use station::{Association, Station};

@@ -1,10 +1,10 @@
-//! A recursive resolver with an allocation-free answer cache, driven by
-//! the deterministic discrete-event [`scheduler`](crate::scheduler).
+//! A recursive resolver with an allocation-free answer cache, timed by
+//! the deterministic simulated clock of [`scheduler`](crate::scheduler).
 //!
-//! # The state machine
+//! # The walk
 //!
 //! A cache miss walks the delegation tree exactly the way a real
-//! iterative resolver does, as three event kinds on the scheduler:
+//! iterative resolver does, one exchange at a time, in three steps:
 //!
 //! * **InitQuery** — a client query arrives; the cache missed, so a
 //!   resolution chain starts at a root server.
@@ -17,8 +17,10 @@
 //!   glue from the additional section, or recurse to resolve the
 //!   nameserver's own address first), or a dead end.
 //!
-//! Every latency is a pure function of `(seed, link, event index)`, and
-//! ties dispatch in schedule order, so the whole trace is a
+//! Only one step is ever pending, so the clock is a [`SimTime`] and a
+//! draw counter: the arrival takes one draw index and each step after
+//! it advances the clock by one latency draw. Every latency is a pure
+//! function of `(seed, link, draw index)`, so the whole trace is a
 //! deterministic function of the seed — byte-identical at any worker
 //! count.
 //!
@@ -52,7 +54,7 @@ use cml_dns::{
     RecordType, ResponseEncoder, WireBuf, WireWriter, ZoneServer,
 };
 
-use crate::scheduler::{link_latency_us, mix64, Scheduler, SimTime};
+use crate::scheduler::{link_latency_us, mix64, SimTime};
 
 /// Event-clock ticks per second of DNS TTL.
 pub const TICKS_PER_SEC: SimTime = 1_000_000;
@@ -331,23 +333,6 @@ pub struct ResolverStats {
     pub failures: u64,
 }
 
-/// One event on the resolution state machine. The name and type being
-/// resolved are the top frame's (see [`Frame`]): exactly one event of a
-/// resolution is ever pending, so the stack cannot change under it.
-#[derive(Debug)]
-enum ResolveEvent {
-    InitQuery,
-    QueryTarget {
-        server: Ipv4Addr,
-    },
-    QueryResponse {
-        server: Ipv4Addr,
-        /// The server's reply, in a buffer from the resolver's pool;
-        /// `None` when it stayed silent.
-        reply: Option<WireBuf>,
-    },
-}
-
 /// One link of the resolution chain: the name currently being resolved
 /// (lowercased; CNAME rewrites replace it) and loop budgets. Glue
 /// chases push a fresh frame; its answer becomes the parent's next
@@ -378,7 +363,11 @@ impl Frame {
 pub struct RecursiveResolver {
     seed: u64,
     cache: ResolverCache,
-    sched: Scheduler<ResolveEvent>,
+    /// The event clock.
+    now: SimTime,
+    /// Draw indices used so far, one per arrival and one per latency
+    /// draw: the next draw's index.
+    events: u64,
     trace: String,
     stats: ResolverStats,
     next_id: u16,
@@ -470,7 +459,8 @@ impl RecursiveResolver {
         RecursiveResolver {
             seed,
             cache: ResolverCache::new(cache_capacity),
-            sched: Scheduler::new(),
+            now: 0,
+            events: 0,
             trace: String::new(),
             stats: ResolverStats::default(),
             next_id: 1,
@@ -481,14 +471,14 @@ impl RecursiveResolver {
 
     /// The event clock, in ticks ([`TICKS_PER_SEC`] per second).
     pub fn now(&self) -> SimTime {
-        self.sched.now()
+        self.now
     }
 
     /// Advances the event clock to `t` (arrivals between queries),
     /// expiring everything due on the way.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.sched.advance_to(t);
-        self.cache.advance(self.sched.now());
+        self.now = self.now.max(t);
+        self.cache.advance(self.now);
     }
 
     /// Counter snapshot.
@@ -516,7 +506,7 @@ impl RecursiveResolver {
     /// `ttl_secs` — the upstream cache-poisoning event. Returns whether
     /// the injection stuck.
     pub fn poison(&mut self, query: &[u8], response: &[u8], ttl_secs: u32) -> bool {
-        let now = self.sched.now();
+        let now = self.now;
         let stored = self
             .cache
             .poison(now, query, response, ttl_secs as SimTime * TICKS_PER_SEC);
@@ -552,7 +542,7 @@ impl RecursiveResolver {
         out: &mut Vec<u8>,
     ) -> bool {
         self.stats.client_queries += 1;
-        let now = self.sched.now();
+        let now = self.now;
         self.cache.advance(now);
         if self.cache.lookup_into(now, query, out) {
             return true;
@@ -581,57 +571,42 @@ impl RecursiveResolver {
             self.stats.failures += 1;
             return false;
         };
-        self.cache.insert(
-            self.sched.now(),
-            query,
-            out,
-            ttl_secs as SimTime * TICKS_PER_SEC,
-        );
+        self.cache
+            .insert(self.now, query, out, ttl_secs as SimTime * TICKS_PER_SEC);
         true
     }
 
-    /// Drives the InitQuery → QueryTarget → QueryResponse machine to
-    /// completion for one question. Returns the reply that carried the
-    /// final answer set.
+    /// Walks InitQuery → QueryTarget → QueryResponse to completion for
+    /// one question. Returns the reply that carried the final answer
+    /// set.
     fn run(&mut self, net: &mut Internet, frame: Frame) -> Option<WireBuf> {
         let root = net.root();
+        trace_line(
+            &mut self.trace,
+            self.now,
+            format_args!("init {} {}", frame.name, frame.qtype),
+        );
         self.stack.clear();
         self.stack.push(frame);
-        self.sched.schedule_in(0, ResolveEvent::InitQuery);
-        while let Some((t, ev)) = self.sched.pop() {
-            match ev {
-                ResolveEvent::InitQuery => {
-                    let f = self.stack.last().expect("a resolution has a frame");
-                    trace_line(
-                        &mut self.trace,
-                        t,
-                        format_args!("init {} {}", f.name, f.qtype),
-                    );
-                    self.send(root);
-                }
-                ResolveEvent::QueryTarget { server } => {
-                    let reply = self.exchange(net, t, server);
-                    let idx = self.sched.events_scheduled();
-                    let delay = link_latency_us(self.seed, ip_link(server), idx);
-                    self.sched
-                        .schedule_in(delay, ResolveEvent::QueryResponse { server, reply });
-                }
-                ResolveEvent::QueryResponse { server, reply } => {
-                    let next =
-                        match self.on_response(t, server, reply.as_ref().map(WireBuf::as_bytes)) {
-                            Step::Done => return reply,
-                            Step::Send(next) => Some(next),
-                            Step::Root => Some(root),
-                            Step::Fail => None,
-                        };
-                    if let Some(reply) = reply {
-                        self.pool.checkin(reply);
-                    }
-                    self.send(next?);
-                }
+        // The arrival takes a draw index of its own.
+        self.events += 1;
+        let mut server = root;
+        loop {
+            self.wait(server);
+            let reply = self.exchange(net, self.now, server);
+            self.wait(server);
+            let step = self.on_response(self.now, server, reply.as_ref().map(WireBuf::as_bytes));
+            let next = match step {
+                Step::Done => return reply,
+                Step::Send(next) => Some(next),
+                Step::Root => Some(root),
+                Step::Fail => None,
+            };
+            if let Some(reply) = reply {
+                self.pool.checkin(reply);
             }
+            server = next?;
         }
-        None
     }
 
     /// Sends the top frame's query to `server` and returns its reply in
@@ -760,12 +735,11 @@ impl RecursiveResolver {
         Step::Fail
     }
 
-    /// Schedules a QueryTarget after one seeded latency draw.
-    fn send(&mut self, server: Ipv4Addr) {
-        let idx = self.sched.events_scheduled();
-        let delay = link_latency_us(self.seed, ip_link(server), idx);
-        self.sched
-            .schedule_in(delay, ResolveEvent::QueryTarget { server });
+    /// Advances the clock by one seeded latency draw on `server`'s link.
+    fn wait(&mut self, server: Ipv4Addr) {
+        let delay = link_latency_us(self.seed, ip_link(server), self.events);
+        self.events += 1;
+        self.now = self.now.saturating_add(delay);
     }
 }
 

@@ -38,6 +38,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Commands that read no arguments of their own beyond the shared
+    // options reject any leftover one instead of ignoring it.
+    let unread = match cmd.as_str() {
+        "survey" | "recon" | "repro" | "exploit" | "dos" | "pineapple" => opts.rest.first(),
+        "analyze" => opts
+            .rest
+            .iter()
+            .find(|a| !matches!(a.as_str(), "--sarif" | "--self-test")),
+        _ => None,
+    };
+    if let Some(other) = unread {
+        eprintln!("unknown {cmd} option {other:?}");
+        return ExitCode::FAILURE;
+    }
     match cmd.as_str() {
         "survey" => survey(),
         "analyze" => analyze_cmd(&opts),
@@ -81,7 +95,7 @@ fn usage() {
          \x20                                rogue-AP attack on an N-device fleet\n\
          \x20 resolve     [NAME] [--seed N] [--trace]\n\
          \x20                                recursive resolution (root → TLD →\n\
-         \x20                                authoritative) on the event scheduler\n\
+         \x20                                authoritative) on a simulated clock\n\
          \x20 resolve     --smoke            resolver CI gate: delegation, CNAME,\n\
          \x20                                cache hit, determinism, poisoning\n\
          \x20 fuzz        --arch A --variant vulnerable|patched --seed N\n\

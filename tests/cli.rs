@@ -113,11 +113,31 @@ fn experiments_rejects_unknown_ids_before_running_any() {
 }
 
 #[test]
-fn fleet_rejects_unknown_options() {
-    let (out, err, code) = cml(&["fleet", "--devcies", "10"]);
+fn every_command_rejects_unknown_options() {
+    for cmd in [
+        "survey",
+        "analyze",
+        "recon",
+        "repro",
+        "exploit",
+        "dos",
+        "pineapple",
+        "fleet",
+        "resolve",
+        "fuzz",
+    ] {
+        let (out, err, code) = cml(&[cmd, "--devcies", "10"]);
+        assert_eq!(code, Some(1), "{cmd}: stdout {out}");
+        assert!(
+            err.contains(&format!("unknown {cmd} option \"--devcies\"")),
+            "{cmd}: {err}"
+        );
+        assert!(out.is_empty(), "{cmd}: nothing may run:\n{out}");
+    }
+    // A misspelt analyze flag must not fall back to the JSON report.
+    let (out, err, code) = cml(&["analyze", "--sarfi"]);
     assert_eq!(code, Some(1), "stdout: {out}");
-    assert!(err.contains("unknown fleet option \"--devcies\""), "{err}");
-    assert!(out.is_empty(), "no campaign may run:\n{out}");
+    assert!(err.contains("unknown analyze option \"--sarfi\""), "{err}");
 }
 
 #[test]

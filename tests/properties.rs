@@ -175,11 +175,12 @@ proptest! {
         prop_assert_eq!(doc.to_string(), text);
     }
 
-    /// Scheduler determinism: a resolver simulation is a pure function
-    /// of its seed. Fanning independent simulations across any worker
-    /// count and chunk geometry reproduces the serial traces and
-    /// response bytes exactly — the property every fleet/experiment
-    /// table's byte-identical-at-any-`--jobs` claim rests on.
+    /// Resolver determinism: a resolver simulation is a pure function
+    /// of its seed, since its clock advances only by seeded latency
+    /// draws. Fanning independent simulations across any worker count
+    /// reproduces the serial traces and response bytes exactly — the
+    /// property every fleet/experiment table's
+    /// byte-identical-at-any-`--jobs` claim rests on.
     #[test]
     fn resolver_traces_invariant_under_runner_geometry(
         seed in any::<u64>(),
