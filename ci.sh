@@ -5,6 +5,10 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# The two binaries, run from this checkout's release build.
+cml() { cargo run --release --offline -q -p connman-lab --bin cml -- "$@"; }
+repro() { cargo run --release --offline -q -p cml-bench --bin repro -- "$@"; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 # perfbench is its own workspace (see perfbench/), so it is linted by
@@ -36,7 +40,7 @@ echo "==> perfbench correctness tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cml analyze --self-test"
-cargo run --release --offline -q -p connman-lab --bin cml -- analyze --self-test
+cml analyze --self-test
 
 echo "==> cml analyze on every firmware (JSON and SARIF)"
 # Every --firmware spelling on all three ISAs, in both renderings: the
@@ -48,8 +52,7 @@ for arch in x86 arm riscv; do
     [ "$firmware" = patched ] && want=0
     for sarif in "" --sarif; do
       code=0
-      cargo run --release --offline -q -p connman-lab --bin cml -- \
-        analyze --arch "$arch" --firmware "$firmware" ${sarif:+"$sarif"} > /dev/null || code=$?
+      cml analyze --arch "$arch" --firmware "$firmware" ${sarif:+"$sarif"} > /dev/null || code=$?
       [ "$code" -eq "$want" ] || {
         echo "analyze --arch $arch --firmware $firmware $sarif: exit $code, want $want"; exit 1; }
     done
@@ -60,13 +63,13 @@ echo "==> repro --sanitize"
 # Every exploit-matrix registry cell under the VM shadow-memory
 # sanitizer: each payload must be pinpointed as a precise redzone
 # overflow (exit 1 if any cell escapes).
-cargo run --release --offline -q -p cml-bench --bin repro -- --sanitize
+repro --sanitize
 
 echo "==> cml fuzz --smoke"
 # Fixed-seed fuzzing gate: the coverage-guided fuzzer must rediscover
 # the dnsproxy overflow on vulnerable firmware (all three ISAs) and
 # find nothing on patched 1.35, within a small deterministic budget.
-cargo run --release --offline -q -p connman-lab --bin cml -- fuzz --smoke --jobs 2
+cml fuzz --smoke --jobs 2
 
 echo "==> cml fuzz golden"
 # Seed-7 campaigns on all three ISAs at --jobs 1, plus a three-worker
@@ -77,8 +80,7 @@ echo "==> cml fuzz golden"
 fuzz_campaign() {
   local arch=$1 jobs=$2 dir code=0
   dir=$(mktemp -d)
-  cargo run --release --offline -q -p connman-lab --bin cml -- \
-    fuzz --arch "$arch" --seed 7 --max-execs 20000 --jobs "$jobs" --out "$dir/out" \
+  cml fuzz --arch "$arch" --seed 7 --max-execs 20000 --jobs "$jobs" --out "$dir/out" \
     > "$dir/stdout" || code=$?
   [ "$code" -eq 2 ] || { echo "fuzz --arch $arch --jobs $jobs: exit $code, want 2"; return 1; }
   grep -v '^artifacts: ' "$dir/stdout"
@@ -101,13 +103,12 @@ echo "==> cml resolve --smoke"
 # Recursive-resolver gate: delegation chasing, CNAME following, glue
 # chasing, warm cache hits, same-seed trace determinism, and the
 # one-poisoning redirection must all hold on the fixed demo topology.
-cargo run --release --offline -q -p connman-lab --bin cml -- resolve --smoke
+cml resolve --smoke
 
 echo "==> cml resolve --trace golden"
 # The demo walk's trace, answer and counters (simulated clock only, no
 # wall-clock fields) must match the committed golden file byte for byte.
-diff <(cargo run --release --offline -q -p connman-lab --bin cml -- \
-  resolve www.vendor.example --trace) tests/golden/resolve_www_trace.txt || {
+diff <(cml resolve www.vendor.example --trace) tests/golden/resolve_www_trace.txt || {
   echo "resolve --trace: output differs from tests/golden/resolve_www_trace.txt"; exit 1; }
 
 echo "==> cml fleet 10k smoke"
@@ -116,8 +117,7 @@ echo "==> cml fleet 10k smoke"
 # parallel (the trailing parenthesised lines carry wall-clock timings
 # and are excluded from the comparison).
 fleet_smoke() {
-  cargo run --release --offline -q -p connman-lab --bin cml -- \
-    fleet --devices 10000 --jobs "$@" | grep -v '^('
+  cml fleet --devices 10000 --jobs "$@" | grep -v '^('
 }
 diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
@@ -135,11 +135,11 @@ echo "==> cml experiments --jobs 1 vs --jobs 4, and repro"
 # Both front ends run the one experiment registry, so `repro` must
 # print the same tables too.
 experiments() {
-  cargo run --release --offline -q -p connman-lab --bin cml -- experiments --jobs "$1"
+  cml experiments --jobs "$1"
 }
 cmp <(experiments 1) <(experiments 4) || {
   echo "experiments: serial vs parallel tables differ"; exit 1; }
-cmp <(experiments 1) <(cargo run --release --offline -q -p cml-bench --bin repro -- --jobs 2) || {
+cmp <(experiments 1) <(repro --jobs 2) || {
   echo "experiments: repro tables differ from cml experiments"; exit 1; }
 
 echo "==> repro --bench-smoke"
@@ -148,7 +148,7 @@ echo "==> repro --bench-smoke"
 # factor) are the GUARDS table in crates/bench/src/bin/repro.rs; a
 # baseline that predates a path skips that row, and a newest baseline
 # that does not parse fails the stage.
-cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke
+repro --bench-smoke
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

@@ -287,12 +287,13 @@ impl ValueSet {
 /// Per-program-point abstract state: 32 register slots (x86 uses the
 /// low 8, ARM the low 16), the operands of the last flag-setting
 /// comparison (on RISC-V, of the last conditional branch — there is no
-/// separate compare), and the most recent push (the outgoing x86 call
-/// argument).
+/// separate compare) with the registers they were read from, and the
+/// most recent push (the outgoing x86 call argument).
 #[derive(Debug, Clone, PartialEq)]
 struct State {
     regs: [ValueSet; 32],
     flags: (ValueSet, ValueSet),
+    flag_regs: [Option<usize>; 2],
     last_push: ValueSet,
 }
 
@@ -318,6 +319,7 @@ impl State {
         State {
             regs,
             flags: (ValueSet::unknown(), ValueSet::unknown()),
+            flag_regs: [None; 2],
             last_push: ValueSet::unknown(),
         }
     }
@@ -339,12 +341,25 @@ impl State {
             self.flags = f;
             changed = true;
         }
+        for (mine, theirs) in self.flag_regs.iter_mut().zip(other.flag_regs) {
+            if mine.is_some() && *mine != theirs {
+                *mine = None;
+                changed = true;
+            }
+        }
         let p = self.last_push.merge(other.last_push, widen);
         if p != self.last_push {
             self.last_push = p;
             changed = true;
         }
         changed
+    }
+
+    /// Records a comparison of `l` with `r`, each with the register it
+    /// was read from, if any.
+    fn compare(&mut self, l: (ValueSet, Option<usize>), r: (ValueSet, Option<usize>)) {
+        self.flags = (l.0, r.0);
+        self.flag_regs = [l.1, r.1];
     }
 }
 
@@ -610,7 +625,7 @@ pub(crate) fn analyze_function(arch: Arch, f: &Function, cx: &Ctx<'_>) -> FnFact
         .collect();
     let bounds: Vec<Option<u64>> = loops
         .iter()
-        .map(|&(head, end)| loop_trip_bound(f, &exits, head, end))
+        .map(|&(head, end)| loop_trip_bound(f, &inputs, &exits, head, end))
         .collect();
 
     for s in &collected.stores {
@@ -665,8 +680,23 @@ pub(crate) fn analyze_function(arch: Arch, f: &Function, cx: &Ctx<'_>) -> FnFact
 /// untainted constant `k` — `k − lo` for a counter with a known lower
 /// bound `lo` below `k`, else `hi − k` for one with a known upper bound
 /// `hi` above it.
-fn loop_trip_bound(f: &Function, exits: &[Option<State>], head: Addr, end: Addr) -> Option<u64> {
+///
+/// `lo` and `hi` are the counter's range where the loop is entered: a
+/// compare that follows the counter's step reads it one step on, which
+/// would leave the bound one trip short.
+fn loop_trip_bound(
+    f: &Function,
+    inputs: &[Option<State>],
+    exits: &[Option<State>],
+    head: Addr,
+    end: Addr,
+) -> Option<u64> {
     let in_range = |a: Addr| a >= head && a < end;
+    let entered = f
+        .blocks
+        .iter()
+        .position(|b| b.start == head)
+        .and_then(|h| inputs[h].as_ref());
     let mut best: Option<u64> = None;
     for (i, b) in f.blocks.iter().enumerate() {
         if !in_range(b.start) {
@@ -678,20 +708,29 @@ fn loop_trip_bound(f: &Function, exits: &[Option<State>], head: Addr, end: Addr)
         if in_range(taken) && in_range(fall) {
             continue; // not an exit
         }
-        let Some((l, r)) = exits[i].as_ref().map(|st| st.flags) else {
+        let Some(st) = exits[i].as_ref() else {
             continue;
         };
+        let ((l, r), [l_reg, r_reg]) = (st.flags, st.flag_regs);
         // Either order: (counter, k) or (k, counter).
-        for (counter, konst) in [(l, r), (r, l)] {
+        for ((counter, reg), konst) in [((l, l_reg), r), ((r, r_reg), l)] {
             if counter.is_tainted() || konst.is_tainted() {
                 continue;
             }
             let Some(k) = konst.si.as_exact() else {
                 continue;
             };
+            // The counter's register at the loop head, when it is open
+            // on the same sides as at the compare.
+            let open = |si: StridedInterval| (si.lo == i64::MIN, si.hi == i64::MAX);
+            let si = reg
+                .zip(entered)
+                .map(|(reg, st)| st.regs[reg].si)
+                .filter(|&h| open(h) == open(counter.si))
+                .unwrap_or(counter.si);
             // An up-counter runs from a finite `lo` up to `k`, a
             // down-counter from a finite `hi` down to it.
-            let (lo, hi) = (counter.si.lo, counter.si.hi);
+            let (lo, hi) = (si.lo, si.hi);
             let trips = if lo != i64::MIN && k > lo {
                 k.abs_diff(lo)
             } else if hi != i64::MAX && hi > k {
@@ -726,6 +765,10 @@ fn step_x86(
     use x86::Operand as O;
     let r = |reg: X86Reg| reg.bits() as usize;
     let esp = r(X86Reg::Esp);
+    let reg_of = |o: O| match o {
+        O::Reg(d) => Some(r(d)),
+        O::Mem { .. } => None,
+    };
     match *i {
         I::MovRImm(d, v) => st.regs[r(d)] = cx.classify(v),
         I::MovR8Imm(d, _) => st.regs[r(d)] = ValueSet::unknown(),
@@ -802,19 +845,16 @@ fn step_x86(
             st.regs.swap(eax, r(d));
         }
         I::TestRmR { dst, src } | I::CmpRmR { dst, src } => {
-            st.flags = (load_vs(st, dst, cx.is_source, false, &r), st.regs[r(src)]);
+            let l = (load_vs(st, dst, cx.is_source, false, &r), reg_of(dst));
+            st.compare(l, (st.regs[r(src)], Some(r(src))));
         }
         I::CmpRmImm8 { dst, imm } => {
-            st.flags = (
-                load_vs(st, dst, cx.is_source, false, &r),
-                ValueSet::constant(imm as i64),
-            );
+            let l = (load_vs(st, dst, cx.is_source, false, &r), reg_of(dst));
+            st.compare(l, (ValueSet::constant(imm as i64), None));
         }
         I::CmpRmImm32 { dst, imm } => {
-            st.flags = (
-                load_vs(st, dst, cx.is_source, false, &r),
-                ValueSet::constant(imm as i64),
-            );
+            let l = (load_vs(st, dst, cx.is_source, false, &r), reg_of(dst));
+            st.compare(l, (ValueSet::constant(imm as i64), None));
         }
         I::Leave => {
             let ebp = st.regs[r(X86Reg::Ebp)];
@@ -887,7 +927,11 @@ fn step_arm(
         }
         I::LslImm { rd, .. } => st.regs[rd as usize] = ValueSet::unknown(),
         I::CmpImm { rn, imm } => {
-            st.flags = (st.regs[rn as usize], ValueSet::constant(imm as i64));
+            let rn = rn as usize;
+            st.compare(
+                (st.regs[rn], Some(rn)),
+                (ValueSet::constant(imm as i64), None),
+            );
         }
         I::Ldr { rd, rn, .. } => {
             st.regs[rd as usize] = if st.regs[rn as usize].is_tainted() {
@@ -1036,7 +1080,8 @@ fn step_riscv(
         // No compare instruction: the branch's own operands are the
         // "flags" a loop-bound exit is judged by.
         I::Beq { rs1, rs2, .. } | I::Bne { rs1, rs2, .. } => {
-            st.flags = (st.regs[rs1 as usize], st.regs[rs2 as usize]);
+            let (rs1, rs2) = (rs1 as usize, rs2 as usize);
+            st.compare((st.regs[rs1], Some(rs1)), (st.regs[rs2], Some(rs2)));
         }
         I::Jal { rd: 1, .. } | I::Jalr { rd: 1, .. } => {
             if let Some(out) = collect {
@@ -1118,22 +1163,20 @@ mod tests {
         }
     }
 
-    /// A stack copy bounded only by a count-down loop: `mov r0,#16;
-    /// sub r1,sp,#64; l: strb r2,[r1]; add r1,r1,#1; sub r0,r0,#1;
-    /// cmp r0,#0; bne l; bx lr`. Widening sends the counter's `lo` to
-    /// -inf; its `hi` stays 15 at the compare.
-    #[test]
-    fn a_count_down_loop_bounds_its_stores() {
+    /// The one stack write of `mov r0,#init; sub r1,sp,#64; l: strb
+    /// r2,[r1]; add r1,r1,#1; <step r0>; cmp r0,#k; bne l; bx lr`: a
+    /// one-byte copy whose counter is stepped before its exit compare.
+    fn stepped_loop_write(init: u32, step: arm::Insn, k: u32) -> StackWrite {
         use crate::cfg::CfgStats;
         use arm::Insn as I;
         let f = cfg::tests::hand_built(
-            "count_down",
+            "stepped_loop",
             4,
             vec![
                 (
                     0x100,
                     vec![
-                        Op::Arm(I::MovImm { rd: 0, imm: 16 }),
+                        Op::Arm(I::MovImm { rd: 0, imm: init }),
                         Op::Arm(I::SubImm {
                             rd: 1,
                             rn: 13,
@@ -1155,12 +1198,8 @@ mod tests {
                             rn: 1,
                             imm: 1,
                         }),
-                        Op::Arm(I::SubImm {
-                            rd: 0,
-                            rn: 0,
-                            imm: 1,
-                        }),
-                        Op::Arm(I::CmpImm { rn: 0, imm: 0 }),
+                        Op::Arm(step),
+                        Op::Arm(I::CmpImm { rn: 0, imm: k }),
                         Op::Arm(I::BNe { offset: -24 }),
                     ],
                     Terminator::Branch {
@@ -1180,10 +1219,37 @@ mod tests {
         let (img, _) = build_image_for(Arch::Armv7, 0, false);
         let v = &vsa_pass(&cfg, &img, &Default::default())[0];
         assert_eq!(v.writes.len(), 1);
-        let w = &v.writes[0];
+        let w = v.writes[0].clone();
         assert_eq!((w.store_addr, w.start, w.stride), (0x108, -64, 1));
         assert!(w.in_loop);
-        assert_eq!(w.extent, Some(15), "one byte per trip of the down-counter");
+        w
+    }
+
+    /// A count-down copy, 16 down to 0: widening sends the counter's
+    /// `lo` to -inf, and its `hi` is 16 where the loop is entered (15
+    /// at the compare, after the step).
+    #[test]
+    fn a_count_down_loop_bounds_its_stores() {
+        let step = arm::Insn::SubImm {
+            rd: 0,
+            rn: 0,
+            imm: 1,
+        };
+        let w = stepped_loop_write(16, step, 0);
+        assert_eq!(w.extent, Some(16), "one byte per trip of the down-counter");
+    }
+
+    /// A count-up copy, 0 up to 16: the compare reads 1..=16, so the
+    /// bound must start from the 0 the loop is entered with.
+    #[test]
+    fn an_up_counter_stepped_before_its_compare_bounds_exactly() {
+        let step = arm::Insn::AddImm {
+            rd: 0,
+            rn: 0,
+            imm: 1,
+        };
+        let w = stepped_loop_write(0, step, 16);
+        assert_eq!(w.extent, Some(16), "one byte per trip of the up-counter");
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!                       # overflow diagnostics per cell
 //! ```
 //!
-//! Unknown options, unknown experiment ids and a missing or malformed
-//! option value exit 1 before anything runs.
+//! Unknown options, unknown experiment ids, a missing or malformed
+//! option value, and `--bench-smoke` or `--sanitize` beside any other
+//! argument exit 1 before anything runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,6 +138,11 @@ fn main() {
         }
     }
 
+    // The fixed-setting modes run alone: any other argument is refused
+    // rather than ignored.
+    if (bench_smoke || sanitize) && std::env::args().len() > 2 {
+        usage_error("--bench-smoke and --sanitize each take no other arguments");
+    }
     if bench_smoke {
         std::process::exit(smoke_vs_baseline());
     }
@@ -465,13 +471,9 @@ fn run_ablations(trials: u64) -> Value<'static> {
     // coverage-on fork (the production configuration), coverage-off
     // (bitmap cost), reboot-per-exec (snapshot advantage inside the
     // fuzz loop, which also forfeits the warm dirty-page working set).
+    // Each timed campaign includes its own firmware build and boot.
     let fuzz_execs = trials * 64;
     let base_cfg = FuzzConfig::new(FirmwareKind::OpenElec, Arch::X86, 0x5EED, fuzz_execs, 1);
-    // Warm-up, like the template/pool windows above: the first campaign
-    // on a thread builds and boots the firmware; a throwaway run leaves
-    // the fork server cached so the measured wall is campaign
-    // throughput, not boot cost.
-    cml_fuzz::fuzz(&base_cfg);
     let t0 = Instant::now();
     let report = cml_fuzz::fuzz(&base_cfg);
     let fuzz_wall_secs = t0.elapsed().as_secs_f64();
@@ -488,7 +490,7 @@ fn run_ablations(trials: u64) -> Value<'static> {
     let fuzz_reboot_wall_secs = t0.elapsed().as_secs_f64();
 
     // RISC-V fuzzing throughput: the same fixed-seed campaign on the
-    // RV32IC target, warmed the same way as the x86 arm.
+    // RV32IC target, boot included like the x86 arm.
     let riscv_fuzz_execs = trials * 64;
     let riscv_cfg = FuzzConfig::new(
         FirmwareKind::OpenElec,
@@ -497,7 +499,6 @@ fn run_ablations(trials: u64) -> Value<'static> {
         riscv_fuzz_execs,
         1,
     );
-    cml_fuzz::fuzz(&riscv_cfg);
     let t0 = Instant::now();
     let riscv_report = cml_fuzz::fuzz(&riscv_cfg);
     let riscv_fuzz_wall_secs = t0.elapsed().as_secs_f64();

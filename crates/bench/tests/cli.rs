@@ -70,3 +70,23 @@ fn bench_smoke_fails_on_an_unparsable_newest_baseline() {
     assert_eq!(code, Some(1), "{err}");
     assert!(err.contains("BENCH_4.json: json parse error"), "{err}");
 }
+
+#[test]
+fn fixed_setting_modes_refuse_any_other_argument() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for args in [
+        &["--sanitize", "--json", "--out", "x.md", "e5"][..],
+        &["--bench-smoke", "--json"],
+        &["--bench-smoke", "--out", "x.md", "e2"],
+        &["--bench-smoke", "--sanitize"],
+    ] {
+        let (out, err, code) = repro_in(&dir, args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(err.contains("take no other arguments"), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: nothing ran: {out}");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "{args:?}: wrote {written:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,15 +1,17 @@
 //! The parallel fuzzing driver.
 //!
 //! Workers run *independent* campaigns over [`cml_core::Runner`]'s
-//! claim counter: worker `w` derives its own RNG streams from
-//! `derive_seed(cfg.seed, w)`, owns its own fork server, mutation
-//! scratch buffer, corpus, and coverage accumulator, and spends a fixed
-//! slice of the exec budget. Nothing crosses threads mid-campaign, so
+//! claim counter: campaign `w` derives its own RNG streams from
+//! `derive_seed(cfg.seed, w)`, owns its corpus and coverage
+//! accumulator, and spends a fixed slice of the exec budget. Each
+//! worker thread builds its fork server and mutation scratch pool once,
+//! in `run_chunks`' `init`, and drops them before [`fuzz`] returns.
+//! Every exec starts from a snapshot rewind, so which thread serves a
+//! campaign changes nothing. Nothing crosses threads mid-campaign, so
 //! the merged report is byte-identical for a given `(seed, jobs)` pair
 //! regardless of scheduling — the reproducibility contract `--seed`
 //! promises.
 
-use std::cell::RefCell;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -186,24 +188,11 @@ struct WorkerResult {
     crashes: Vec<CrashRecord>,
 }
 
-/// A worker's cached fork server plus mutation scratch, reused across
-/// execs (and across campaigns with identical identity).
-///
-/// Reuse is safe because everything campaign-visible lives outside this
-/// cache: the corpus, coverage accumulator, and RNG streams are rebuilt
-/// per campaign, and every exec starts from a snapshot rewind, so a
-/// warm harness is indistinguishable from a fresh boot (the
-/// `same_seed_same_report` test pins this down). What reuse buys is
-/// skipping the firmware build + boot on every campaign after a
-/// thread's first — the dominant fixed cost of short campaigns.
+/// A worker's fork server plus mutation scratch, reused across the
+/// execs of one campaign and dropped before [`fuzz`] returns.
 struct WorkerState {
-    identity: (FirmwareKind, Arch, u64, bool, bool),
     harness: Harness,
     pool: BufPool,
-}
-
-thread_local! {
-    static WORKER: RefCell<Option<WorkerState>> = const { RefCell::new(None) };
 }
 
 /// Runs one campaign and merges the worker results deterministically.
@@ -212,37 +201,25 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let runner = Runner::new(cfg.jobs);
     let per_worker = cfg.max_execs / cfg.jobs as u64;
     let remainder = cfg.max_execs % cfg.jobs as u64;
-    let results = runner.run((0..cfg.jobs).collect::<Vec<_>>(), |_, widx| {
-        let budget = per_worker + if widx == 0 { remainder } else { 0 };
-        WORKER.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let identity = (
+    let results = runner.run_chunks(
+        cfg.jobs as u64,
+        1,
+        || WorkerState {
+            harness: Harness::new(
                 cfg.kind,
                 cfg.arch,
                 cfg.seed,
                 cfg.coverage,
                 cfg.reboot_per_exec,
-            );
-            let state = match slot.as_mut() {
-                Some(s) if s.identity == identity => s,
-                _ => {
-                    *slot = Some(WorkerState {
-                        identity,
-                        harness: Harness::new(
-                            cfg.kind,
-                            cfg.arch,
-                            cfg.seed,
-                            cfg.coverage,
-                            cfg.reboot_per_exec,
-                        ),
-                        pool: BufPool::new(),
-                    });
-                    slot.as_mut().expect("just set")
-                }
-            };
+            ),
+            pool: BufPool::new(),
+        },
+        |state, cell| {
+            let widx = cell.start as usize;
+            let budget = per_worker + if widx == 0 { remainder } else { 0 };
             run_campaign(&cfg, widx, budget, state)
-        })
-    });
+        },
+    );
     let mut workers = Vec::with_capacity(results.len());
     let mut corpus = Vec::new();
     let mut crashes: Vec<CrashRecord> = Vec::new();

@@ -3,7 +3,9 @@
 //! Boots one firmware variant via [`Firmware::forge`], then serves
 //! every fuzz input from a snapshot restore: fork at the forge's base
 //! seed is a pure dirty-page rewind, so the per-input cost is the parse
-//! itself, not a boot. A `--no-fork` style reboot mode (full
+//! itself, not a boot. The driver builds one harness per worker thread
+//! per campaign, so one build and boot is each campaign's fixed cost. A
+//! reboot mode (`FuzzConfig::reboot_per_exec`: a full
 //! [`Firmware::boot`] per input) exists solely so the
 //! `fork_vs_reboot_fuzz` ablation can measure what the snapshot path
 //! saves.

@@ -14,7 +14,11 @@
 //! cml fuzz --arch x86 --variant vulnerable --seed 7 --max-execs 2000
 //! cml experiments [e1 .. e10] --jobs 4    # regenerate paper tables
 //! ```
+//!
+//! Each command reads only its own options; any other argument exits 1
+//! before anything runs.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -26,87 +30,80 @@ use connman_lab::exploit::{
 use connman_lab::{Arch, AttackOutcome, ExploitStrategy, FirmwareKind, Lab, Protections};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
         usage();
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(&args[1..]) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Commands that read no arguments of their own beyond the shared
-    // options reject any leftover one instead of ignoring it.
-    let unread = match cmd.as_str() {
-        "survey" | "recon" | "repro" | "exploit" | "dos" | "pineapple" => opts.rest.first(),
-        "analyze" => opts
-            .rest
-            .iter()
-            .find(|a| !matches!(a.as_str(), "--sarif" | "--self-test")),
-        _ => None,
-    };
-    if let Some(other) = unread {
-        eprintln!("unknown {cmd} option {other:?}");
-        return ExitCode::FAILURE;
-    }
-    match cmd.as_str() {
-        "survey" => survey(),
-        "analyze" => analyze_cmd(&opts),
-        "recon" => recon(&opts),
-        "repro" => repro(&opts),
-        "exploit" => exploit(&opts),
-        "dos" => dos(&opts),
-        "pineapple" => pineapple(&opts),
-        "fleet" => fleet(&opts),
-        "resolve" => resolve_cmd(&opts),
-        "fuzz" => fuzz_cmd(&opts),
-        "experiments" => experiments(&opts),
+    let run: fn(Args) -> Result<ExitCode, String> = match cmd.as_str() {
+        "survey" => survey,
+        "analyze" => analyze_cmd,
+        "recon" => recon,
+        "repro" => repro,
+        "exploit" => exploit,
+        "dos" => dos,
+        "pineapple" => pineapple,
+        "fleet" => fleet,
+        "resolve" => resolve_cmd,
+        "fuzz" => fuzz_cmd,
+        "experiments" => experiments,
         "--help" | "-h" | "help" => {
             usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         other => {
             eprintln!("unknown command {other:?}");
             usage();
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    let args = Args::new(cmd, argv.collect());
+    run(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
 
 fn usage() {
     eprintln!(
         "usage: cml <command> [options]\n\
          \n\
-         commands:\n\
+         commands, each with every option it reads:\n\
          \x20 survey                         exploitability per firmware profile\n\
-         \x20 analyze     --arch A --firmware F   static analysis report (JSON)\n\
-         \x20 analyze     --sarif            emit the report as SARIF 2.1.0\n\
+         \x20 analyze     [--arch A] [--firmware F] [--sarif]\n\
+         \x20                                static analysis report (JSON, or\n\
+         \x20                                SARIF 2.1.0 with --sarif)\n\
          \x20 analyze     --self-test        run the analyzer's CI self-test\n\
-         \x20 recon       --arch A           run reconnaissance, print findings\n\
-         \x20 repro       [--arch A]         replay the exploit matrix (all nine\n\
+         \x20 recon       [--arch A] [--prot P] [--firmware F]\n\
+         \x20                                run reconnaissance, print findings\n\
+         \x20 repro       [--arch A] [--firmware F]\n\
+         \x20                                replay the exploit matrix (all nine\n\
          \x20                                cells, or one ISA's column)\n\
-         \x20 exploit     --arch A --prot P --strategy S\n\
-         \x20 dos         --arch A --prot P  crash-only probe\n\
-         \x20 pineapple   --arch A           remote rogue-AP scenario\n\
-         \x20 fleet       --devices N [--cohorts SPEC] [--stream] [--resolver]\n\
-         \x20                                rogue-AP attack on an N-device fleet\n\
+         \x20 exploit     [--arch A] [--prot P] [--strategy S] [--firmware F]\n\
+         \x20 dos         [--arch A] [--prot P] [--firmware F]\n\
+         \x20                                crash-only probe\n\
+         \x20 pineapple   [--arch A]         remote rogue-AP scenario\n\
+         \x20 fleet       [--devices N | --cohorts SPEC] [--jobs N] [--stream]\n\
+         \x20             [--fresh-boot] [--resolver]\n\
+         \x20                                rogue-AP attack on a fleet\n\
+         \x20                                (`cml fleet --help` explains each)\n\
          \x20 resolve     [NAME] [--seed N] [--trace]\n\
          \x20                                recursive resolution (root → TLD →\n\
          \x20                                authoritative) on a simulated clock\n\
          \x20 resolve     --smoke            resolver CI gate: delegation, CNAME,\n\
          \x20                                cache hit, determinism, poisoning\n\
-         \x20 fuzz        --arch A --variant vulnerable|patched --seed N\n\
-         \x20             --max-execs N [--out DIR]\n\
+         \x20 fuzz        [--arch A] [--variant vulnerable|patched | --firmware F]\n\
+         \x20             [--seed N] [--max-execs N] [--out DIR] [--jobs N]\n\
          \x20                                coverage-guided fuzzing campaign\n\
-         \x20 fuzz        --smoke            fixed-seed CI check: the fuzzer must\n\
+         \x20                                (defaults: seed 24301, 2000 execs,\n\
+         \x20                                out fuzz_out)\n\
+         \x20 fuzz        --smoke [--jobs N] fixed-seed CI check: the fuzzer must\n\
          \x20                                rediscover the overflow on vulnerable\n\
          \x20                                firmware and find nothing on patched\n\
-         \x20 experiments [e1 .. e10]        regenerate the paper tables\n\
+         \x20 experiments [e1 .. e10] [--jobs N]\n\
+         \x20                                regenerate the paper tables\n\
          \n\
-         options:\n\
+         values:\n\
          \x20 --arch      x86 | arm | riscv      (default arm)\n\
          \x20 --prot      none | wxorx | full | canary | cfi | pie (default full;\n\
          \x20                                    also wx, full+canary, full+cfi, full+pie)\n\
@@ -114,206 +111,230 @@ fn usage() {
          \x20                                    (default auto: the technique matched\n\
          \x20                                    to --prot)\n\
          \x20 --firmware  yocto | openelec | tizen | patched (default openelec)\n\
-         \x20 --jobs      N                      worker threads for experiments/fleet\n\
-         \x20                                    (default 1, 0 = one per CPU)\n\
-         \x20 --devices   N                      fleet size (default 100)\n\
-         \x20 --cohorts   name=kind/arch/prot/count[/loss=P%][/entropy=B|full],...\n\
-         \x20                                    explicit fleet mix (overrides --devices)\n\
-         \x20 --stream    fleet: live devices/sec progress line on stderr\n\
-         \x20 --fresh-boot                       fleet: boot every session from scratch\n\
-         \x20                                    instead of forking boot snapshots\n\
-         \x20 --resolver  fleet: cohorts query through a shared upstream resolver\n\
-         \x20                                    cache poisoned once per cohort"
+         \x20 --jobs      N                      worker threads (default 1; 0 = one per\n\
+         \x20                                    CPU, except fuzz, where 0 runs one)"
     );
 }
 
-struct Opts {
-    arch: Arch,
-    arch_given: bool,
-    prot: Protections,
-    /// Builds the `--strategy` technique for the chosen arch and prot.
-    strategy: fn(Arch, &Protections) -> Box<dyn ExploitStrategy>,
-    firmware: FirmwareKind,
-    jobs: usize,
-    devices: usize,
-    snapshot: bool,
-    cohorts: Option<String>,
-    stream: bool,
-    resolver: bool,
-    rest: Vec<String>,
-    /// Every argument after the command, as given.
+/// The arguments after the command. Each command takes the flags,
+/// values and positionals it reads, in any order, and then calls
+/// [`Args::finish`], which fails on the first argument nothing took.
+struct Args {
+    cmd: String,
     args: Vec<String>,
+    taken: Vec<bool>,
 }
 
-/// Parses the value of `flag` with its type's own spelling table.
-fn value<T: FromStr<Err = String>>(flag: &str, v: Option<&String>) -> Result<T, String> {
-    v.ok_or_else(|| format!("{flag} wants a value"))?.parse()
-}
-
-/// Parses the count given to `flag`.
-fn count(flag: &str, v: Option<&String>) -> Result<usize, String> {
-    let v = v.ok_or_else(|| format!("{flag} wants a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag} wants a number, got {v:?}"))
-}
-
-impl Opts {
-    /// Parses the options after the command; unknown values are errors.
-    fn parse(args: &[String]) -> Result<Opts, String> {
-        let mut o = Opts {
-            arch: Arch::Armv7,
-            arch_given: false,
-            prot: Protections::full(),
-            strategy: matched_strategy,
-            firmware: FirmwareKind::OpenElec,
-            jobs: 1,
-            devices: 100,
-            snapshot: true,
-            cohorts: None,
-            stream: false,
-            resolver: false,
-            rest: Vec::new(),
-            args: args.to_vec(),
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--arch" => {
-                    o.arch = value("--arch", it.next())?;
-                    o.arch_given = true;
-                }
-                "--prot" => o.prot = value("--prot", it.next())?,
-                "--strategy" => {
-                    o.strategy = match it.next().ok_or("--strategy wants a value")?.as_str() {
-                        "auto" => matched_strategy,
-                        "injection" => |arch, _| Box::new(CodeInjection::new(arch)),
-                        "ret2libc" => |_, _| Box::new(Ret2Libc::new()),
-                        "execlp" => |_, _| Box::new(ArmGadgetExeclp::new()),
-                        "system" => |_, _| Box::new(RiscvGadgetSystem::new()),
-                        "rop" => |arch, _| Box::new(RopMemcpyChain::new(arch)),
-                        other => {
-                            return Err(format!(
-                                "unknown strategy {other:?} (want injection | ret2libc | \
-                                 execlp | system | rop | auto)"
-                            ))
-                        }
-                    }
-                }
-                "--firmware" => o.firmware = value("--firmware", it.next())?,
-                "--jobs" => o.jobs = count("--jobs", it.next())?,
-                "--devices" => o.devices = count("--devices", it.next())?,
-                "--snapshot" => o.snapshot = true,
-                "--fresh-boot" => o.snapshot = false,
-                "--cohorts" => {
-                    o.cohorts = Some(it.next().ok_or("--cohorts wants a value")?.clone());
-                }
-                "--stream" => o.stream = true,
-                "--resolver" => o.resolver = true,
-                other => o.rest.push(other.to_string()),
-            }
-        }
-        Ok(o)
+impl Args {
+    fn new(cmd: String, args: Vec<String>) -> Args {
+        let taken = vec![false; args.len()];
+        Args { cmd, args, taken }
     }
 
-    /// Whether `--smoke` was given. A smoke gate runs fixed settings, so
-    /// any argument beside it other than the global `--jobs N` is an
-    /// error instead of being silently ignored.
-    fn smoke(&self) -> Result<bool, String> {
-        if !self.rest.iter().any(|a| a == "--smoke") {
-            return Ok(false);
-        }
-        let mut it = self.args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--smoke" => {}
-                "--jobs" => {
-                    it.next();
-                }
-                other => return Err(format!("--smoke takes no other arguments, got {other:?}")),
+    /// Takes every argument left that `wanted` accepts.
+    fn take_all(&mut self, wanted: impl Fn(&str) -> bool) -> Vec<String> {
+        let mut took = Vec::new();
+        for (a, taken) in self.args.iter().zip(&mut self.taken) {
+            if !*taken && wanted(a) {
+                *taken = true;
+                took.push(a.clone());
             }
         }
-        Ok(true)
+        took
+    }
+
+    /// Takes every `flag`; whether one was given.
+    fn flag(&mut self, flag: &str) -> bool {
+        !self.take_all(|a| a == flag).is_empty()
+    }
+
+    /// Takes every `flag` with the argument after it, parsing each with
+    /// `parse`. The last one wins; `default` when `flag` is absent.
+    fn parsed<T>(
+        &mut self,
+        flag: &str,
+        default: T,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut value = default;
+        let mut i = 0;
+        while i < self.args.len() {
+            if self.taken[i] || self.args[i] != flag {
+                i += 1;
+                continue;
+            }
+            self.taken[i] = true;
+            if self.taken.get(i + 1) != Some(&false) {
+                return Err(format!("{flag} wants a value"));
+            }
+            self.taken[i + 1] = true;
+            value = parse(&self.args[i + 1])?;
+            i += 2;
+        }
+        Ok(value)
+    }
+
+    /// `flag`'s value, in its type's own spelling table.
+    fn value<T: FromStr<Err = String>>(&mut self, flag: &str, default: T) -> Result<T, String> {
+        self.parsed(flag, default, str::parse)
+    }
+
+    /// `flag`'s number.
+    fn number<T: FromStr>(&mut self, flag: &str, default: T) -> Result<T, String> {
+        self.parsed(flag, default, |v| {
+            v.parse()
+                .map_err(|_| format!("{flag} wants a number, got {v:?}"))
+        })
+    }
+
+    /// Takes every argument left that is not an option.
+    fn positionals(&mut self) -> Vec<String> {
+        self.take_all(|a| !a.starts_with('-'))
+    }
+
+    /// The first argument nothing took.
+    fn left(&self) -> Option<&String> {
+        self.args
+            .iter()
+            .zip(&self.taken)
+            .find(|(_, t)| !**t)
+            .map(|(a, _)| a)
+    }
+
+    /// Fails on the first argument nothing took.
+    fn finish(self) -> Result<(), String> {
+        match self.left() {
+            Some(a) => Err(format!("unknown {} option {a:?}", self.cmd)),
+            None => Ok(()),
+        }
+    }
+
+    /// Like [`Args::finish`], for a `gate` that runs fixed settings.
+    fn finish_gate(self, gate: &str) -> Result<(), String> {
+        match self.left() {
+            Some(a) => Err(format!("{gate} takes no other arguments, got {a:?}")),
+            None => Ok(()),
+        }
+    }
+
+    fn arch(&mut self) -> Result<Arch, String> {
+        self.value("--arch", Arch::Armv7)
+    }
+
+    fn prot(&mut self) -> Result<Protections, String> {
+        self.value("--prot", Protections::full())
+    }
+
+    fn firmware(&mut self) -> Result<FirmwareKind, String> {
+        self.value("--firmware", FirmwareKind::OpenElec)
+    }
+
+    fn jobs(&mut self) -> Result<usize, String> {
+        self.number("--jobs", 1)
     }
 }
 
-fn survey() -> ExitCode {
+/// Builds the `--strategy` technique for the chosen arch and prot.
+type StrategyFn = fn(Arch, &Protections) -> Box<dyn ExploitStrategy>;
+
+fn parse_strategy(name: &str) -> Result<StrategyFn, String> {
+    Ok(match name {
+        "auto" => matched_strategy,
+        "injection" => |arch, _| Box::new(CodeInjection::new(arch)),
+        "ret2libc" => |_, _| Box::new(Ret2Libc::new()),
+        "execlp" => |_, _| Box::new(ArmGadgetExeclp::new()),
+        "system" => |_, _| Box::new(RiscvGadgetSystem::new()),
+        "rop" => |arch, _| Box::new(RopMemcpyChain::new(arch)),
+        other => {
+            return Err(format!(
+                "unknown strategy {other:?} (want injection | ret2libc | \
+                 execlp | system | rop | auto)"
+            ))
+        }
+    })
+}
+
+fn survey(args: Args) -> Result<ExitCode, String> {
+    args.finish()?;
     println!("{}", connman_lab::experiments::e4::run(1).to_markdown());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn analyze_cmd(opts: &Opts) -> ExitCode {
-    if opts.rest.iter().any(|a| a == "--self-test") {
+fn analyze_cmd(mut args: Args) -> Result<ExitCode, String> {
+    if args.flag("--self-test") {
+        args.finish_gate("--self-test")?;
         return match connman_lab::analysis::self_test() {
             Ok(summary) => {
                 println!("analyze self-test OK");
                 println!("{summary}");
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             }
-            Err(e) => {
-                eprintln!("analyze self-test FAILED: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => Err(format!("analyze self-test FAILED: {e}")),
         };
     }
-    let firmware = connman_lab::Firmware::build(opts.firmware, opts.arch);
+    let arch = args.arch()?;
+    let kind = args.firmware()?;
+    let sarif = args.flag("--sarif");
+    args.finish()?;
+    let firmware = connman_lab::Firmware::build(kind, arch);
     let report = connman_lab::analysis::analyze(firmware.image());
-    if opts.rest.iter().any(|a| a == "--sarif") {
+    if sarif {
         println!("{}", report.to_sarif());
     } else {
         println!("{}", report.to_json());
     }
     // Exit 2 signals "findings present" so scripts can gate on it, the
     // same convention the exploit command uses for "no shell".
-    if report.clean() {
+    Ok(if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
-    }
+    })
 }
 
-fn recon(opts: &Opts) -> ExitCode {
-    let lab = Lab::new(opts.firmware, opts.arch).with_protections(opts.prot);
-    match lab.recon() {
-        Ok(info) => {
-            println!(
-                "target: {} on {} ({})",
-                opts.firmware.os_name(),
-                opts.arch,
-                opts.prot.label()
-            );
-            println!("buffer → ret offset : {}", info.frame.ret_offset);
-            println!("reference buffer    : {:#010x}", info.frame.buf_addr);
-            println!("NULL-check slots    : {:?}", info.frame.null_offsets);
-            println!(".bss base           : {:#010x}", info.bss_base);
-            for plt in ["memcpy", "execlp"] {
-                if let Some(a) = info.plt(plt) {
-                    println!("{plt}@plt          : {a:#010x}");
-                }
-            }
-            println!("gadgets found       : {}", info.gadgets.len());
-            for g in info.gadgets.iter().take(12) {
-                println!("  {g}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("recon failed: {e}");
-            ExitCode::FAILURE
+fn recon(mut args: Args) -> Result<ExitCode, String> {
+    let arch = args.arch()?;
+    let prot = args.prot()?;
+    let firmware = args.firmware()?;
+    args.finish()?;
+    let lab = Lab::new(firmware, arch).with_protections(prot);
+    let info = lab.recon().map_err(|e| format!("recon failed: {e}"))?;
+    println!(
+        "target: {} on {} ({})",
+        firmware.os_name(),
+        arch,
+        prot.label()
+    );
+    println!("buffer → ret offset : {}", info.frame.ret_offset);
+    println!("reference buffer    : {:#010x}", info.frame.buf_addr);
+    println!("NULL-check slots    : {:?}", info.frame.null_offsets);
+    println!(".bss base           : {:#010x}", info.bss_base);
+    for plt in ["memcpy", "execlp"] {
+        if let Some(a) = info.plt(plt) {
+            println!("{plt}@plt          : {a:#010x}");
         }
     }
+    println!("gadgets found       : {}", info.gadgets.len());
+    for g in info.gadgets.iter().take(12) {
+        println!("  {g}");
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Replays the paper's exploit matrix: for every protection level the
 /// matched technique must pop a root shell. `--arch` narrows the run to
 /// one column; without it all nine cells run.
-fn repro(opts: &Opts) -> ExitCode {
+fn repro(mut args: Args) -> Result<ExitCode, String> {
+    let arch = args.parsed("--arch", None, |v| v.parse().map(Some))?;
+    let firmware = args.firmware()?;
+    args.finish()?;
     let cells: Vec<_> = matrix()
         .into_iter()
-        .filter(|(arch, _, _)| !opts.arch_given || *arch == opts.arch)
+        .filter(|(a, _, _)| arch.is_none_or(|want| *a == want))
         .collect();
     let mut failures = 0;
     for (arch, prot, strategy) in &cells {
-        let lab = Lab::new(opts.firmware, *arch).with_protections(*prot);
+        let lab = Lab::new(firmware, *arch).with_protections(*prot);
         let cell = format!(
             "{:7} / {:8} / {} ({})",
             arch.to_string(),
@@ -336,52 +357,56 @@ fn repro(opts: &Opts) -> ExitCode {
     }
     if failures == 0 {
         println!("repro: all {} cells popped a root shell", cells.len());
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("repro: {failures} cell(s) failed");
-        ExitCode::from(2)
+        Ok(ExitCode::from(2))
     }
 }
 
-fn exploit(opts: &Opts) -> ExitCode {
-    let strategy = (opts.strategy)(opts.arch, &opts.prot);
-    let lab = Lab::new(opts.firmware, opts.arch).with_protections(opts.prot);
+fn exploit(mut args: Args) -> Result<ExitCode, String> {
+    let arch = args.arch()?;
+    let prot = args.prot()?;
+    let strategy = args.parsed("--strategy", matched_strategy as StrategyFn, parse_strategy)?;
+    let firmware = args.firmware()?;
+    args.finish()?;
+    let strategy = strategy(arch, &prot);
+    let lab = Lab::new(firmware, arch).with_protections(prot);
     println!(
         "attacking {} / {} / {} with {}…",
-        opts.firmware.os_name(),
-        opts.arch,
-        opts.prot.label(),
+        firmware.os_name(),
+        arch,
+        prot.label(),
         strategy.name()
     );
-    match lab.run_exploit(strategy.as_ref()) {
-        Ok(report) => {
-            println!("outcome   : {}", report.outcome);
-            println!(
-                "predicted : {}",
-                if report.predicted_success {
-                    "shell"
-                } else {
-                    "no shell"
-                }
-            );
-            println!("detail    : {}", report.proxy_outcome);
-            println!("\n{}", report.listing);
-            if report.outcome == AttackOutcome::RootShell {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            }
+    let report = lab
+        .run_exploit(strategy.as_ref())
+        .map_err(|e| format!("attack could not be built: {e}"))?;
+    println!("outcome   : {}", report.outcome);
+    println!(
+        "predicted : {}",
+        if report.predicted_success {
+            "shell"
+        } else {
+            "no shell"
         }
-        Err(e) => {
-            eprintln!("attack could not be built: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    );
+    println!("detail    : {}", report.proxy_outcome);
+    println!("\n{}", report.listing);
+    Ok(if report.outcome == AttackOutcome::RootShell {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
+    })
 }
 
-fn dos(opts: &Opts) -> ExitCode {
-    let lab = Lab::new(opts.firmware, opts.arch).with_protections(opts.prot);
-    match lab.run_exploit(&DosCrash::new()) {
+fn dos(mut args: Args) -> Result<ExitCode, String> {
+    let arch = args.arch()?;
+    let prot = args.prot()?;
+    let firmware = args.firmware()?;
+    args.finish()?;
+    let lab = Lab::new(firmware, arch).with_protections(prot);
+    Ok(match lab.run_exploit(&DosCrash::new()) {
         Ok(report) => {
             println!("{}", report.proxy_outcome);
             ExitCode::SUCCESS
@@ -390,25 +415,22 @@ fn dos(opts: &Opts) -> ExitCode {
             println!("daemon survived: {e}");
             ExitCode::from(2)
         }
-    }
+    })
 }
 
-fn pineapple(opts: &Opts) -> ExitCode {
+fn pineapple(mut args: Args) -> Result<ExitCode, String> {
+    let arch = args.arch()?.to_string();
+    args.finish()?;
     // Reuse the E3 machinery for a single run at the chosen arch.
     let table = connman_lab::experiments::e3::run();
-    let rows: Vec<_> = table
-        .rows
-        .iter()
-        .filter(|r| r[1] == opts.arch.to_string())
-        .collect();
-    println!("### remote rogue-AP runs for {}\n", opts.arch);
-    for r in rows {
+    println!("### remote rogue-AP runs for {arch}\n");
+    for r in table.rows.iter().filter(|r| r[1] == arch) {
         println!(
             "{} [{}]: lured={} rogue-dns={} → {}",
             r[0], r[2], r[3], r[4], r[5]
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 const FLEET_USAGE: &str = "usage: cml fleet [--devices N | --cohorts SPEC] [--jobs N] [--stream]\n\
@@ -422,40 +444,33 @@ const FLEET_USAGE: &str = "usage: cml fleet [--devices N | --cohorts SPEC] [--jo
      \x20 --resolver      cohorts query through a shared upstream resolver cache\n\
      \x20                 poisoned once per cohort";
 
-fn fleet(opts: &Opts) -> ExitCode {
+fn fleet(mut args: Args) -> Result<ExitCode, String> {
     use connman_lab::fleet::{
         run_fleet_cfg, CohortSpec, FleetConfig, FleetSpec, MAX_FLEET_DEVICES,
     };
 
-    if opts.rest.iter().any(|a| a == "--help" || a == "-h") {
+    if args.flag("--help") | args.flag("-h") {
         println!("{FLEET_USAGE}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if let Some(other) = opts.rest.first() {
-        eprintln!("unknown fleet option {other:?}\n{FLEET_USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let spec = match &opts.cohorts {
-        Some(list) => match CohortSpec::parse_list(list) {
-            Ok(cohorts) => FleetSpec {
-                base_seed: 0xF1EE7,
-                cohorts,
-            },
-            Err(err) => {
-                eprintln!("--cohorts: {err}");
-                return ExitCode::FAILURE;
-            }
+    let devices: u64 = args.number("--devices", 100)?;
+    let cohorts = args.parsed("--cohorts", None, |v| Ok(Some(v.to_string())))?;
+    let mut cfg = FleetConfig::new(args.jobs()?);
+    let stream = args.flag("--stream");
+    cfg.no_snapshot = args.flag("--fresh-boot");
+    cfg.resolver = args.flag("--resolver");
+    args.finish().map_err(|e| format!("{e}\n{FLEET_USAGE}"))?;
+    let spec = match cohorts {
+        Some(list) => FleetSpec {
+            base_seed: 0xF1EE7,
+            cohorts: CohortSpec::parse_list(&list).map_err(|err| format!("--cohorts: {err}"))?,
         },
-        None if opts.devices as u64 > MAX_FLEET_DEVICES => {
-            eprintln!("--devices: at most {MAX_FLEET_DEVICES} devices");
-            return ExitCode::FAILURE;
+        None if devices > MAX_FLEET_DEVICES => {
+            return Err(format!("--devices: at most {MAX_FLEET_DEVICES} devices"));
         }
-        None => FleetSpec::heterogeneous(opts.devices as u64, 0xF1EE7),
+        None => FleetSpec::heterogeneous(devices, 0xF1EE7),
     };
-    let mut cfg = FleetConfig::new(opts.jobs);
-    cfg.no_snapshot = !opts.snapshot;
-    cfg.resolver = opts.resolver;
-    if opts.stream {
+    if stream {
         cfg.progress = Some(std::sync::Arc::new(|done, secs| {
             eprint!(
                 "\r{done} devices, {:.0} devices/sec ",
@@ -464,7 +479,7 @@ fn fleet(opts: &Opts) -> ExitCode {
         }));
     }
     let report = run_fleet_cfg(&spec, &cfg);
-    if opts.stream {
+    if stream {
         eprintln!();
     }
     print!("{}", report.render());
@@ -479,87 +494,46 @@ fn fleet(opts: &Opts) -> ExitCode {
         "(phases: forge {:.3}s, deliver {:.3}s, vm {:.3}s)",
         p.forge_secs, p.deliver_secs, p.vm_secs
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn resolve_cmd(opts: &Opts) -> ExitCode {
+fn resolve_cmd(mut args: Args) -> Result<ExitCode, String> {
     use connman_lab::dns::{Message, Name, Question, RecordType};
     use connman_lab::netsim::{example_internet, RecursiveResolver};
 
-    match opts.smoke() {
-        Ok(true) => return resolve_smoke(),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    if args.flag("--smoke") {
+        args.finish_gate("--smoke")?;
+        return Ok(resolve_smoke());
     }
-    let mut seed = 7u64;
-    let mut trace = false;
-    let mut name_arg: Option<String> = None;
-    let mut it = opts.rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("--seed wants a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => trace = true,
-            other if !other.starts_with('-') => {
-                if let Some(first) = &name_arg {
-                    eprintln!("resolve takes one name, got {first:?} and {other:?}");
-                    return ExitCode::FAILURE;
-                }
-                name_arg = Some(other.to_string());
-            }
-            other => {
-                eprintln!("unknown resolve option {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let seed = args.number("--seed", 7u64)?;
+    let trace = args.flag("--trace");
+    let names = args.positionals();
+    args.finish()?;
     let (mut net, demo) = example_internet();
-    let name = match name_arg {
-        Some(s) => match Name::parse(&s) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("bad name {s:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => demo,
+    let name = match &names[..] {
+        [] => demo,
+        [s] => Name::parse(s).map_err(|e| format!("bad name {s:?}: {e}"))?,
+        [first, other, ..] => {
+            return Err(format!(
+                "resolve takes one name, got {first:?} and {other:?}"
+            ))
+        }
     };
     let mut resolver = RecursiveResolver::new(seed, 1024);
-    let query = match Message::query(1, Question::new(name.clone(), RecordType::A)).encode() {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("query does not encode: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(resp) = resolver.handle_query(&mut net, &query) else {
-        if trace {
-            print!("{}", resolver.trace());
-        }
-        eprintln!("resolution failed for {name}");
-        return ExitCode::from(2);
-    };
+    let query = Message::query(1, Question::new(name.clone(), RecordType::A))
+        .encode()
+        .map_err(|e| format!("query does not encode: {e}"))?;
+    let resp = resolver.handle_query(&mut net, &query);
     if trace {
         print!("{}", resolver.trace());
     }
-    match Message::decode(&resp) {
-        Ok(m) => {
-            for r in m.answers() {
-                println!("{r}");
-            }
-        }
-        Err(e) => {
-            eprintln!("response does not decode: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(resp) = resp else {
+        eprintln!("resolution failed for {name}");
+        return Ok(ExitCode::from(2));
+    };
+    let m = Message::decode(&resp).map_err(|e| format!("response does not decode: {e}"))?;
+    for r in m.answers() {
+        println!("{r}");
     }
     let s = resolver.stats();
     let c = resolver.cache().stats();
@@ -574,7 +548,7 @@ fn resolve_cmd(opts: &Opts) -> ExitCode {
         c.misses,
         resolver.now()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Fixed-seed resolver CI gate: delegation chasing, CNAME following,
@@ -672,17 +646,12 @@ fn resolve_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn fuzz_cmd(opts: &Opts) -> ExitCode {
+fn fuzz_cmd(mut args: Args) -> Result<ExitCode, String> {
     use connman_lab::fuzz::{fuzz, FuzzConfig};
 
-    let smoke = match opts.smoke() {
-        Ok(smoke) => smoke,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if smoke {
+    if args.flag("--smoke") {
+        let jobs = args.jobs()?.max(1);
+        args.finish_gate("--smoke")?;
         // Fixed-seed CI gate: the three campaigns below must behave
         // exactly this way on every run or the build fails.
         let budget = 1500;
@@ -694,7 +663,7 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
             (FirmwareKind::Patched, Arch::Riscv, false),
         ];
         for (kind, arch, expect_crash) in checks {
-            let cfg = FuzzConfig::new(kind, arch, 0x5EED, budget, opts.jobs.max(1));
+            let cfg = FuzzConfig::new(kind, arch, 0x5EED, budget, jobs);
             let report = fuzz(&cfg);
             let found = report.found_overflow();
             println!(
@@ -704,98 +673,69 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
                 report.crash_keys()
             );
             if expect_crash && !found {
-                eprintln!("fuzz smoke FAILED: expected overflow rediscovery on {kind:?}/{arch}");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "fuzz smoke FAILED: expected overflow rediscovery on {kind:?}/{arch}"
+                ));
             }
             if !expect_crash && !report.crashes.is_empty() {
-                eprintln!(
+                return Err(format!(
                     "fuzz smoke FAILED: patched firmware crashed: {:?}",
                     report.crash_keys()
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
         println!("fuzz smoke OK");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let mut kind = opts.firmware;
-    let mut seed = 0x5EEDu64;
-    let mut max_execs = 2000u64;
-    let mut out_dir = std::path::PathBuf::from("fuzz_out");
-    let mut it = opts.rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--variant" => match it.next().map(String::as_str) {
-                Some("vulnerable") => kind = FirmwareKind::OpenElec,
-                Some("patched") => kind = FirmwareKind::Patched,
-                other => {
-                    eprintln!("unknown variant {other:?} (want vulnerable|patched)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("--seed wants a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-execs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_execs = v,
-                None => {
-                    eprintln!("--max-execs wants a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out_dir = std::path::PathBuf::from(v),
-                None => {
-                    eprintln!("--out wants a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown fuzz option {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let cfg = FuzzConfig::new(kind, opts.arch, seed, max_execs, opts.jobs.max(1));
-    let report = fuzz(&cfg);
-    if let Err(e) = report.write_artifacts(&out_dir) {
-        eprintln!("could not write artifacts under {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
+    let arch = args.arch()?;
+    let firmware = args.firmware()?;
+    let kind = args.parsed("--variant", firmware, |v| match v {
+        "vulnerable" => Ok(FirmwareKind::OpenElec),
+        "patched" => Ok(FirmwareKind::Patched),
+        other => Err(format!(
+            "unknown variant {other:?} (want vulnerable|patched)"
+        )),
+    })?;
+    let seed = args.number("--seed", 0x5EEDu64)?;
+    let max_execs = args.number("--max-execs", 2000u64)?;
+    let out_dir = args.parsed("--out", PathBuf::from("fuzz_out"), |v| Ok(v.into()))?;
+    let jobs = args.jobs()?.max(1);
+    args.finish()?;
+    let report = fuzz(&FuzzConfig::new(kind, arch, seed, max_execs, jobs));
+    report
+        .write_artifacts(&out_dir)
+        .map_err(|e| format!("could not write artifacts under {}: {e}", out_dir.display()))?;
     print!("{}", report.stats_json());
     println!("artifacts: {}", out_dir.display());
     // Exit 2 signals "crashes found" so scripts can gate on it, the
     // same convention analyze/exploit use.
-    if report.crashes.is_empty() {
+    Ok(if report.crashes.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
-    }
+    })
 }
 
-fn experiments(opts: &Opts) -> ExitCode {
+fn experiments(mut args: Args) -> Result<ExitCode, String> {
     use connman_lab::experiments::{run_all, run_one, ALL};
-    if opts.rest.is_empty() {
-        println!("{}", run_all(opts.jobs).to_markdown());
-        return ExitCode::SUCCESS;
+    let jobs = args.jobs()?;
+    let ids = args.positionals();
+    args.finish()?;
+    if ids.is_empty() {
+        println!("{}", run_all(jobs).to_markdown());
+        return Ok(ExitCode::SUCCESS);
     }
     // Every id is checked before any experiment runs.
-    if let Some(id) = opts
-        .rest
+    if let Some(id) = ids
         .iter()
         .find(|id| !ALL.iter().any(|(name, _)| name.eq_ignore_ascii_case(id)))
     {
-        eprintln!("unknown experiment {id:?}");
-        return ExitCode::FAILURE;
+        return Err(format!("unknown experiment {id:?}"));
     }
-    for id in &opts.rest {
-        let table = run_one(id, opts.jobs).expect("id checked above");
+    for id in &ids {
+        let table = run_one(id, jobs).expect("id checked above");
         println!("{}", table.to_markdown());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -141,6 +141,30 @@ fn every_command_rejects_unknown_options() {
 }
 
 #[test]
+fn every_command_rejects_real_options_it_does_not_read() {
+    for args in [
+        &["survey", "--arch", "x86"][..],
+        &["exploit", "--devices", "5"],
+        &["recon", "--strategy", "rop"],
+        &["dos", "--jobs", "2"],
+        &["pineapple", "--prot", "none"],
+        &["analyze", "--prot", "none"],
+        &["repro", "--prot", "none"],
+        &["fleet", "--firmware", "tizen"],
+        &["fleet", "--snapshot"],
+        &["resolve", "--arch", "riscv"],
+        &["fuzz", "--prot", "none"],
+        &["experiments", "--stream"],
+    ] {
+        let (out, err, code) = cml(args);
+        assert_eq!(code, Some(1), "{args:?}: stdout {out}");
+        let want = format!("unknown {} option {:?}", args[0], args[1]);
+        assert!(err.contains(&want), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: nothing may run:\n{out}");
+    }
+}
+
+#[test]
 fn fleet_rejects_hostile_cohort_specs_without_panicking() {
     for (spec, field) in [
         ("=openelec/x86/full/1", "bad name"),
@@ -176,13 +200,14 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
         ("--firmware", "android", "unknown firmware \"android\""),
         ("--strategy", "heapspray", "unknown strategy \"heapspray\""),
     ] {
-        let (out, err, code) = cml(&["recon", flag, value]);
+        let (out, err, code) = cml(&["exploit", flag, value]);
         assert_eq!(code, Some(1), "{flag} {value}: stdout {out}");
         assert!(err.contains(err_part), "{flag} {value}: {err}");
         assert!(out.is_empty(), "{flag} {value}: nothing may run:\n{out}");
     }
     // A bad count, a missing cohort spec, a second resolve name or a
-    // smoke gate given any other argument exits 1 before anything runs.
+    // fixed-settings gate given any argument it does not read exits 1
+    // before anything runs.
     for (args, err_part) in [
         (
             &["fleet", "--jobs", "x"][..],
@@ -206,12 +231,34 @@ fn unknown_axis_values_fail_instead_of_falling_back() {
             &["resolve", "--smoke", "--seed", "x"][..],
             "--smoke takes no other arguments, got \"--seed\"",
         ),
+        (
+            &["resolve", "--smoke", "--jobs", "2"][..],
+            "--smoke takes no other arguments, got \"--jobs\"",
+        ),
+        (
+            &["analyze", "--self-test", "--arch", "x86"][..],
+            "--self-test takes no other arguments, got \"--arch\"",
+        ),
     ] {
         let (out, err, code) = cml(args);
         assert_eq!(code, Some(1), "{args:?}: stdout {out}");
         assert!(err.contains(err_part), "{args:?}: {err}");
         assert!(out.is_empty(), "{args:?}: nothing may run:\n{out}");
     }
+}
+
+#[test]
+fn survey_and_pineapple_print_their_headers() {
+    let (out, err, code) = cml(&["survey"]);
+    assert_eq!(code, Some(0), "stderr: {err}");
+    assert!(out.starts_with("### E4"), "{out}");
+
+    let (out, err, code) = cml(&["pineapple", "--arch", "x86"]);
+    assert_eq!(code, Some(0), "stderr: {err}");
+    assert!(
+        out.starts_with("### remote rogue-AP runs for x86\n"),
+        "{out}"
+    );
 }
 
 #[test]
