@@ -360,8 +360,8 @@ fn run_ablations(trials: u64) -> Value<'static> {
     // replayed into a pooled buffer: one full recursion fills the
     // cache, then every later query is a hashed lookup + copy. The
     // alloc arm serves the same hits into a fresh Vec per query; the
-    // cache-off arm expires the entry before every query so each one
-    // walks the whole root → TLD → authoritative chain.
+    // cache-off arm expires the answer before every query, so each one
+    // pays a miss from the cached `vendor.example` zone cut.
     let resolver_queries = reps * 64;
     let (mut net, _) = cml_netsim::example_internet();
     let mut resolver = cml_netsim::RecursiveResolver::new(0x5EED, 64);
@@ -403,8 +403,10 @@ fn run_ablations(trials: u64) -> Value<'static> {
     let resolver_alloc_allocs = allocs_so_far() - a0;
 
     // The record's TTL is 300s; stepping the event clock past it before
-    // each query forces a miss, so this arm pays recursion + expiry
-    // churn — what every query would cost without the cache.
+    // each query forces a miss. The zone cuts live a simulated day or
+    // more, so a miss costs one authoritative exchange (and a referral
+    // once a day) plus expiry churn: what every query would cost
+    // without the answer cache, not the whole delegation walk.
     let resolver_uncached_queries = reps;
     let t0 = Instant::now();
     for _ in 0..resolver_uncached_queries {

@@ -265,10 +265,10 @@ pub fn run(jobs: usize) -> Table {
          once, then every compromise is a cache-hit replay. With a long TTL and \
          a large cache the single injected record fells the entire \
          {DEVICES}-device cohort; shortening the TTL closes the window in time \
-         (arrivals after expiry resolve honestly through the root → TLD → \
-         authoritative chain), and shrinking the cache closes it in traffic \
-         (the long-TTL benign noise makes the short-TTL poison the \
-         soonest-expiring eviction victim). Timings ride the deterministic \
+         (arrivals after expiry resolve honestly, in one exchange with the \
+         vendor.example server at its cached zone cut), and shrinking the \
+         cache closes it in traffic (the long-TTL benign noise makes the \
+         short-TTL poison the soonest-expiring eviction victim). Timings ride the deterministic \
          event clock, so every cell is byte-identical at any --jobs."
     ));
     t

@@ -7,15 +7,17 @@
 //! iterative resolver does, one exchange at a time, in three steps:
 //!
 //! * **InitQuery** — a client query arrives; the cache missed, so a
-//!   resolution chain starts at a root server.
+//!   resolution chain starts at the deepest cached zone cut that
+//!   encloses the name, or at a root server when none does.
 //! * **QueryTarget** — the resolver sends a (case-normalized,
 //!   uncompressed) query to one authoritative server; the packet is in
 //!   flight for one seeded latency draw.
 //! * **QueryResponse** — the server's answer arrives after a second
 //!   draw and is classified: a final answer set, a CNAME to follow
-//!   (restart at the root for the target), a referral to chase (use
-//!   glue from the additional section, or recurse to resolve the
-//!   nameserver's own address first), or a dead end.
+//!   (start again at the deepest cut enclosing the target), a referral
+//!   to chase (use glue from the additional section, or recurse to
+//!   resolve the nameserver's own address first, from its own deepest
+//!   cut), or a dead end.
 //!
 //! Only one step is ever pending, so the clock is a [`SimTime`] and a
 //! draw counter: the arrival takes one draw index and each step after
@@ -35,6 +37,26 @@
 //! clock and a binary heap drains everything due whenever the clock
 //! advances past it.
 //!
+//! # The delegation cache
+//!
+//! Beside the answers, [`ResolverCache`] keeps the zone cuts the walk
+//! has learned: a cut name, one server address and an expiry tick,
+//! keyed by the cut's canonical key with qtype NS. A referral with glue
+//! is cached at once, for the smaller of the NS and glue TTLs. A
+//! glueless referral's cut waits on its frame until the glue chase
+//! answers, and then takes the chased address for the smaller of the NS
+//! and A TTLs. Lookups probe each label boundary of the name's wire
+//! form, deepest first, and allocate nothing.
+//!
+//! Each frame tracks the zone it is asking (the root, or the cut it
+//! started at or was referred to). XDRI's bailiwick rule (arXiv
+//! 2208.12003) decides what is cached: a cut only when it lies on the
+//! frame's name and strictly below that zone, and its glue only when
+//! the glue's owner lies inside that zone. A referral that breaks the
+//! rule is still followed, but nothing from it is cached, and its frame
+//! caches nothing more until it restarts. So a server can only
+//! delegate its own subtree, and only along the name it was asked.
+//!
 //! # The attack surface
 //!
 //! [`RecursiveResolver::poison`] injects an attacker-controlled
@@ -42,7 +64,7 @@
 //! (arXiv 2208.12003) upstream-compromise model. Every dependent
 //! client from then on receives the injected bytes as an ordinary
 //! cache hit: one poisoning event, fleet-wide redirection, no
-//! per-device malicious delivery.
+//! per-device malicious delivery. It injects an answer, never a cut.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -50,8 +72,8 @@ use std::fmt::{self, Write};
 use std::net::Ipv4Addr;
 
 use cml_dns::{
-    canonical_question, BufPool, DnsError, Header, MessageView, Name, Rcode, RecordClass,
-    RecordType, ResponseEncoder, WireBuf, WireWriter, ZoneServer,
+    canonical_question, BufPool, DnsError, Header, Label, MessageView, Name, NameRef, Rcode,
+    RecordClass, RecordType, ResponseEncoder, WireBuf, WireWriter, ZoneServer,
 };
 
 use crate::scheduler::{link_latency_us, mix64, SimTime};
@@ -112,25 +134,82 @@ struct CacheEntry {
     expires_at: SimTime,
 }
 
+/// A delegation point: the server to ask about names under a zone cut.
+#[derive(Debug)]
+struct CutEntry {
+    /// The cut's lowercased wire name, for collision safety.
+    cut: WireBuf,
+    server: Ipv4Addr,
+    expires_at: SimTime,
+}
+
+/// The table an expiry ticket belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Table {
+    Answers,
+    Cuts,
+}
+
+/// An expiry ticket: due tick, key, table.
+type Ticket = (SimTime, u64, Table);
+
+/// Longest uncompressed wire name a cut lookup handles.
+const MAX_WIRE: usize = cml_dns::MAX_NAME_LEN;
+
+/// Writes `name`'s uncompressed wire form into `buf` and returns it, or
+/// `None` when it does not fit (only forged names are that long).
+fn name_wire<'b>(name: &Name, buf: &'b mut [u8; MAX_WIRE]) -> Option<&'b [u8]> {
+    let mut at = 0;
+    for label in name.labels() {
+        let bytes = label.as_bytes();
+        let next = buf.get_mut(at..at + 1 + bytes.len())?;
+        next[0] = bytes.len() as u8;
+        next[1..].copy_from_slice(bytes);
+        at += 1 + bytes.len();
+    }
+    *buf.get_mut(at)? = 0;
+    Some(&buf[..=at])
+}
+
+/// The suffix of a wire name that starts after its first `skip` labels.
+fn skip_labels(mut wire: &[u8], skip: usize) -> &[u8] {
+    for _ in 0..skip {
+        wire = &wire[1 + wire[0] as usize..];
+    }
+    wire
+}
+
 /// The resolver's answer cache: hashed canonical-question keys, pooled
 /// buffers, batched TTL expiry on the event clock. The steady-state hit
 /// path ([`lookup_into`](Self::lookup_into) with a warm `out`) performs
 /// zero heap allocations.
+///
+/// Beside the answers it keeps the delegation points the resolver has
+/// learned (see the module doc), bounded by the same capacity and
+/// expired on the same clock heap. [`CacheStats`] counts answers only.
 #[derive(Debug)]
 pub struct ResolverCache {
     entries: HashMap<u64, CacheEntry>,
-    expiry: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Zone cuts by `canonical_key(cut wire, NS)`.
+    cuts: HashMap<u64, CutEntry>,
+    expiry: BinaryHeap<Reverse<Ticket>>,
+    /// Tickets of the other table set aside while an eviction searches
+    /// the heap (kept for its capacity).
+    aside: Vec<Ticket>,
     capacity: usize,
     pool: BufPool,
     stats: CacheStats,
 }
 
 impl ResolverCache {
-    /// An empty cache holding at most `capacity` entries.
+    /// An empty cache holding at most `capacity` answers and at most
+    /// `capacity` zone cuts.
     pub fn new(capacity: usize) -> Self {
         ResolverCache {
             entries: HashMap::with_capacity(capacity.min(4096)),
+            cuts: HashMap::new(),
             expiry: BinaryHeap::new(),
+            aside: Vec::new(),
             capacity: capacity.max(1),
             pool: BufPool::new(),
             stats: CacheStats::default(),
@@ -203,7 +282,7 @@ impl ResolverCache {
         let qname = qname_wire(question);
         let key = canonical_key(qname, qtype);
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            self.evict_soonest();
+            self.evict_soonest(Table::Answers);
             if self.entries.len() >= self.capacity {
                 return false;
             }
@@ -226,7 +305,7 @@ impl ResolverCache {
             self.pool.checkin(old.qname);
             self.pool.checkin(old.answer);
         }
-        self.expiry.push(Reverse((expires_at, key)));
+        self.expiry.push(Reverse((expires_at, key, Table::Answers)));
         self.stats.inserts += 1;
         true
     }
@@ -248,35 +327,111 @@ impl ResolverCache {
         stored
     }
 
-    /// Batched expiry: drops every entry whose TTL has run out at `now`.
-    /// Amortized O(expired · log n); nothing is scanned when nothing is
-    /// due, so the hot path stays flat under churn.
+    /// The deepest live cut that encloses `name` (lowercased): its label
+    /// count and server. One probe per label boundary of the wire name,
+    /// deepest first; allocation-free. `None` means start at the root.
+    fn deepest_cut(&self, now: SimTime, name: &Name) -> Option<(u8, Ipv4Addr)> {
+        let mut buf = [0u8; MAX_WIRE];
+        let mut wire = name_wire(name, &mut buf)?;
+        let mut labels = name.labels().len() as u8;
+        while labels > 0 {
+            if let Some(c) = self.cuts.get(&canonical_key(wire, RecordType::Ns)) {
+                if now < c.expires_at && c.cut.as_bytes() == wire {
+                    return Some((labels, c.server));
+                }
+            }
+            wire = skip_labels(wire, 1);
+            labels -= 1;
+        }
+        None
+    }
+
+    /// Caches the cut made of the last `labels` labels of `name`
+    /// (lowercased), served at `server`, until `now + ttl_ticks`. A zero
+    /// TTL stores nothing; at capacity the soonest-expiring cut goes
+    /// first.
+    fn insert_cut(
+        &mut self,
+        now: SimTime,
+        name: &Name,
+        labels: u8,
+        server: Ipv4Addr,
+        ttl_ticks: SimTime,
+    ) {
+        let mut buf = [0u8; MAX_WIRE];
+        let wire = match name_wire(name, &mut buf) {
+            Some(wire) if ttl_ticks > 0 => wire,
+            _ => return,
+        };
+        let cut = skip_labels(wire, name.labels().len() - labels as usize);
+        let key = canonical_key(cut, RecordType::Ns);
+        if self.cuts.len() >= self.capacity && !self.cuts.contains_key(&key) {
+            self.evict_soonest(Table::Cuts);
+        }
+        let mut cbuf = self.pool.checkout();
+        cbuf.as_mut_vec().extend_from_slice(cut);
+        let expires_at = now.saturating_add(ttl_ticks);
+        let entry = CutEntry {
+            cut: cbuf,
+            server,
+            expires_at,
+        };
+        if let Some(old) = self.cuts.insert(key, entry) {
+            self.pool.checkin(old.cut);
+        }
+        self.expiry.push(Reverse((expires_at, key, Table::Cuts)));
+    }
+
+    /// Batched expiry: drops every entry and cut whose TTL has run out
+    /// at `now`. Amortized O(expired · log n); nothing is scanned when
+    /// nothing is due, so the hot path stays flat under churn.
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(&Reverse((due, key))) = self.expiry.peek() {
+        while let Some(&Reverse((due, key, table))) = self.expiry.peek() {
             if due > now {
                 break;
             }
             self.expiry.pop();
             // The heap may hold stale tickets for keys that were
             // overwritten with a later expiry; drop only a true match.
-            if self.entries.get(&key).is_some_and(|e| e.expires_at <= now) {
-                let e = self.entries.remove(&key).expect("checked present");
-                self.pool.checkin(e.qname);
-                self.pool.checkin(e.answer);
+            if self.remove_if(table, key, |at| at <= now) && table == Table::Answers {
                 self.stats.expirations += 1;
             }
         }
     }
 
-    fn evict_soonest(&mut self) {
-        while let Some(Reverse((due, key))) = self.expiry.pop() {
-            if self.entries.get(&key).is_some_and(|e| e.expires_at == due) {
+    /// Drops `table`'s soonest-expiring entry. Live tickets of the
+    /// other table that the search pops go back on the heap.
+    fn evict_soonest(&mut self, table: Table) {
+        while let Some(Reverse(ticket)) = self.expiry.pop() {
+            let (due, key, of) = ticket;
+            if of != table {
+                self.aside.push(ticket);
+            } else if self.remove_if(table, key, |at| at == due) {
+                if table == Table::Answers {
+                    self.stats.evictions += 1;
+                }
+                break;
+            }
+        }
+        self.expiry.extend(self.aside.drain(..).map(Reverse));
+    }
+
+    /// Removes `key` from `table` if its expiry satisfies `due`, and
+    /// returns its buffers to the pool.
+    fn remove_if(&mut self, table: Table, key: u64, due: impl Fn(SimTime) -> bool) -> bool {
+        match table {
+            Table::Answers if self.entries.get(&key).is_some_and(|e| due(e.expires_at)) => {
                 let e = self.entries.remove(&key).expect("checked present");
                 self.pool.checkin(e.qname);
                 self.pool.checkin(e.answer);
-                self.stats.evictions += 1;
-                return;
+                true
             }
+            Table::Cuts if self.cuts.get(&key).is_some_and(|c| due(c.expires_at)) => {
+                let c = self.cuts.remove(&key).expect("checked present");
+                self.pool.checkin(c.cut);
+                true
+            }
+            _ => false,
         }
     }
 }
@@ -331,16 +486,27 @@ pub struct ResolverStats {
     pub glue_chases: u64,
     /// Resolutions that dead-ended (NXDOMAIN, loops, silent servers).
     pub failures: u64,
+    /// Frames (client misses, followed CNAMEs, glue chases) that started
+    /// at a cached zone cut instead of the root.
+    pub cut_starts: u64,
 }
 
 /// One link of the resolution chain: the name currently being resolved
-/// (lowercased; CNAME rewrites replace it) and loop budgets. Glue
-/// chases push a fresh frame; its answer becomes the parent's next
-/// server address.
+/// (lowercased; CNAME rewrites replace it), the zone it is asking, and
+/// loop budgets. Glue chases push a fresh frame; its answer becomes the
+/// parent's next server address.
 #[derive(Debug)]
 struct Frame {
     name: Name,
     qtype: RecordType,
+    /// The zone the next server is asked as: the label count of a suffix
+    /// of `name`. `None` once the frame followed a referral off its
+    /// path, or a server address no enclosing zone vouched for; such a
+    /// frame caches nothing until it restarts.
+    zone: Option<u8>,
+    /// A glueless cut this frame waits on: its label count and NS TTL.
+    /// The glue chase above the frame fills in its server.
+    pending: Option<(u8, u32)>,
     cnames: u8,
     referrals: u8,
 }
@@ -351,10 +517,38 @@ impl Frame {
         Frame {
             name,
             qtype,
+            zone: Some(0),
+            pending: None,
             cnames: 0,
             referrals: 0,
         }
     }
+
+    /// The last `n` labels of the name.
+    fn suffix(&self, n: usize) -> &[Label] {
+        let labels = self.name.labels();
+        &labels[labels.len() - n..]
+    }
+
+    /// Bailiwick rule for a referral to `cut`: its label count when the
+    /// cut lies on this frame's path, strictly below the zone asked.
+    fn cacheable_cut(&self, cut: NameRef<'_>) -> Option<u8> {
+        let zone = self.zone? as usize;
+        let n = cut.labels().count();
+        let on_path = n > zone && n <= self.name.labels().len() && ends_with(cut, self.suffix(n));
+        on_path.then_some(n as u8)
+    }
+}
+
+/// Whether `name` ends with the labels `zone`, ignoring ASCII case.
+fn ends_with(name: NameRef<'_>, zone: &[Label]) -> bool {
+    let n = name.labels().count();
+    n >= zone.len()
+        && name
+            .labels()
+            .skip(n - zone.len())
+            .zip(zone)
+            .all(|(a, b)| a.eq_ignore_ascii_case(b.as_bytes()))
 }
 
 /// A recursive resolver over an [`Internet`], with a poisonable
@@ -590,7 +784,7 @@ impl RecursiveResolver {
         self.stack.push(frame);
         // The arrival takes a draw index of its own.
         self.events += 1;
-        let mut server = root;
+        let mut server = self.start(root);
         loop {
             self.wait(server);
             let reply = self.exchange(net, self.now, server);
@@ -599,7 +793,7 @@ impl RecursiveResolver {
             let next = match step {
                 Step::Done => return reply,
                 Step::Send(next) => Some(next),
-                Step::Root => Some(root),
+                Step::Start => Some(self.start(root)),
                 Step::Fail => None,
             };
             if let Some(reply) = reply {
@@ -607,6 +801,21 @@ impl RecursiveResolver {
             }
             server = next?;
         }
+    }
+
+    /// Points the top frame at the deepest live cut enclosing its name,
+    /// or at `root` when none does, and returns that server.
+    fn start(&mut self, root: Ipv4Addr) -> Ipv4Addr {
+        let frame = self.stack.last_mut().expect("a start implies a frame");
+        let (zone, server) = self
+            .cache
+            .deepest_cut(self.now, &frame.name)
+            .unwrap_or((0, root));
+        frame.zone = Some(zone);
+        if zone > 0 {
+            self.stats.cut_starts += 1;
+        }
+        server
     }
 
     /// Sends the top frame's query to `server` and returns its reply in
@@ -637,9 +846,9 @@ impl RecursiveResolver {
         }
     }
 
-    /// Classifies one upstream reply in place and advances the frame
-    /// stack. Names are materialized only for a followed CNAME or a
-    /// glue chase.
+    /// Classifies one upstream reply in place, caches the zone cuts the
+    /// bailiwick rule admits, and advances the frame stack. Names are
+    /// materialized only for a followed CNAME or a glue chase.
     fn on_response(&mut self, t: SimTime, server: Ipv4Addr, reply: Option<&[u8]>) -> Step {
         let trace = &mut self.trace;
         let server = Dotted(server);
@@ -663,19 +872,29 @@ impl RecursiveResolver {
         if done {
             let n = msg.answers().len();
             trace_line(trace, t, format_args!("<- {server} answer ({n} records)"));
-            self.stack.pop();
-            if self.stack.is_empty() {
+            let chase = self.stack.pop().expect("a response implies a frame");
+            let Some(parent) = self.stack.last_mut() else {
                 return Step::Done;
-            }
+            };
             // A finished glue chase: the first address becomes the
-            // parent frame's next server.
-            let Some(addr) = msg.answers().find_map(|r| r.a()) else {
+            // parent frame's next server, and the server of the cut the
+            // parent waits on.
+            let Some((addr, a_ttl)) = msg.answers().find_map(|r| Some((r.a()?, r.ttl()))) else {
                 return Step::Fail;
             };
             trace_line(trace, t, format_args!("glue resolved -> {}", Dotted(addr)));
+            match parent.pending.take() {
+                Some((labels, ns_ttl)) if chase.zone.is_some() => {
+                    let ttl = ns_ttl.min(a_ttl) as SimTime * TICKS_PER_SEC;
+                    self.cache.insert_cut(t, &parent.name, labels, addr, ttl);
+                }
+                // An address found off-path vouches for nothing.
+                _ => parent.zone = None,
+            }
             return Step::Send(addr);
         }
-        // A CNAME for the current name: rewrite and restart at the root.
+        // A CNAME for the current name: rewrite and restart at the
+        // deepest cut enclosing the target.
         let cname = msg
             .answers()
             .find(|r| r.rtype() == RecordType::Cname && r.owner().eq_name(&frame.name));
@@ -693,28 +912,36 @@ impl RecursiveResolver {
                 t,
                 format_args!("<- {server} cname -> {}", frame.name),
             );
-            return Step::Root;
+            return Step::Start;
         }
         // A referral: NS in the authority section, maybe glue in the
         // additional section.
         let ns = msg.authorities().find(|r| r.rtype() == RecordType::Ns);
-        if let Some((cut, ns_name)) = ns.and_then(|r| Some((r.owner(), r.target()?))) {
+        if let Some((ns, cut, ns_name)) = ns.and_then(|r| Some((r, r.owner(), r.target()?))) {
             frame.referrals += 1;
             if frame.referrals > MAX_REFERRALS {
                 trace_line(trace, t, format_args!("referral loop"));
                 return Step::Fail;
             }
             self.stats.referrals += 1;
+            let cacheable = frame.cacheable_cut(cut);
             let glue = msg
                 .additionals()
                 .find(|r| r.rtype() == RecordType::A && r.owner().eq_ignore_case(&ns_name))
-                .and_then(|r| r.a());
-            if let Some(addr) = glue {
+                .and_then(|r| Some((r, r.a()?)));
+            if let Some((glue, addr)) = glue {
                 trace_line(
                     trace,
                     t,
                     format_args!("<- {server} referral {cut} -> {ns_name} ({})", Dotted(addr)),
                 );
+                // Glue counts only from the zone that owns its name.
+                let zone = frame.zone.unwrap_or(0) as usize;
+                frame.zone = cacheable.filter(|_| ends_with(glue.owner(), frame.suffix(zone)));
+                if let Some(labels) = frame.zone {
+                    let ttl = ns.ttl().min(glue.ttl()) as SimTime * TICKS_PER_SEC;
+                    self.cache.insert_cut(t, &frame.name, labels, addr, ttl);
+                }
                 return Step::Send(addr);
             }
             // Glue chase: resolve the nameserver's address first.
@@ -724,12 +951,14 @@ impl RecursiveResolver {
                 format_args!("<- {server} referral {cut} -> {ns_name} (no glue)"),
             );
             self.stats.glue_chases += 1;
+            frame.zone = cacheable;
+            frame.pending = cacheable.map(|labels| (labels, ns.ttl()));
             if self.stack.len() > MAX_REFERRALS as usize {
                 return Step::Fail;
             }
             self.stack
                 .push(Frame::new(ns_name.to_name(), RecordType::A));
-            return Step::Root;
+            return Step::Start;
         }
         trace_line(trace, t, format_args!("<- {server} dead end"));
         Step::Fail
@@ -762,8 +991,8 @@ fn respond(out: &mut WireBuf, client: &MessageView<'_>, reply: &[u8]) -> Result<
 enum Step {
     /// Query this server next, for the top frame.
     Send(Ipv4Addr),
-    /// Restart the top frame at the root.
-    Root,
+    /// Start the top frame at the deepest cached cut enclosing its name.
+    Start,
     /// The reply carries the final answer set.
     Done,
     Fail,
@@ -862,6 +1091,17 @@ mod tests {
         assert_eq!(r.stats().glue_chases, 1, "cdn delegation has no glue");
         assert!(r.trace().contains("(no glue)"));
         assert!(r.trace().contains("glue resolved ->"));
+        // The chased address now serves the glueless cut: a second name
+        // under it costs one exchange, started at that cut.
+        let cdn = Ipv4Addr::new(203, 0, 113, 54);
+        let edge = Name::parse("edge.cdn.example").unwrap();
+        assert_eq!(r.cache.deepest_cut(r.now(), &edge), Some((2, cdn)));
+        let (upstream, starts) = (r.stats().upstream_queries, r.stats().cut_starts);
+        assert!(r
+            .handle_query(&mut net, &a_query(10, "img.cdn.example"))
+            .is_none());
+        assert_eq!(r.stats().upstream_queries - upstream, 1);
+        assert_eq!(r.stats().cut_starts - starts, 1);
     }
 
     #[test]
@@ -938,6 +1178,274 @@ mod tests {
         assert_eq!(r.stats().upstream_queries, 0);
         assert_eq!(r.cache().stats().poisonings, 1);
         assert_eq!(r.cache().stats().hits, 3);
+        assert_eq!(
+            r.cache.cuts.len(),
+            0,
+            "poison injects an answer, never a cut"
+        );
+    }
+
+    const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
+    const EVIL: Ipv4Addr = Ipv4Addr::new(10, 13, 37, 99);
+
+    /// A root that delegates `example` to [`TLD`] with glue, and that
+    /// TLD zone, for the hostile internets below.
+    fn root_and_tld() -> (Internet, cml_dns::Zone) {
+        let mut root = cml_dns::Zone::rooted("");
+        root.ns("example", 172800, "a.gtld.example")
+            .a("a.gtld.example", 172800, TLD);
+        let mut net = Internet::new(Ipv4Addr::new(198, 41, 0, 4));
+        net.add_server(net.root(), ZoneServer::new(root));
+        (net, cml_dns::Zone::rooted("example"))
+    }
+
+    /// A resolver whose top frame resolves `name` and is asking the zone
+    /// with `zone` labels.
+    fn asking(name: &str, zone: u8) -> RecursiveResolver {
+        let mut r = RecursiveResolver::new(7, 64);
+        let mut frame = Frame::new(Name::parse(name).unwrap(), RecordType::A);
+        frame.zone = Some(zone);
+        r.stack.push(frame);
+        r
+    }
+
+    /// A reply to `name` that refers `cut` to `ns`, with glue when given.
+    fn referral(
+        name: &str,
+        cut: &str,
+        ns: &str,
+        ttl: u32,
+        glue: Option<(u32, Ipv4Addr)>,
+    ) -> Vec<u8> {
+        let q = Message::decode(&a_query(1, name)).unwrap();
+        let mut m = Message::response_to(&q);
+        let ns_name = Name::parse(ns).unwrap();
+        let data = RecordData::Ns(ns_name.clone());
+        m.push_authority(Record::new(Name::parse(cut).unwrap(), ttl, data));
+        if let Some((ttl, addr)) = glue {
+            m.push_additional(Record::new(ns_name, ttl, RecordData::A(addr)));
+        }
+        m.encode().unwrap()
+    }
+
+    fn name(text: &str) -> Name {
+        Name::parse(text).unwrap()
+    }
+
+    #[test]
+    fn child_zone_cannot_redirect_its_parent_zone() {
+        let (mut net, mut tld) = root_and_tld();
+        let vendor = Ipv4Addr::new(203, 0, 113, 53);
+        let other = Ipv4Addr::new(203, 0, 113, 60);
+        tld.ns("vendor.example", 86400, "ns1.vendor.example")
+            .a("ns1.vendor.example", 86400, vendor)
+            .ns("other.example", 86400, "ns1.other.example")
+            .a("ns1.other.example", 86400, other);
+        // The hostile child answers every name under it with a referral
+        // for its parent zone, glue inside its own zone.
+        let mut hostile = cml_dns::Zone::new();
+        hostile
+            .ns("example", 172800, "ns.vendor.example")
+            .a("ns.vendor.example", 172800, EVIL);
+        let mut honest = cml_dns::Zone::rooted("other.example");
+        honest.a("www.other.example", 300, Ipv4Addr::new(198, 51, 100, 1));
+        net.add_server(TLD, ZoneServer::new(tld))
+            .add_server(vendor, ZoneServer::new(hostile))
+            .add_server(other, ZoneServer::new(honest));
+
+        let mut r = RecursiveResolver::new(7, 64);
+        assert!(r
+            .handle_query(&mut net, &a_query(1, "x.vendor.example"))
+            .is_none());
+        assert!(r
+            .trace()
+            .contains("referral example -> ns.vendor.example (10.13.37.99)"));
+        assert!(
+            r.trace().contains("-> 10.13.37.99 x.vendor.example"),
+            "followed"
+        );
+        let later = name("www.other.example");
+        assert_eq!(r.cache.deepest_cut(r.now(), &later), Some((1, TLD)));
+        r.clear_trace();
+        let resp = r
+            .handle_query(&mut net, &a_query(2, "www.other.example"))
+            .expect("resolves honestly");
+        let m = Message::decode(&resp).unwrap();
+        assert_eq!(
+            m.answers()[0].to_string(),
+            "www.other.example 300 IN A 198.51.100.1"
+        );
+        assert!(!r.trace().contains("10.13.37.99"), "{}", r.trace());
+    }
+
+    #[test]
+    fn off_path_referral_is_followed_but_not_cached() {
+        let mut r = asking("x.vendor.example", 2);
+        let sibling = referral(
+            "x.vendor.example",
+            "sibling.vendor.example",
+            "ns.sibling.vendor.example",
+            86400,
+            Some((86400, EVIL)),
+        );
+        let step = r.on_response(0, TLD, Some(&sibling));
+        assert!(matches!(step, Step::Send(a) if a == EVIL), "followed");
+        assert_eq!(r.cache.cuts.len(), 0);
+        assert_eq!(r.stack[0].zone, None);
+        // Nothing more is cached for this frame, even on its own path.
+        let on_path = referral(
+            "x.vendor.example",
+            "x.vendor.example",
+            "ns.x.vendor.example",
+            86400,
+            Some((86400, EVIL)),
+        );
+        assert!(matches!(
+            r.on_response(1, EVIL, Some(&on_path)),
+            Step::Send(_)
+        ));
+        assert_eq!(r.cache.cuts.len(), 0);
+        assert_eq!(
+            r.cache.deepest_cut(2, &name("a.sibling.vendor.example")),
+            None
+        );
+    }
+
+    #[test]
+    fn glue_outside_the_asked_zone_is_not_cached() {
+        let (mut net, mut tld) = root_and_tld();
+        let vendor = Ipv4Addr::new(203, 0, 113, 53);
+        // The TLD vouches for an address in a zone it does not own.
+        tld.ns("vendor.example", 86400, "ns.vendor.test")
+            .a("ns.vendor.test", 86400, vendor);
+        let mut zone = cml_dns::Zone::rooted("vendor.example");
+        zone.a(
+            "telemetry.vendor.example",
+            300,
+            Ipv4Addr::new(203, 0, 113, 7),
+        )
+        .a("api.vendor.example", 300, Ipv4Addr::new(203, 0, 113, 8));
+        net.add_server(TLD, ZoneServer::new(tld))
+            .add_server(vendor, ZoneServer::new(zone));
+
+        let mut r = RecursiveResolver::new(7, 64);
+        assert!(r
+            .handle_query(&mut net, &a_query(1, "telemetry.vendor.example"))
+            .is_some());
+        assert_eq!(r.stats().upstream_queries, 3, "the glue is still followed");
+        assert_eq!(r.cache.cuts.len(), 1, "only the root's referral is cached");
+        let api = name("api.vendor.example");
+        assert_eq!(r.cache.deepest_cut(r.now(), &api), Some((1, TLD)));
+        assert!(r
+            .handle_query(&mut net, &a_query(2, "api.vendor.example"))
+            .is_some());
+        assert_eq!(r.stats().upstream_queries, 5, "the TLD is asked again");
+    }
+
+    #[test]
+    fn cut_ttl_boundaries_are_exact() {
+        let host = name("x.vendor.example");
+        let vendor = Ipv4Addr::new(203, 0, 113, 53);
+        let mut cache = ResolverCache::new(8);
+        cache.insert_cut(1000, &host, 2, vendor, 500);
+        assert_eq!(
+            cache.deepest_cut(1499, &host),
+            Some((2, vendor)),
+            "one tick before"
+        );
+        assert_eq!(cache.deepest_cut(1500, &host), None, "exactly at expiry");
+        cache.advance(1499);
+        assert_eq!(cache.cuts.len(), 1);
+        cache.advance(1500);
+        assert_eq!(cache.cuts.len(), 0, "batched expiry reclaims the cut");
+        assert_eq!(cache.stats().expirations, 0, "answer counters only");
+
+        // A referral with glue lives for the smaller of the NS and glue
+        // TTLs, from the tick its reply arrived.
+        let mut r = asking("x.vendor.example", 1);
+        let reply = referral(
+            "x.vendor.example",
+            "vendor.example",
+            "ns1.vendor.example",
+            30,
+            Some((20, vendor)),
+        );
+        assert!(matches!(
+            r.on_response(1000, TLD, Some(&reply)),
+            Step::Send(_)
+        ));
+        let end = 1000 + 20 * TICKS_PER_SEC;
+        assert_eq!(r.cache.deepest_cut(end - 1, &host), Some((2, vendor)));
+        assert_eq!(r.cache.deepest_cut(end, &host), None);
+
+        // A glueless cut takes the chased address for the smaller of
+        // the NS and A TTLs, from the tick the chase's answer arrived.
+        let mut r = asking("x.cdn.example", 1);
+        let reply = referral(
+            "x.cdn.example",
+            "cdn.example",
+            "ns.vendor.example",
+            50,
+            None,
+        );
+        assert!(matches!(
+            r.on_response(1000, TLD, Some(&reply)),
+            Step::Start
+        ));
+        assert_eq!(r.stack[0].pending, Some((2, 50)));
+        let cdn = Ipv4Addr::new(203, 0, 113, 54);
+        let q = Message::decode(&a_query(1, "ns.vendor.example")).unwrap();
+        let mut answer = Message::response_to(&q);
+        answer.push_answer(Record::new(
+            name("ns.vendor.example"),
+            40,
+            RecordData::A(cdn),
+        ));
+        let answer = answer.encode().unwrap();
+        let step = r.on_response(2000, vendor, Some(&answer));
+        assert!(matches!(step, Step::Send(a) if a == cdn));
+        let edge = name("edge.cdn.example");
+        let end = 2000 + 40 * TICKS_PER_SEC;
+        assert_eq!(r.cache.deepest_cut(end - 1, &edge), Some((2, cdn)));
+        assert_eq!(r.cache.deepest_cut(end, &edge), None);
+    }
+
+    #[test]
+    fn cut_table_evicts_at_capacity() {
+        let addr = |k| Ipv4Addr::new(10, 0, 0, k);
+        let mut cache = ResolverCache::new(2);
+        // An answer due first: cut evictions must leave its ticket.
+        let q = a_query(1, "host.example");
+        let resp = Message::response_to(&Message::decode(&q).unwrap())
+            .encode()
+            .unwrap();
+        assert!(cache.insert(0, &q, &resp, 50));
+        cache.insert_cut(0, &name("a.example"), 2, addr(1), 100); // expires first
+        cache.insert_cut(0, &name("b.example"), 2, addr(2), 1000);
+        cache.insert_cut(0, &name("c.example"), 2, addr(3), 500); // evicts a
+        assert_eq!(cache.cuts.len(), 2);
+        assert_eq!(cache.deepest_cut(1, &name("x.a.example")), None);
+        assert_eq!(
+            cache.deepest_cut(1, &name("x.b.example")),
+            Some((2, addr(2)))
+        );
+        assert_eq!(
+            cache.deepest_cut(1, &name("x.c.example")),
+            Some((2, addr(3)))
+        );
+        assert_eq!(cache.stats().evictions, 0, "answer counters only");
+        cache.advance(50);
+        assert_eq!(cache.stats().expirations, 1, "the answer's ticket survived");
+        // Answers evict among answers; the cuts' tickets survive too.
+        let q2 = a_query(1, "other.example");
+        let q3 = a_query(1, "third.example");
+        assert!(cache.insert(60, &q2, &resp, 10));
+        assert!(cache.insert(60, &q3, &resp, 10));
+        assert!(cache.insert(60, &q, &resp, 10));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+        assert_eq!(cache.cuts.len(), 2);
+        cache.advance(1000);
+        assert_eq!((cache.len(), cache.cuts.len()), (0, 0));
     }
 
     #[test]

@@ -91,7 +91,8 @@ fn usage() {
          \x20                                recursive resolution (root → TLD →\n\
          \x20                                authoritative) on a simulated clock\n\
          \x20 resolve     --smoke            resolver CI gate: delegation, CNAME,\n\
-         \x20                                cache hit, determinism, poisoning\n\
+         \x20                                cut starts, cache hit, determinism,\n\
+         \x20                                poisoning\n\
          \x20 fuzz        [--arch A] [--variant vulnerable|patched | --firmware F]\n\
          \x20             [--seed N] [--max-execs N] [--out DIR] [--jobs N]\n\
          \x20                                coverage-guided fuzzing campaign\n\
@@ -539,11 +540,12 @@ fn resolve_cmd(mut args: Args) -> Result<ExitCode, String> {
     let c = resolver.cache().stats();
     println!(
         "({} upstream queries, {} referrals, {} cname follows, {} glue chases, \
-         cache {} hit / {} miss, clock {}us)",
+         {} cut starts, cache {} hit / {} miss, clock {}us)",
         s.upstream_queries,
         s.referrals,
         s.cname_follows,
         s.glue_chases,
+        s.cut_starts,
         c.hits,
         c.misses,
         resolver.now()
@@ -552,8 +554,8 @@ fn resolve_cmd(mut args: Args) -> Result<ExitCode, String> {
 }
 
 /// Fixed-seed resolver CI gate: delegation chasing, CNAME following,
-/// cache hits, trace determinism, and the poisoning redirection must
-/// all behave exactly this way on every run.
+/// starts at cached zone cuts, cache hits, trace determinism, and the
+/// poisoning redirection must all behave exactly this way on every run.
 fn resolve_smoke() -> ExitCode {
     use connman_lab::dns::{Message, Name, Question, Record, RecordData, RecordType};
     use connman_lab::netsim::{example_internet, RecursiveResolver};
@@ -587,6 +589,38 @@ fn resolve_smoke() -> ExitCode {
         eprintln!(
             "resolve smoke FAILED: the demo walk must exercise referrals, \
              CNAME and glue chasing (got {stats:?})"
+        );
+        return ExitCode::FAILURE;
+    }
+    // Delegation cache: once `telemetry.vendor.example` has resolved, a
+    // miss under `vendor.example` starts at that cut and costs exactly
+    // one exchange.
+    let (mut net, _) = example_internet();
+    let mut r = RecursiveResolver::new(7, 64);
+    let query = |id, name: &str| {
+        Message::query(
+            id,
+            Question::new(Name::parse(name).expect("static name"), RecordType::A),
+        )
+        .encode()
+        .expect("query encodes")
+    };
+    let warm = r
+        .handle_query(&mut net, &query(1, "telemetry.vendor.example"))
+        .is_some();
+    let before = r.stats();
+    let resolved = warm
+        && r.handle_query(&mut net, &query(2, "ns1.vendor.example"))
+            .is_some();
+    let cost = (
+        r.stats().upstream_queries - before.upstream_queries,
+        r.stats().cut_starts - before.cut_starts,
+    );
+    if !resolved || cost != (1, 1) {
+        eprintln!(
+            "resolve smoke FAILED: a miss under a cached cut must resolve with 1 \
+             upstream query and 1 cut start (resolved={resolved}, got {} and {})",
+            cost.0, cost.1
         );
         return ExitCode::FAILURE;
     }
@@ -637,10 +671,11 @@ fn resolve_smoke() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "resolve smoke OK (referrals={}, cname={}, glue={}, poisoned hits={})",
+        "resolve smoke OK (referrals={}, cname={}, glue={}, cut starts={}, poisoned hits={})",
         stats.referrals,
         stats.cname_follows,
         stats.glue_chases,
+        stats.cut_starts,
         r.cache().stats().hits
     );
     ExitCode::SUCCESS
