@@ -113,20 +113,43 @@ diff <(cml resolve www.vendor.example --trace) tests/golden/resolve_www_trace.tx
 
 echo "==> cml fleet 10k smoke"
 # Million-device fleet path at smoke scale: a 10k-device cohort campaign
-# must complete and render byte-identical per-cohort sections serial vs
-# parallel (the trailing parenthesised lines carry wall-clock timings
-# and are excluded from the comparison).
+# must complete, and its per-cohort sections at --jobs 1 and --jobs 4
+# must both match the committed report byte for byte (the trailing
+# parenthesised lines carry wall-clock timings and are excluded), so a
+# change that moves serial and parallel alike still fails here.
 fleet_smoke() {
   cml fleet --devices 10000 --jobs "$@" | grep -v '^('
 }
-diff <(fleet_smoke 1) <(fleet_smoke 4) || {
-  echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
+for jobs in 1 4; do
+  diff <(fleet_smoke "$jobs") tests/golden/fleet_10k.txt || {
+    echo "fleet smoke --jobs $jobs: report differs from tests/golden/fleet_10k.txt"; exit 1; }
+done
+
+echo "==> cml exploit, survey and pineapple goldens"
+# Every exploit-matrix cell, the firmware survey and the rogue-AP runs
+# print the spawned shell's text; each must match its committed golden
+# byte for byte (every cell pops a root shell, so each exits 0).
+exploit_matrix() {
+  local arch prot
+  for arch in x86 arm riscv; do
+    for prot in none wxorx full; do
+      echo "== exploit --arch $arch --prot $prot"
+      cml exploit --arch "$arch" --prot "$prot" || return 1
+    done
+  done
+}
+diff <(exploit_matrix) tests/golden/exploit_matrix.txt || {
+  echo "exploit matrix: output differs from tests/golden/exploit_matrix.txt"; exit 1; }
+diff <(cml survey) tests/golden/survey.txt || {
+  echo "survey: output differs from tests/golden/survey.txt"; exit 1; }
+diff <(cml pineapple) tests/golden/pineapple.txt || {
+  echo "pineapple: output differs from tests/golden/pineapple.txt"; exit 1; }
 
 echo "==> cml fleet --resolver parity"
 # Resolver topology: every cohort's lookups go through one shared
 # upstream cache, poisoned once and keyed by the canonical question. The
-# per-cohort report must match the direct path's byte for byte.
-diff <(fleet_smoke 1) <(fleet_smoke 4 --resolver) || {
+# per-cohort report must match the direct path's golden byte for byte.
+diff <(fleet_smoke 4 --resolver) tests/golden/fleet_10k.txt || {
   echo "fleet --resolver: report differs from the direct path"; exit 1; }
 
 echo "==> cml experiments --jobs 1 vs --jobs 4, and repro"

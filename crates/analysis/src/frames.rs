@@ -148,13 +148,12 @@ fn frame_of(arch: Arch, f: &Function) -> FrameInfo {
                 use cml_vm::arm::{reg_list, Insn as I};
                 match i {
                     I::Push { list } => {
-                        let regs = reg_list(list);
-                        sp -= 4 * regs.len() as i64;
-                        info.saved_regs += regs.len() as u32;
+                        sp -= 4 * list.count_ones() as i64;
+                        info.saved_regs += list.count_ones();
                         // Slot of register `k` in a push: ascending
                         // register number → ascending address.
-                        for (slot, reg) in regs.iter().enumerate() {
-                            if *reg == 14 {
+                        for (slot, reg) in reg_list(list).enumerate() {
+                            if reg == 14 {
                                 info.ret_offset = Some(sp + 4 * slot as i64);
                             }
                         }

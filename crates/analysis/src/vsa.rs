@@ -968,12 +968,11 @@ fn step_arm(
             }
         }
         I::Push { list } => {
-            let regs = arm::reg_list(list);
-            let sp_after = st.regs[13].add(-4 * regs.len() as i64);
+            let sp_after = st.regs[13].add(-4 * list.count_ones() as i64);
             if let Some(out) = collect {
                 if let Some(base) = sp_after.si.as_exact() {
-                    for (slot, reg) in regs.iter().enumerate() {
-                        if *reg == 14 && st.regs[13].region == Region::StackRel {
+                    for (slot, reg) in arm::reg_list(list).enumerate() {
+                        if reg == 14 && st.regs[13].region == Region::StackRel {
                             out.ret_slot = Some(base + 4 * slot as i64);
                         }
                     }
@@ -982,13 +981,12 @@ fn step_arm(
             st.regs[13] = sp_after;
         }
         I::Pop { list } => {
-            let regs = arm::reg_list(list);
-            for reg in &regs {
-                if *reg != 15 && *reg != 13 {
-                    st.regs[*reg as usize] = ValueSet::unknown();
+            for reg in arm::reg_list(list) {
+                if reg != 15 && reg != 13 {
+                    st.regs[reg as usize] = ValueSet::unknown();
                 }
             }
-            st.regs[13] = st.regs[13].add(4 * regs.len() as i64);
+            st.regs[13] = st.regs[13].add(4 * list.count_ones() as i64);
         }
         I::Bl { .. } | I::Blx { .. } => {
             if let Some(out) = collect {

@@ -58,7 +58,8 @@ impl Cache {
     }
 
     /// Inserts an answer set; ignores types Connman does not cache.
-    /// Returns whether the entry was stored.
+    /// Returns whether the entry was stored. An entry already under
+    /// `(name, rtype)` is replaced, and evicts nothing.
     pub fn insert(
         &mut self,
         name: &Name,
@@ -74,6 +75,22 @@ impl Cache {
         let Some(key) = name.folded_key(rtype, &mut buf) else {
             return false;
         };
+        self.insert_key(key, addresses, ttl, now);
+        true
+    }
+
+    /// [`Cache::insert`] under a folded key (see [`Name::folded_key`])
+    /// of a type Connman caches.
+    pub(crate) fn insert_key(&mut self, key: &[u8], addresses: Vec<IpAddr>, ttl: u32, now: u64) {
+        let entry = CacheEntry {
+            addresses,
+            expires_at: now + ttl as u64,
+            inserted_at: now,
+        };
+        if let Some(slot) = self.entries.get_mut(key) {
+            *slot = entry;
+            return;
+        }
         if self.entries.len() >= self.capacity {
             // Evict the oldest entry; entries inserted on the same tick
             // go in key order, so the victim does not depend on the
@@ -87,15 +104,7 @@ impl Cache {
                 self.entries.remove(&oldest);
             }
         }
-        self.entries.insert(
-            key.into(),
-            CacheEntry {
-                addresses,
-                expires_at: now + ttl as u64,
-                inserted_at: now,
-            },
-        );
-        true
+        self.entries.insert(key.into(), entry);
     }
 
     /// Looks up a live entry.
@@ -173,6 +182,22 @@ mod tests {
             "oldest evicted"
         );
         assert!(c.lookup(&name("three"), RecordType::A, 4).is_some());
+    }
+
+    #[test]
+    fn replacing_an_entry_at_capacity_evicts_nothing() {
+        let mut c = Cache::new(2);
+        c.insert(&name("one"), RecordType::A, vec![ip(1)], 600, 1);
+        c.insert(&name("two"), RecordType::A, vec![ip(2)], 600, 2);
+        assert!(c.insert(&name("TWO"), RecordType::A, vec![ip(3), ip(4)], 60, 3));
+        assert_eq!(c.len(), 2);
+        let two = c.lookup(&name("two"), RecordType::A, 4).expect("replaced");
+        assert_eq!(two.addresses, vec![ip(3), ip(4)]);
+        assert_eq!((two.inserted_at, two.expires_at), (3, 63));
+        assert!(
+            c.lookup(&name("one"), RecordType::A, 4).is_some(),
+            "the oldest entry is not evicted by a replacement"
+        );
     }
 
     #[test]

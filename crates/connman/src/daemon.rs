@@ -12,7 +12,7 @@ use std::fmt;
 use std::net::IpAddr;
 
 use cml_dns::validate::{gate_response, ResponseRejection};
-use cml_dns::{Message, Name, Question, RecordType, WireReader};
+use cml_dns::{Message, MessageView, Name, RecordType, WireReader, FOLDED_KEY_LEN, MAX_QUERY_LEN};
 use cml_image::Addr;
 use cml_vm::debug::FaultReport;
 use cml_vm::{Fault, LoadMap, Loader, Machine, MachineSnapshot, RunOutcome};
@@ -53,32 +53,60 @@ impl fmt::Display for DaemonError {
 
 impl Error for DaemonError {}
 
-/// An upstream query awaiting its response.
+/// An upstream query awaiting its response: its wire bytes, held
+/// inline so issuing one allocates nothing.
 #[derive(Debug, Clone)]
 struct PendingQuery {
-    message: Message,
+    len: usize,
+    wire: [u8; MAX_QUERY_LEN],
 }
 
 impl PendingQuery {
-    /// The outstanding query message.
-    fn message(&self) -> &Message {
-        &self.message
+    /// The query for `(name, rtype)` under transaction id `id`.
+    fn new(id: u16, name: &Name, rtype: RecordType) -> Self {
+        let mut wire = [0; MAX_QUERY_LEN];
+        let len = Message::write_query(id, name, rtype, &mut wire);
+        PendingQuery { len, wire }
+    }
+
+    /// The query's wire bytes, as sent upstream.
+    fn wire(&self) -> &[u8] {
+        &self.wire[..self.len]
     }
 
     /// Transaction id the response must echo.
     fn id(&self) -> u16 {
-        self.message.id()
+        u16::from_be_bytes([self.wire[0], self.wire[1]])
     }
 }
 
-/// What [`Daemon::resolve`] produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Resolution {
+/// What [`Daemon::resolve`] produced. Both variants borrow the daemon,
+/// so a resolution lives until the daemon's next `&mut` call (a
+/// [`Daemon::deliver_response`], say): copy the bytes out to keep them
+/// longer. Neither variant owns anything, so a resolution has no drop
+/// glue and a binding that is never read again ends the borrow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Resolution<'a> {
     /// Served from cache, no network traffic.
-    Cached(Vec<IpAddr>),
+    Cached(&'a [IpAddr]),
     /// An upstream query was issued; deliver its wire bytes to the
     /// configured DNS server.
-    Query(Vec<u8>),
+    Query(QueryBytes<'a>),
+}
+
+/// An issued query's wire bytes, borrowed from the daemon's pending
+/// list; derefs to the bytes. A value, not a reference, so a caller
+/// hands the bytes on as `&query` (perfbench's replays do, and lint
+/// clean only when that borrow is needed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryBytes<'a>(&'a [u8]);
+
+impl std::ops::Deref for QueryBytes<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.0
+    }
 }
 
 /// Everything needed to rewind a booted [`Daemon`] to an earlier point:
@@ -128,6 +156,11 @@ pub struct Daemon {
     /// When set, a shadow-memory redzone guards the name buffer during
     /// each parse (see [`Daemon::with_sanitizer`]).
     sanitize: bool,
+    /// Scratch, not state: the address and TTL of each address record
+    /// the delivery in progress parsed. Its capacity outlives the
+    /// delivery, so one that crashes or is hijacked allocates nothing;
+    /// snapshots neither keep nor rewind it.
+    answers: Vec<(IpAddr, u32)>,
 }
 
 /// Positions of the daemon's entry symbols in its image's symbol list
@@ -184,6 +217,7 @@ impl Daemon {
             clock: 0,
             running: true,
             sanitize: false,
+            answers: Vec::new(),
         })
     }
 
@@ -269,20 +303,23 @@ impl Daemon {
 
     /// Handles a client lookup: serve from cache or issue an upstream
     /// query whose wire bytes the caller must forward to the DNS server.
-    pub fn resolve(&mut self, name: &Name, rtype: RecordType) -> Resolution {
-        if let Some(entry) = self.cache.lookup(name, rtype, self.clock) {
-            return Resolution::Cached(entry.addresses.clone());
+    /// The query's bytes are [`Message::query`]'s encoding of the
+    /// question, written into the pending list without allocating.
+    pub fn resolve(&mut self, name: &Name, rtype: RecordType) -> Resolution<'_> {
+        // A hit is looked up twice: returning the first lookup's borrow
+        // from inside the `if` would keep `self` borrowed below it.
+        if self.cache.lookup(name, rtype, self.clock).is_some() {
+            let entry = self.cache.lookup(name, rtype, self.clock);
+            return Resolution::Cached(&entry.expect("just found").addresses);
         }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let query = Message::query(id, Question::new(name.clone(), rtype));
-        let bytes = query.encode().expect("queries are small and well-formed");
         if self.pending.len() >= MAX_PENDING {
             // Evict the oldest request, as the real bounded list does.
             self.pending.remove(0);
         }
-        self.pending.push(PendingQuery { message: query });
-        Resolution::Query(bytes)
+        self.pending.push(PendingQuery::new(id, name, rtype));
+        Resolution::Query(QueryBytes(self.pending[self.pending.len() - 1].wire()))
     }
 
     /// Feeds an upstream response into the vulnerable parser.
@@ -304,7 +341,7 @@ impl Daemon {
             });
         };
         // 1. Header gate — "otherwise Connman dumps the packet".
-        let gate = match gate_response(self.pending[slot].message(), bytes) {
+        let gate = match gate_response(self.pending[slot].wire(), bytes) {
             Ok(g) => g,
             Err(rej) => return ProxyOutcome::Rejected(rej),
         };
@@ -345,7 +382,7 @@ impl Daemon {
         //    decompressor.
         let mut offset = gate.answers_offset;
         let mut parse_failure: Option<ParseFailure> = None;
-        let mut to_cache: Vec<(RecordType, Vec<IpAddr>, u32)> = Vec::new();
+        self.answers.clear();
         for rr_idx in 0..gate.header.ancount {
             match get_name_into(
                 &mut self.machine,
@@ -382,7 +419,7 @@ impl Daemon {
                     self.machine
                         .cov_note(cov::RR_PARSED | cov::bucket(rr_idx as usize));
                     if let Some(addr) = rr.address() {
-                        to_cache.push((rr.rtype, vec![addr], rr.ttl));
+                        self.answers.push((addr, rr.ttl));
                     }
                 }
                 Err(reason) => {
@@ -419,14 +456,28 @@ impl Daemon {
             if let Some(reason) = parse_failure {
                 return ProxyOutcome::ParseFailed { reason };
             }
-            let qname = self.pending[slot].message().questions()[0].qname().clone();
-            let mut cached = 0;
-            for (rtype, addrs, ttl) in to_cache {
-                if self.cache.insert(&qname, rtype, addrs, ttl, self.clock) {
-                    cached += 1;
-                }
+            let query = self.pending.remove(slot);
+            let question = MessageView::parse(query.wire())
+                .expect("the daemon's own query parses")
+                .questions()
+                .next()
+                .expect("one question");
+            // One entry per record type holds every address of that
+            // type, and lives as long as the shortest-lived of them.
+            for (rtype, v6) in [(RecordType::A, false), (RecordType::Aaaa, true)] {
+                let of_type = || self.answers.iter().filter(|(a, _)| a.is_ipv6() == v6);
+                let Some(ttl) = of_type().map(|&(_, ttl)| ttl).min() else {
+                    continue;
+                };
+                let addrs = of_type().map(|&(a, _)| a).collect();
+                let mut key = [0; FOLDED_KEY_LEN];
+                let key = question
+                    .name()
+                    .folded_key(rtype, &mut key)
+                    .expect("a query name fits its key");
+                self.cache.insert_key(key, addrs, ttl, self.clock);
             }
-            self.pending.remove(slot);
+            let cached = self.answers.len();
             return ProxyOutcome::Answered { cached };
         }
 
@@ -532,7 +583,7 @@ impl Daemon {
 
     fn crash(&mut self, fault: Fault) -> ProxyOutcome {
         self.running = false;
-        ProxyOutcome::Crashed(Box::new(FaultReport::capture(&self.machine, fault)))
+        ProxyOutcome::Crashed(FaultReport::capture(&self.machine, fault))
     }
 }
 
@@ -587,8 +638,10 @@ fn parse_rr_fixed(bytes: &[u8], offset: usize) -> Result<RrFixed<'_>, ParseFailu
 mod tests {
     use super::*;
     use cml_dns::forge::ResponseForge;
+    use cml_dns::{Question, Record, RecordData, MAX_NAME_LEN};
     use cml_image::{layout, Arch, ImageBuilder, SectionKind, SymbolKind};
     use cml_vm::{Loader, Protections};
+    use std::net::{Ipv4Addr, Ipv6Addr};
 
     /// A minimal bootable image: enough code and symbols for the daemon.
     fn test_image(arch: Arch) -> cml_image::Image {
@@ -657,6 +710,93 @@ mod tests {
             d.resolve(&name, RecordType::A),
             Resolution::Cached(_)
         ));
+    }
+
+    #[test]
+    fn query_bytes_equal_the_encoded_message() {
+        let mut d = daemon(Arch::X86, ConnmanVersion::V1_34, Protections::none());
+        let label63 = "x".repeat(63);
+        // Three 63-byte labels and a 61-byte one, each with its length
+        // byte, then the root: 3 * 64 + 62 + 1 = 255 bytes on the wire,
+        // the longest name there is.
+        let longest = format!("{label63}.{label63}.{label63}.{}", "y".repeat(61));
+        let names = [
+            "localhost".to_string(),
+            format!("{label63}.example"),
+            longest,
+            "IoT.Example.COM".to_string(),
+        ];
+        assert_eq!(Name::parse(&names[2]).unwrap().wire_len(), MAX_NAME_LEN);
+        let types = [
+            RecordType::A,
+            RecordType::Aaaa,
+            RecordType::Ns,
+            RecordType::Cname,
+        ];
+        let mut want_id = 0x1000;
+        for text in &names {
+            let name = Name::parse(text).unwrap();
+            for rtype in types {
+                let want = Message::query(want_id, Question::new(name.clone(), rtype))
+                    .encode()
+                    .unwrap();
+                let Resolution::Query(bytes) = d.resolve(&name, rtype) else {
+                    panic!("{text} {rtype:?}: cold cache");
+                };
+                assert_eq!(*bytes, want[..], "{text} {rtype:?}");
+                want_id += 1;
+            }
+        }
+    }
+
+    /// A response to `q` whose answers are `data`, each with its TTL.
+    fn answer(q: &Message, data: Vec<(RecordData, u32)>) -> Vec<u8> {
+        let mut resp = Message::response_to(q);
+        let owner = q.questions()[0].qname();
+        for (rdata, ttl) in data {
+            resp.push_answer(Record::new(owner.clone(), ttl, rdata));
+        }
+        resp.encode().unwrap()
+    }
+
+    #[test]
+    fn every_address_of_an_answer_is_cached() {
+        let mut d = daemon(Arch::X86, ConnmanVersion::V1_34, Protections::none());
+        let q = issue_query(&mut d);
+        let v4 = |last| IpAddr::V4(Ipv4Addr::new(10, 0, 0, last));
+        let v6 = IpAddr::V6(Ipv6Addr::LOCALHOST);
+        let resp = answer(
+            &q,
+            vec![
+                (RecordData::A(Ipv4Addr::new(10, 0, 0, 1)), 60),
+                (RecordData::Aaaa(Ipv6Addr::LOCALHOST), 90),
+                (RecordData::A(Ipv4Addr::new(10, 0, 0, 2)), 30),
+            ],
+        );
+        assert_eq!(
+            d.deliver_response(&resp),
+            ProxyOutcome::Answered { cached: 3 }
+        );
+        assert_eq!(d.cache().len(), 2, "one entry per record type");
+        let name = Name::parse("IOT.example.com").unwrap();
+        assert_eq!(
+            d.resolve(&name, RecordType::A),
+            Resolution::Cached(&[v4(1), v4(2)])
+        );
+        assert_eq!(
+            d.resolve(&name, RecordType::Aaaa),
+            Resolution::Cached(&[v6])
+        );
+        // An answer set lives as long as its shortest-lived record.
+        d.tick(30);
+        assert!(matches!(
+            d.resolve(&name, RecordType::A),
+            Resolution::Query(_)
+        ));
+        assert_eq!(
+            d.resolve(&name, RecordType::Aaaa),
+            Resolution::Cached(&[v6])
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod uncompress;
 mod version;
 
 pub use cache::{Cache, CacheEntry};
-pub use daemon::{Daemon, DaemonError, DaemonSnapshot, Resolution};
+pub use daemon::{Daemon, DaemonError, DaemonSnapshot, QueryBytes, Resolution};
 pub use frame::{layout_for, Frame, FrameLayout};
 pub use outcome::{ParseFailure, ProxyOutcome};
 pub use version::ConnmanVersion;

@@ -7,6 +7,9 @@ use cml_vm::debug::FaultReport;
 use cml_vm::ShellSpawn;
 
 /// Outcome of delivering one upstream response to the proxy.
+// The fault report and the spawn are held inline on purpose: boxing
+// either would put an allocation back on every crash or hijack.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ProxyOutcome {
@@ -24,7 +27,7 @@ pub enum ProxyOutcome {
         cached: usize,
     },
     /// The daemon crashed — the denial-of-service outcome.
-    Crashed(Box<FaultReport>),
+    Crashed(FaultReport),
     /// Arbitrary code executed and spawned a shell — the RCE outcome.
     Compromised(ShellSpawn),
     /// Hijacked execution ended in a clean exit (e.g. a ret2libc frame
@@ -115,6 +118,7 @@ impl fmt::Display for ProxyOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cml_vm::debug::StackDump;
     use cml_vm::Fault;
 
     #[test]
@@ -142,21 +146,16 @@ mod tests {
         assert!(!answered.is_dos());
         assert!(!answered.is_root_shell());
 
-        let crash = ProxyOutcome::Crashed(Box::new(FaultReport {
+        let crash = ProxyOutcome::Crashed(FaultReport {
             fault: Fault::UnmappedFetch { pc: 0x41414141 },
             pc: Some(0x41414141),
             sp: 0,
-            stack: vec![],
-        }));
+            stack: StackDump::default(),
+        });
         assert!(crash.is_dos());
         assert!(!crash.daemon_alive());
 
-        let shell = ProxyOutcome::Compromised(ShellSpawn {
-            program: "/bin/sh".into(),
-            argv: vec![],
-            via: "execve",
-            uid: 0,
-        });
+        let shell = ProxyOutcome::Compromised(ShellSpawn::new(b"/bin/sh", "execve", 0));
         assert!(shell.is_root_shell());
         assert!(!shell.daemon_alive());
         assert!(!shell.is_dos());

@@ -9,6 +9,8 @@ use cml_firmware::{Firmware, Protections};
 use cml_netsim::{HwAddr, RadioEnvironment, Ssid, Station};
 
 /// What one name lookup on the device produced.
+// `ProxyOutcome` holds its spawn inline, so no lookup outcome allocates.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum LookupOutcome {
     /// Served from the proxy's cache.
@@ -103,7 +105,7 @@ impl IotDevice {
             return LookupOutcome::NoNetwork;
         }
         match self.daemon.resolve(name, rtype) {
-            Resolution::Cached(addrs) => LookupOutcome::Cached(addrs),
+            Resolution::Cached(addrs) => LookupOutcome::Cached(addrs.to_vec()),
             Resolution::Query(query_bytes) => match self.station.query_dns(env, &query_bytes) {
                 Some(response) => LookupOutcome::Network(self.daemon.deliver_response(&response)),
                 None => LookupOutcome::NoResponse,

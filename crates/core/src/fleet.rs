@@ -952,6 +952,15 @@ fn cohort_state<'w>(worker: &'w mut Worker, ctx: &FleetCtx<'_>, c: usize) -> &'w
     worker.cohorts[c].as_mut().expect("just ensured")
 }
 
+/// Seconds since `mark`, moving `mark` to now: one clock read ends a
+/// phase and starts the next.
+fn lap(mark: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let secs = (now - *mark).as_secs_f64();
+    *mark = now;
+    secs
+}
+
 /// One attack session against a freshly forked (or freshly booted)
 /// victim of cohort `c` at boot seed `seed`. Returns the verdict every
 /// device of the class inherits.
@@ -968,7 +977,9 @@ fn class_session(
     // Make sure the cohort's resolver exists.
     cohort_state(worker, ctx, c);
 
-    let t_forge = Instant::now();
+    // One clock read per phase boundary: each phase ends where the
+    // next begins.
+    let mut mark = Instant::now();
     let forge_key = profile_key(cohort.kind, cohort.arch, &cohort.protections);
     let fw_key = profile_key(cohort.kind, cohort.arch, &Protections::none());
     let mut fresh_daemon;
@@ -982,18 +993,17 @@ fn class_session(
             .or_insert_with(|| ctx.shared[&forge_key].spawn())
             .fork(seed)
     };
-    partial.phases.forge_secs += t_forge.elapsed().as_secs_f64();
+    partial.phases.forge_secs += lap(&mut mark);
 
     if !daemon.is_running() {
         return Verdict::Down;
     }
     let state = worker.cohorts[c].as_mut().expect("ensured above");
 
-    let t_deliver = Instant::now();
     let query = match daemon.resolve(&state.host, RecordType::A) {
         Resolution::Query(q) => q,
         Resolution::Cached(_) => {
-            partial.phases.deliver_secs += t_deliver.elapsed().as_secs_f64();
+            partial.phases.deliver_secs += lap(&mut mark);
             return Verdict::Served;
         }
     };
@@ -1018,17 +1028,16 @@ fn class_session(
         let cache = state.upstream.as_mut().expect("just ensured");
         let mut buf = worker.pool.checkout();
         let hit = cache.lookup_into(0, &query, buf.as_mut_vec());
-        partial.phases.deliver_secs += t_deliver.elapsed().as_secs_f64();
-        let t_vm = Instant::now();
+        partial.phases.deliver_secs += lap(&mut mark);
         if !hit {
             // The poisoning itself failed (non-canonical query): the
             // class was never attacked this round.
             worker.pool.checkin(buf);
-            partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
+            partial.phases.vm_secs += lap(&mut mark);
             return Verdict::Lost;
         }
         outcome = daemon.deliver_response(buf.as_bytes());
-        partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
+        partial.phases.vm_secs += lap(&mut mark);
         worker.pool.checkin(buf);
     } else {
         // Batched fan-out: the cohort's relocated response was encoded
@@ -1037,8 +1046,7 @@ fn class_session(
             state.bank = AnswerBank::capture(&mut state.server, &query);
         }
         let banked = state.bank.as_mut().and_then(|b| b.answer(&query)).is_some();
-        partial.phases.deliver_secs += t_deliver.elapsed().as_secs_f64();
-        let t_vm = Instant::now();
+        partial.phases.deliver_secs += lap(&mut mark);
         outcome = if banked {
             let bytes = state
                 .bank
@@ -1053,12 +1061,12 @@ fn class_session(
             match state.server.handle(&query) {
                 Some(resp) => daemon.deliver_response(&resp),
                 None => {
-                    partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
+                    partial.phases.vm_secs += lap(&mut mark);
                     return Verdict::Lost;
                 }
             }
         };
-        partial.phases.vm_secs += t_vm.elapsed().as_secs_f64();
+        partial.phases.vm_secs += lap(&mut mark);
     }
 
     Verdict::classify(&outcome)

@@ -155,7 +155,7 @@ impl Header {
     pub const WIRE_LEN: usize = 12;
 
     /// Packs the flag fields into the second 16-bit word.
-    fn flags_word(&self) -> u16 {
+    pub(crate) fn flags_word(&self) -> u16 {
         let mut w = 0u16;
         if self.response {
             w |= 0x8000;

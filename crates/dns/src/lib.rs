@@ -52,7 +52,7 @@ pub mod zone;
 
 pub use error::DnsError;
 pub use header::{Header, Opcode, Rcode};
-pub use message::{EncodeRecord, Message, ResponseEncoder};
+pub use message::{EncodeRecord, Message, ResponseEncoder, MAX_QUERY_LEN};
 pub use name::{CompressionTable, Label, Name, FOLDED_KEY_LEN, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use record::{Record, RecordClass, RecordData, RecordType};

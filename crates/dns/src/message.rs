@@ -3,12 +3,16 @@
 use std::fmt;
 
 use crate::header::{Header, Rcode};
-use crate::name::CompressionTable;
+use crate::name::{CompressionTable, Name, MAX_NAME_LEN};
 use crate::question::Question;
-use crate::record::Record;
+use crate::record::{Record, RecordClass, RecordType};
 use crate::view::{MessageView, RecordRef};
 use crate::wire::{WireBuf, WireWriter};
 use crate::DnsError;
+
+/// The longest query [`Message::write_query`] writes: the header, a
+/// [`MAX_NAME_LEN`]-byte name, the qtype and the qclass.
+pub const MAX_QUERY_LEN: usize = Header::WIRE_LEN + MAX_NAME_LEN + 4;
 
 /// A complete DNS message: header plus the four sections.
 ///
@@ -62,6 +66,31 @@ impl Message {
             m.push_question(q.clone());
         }
         m
+    }
+
+    /// Writes the wire bytes of `Message::query(id, Question::new(name,
+    /// qtype)).encode()` into `out` without building the message, and
+    /// returns their length. A name is at most [`MAX_NAME_LEN`] bytes on
+    /// the wire, so the query always fits; nothing is allocated.
+    pub fn write_query(
+        id: u16,
+        name: &Name,
+        qtype: RecordType,
+        out: &mut [u8; MAX_QUERY_LEN],
+    ) -> usize {
+        out[..2].copy_from_slice(&id.to_be_bytes());
+        out[2..4].copy_from_slice(&Header::default().flags_word().to_be_bytes());
+        out[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]);
+        let mut at = Header::WIRE_LEN;
+        for label in name.labels() {
+            out[at] = label.len() as u8;
+            out[at + 1..at + 1 + label.len()].copy_from_slice(label.as_bytes());
+            at += 1 + label.len();
+        }
+        out[at] = 0;
+        out[at + 1..at + 3].copy_from_slice(&qtype.to_u16().to_be_bytes());
+        out[at + 3..at + 5].copy_from_slice(&RecordClass::In.to_u16().to_be_bytes());
+        at + 5
     }
 
     /// Transaction id.

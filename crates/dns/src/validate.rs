@@ -11,7 +11,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::header::{Header, Opcode, Rcode};
-use crate::message::Message;
 use crate::view::read_question;
 use crate::wire::WireReader;
 use crate::DnsError;
@@ -83,7 +82,8 @@ pub struct GateReport {
 }
 
 /// Applies the proxy's pre-parse plausibility checks to raw response
-/// bytes, without touching the answer section.
+/// bytes, without touching the answer section. `query` is the
+/// outstanding query's wire bytes, as the proxy sent them.
 ///
 /// On success the caller knows the packet *looks* legitimate and may hand
 /// its answer section to the (possibly vulnerable) record parser.
@@ -91,16 +91,20 @@ pub struct GateReport {
 /// # Errors
 ///
 /// Returns the first [`ResponseRejection`] encountered, mirroring the
-/// order of checks in `dnsproxy.c`.
-pub fn gate_response(query: &Message, bytes: &[u8]) -> Result<GateReport, ResponseRejection> {
+/// order of checks in `dnsproxy.c`. A `query` that is not a well-formed
+/// header and question section is echoed by nothing: its responses are
+/// [`ResponseRejection::QuestionMismatch`]es.
+pub fn gate_response(query: &[u8], bytes: &[u8]) -> Result<GateReport, ResponseRejection> {
     let header =
         Header::decode(&mut WireReader::new(bytes)).map_err(ResponseRejection::BadHeader)?;
     if !header.response {
         return Err(ResponseRejection::NotAResponse);
     }
-    if header.id != query.id() {
+    let asked = Header::decode(&mut WireReader::new(query))
+        .map_err(|_| ResponseRejection::QuestionMismatch)?;
+    if header.id != asked.id {
         return Err(ResponseRejection::IdMismatch {
-            expected: query.id(),
+            expected: asked.id,
             found: header.id,
         });
     }
@@ -110,21 +114,24 @@ pub fn gate_response(query: &Message, bytes: &[u8]) -> Result<GateReport, Respon
     if header.rcode != Rcode::NoError {
         return Err(ResponseRejection::ErrorRcode(header.rcode));
     }
-    if header.qdcount as usize != query.questions().len() {
+    if header.qdcount != asked.qdcount {
         return Err(ResponseRejection::QuestionMismatch);
     }
     // Each echoed question is read in place and compared with the
-    // query's, case-insensitively: nothing is materialized.
-    let mut pos = Header::WIRE_LEN;
-    for expected in query.questions() {
+    // query's wire question, case-insensitively: nothing is
+    // materialized.
+    let (mut pos, mut asked_pos) = (Header::WIRE_LEN, Header::WIRE_LEN);
+    for _ in 0..asked.qdcount {
         let (q, end) = read_question(bytes, pos).map_err(ResponseRejection::BadQuestion)?;
-        if !q.name().eq_name(expected.qname())
+        let (expected, asked_end) =
+            read_question(query, asked_pos).map_err(|_| ResponseRejection::QuestionMismatch)?;
+        if !q.name().eq_ignore_case(&expected.name())
             || q.qtype() != expected.qtype()
             || q.qclass() != expected.qclass()
         {
             return Err(ResponseRejection::QuestionMismatch);
         }
-        pos = end;
+        (pos, asked_pos) = (end, asked_end);
     }
     if header.ancount == 0 {
         return Err(ResponseRejection::NoAnswers);
@@ -139,6 +146,7 @@ pub fn gate_response(query: &Message, bytes: &[u8]) -> Result<GateReport, Respon
 mod tests {
     use super::*;
     use crate::forge::ResponseForge;
+    use crate::message::Message;
     use crate::name::Name;
     use crate::question::Question;
     use crate::record::RecordType;
@@ -161,7 +169,7 @@ mod tests {
     #[test]
     fn forged_overflow_passes_the_gate() {
         let q = query();
-        let report = gate_response(&q, &forged(&q)).unwrap();
+        let report = gate_response(&q.encode().unwrap(), &forged(&q)).unwrap();
         assert_eq!(report.header.ancount, 1);
         // header + name(18) + type + class = 12 + 18 + 4
         assert_eq!(
@@ -176,7 +184,7 @@ mod tests {
         let other = Message::query(0x2222, q.questions()[0].clone());
         let bytes = forged(&other);
         assert_eq!(
-            gate_response(&q, &bytes),
+            gate_response(&q.encode().unwrap(), &bytes),
             Err(ResponseRejection::IdMismatch {
                 expected: 0x1111,
                 found: 0x2222
@@ -189,7 +197,7 @@ mod tests {
         let q = query();
         let bytes = q.encode().unwrap();
         assert_eq!(
-            gate_response(&q, &bytes),
+            gate_response(&q.encode().unwrap(), &bytes),
             Err(ResponseRejection::NotAResponse)
         );
     }
@@ -203,7 +211,7 @@ mod tests {
         );
         let bytes = forged(&other);
         assert_eq!(
-            gate_response(&q, &bytes),
+            gate_response(&q.encode().unwrap(), &bytes),
             Err(ResponseRejection::QuestionMismatch)
         );
     }
@@ -214,7 +222,7 @@ mod tests {
         let mut bytes = forged(&q);
         bytes[3] |= 0x03; // NXDOMAIN
         assert_eq!(
-            gate_response(&q, &bytes),
+            gate_response(&q.encode().unwrap(), &bytes),
             Err(ResponseRejection::ErrorRcode(Rcode::NxDomain))
         );
     }
@@ -224,14 +232,17 @@ mod tests {
         let q = query();
         let resp = Message::response_to(&q);
         let bytes = resp.encode().unwrap();
-        assert_eq!(gate_response(&q, &bytes), Err(ResponseRejection::NoAnswers));
+        assert_eq!(
+            gate_response(&q.encode().unwrap(), &bytes),
+            Err(ResponseRejection::NoAnswers)
+        );
     }
 
     #[test]
     fn short_packet_rejected() {
         let q = query();
         assert!(matches!(
-            gate_response(&q, &[0u8; 4]),
+            gate_response(&q.encode().unwrap(), &[0u8; 4]),
             Err(ResponseRejection::BadHeader(_))
         ));
     }
@@ -244,6 +255,6 @@ mod tests {
             Question::new(Name::parse("NTP.Pool.Example").unwrap(), RecordType::A),
         );
         let bytes = forged(&upper);
-        assert!(gate_response(&q, &bytes).is_ok());
+        assert!(gate_response(&q.encode().unwrap(), &bytes).is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! Table tests for the two readers of a wire question section: the
 //! proxy's header gate, which checks a response's echoed question
-//! against the outstanding query, and the canonical-query reader, which
-//! recognises the one query shape the proxy sends.
+//! against the outstanding query's wire bytes, and the canonical-query
+//! reader, which recognises the one query shape the proxy sends.
 
 use cml_dns::forge::ResponseForge;
 use cml_dns::validate::{gate_response, GateReport, ResponseRejection};
@@ -34,8 +34,9 @@ fn forged(q: &Message) -> Vec<u8> {
         .unwrap()
 }
 
+/// The gate against [`query`]'s wire bytes, as the proxy holds them.
 fn gate(bytes: &[u8]) -> Result<GateReport, ResponseRejection> {
-    gate_response(&query(), bytes)
+    gate_response(&query().encode().unwrap(), bytes)
 }
 
 #[test]

@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use crate::corpus::{Corpus, CoverageAccum};
 use crate::harness::Harness;
 use crate::mutate::Mutator;
-use crate::triage::minimize;
+use crate::triage::{minimize, CrashSite};
 
 /// Everything that shapes a campaign. Two equal configs produce
 /// byte-identical [`FuzzReport`]s.
@@ -257,6 +257,8 @@ fn run_campaign(
     let mut corpus = Corpus::new();
     let mut stats = WorkerStats::default();
     let mut crashes: Vec<CrashRecord> = Vec::new();
+    // The site of each record in `crashes`, compared without rendering.
+    let mut sites: Vec<CrashSite> = Vec::new();
     let harness = &mut state.harness;
 
     let mut scratch = state.pool.checkout();
@@ -286,26 +288,27 @@ fn run_campaign(
         let out = harness.exec(scratch.as_bytes(), &mut accum);
         stats.execs += 1;
         tally(&mut stats, out.tag);
-        if let Some(key) = out.crash_key {
-            if !crashes.iter().any(|c| c.key == key) {
-                let input = scratch.as_bytes().to_vec();
+        if let Some(crash) = out.crash {
+            let site = crash.site();
+            if !sites.contains(&site) {
                 let budget_left = budget - stats.execs;
                 let mut spent = 0u64;
-                let minimized = minimize(&input, |candidate| {
+                let minimized = minimize(scratch.as_bytes(), |candidate| {
                     if spent >= budget_left {
                         return None;
                     }
                     spent += 1;
-                    Some(harness.reproduces(candidate, &key))
+                    Some(harness.reproduces(candidate, site))
                 });
                 // Minimization execs count against the budget but not
                 // the outcome tallies — they are triage, not search.
                 stats.execs += spent;
+                sites.push(site);
                 crashes.push(CrashRecord {
-                    key,
+                    key: site.to_string(),
                     worker: widx,
                     input: minimized,
-                    fault: out.fault.unwrap_or_default(),
+                    fault: crash.describe(),
                 });
             }
         } else if out.novel {

@@ -14,21 +14,52 @@ use cml_connman::{ProxyOutcome, Resolution};
 use cml_dns::forge::ResponseForge;
 use cml_dns::{Message, Name, RecordType};
 use cml_firmware::{Arch, BootForge, Daemon, Firmware, FirmwareKind, Protections};
+use cml_vm::Fault;
 
 use crate::corpus::CoverageAccum;
-use crate::triage::crash_key;
+use crate::triage::CrashSite;
 
-/// What one execution of the target produced.
+/// What one execution of the target produced. Nothing in it is
+/// rendered: a crash's key and fault text are formatted only when a
+/// campaign records a new crash.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
     /// Coarse outcome class (stable labels, used in stats).
     pub tag: &'static str,
-    /// Triage key when the daemon crashed (or the oracle was escaped).
-    pub crash_key: Option<String>,
-    /// Human-readable fault description for crash reports.
-    pub fault: Option<String>,
+    /// The crash, when the daemon crashed (or the oracle was escaped).
+    pub crash: Option<Crash>,
     /// Whether this execution lit coverage no earlier one had.
     pub novel: bool,
+}
+
+/// A crash one execution found.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Crash {
+    /// The daemon faulted: the sanitizer's overflow report, or any
+    /// other fault.
+    Fault(Fault),
+    /// The hijack escaped the sanitizer oracle, which an armed
+    /// sanitizer should make unreachable: its key and the outcome's
+    /// text.
+    Escape(&'static str, String),
+}
+
+impl Crash {
+    /// The crash's site, its deduplication identity.
+    pub fn site(&self) -> CrashSite {
+        match self {
+            Crash::Fault(fault) => CrashSite::of(fault),
+            Crash::Escape(key, _) => CrashSite::Named(key),
+        }
+    }
+
+    /// Human-readable fault description for crash reports.
+    pub fn describe(&self) -> String {
+        match self {
+            Crash::Fault(fault) => fault.to_string(),
+            Crash::Escape(_, text) => text.clone(),
+        }
+    }
 }
 
 /// The per-worker fork server: one booted forge plus the canonical
@@ -123,47 +154,39 @@ impl Harness {
             (Some(map), Some(accum)) => accum.note_touched(map),
             _ => false,
         };
-        let (tag, crash, fault): (&'static str, Option<String>, Option<String>) = match &outcome {
-            ProxyOutcome::Rejected(_) => ("rejected", None, None),
-            ProxyOutcome::ParseFailed { .. } => ("parse-failed", None, None),
-            ProxyOutcome::Answered { .. } => ("answered", None, None),
-            ProxyOutcome::Crashed(report) => (
-                "crashed",
-                Some(crash_key(&report.fault)),
-                Some(report.fault.to_string()),
-            ),
+        let (tag, crash) = match outcome {
+            ProxyOutcome::Rejected(_) => ("rejected", None),
+            ProxyOutcome::ParseFailed { .. } => ("parse-failed", None),
+            ProxyOutcome::Answered { .. } => ("answered", None),
+            ProxyOutcome::Crashed(report) => ("crashed", Some(Crash::Fault(report.fault))),
             // With the sanitizer armed these should be unreachable; if
             // an input ever escapes the oracle, surface it loudly as its
             // own crash bucket instead of miscounting it as benign.
             ProxyOutcome::Compromised(_) => (
                 "compromised",
-                Some("oracle-escape-compromised".to_string()),
-                Some(outcome.to_string()),
+                Some(Crash::Escape(
+                    "oracle-escape-compromised",
+                    outcome.to_string(),
+                )),
             ),
             ProxyOutcome::HijackedExit { .. } => (
                 "hijacked-exit",
-                Some("oracle-escape-hijack".to_string()),
-                Some(outcome.to_string()),
+                Some(Crash::Escape("oracle-escape-hijack", outcome.to_string())),
             ),
-            ProxyOutcome::DaemonDown => ("daemon-down", None, None),
+            ProxyOutcome::DaemonDown => ("daemon-down", None),
             // `ProxyOutcome` is non_exhaustive; treat unknown future
             // outcomes as benign rather than fabricating crash keys.
-            _ => ("other", None, None),
+            _ => ("other", None),
         };
-        ExecOutcome {
-            tag,
-            crash_key: crash,
-            fault,
-            novel,
-        }
+        ExecOutcome { tag, crash, novel }
     }
 
-    /// Re-runs `input` and reports whether it crashes with `key` —
-    /// the minimization predicate. Coverage is deliberately not folded
+    /// Re-runs `input` and reports whether it crashes at `site` — the
+    /// minimization predicate. Coverage is deliberately not folded
     /// anywhere, so minimization cannot perturb corpus admission.
-    pub fn reproduces(&mut self, input: &[u8], key: &str) -> bool {
+    pub fn reproduces(&mut self, input: &[u8], site: CrashSite) -> bool {
         let out = self.run(input, None);
-        out.crash_key.as_deref() == Some(key)
+        out.crash.is_some_and(|c| c.site() == site)
     }
 
     /// The wire bytes of the canonical query a fresh fork issues.
@@ -187,7 +210,7 @@ mod tests {
         for seed in h.seed_inputs() {
             let out = h.exec(&seed, &mut accum);
             assert_eq!(out.tag, "answered", "seed corpus must be benign");
-            assert!(out.crash_key.is_none());
+            assert!(out.crash.is_none());
         }
         assert!(accum.edges_seen() > 0, "benign parses still light edges");
     }
@@ -205,9 +228,9 @@ mod tests {
             let mut accum = CoverageAccum::new();
             let out = h.exec(&evil, &mut accum);
             assert_eq!(out.tag, "crashed");
-            let key = out.crash_key.expect("sanitizer key");
-            assert!(key.starts_with("redzone-"), "{key}");
-            assert!(h.reproduces(&evil, &key));
+            let site = out.crash.expect("sanitizer crash").site();
+            assert!(site.to_string().starts_with("redzone-"), "{site}");
+            assert!(h.reproduces(&evil, site));
         }
     }
 

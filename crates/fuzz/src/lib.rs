@@ -38,6 +38,6 @@ pub mod triage;
 
 pub use corpus::{Corpus, CoverageAccum};
 pub use driver::{fuzz, CrashRecord, FuzzConfig, FuzzReport, WorkerStats};
-pub use harness::{ExecOutcome, Harness};
+pub use harness::{Crash, ExecOutcome, Harness};
 pub use mutate::{Mutator, MAX_INPUT};
-pub use triage::{crash_key, minimize};
+pub use triage::{crash_key, minimize, CrashSite};

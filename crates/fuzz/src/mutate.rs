@@ -132,7 +132,8 @@ impl Mutator {
 
     /// Duplicates the whole in-place label run of the answer name —
     /// doubling the name with one mutation, which compounds quickly
-    /// under repeated admission.
+    /// under repeated admission. The copy is made inside `p`'s own
+    /// buffer: appended, then rotated into place after the run.
     fn label_splice(&mut self, p: &mut Vec<u8>) {
         let Some(name) = walk_answer_name(p) else {
             return self.havoc(p);
@@ -140,8 +141,8 @@ impl Mutator {
         if name.term == name.start {
             return self.label_extend(p);
         }
-        let run: Vec<u8> = p[name.start..name.term].to_vec();
-        splice_in(p, name.term, &run);
+        p.extend_from_within(name.start..name.term);
+        p[name.term..].rotate_right(name.term - name.start);
     }
 
     /// Replaces the answer name's terminator with a compression pointer
@@ -254,8 +255,9 @@ impl Mutator {
                 _ => {
                     let i = self.rng.gen_range(0usize..p.len());
                     let n = self.rng.gen_range(1usize..=16).min(p.len() - i);
-                    let chunk: Vec<u8> = p[i..i + n].to_vec();
-                    splice_in(p, i, &chunk);
+                    // Duplicate the chunk in place, as `label_splice` does.
+                    p.extend_from_within(i..i + n);
+                    p[i..].rotate_right(n);
                 }
             }
         }

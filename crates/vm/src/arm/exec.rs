@@ -152,19 +152,17 @@ pub(crate) fn exec_insn(
             m.mem.write_u8(addr, v, pc)?;
         }
         Insn::Push { list } => {
-            let regs = reg_list(list);
-            let sp = m.regs.sp().wrapping_sub(4 * regs.len() as u32);
-            for (i, &r) in regs.iter().enumerate() {
+            let sp = m.regs.sp().wrapping_sub(4 * list.count_ones());
+            for (i, r) in reg_list(list).enumerate() {
                 let v = get(m, r);
                 m.mem.write_u32(sp.wrapping_add(4 * i as u32), v, pc)?;
             }
             m.regs.set_sp(sp);
         }
         Insn::Pop { list } => {
-            let regs = reg_list(list);
             let sp = m.regs.sp();
             let mut pc_target = None;
-            for (i, &r) in regs.iter().enumerate() {
+            for (i, r) in reg_list(list).enumerate() {
                 let v = m.mem.read_u32(sp.wrapping_add(4 * i as u32), pc)?;
                 if r == 15 {
                     pc_target = Some(v);
@@ -172,7 +170,7 @@ pub(crate) fn exec_insn(
                     m.regs.arm_mut().set(ArmReg(r), v);
                 }
             }
-            m.regs.set_sp(sp.wrapping_add(4 * regs.len() as u32));
+            m.regs.set_sp(sp.wrapping_add(4 * list.count_ones()));
             if let Some(target) = pc_target {
                 // `pop {…, pc}` is the function-return idiom: CFI treats
                 // it as a return.
@@ -366,7 +364,7 @@ mod tests {
         assert!(out.is_root_shell(), "{out}");
         match out {
             RunOutcome::ShellSpawned(s) => {
-                assert_eq!(s.program, "/bin/sh");
+                assert_eq!(s.program(), "/bin/sh");
                 assert_eq!(s.via, "execve");
             }
             other => panic!("unexpected {other}"),

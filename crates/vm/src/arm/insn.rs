@@ -213,9 +213,10 @@ pub(crate) fn encode_imm12(value: u32) -> Option<u32> {
     None
 }
 
-/// Converts a register-list bitmap to register numbers, ascending.
-pub fn reg_list(list: u16) -> Vec<u8> {
-    (0..16).filter(|i| list & (1 << i) != 0).collect()
+/// The register numbers of a register-list bitmap, ascending, read
+/// off the bits without allocating (`list.count_ones()` of them).
+pub fn reg_list(list: u16) -> impl Iterator<Item = u8> + Clone {
+    (0..16).filter(move |i| list & (1 << i) != 0)
 }
 
 /// Decodes one A32 word via the declarative [`A32_RULES`] table.
@@ -626,7 +627,10 @@ mod tests {
         // pop {r0,r1,r2,r3,r5,r6,r7,pc} → list 0x80EF → e8bd80ef
         let i = d(0xE8BD_80EF);
         assert_eq!(i, Insn::Pop { list: 0x80EF });
-        assert_eq!(reg_list(0x80EF), vec![0, 1, 2, 3, 5, 6, 7, 15]);
+        assert_eq!(
+            reg_list(0x80EF).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 5, 6, 7, 15]
+        );
         assert_eq!(i.to_string(), "pop {r0, r1, r2, r3, r5, r6, r7, pc}");
     }
 

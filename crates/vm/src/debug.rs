@@ -82,7 +82,8 @@ impl<'m> Inspector<'m> {
 }
 
 /// A crash report: what the daemon's log / a core dump shows after a
-/// fault. Offset discovery reads `pattern_pc` out of this.
+/// fault. Offset discovery reads `pattern_pc` out of this. Everything
+/// is held inline, so capturing one allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// The fault itself.
@@ -92,22 +93,47 @@ pub struct FaultReport {
     /// Stack pointer at the time of death.
     pub sp: Addr,
     /// A few words of stack context, as a crash handler would dump.
-    pub stack: Vec<u32>,
+    pub stack: StackDump,
 }
 
 impl FaultReport {
     /// Builds a report from a faulted machine.
     pub fn capture(machine: &Machine, fault: Fault) -> Self {
         let sp = machine.regs().sp();
-        let stack = (0..8)
-            .filter_map(|i| machine.mem().read_u32(sp.wrapping_add(4 * i), 0).ok())
-            .collect();
+        let mut stack = StackDump::default();
+        for i in 0..StackDump::WORDS as u32 {
+            if let Ok(w) = machine.mem().read_u32(sp.wrapping_add(4 * i), 0) {
+                stack.words[stack.len] = w;
+                stack.len += 1;
+            }
+        }
         FaultReport {
             pc: fault.pc(),
             fault,
             sp,
             stack,
         }
+    }
+}
+
+/// The readable words among the eight above a dead machine's stack
+/// pointer, in address order, held inline. Derefs to the words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StackDump {
+    words: [u32; StackDump::WORDS],
+    len: usize,
+}
+
+impl StackDump {
+    /// How many words above the stack pointer a capture reads.
+    pub const WORDS: usize = 8;
+}
+
+impl std::ops::Deref for StackDump {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words[..self.len]
     }
 }
 

@@ -55,16 +55,6 @@ impl LibcFn {
     ];
 }
 
-/// What a hook told the run loop to do (kept public for the debugger's
-/// single-step display).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HookOutcome {
-    /// The function returned; execution continues at the return address.
-    Returned,
-    /// The function terminated the process.
-    Terminal(RunOutcome),
-}
-
 /// Reads the calling convention's first three arguments and the return
 /// address without consuming them.
 fn read_args(m: &Machine, pc: Addr) -> Result<(Addr, [u32; 3]), Fault> {
@@ -176,15 +166,12 @@ pub(crate) fn invoke(m: &mut Machine, f: LibcFn, pc: Addr) -> Result<Option<RunO
             Ok(None)
         }
         LibcFn::System => {
-            let cmd = m.mem.read_cstr(args[0], 256, pc)?;
+            let mut buf = [0; crate::machine::GUEST_STR_MAX];
+            let cmd = m.mem.read_cstr(args[0], &mut buf, pc)?;
             if !cmd.is_empty() && cmd.iter().all(|b| b.is_ascii_graphic() || *b == b' ') {
-                let cmd = crate::machine::guest_text(cmd);
-                Ok(Some(RunOutcome::ShellSpawned(crate::machine::ShellSpawn {
-                    program: format!("sh -c {cmd}"),
-                    argv: vec![cmd],
-                    via: "system",
-                    uid: 0,
-                })))
+                Ok(Some(RunOutcome::ShellSpawned(
+                    crate::machine::ShellSpawn::system(cmd),
+                )))
             } else {
                 // Garbage "command" (stale pointer): the spawned sh exits
                 // 127 and system() returns to the chain.
@@ -369,7 +356,7 @@ mod tests {
         let out = m.step().unwrap().expect("terminal");
         match out {
             RunOutcome::ShellSpawned(s) => {
-                assert_eq!(s.program, "sh");
+                assert_eq!(s.program(), "sh");
                 assert_eq!(s.via, "execlp");
                 assert!(s.is_root_shell());
             }

@@ -48,7 +48,7 @@ pub mod x86;
 
 pub use coverage::{CoverageMap, COV_MAP_SIZE};
 pub use fault::Fault;
-pub use hooks::{HookOutcome, LibcFn};
+pub use hooks::LibcFn;
 pub use loader::{AslrConfig, LoadMap, Loader, Protections};
 pub use machine::{Event, Machine, MachineSnapshot, RunOutcome, ShellSpawn};
 pub use mem::{Memory, MemorySnapshot, RedzoneAccess, RedzoneHit, Region};

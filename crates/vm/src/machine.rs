@@ -1,5 +1,6 @@
 //! The machine: registers + memory + hooks + run loop.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use cml_image::{Addr, Arch};
@@ -17,14 +18,36 @@ use crate::{arm, riscv, x86, Fault};
 /// cost and the budget-accounting granularity small).
 const MAX_BLOCK: usize = 32;
 
+/// The longest guest C string an exec-family hook reads.
+pub(crate) const GUEST_STR_MAX: usize = 256;
+
+/// Bytes of guest text a [`ShellSpawn`] holds: room for the longest
+/// program, a `system` command's `sh -c ` and its string. Argv strings
+/// share what the program leaves.
+const SPAWN_TEXT: usize = GUEST_STR_MAX + 16;
+
+/// The most argv entries an exec reads from the guest's list.
+const MAX_ARGV: usize = 16;
+
 /// A simulated `/bin/sh` spawn — the goal state of every exploit in the
 /// paper ("interrupt the flow of Connman and spawn a root shell").
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The program and argv are the guest's bytes, held inline so that a
+/// hijack that spawns a shell allocates nothing. A guest string is read
+/// with a 256-byte cap, so the program always fits; argv
+/// strings are kept in order while they fit in the rest of the inline
+/// text, and a string that does not fit is left out with every one
+/// after it (the lab's shellcode passes at most one short string).
+#[derive(Clone, PartialEq, Eq)]
 pub struct ShellSpawn {
-    /// The program path or name passed to the exec-family call.
-    pub program: String,
-    /// Argument vector (excluding the terminating NULL).
-    pub argv: Vec<String>,
+    text: [u8; SPAWN_TEXT],
+    /// `text[..program]` is the program.
+    program: u16,
+    /// Argv entry `i` is `text[start..ends[i]]`, where `start` is
+    /// `argv_start` for the first entry and `ends[i - 1]` after it.
+    argv_start: u16,
+    ends: [u16; MAX_ARGV],
+    argc: u8,
     /// Which entry point produced it: `"execve"`, `"execlp"` or
     /// `"system"`.
     pub via: &'static str,
@@ -34,15 +57,93 @@ pub struct ShellSpawn {
 }
 
 impl ShellSpawn {
+    /// A spawn of `program` with an empty argv. A program longer than
+    /// the inline text is cut to fit.
+    pub fn new(program: &[u8], via: &'static str, uid: u32) -> Self {
+        let program = &program[..program.len().min(SPAWN_TEXT)];
+        let mut text = [0; SPAWN_TEXT];
+        text[..program.len()].copy_from_slice(program);
+        ShellSpawn {
+            text,
+            program: program.len() as u16,
+            argv_start: program.len() as u16,
+            ends: [0; MAX_ARGV],
+            argc: 0,
+            via,
+            uid,
+        }
+    }
+
+    /// `system(cmd)`: the program `sh -c <cmd>`, and `cmd` its one
+    /// argument, read back out of the program's text.
+    pub(crate) fn system(cmd: &[u8]) -> Self {
+        const SH_C: &[u8] = b"sh -c ";
+        let mut spawn = ShellSpawn::new(SH_C, "system", 0);
+        let end = SH_C.len() + cmd.len();
+        spawn.text[SH_C.len()..end].copy_from_slice(cmd);
+        spawn.program = end as u16;
+        spawn.ends[0] = end as u16;
+        spawn.argc = 1;
+        spawn
+    }
+
+    /// Appends one argv string, unless the argv is full or the string
+    /// does not fit. Returns whether it was kept.
+    pub(crate) fn push_arg(&mut self, arg: &[u8]) -> bool {
+        let argc = self.argc as usize;
+        let start = argc
+            .checked_sub(1)
+            .map_or(self.argv_start, |i| self.ends[i]) as usize;
+        let end = start + arg.len();
+        if argc == MAX_ARGV || end > SPAWN_TEXT {
+            return false;
+        }
+        self.text[start..end].copy_from_slice(arg);
+        self.ends[argc] = end as u16;
+        self.argc += 1;
+        true
+    }
+
+    /// The program path or name passed to the exec-family call, as text
+    /// (invalid UTF-8 replaced, as `String::from_utf8_lossy` does).
+    pub fn program(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(self.program_bytes())
+    }
+
+    /// The argument vector (excluding the terminating NULL), as text.
+    pub fn argv(&self) -> impl Iterator<Item = Cow<'_, str>> {
+        let ends = &self.ends[..self.argc as usize];
+        let starts = std::iter::once(self.argv_start).chain(ends.iter().copied());
+        starts
+            .zip(ends)
+            .map(|(a, &b)| String::from_utf8_lossy(&self.text[a as usize..b as usize]))
+    }
+
+    fn program_bytes(&self) -> &[u8] {
+        &self.text[..self.program as usize]
+    }
+
     /// Whether this is the paper's success criterion: a shell, as root.
     pub fn is_root_shell(&self) -> bool {
-        self.uid == 0 && (self.program.ends_with("sh") || self.program.contains("sh -c"))
+        let program = self.program_bytes();
+        self.uid == 0 && (program.ends_with(b"sh") || program.windows(5).any(|w| w == b"sh -c"))
     }
 }
 
 impl fmt::Display for ShellSpawn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} via {} (uid {})", self.program, self.via, self.uid)
+        write!(f, "{} via {} (uid {})", self.program(), self.via, self.uid)
+    }
+}
+
+impl fmt::Debug for ShellSpawn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShellSpawn")
+            .field("program", &self.program())
+            .field("argv", &self.argv().collect::<Vec<_>>())
+            .field("via", &self.via)
+            .field("uid", &self.uid)
+            .finish()
     }
 }
 
@@ -67,6 +168,9 @@ pub enum Event {
 }
 
 /// Why [`Machine::run`] stopped.
+// The spawn is held inline on purpose: boxing it would put an
+// allocation back on every hijack that spawns a shell.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Clean exit.
@@ -557,35 +661,27 @@ impl Machine {
         via: &'static str,
         pc: Addr,
     ) -> Result<Option<RunOutcome>, Fault> {
-        let path = self.mem.read_cstr(path_ptr, 256, pc)?;
-        if !program_exists(&path) {
+        let mut buf = [0; GUEST_STR_MAX];
+        let path = self.mem.read_cstr(path_ptr, &mut buf, pc)?;
+        if !program_exists(path) {
             return Ok(None);
         }
-        let mut argv = Vec::new();
-        if let Some(list) = argv_ptr {
-            if list != 0 {
-                for i in 0..16u32 {
-                    let p = self.mem.read_u32(list.wrapping_add(i * 4), pc)?;
-                    if p == 0 {
-                        break;
-                    }
-                    argv.push(guest_text(self.mem.read_cstr(p, 256, pc)?));
+        let mut spawn = ShellSpawn::new(path, via, 0);
+        if let Some(list) = argv_ptr.filter(|&list| list != 0) {
+            let mut keep = true;
+            for i in 0..MAX_ARGV as u32 {
+                let p = self.mem.read_u32(list.wrapping_add(i * 4), pc)?;
+                if p == 0 {
+                    break;
                 }
+                // Every string is read, kept or not, so a bad pointer
+                // faults as it always did.
+                let arg = self.mem.read_cstr(p, &mut buf, pc)?;
+                keep = keep && spawn.push_arg(arg);
             }
         }
-        Ok(Some(RunOutcome::ShellSpawned(ShellSpawn {
-            program: guest_text(path),
-            argv,
-            via,
-            uid: 0,
-        })))
+        Ok(Some(RunOutcome::ShellSpawned(spawn)))
     }
-}
-
-/// A guest C string as host text: lossy like `String::from_utf8_lossy`,
-/// but valid UTF-8 keeps the bytes' allocation instead of copying it.
-pub(crate) fn guest_text(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Drops the lowered IR blocks a change of hook set from `old` to `new`
@@ -686,12 +782,34 @@ mod tests {
         assert!(out.is_root_shell(), "{out}");
         match out {
             RunOutcome::ShellSpawned(s) => {
-                assert_eq!(s.program, "/bin//sh");
+                assert_eq!(s.program(), "/bin//sh");
                 assert_eq!(s.via, "execve");
-                assert_eq!(s.argv, vec!["/bin//sh"]);
+                assert_eq!(s.argv().collect::<Vec<_>>(), ["/bin//sh"]);
             }
             other => panic!("unexpected outcome {other}"),
         }
+    }
+
+    #[test]
+    fn spawn_keeps_argv_strings_while_they_fit() {
+        let mut s = ShellSpawn::new(b"/bin/sh", "execve", 0);
+        let long = [b'a'; GUEST_STR_MAX];
+        assert!(s.push_arg(b"sh"));
+        assert!(s.push_arg(&long[..200]));
+        // 7 + 2 + 200 bytes are taken; 100 more do not fit.
+        assert!(!s.push_arg(&long[..100]));
+        assert_eq!(s.argv().count(), 2);
+        assert_eq!(s.program(), "/bin/sh");
+        assert_eq!(s.argv().next().unwrap(), "sh");
+
+        let cmd = [b'c'; GUEST_STR_MAX];
+        let s = ShellSpawn::system(&cmd);
+        assert_eq!(s.program().len(), "sh -c ".len() + GUEST_STR_MAX);
+        assert_eq!(
+            s.argv().collect::<Vec<_>>(),
+            [String::from_utf8_lossy(&cmd)]
+        );
+        assert!(s.is_root_shell());
     }
 
     #[test]

@@ -414,31 +414,39 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads a NUL-terminated C string of at most `max` bytes, scanning
-    /// each region's bytes for the NUL with one probe per region
-    /// crossed. A `[addr, addr + max)` range that touches the armed
-    /// redzone takes the byte loop, so every poisoned byte is diverted
-    /// (reads as the terminating `0`) and recorded.
+    /// Reads a NUL-terminated C string of at most `buf.len()` bytes
+    /// into `buf` and returns the bytes read, scanning each region's
+    /// bytes for the NUL with one probe per region crossed. A
+    /// `[addr, addr + buf.len())` range that touches the armed redzone
+    /// takes the byte loop, so every poisoned byte is diverted (reads as
+    /// the terminating `0`) and recorded.
     ///
     /// # Errors
     ///
     /// Returns a read fault if the string runs into inaccessible memory
-    /// before a NUL (or before `max` bytes, in which case the truncated
-    /// prefix is returned).
-    pub fn read_cstr(&self, addr: Addr, max: usize, pc: Addr) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
+    /// before a NUL (or before `buf.len()` bytes, in which case the
+    /// truncated prefix is returned).
+    pub fn read_cstr<'b>(
+        &self,
+        addr: Addr,
+        buf: &'b mut [u8],
+        pc: Addr,
+    ) -> Result<&'b [u8], Fault> {
+        let max = buf.len();
+        let mut len = 0;
         if !self.misses_redzone(addr, max) {
-            for i in 0..max {
-                let b = self.read_u8(addr.wrapping_add(i as u32), pc)?;
+            while len < max {
+                let b = self.read_u8(addr.wrapping_add(len as u32), pc)?;
                 if b == 0 {
                     break;
                 }
-                out.push(b);
+                buf[len] = b;
+                len += 1;
             }
-            return Ok(out);
+            return Ok(&buf[..len]);
         }
-        while out.len() < max {
-            let a = addr.wrapping_add(out.len() as u32);
+        while len < max {
+            let a = addr.wrapping_add(len as u32);
             let r = self
                 .region_containing(a)
                 .ok_or(Fault::UnmappedRead { addr: a, pc })?;
@@ -450,17 +458,17 @@ impl Memory {
                 });
             }
             let off = (a - r.base) as usize;
-            let take = (r.data.len() - off).min(max - out.len());
+            let take = (r.data.len() - off).min(max - len);
             let window = &r.data[off..off + take];
-            match window.iter().position(|&b| b == 0) {
-                Some(nul) => {
-                    out.extend_from_slice(&window[..nul]);
-                    break;
-                }
-                None => out.extend_from_slice(window),
+            let nul = window.iter().position(|&b| b == 0);
+            let keep = nul.unwrap_or(take);
+            buf[len..len + keep].copy_from_slice(&window[..keep]);
+            len += keep;
+            if nul.is_some() {
+                break;
             }
         }
-        Ok(out)
+        Ok(&buf[..len])
     }
 
     /// Writes one byte, honouring permissions.
@@ -1035,9 +1043,9 @@ mod tests {
     fn cstr_reads() {
         let mut m = mem();
         m.write_bytes(0x8010, b"/bin/sh\0junk", 0).unwrap();
-        assert_eq!(m.read_cstr(0x8010, 64, 0).unwrap(), b"/bin/sh");
+        assert_eq!(m.read_cstr(0x8010, &mut [0; 64], 0).unwrap(), b"/bin/sh");
         // max cap truncates without fault
-        assert_eq!(m.read_cstr(0x8010, 3, 0).unwrap(), b"/bi");
+        assert_eq!(m.read_cstr(0x8010, &mut [0; 3], 0).unwrap(), b"/bi");
     }
 
     #[test]
@@ -1376,7 +1384,9 @@ mod tests {
         assert_same(fast, slow);
 
         let (fast, slow) = (m.clone(), m.clone());
-        let got = fast.read_cstr(addr, len, 0x9);
+        let got = fast
+            .read_cstr(addr, &mut vec![0; len], 0x9)
+            .map(<[u8]>::to_vec);
         assert_eq!(
             got,
             bytewise_read_cstr(&slow, addr, len),
@@ -1468,19 +1478,20 @@ mod tests {
             (0x10F0, 64),
         ] {
             assert_eq!(
-                m.read_cstr(addr, max, 0x9),
+                m.read_cstr(addr, &mut vec![0; max], 0x9)
+                    .map(<[u8]>::to_vec),
                 bytewise_read_cstr(&m, addr, max),
                 "{addr:#x}/{max}"
             );
         }
-        assert_eq!(m.read_cstr(0x80F0, 64, 0).unwrap(), [b'a'; 0x18]);
+        assert_eq!(m.read_cstr(0x80F0, &mut [0; 64], 0).unwrap(), [b'a'; 0x18]);
         assert!(matches!(
-            m.read_cstr(0x8109, 64, 0),
+            m.read_cstr(0x8109, &mut [0; 64], 0),
             Err(Fault::ProtectedRead { addr: 0x8110, .. })
         ));
         // Armed: poisoned bytes read as the terminator and are recorded.
         m.arm_redzone(0x80F0, 4, 0x8100);
-        assert_eq!(m.read_cstr(0x80F0, 64, 0x9).unwrap(), b"aaaa");
+        assert_eq!(m.read_cstr(0x80F0, &mut [0; 64], 0x9).unwrap(), b"aaaa");
         let hit = m.disarm_redzone().unwrap();
         assert_eq!(
             (hit.first, hit.last, hit.access),

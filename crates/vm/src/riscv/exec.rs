@@ -336,7 +336,7 @@ mod tests {
         assert!(out.is_root_shell(), "{out}");
         match out {
             RunOutcome::ShellSpawned(s) => {
-                assert_eq!(s.program, "/bin/sh");
+                assert_eq!(s.program(), "/bin/sh");
                 assert_eq!(s.via, "execve");
             }
             other => panic!("unexpected {other}"),

@@ -14,7 +14,8 @@ fn booted(kind: FirmwareKind, arch: Arch) -> (connman_lab::firmware::Daemon, Mes
     let Resolution::Query(q) = daemon.resolve(&name, RecordType::A) else {
         panic!("cold cache");
     };
-    (daemon, Message::decode(&q).unwrap())
+    let query = Message::decode(&q).unwrap();
+    (daemon, query)
 }
 
 #[test]

@@ -16,7 +16,8 @@ fn booted(kind: FirmwareKind) -> (connman_lab::firmware::Daemon, Message) {
     let Resolution::Query(q) = daemon.resolve(&name, RecordType::A) else {
         panic!("cold cache");
     };
-    (daemon, Message::decode(&q).unwrap())
+    let query = Message::decode(&q).unwrap();
+    (daemon, query)
 }
 
 proptest! {

@@ -6,17 +6,21 @@
 //! fresh seed (restore + reslide) and at the base seed (pure restore),
 //! a warm `Message::encode_into` with name compression, a proxy cache
 //! lookup, hit or miss, and a warm authoritative referral from
-//! `ZoneServer::handle_into`. A warm `Daemon::resolve` miss makes at
-//! most three allocations, and a warm recursive-resolver miss that
-//! starts at cached zone cuts at most two.
-//! A warm delivery of the banked ROP response makes as few allocations
-//! after a fresh-seed fork as after a base-seed one, since the chain's
-//! decodes survive the reslide. A warm fuzz exec of a parse-failed or a
-//! gate-rejected input makes at most three, all in the query's resolve:
-//! the header gate reads the echoed question in place and the sanitizer
-//! arms its redzone without allocating. A warm code-injection session
-//! lowers none of its shellcode again: its fork allocates nothing and
-//! its delivery no more than today's count.
+//! `ZoneServer::handle_into`. A warm recursive-resolver miss that
+//! starts at cached zone cuts makes at most two.
+//!
+//! A whole warm attack session allocates nothing on every ISA: fork,
+//! `Daemon::resolve` (the query is written into the pending list's
+//! inline buffer and borrowed) and delivery of the banked ROP response
+//! on each `full` cell, at fresh and at base seeds, and of the banked
+//! NOP-sled-and-shellcode response on each `none` cell, whose lowered
+//! blocks come back from the decode cache's victim table. The spawned
+//! shell's program and argv are held inline, and ARM `push`/`pop` read
+//! their register lists off the bits. So does a warm fuzz exec whose
+//! input the header gate rejects, whose parse fails, or which crashes
+//! the daemon under the sanitizer (the fault report is held inline and
+//! the crash site compared without rendering its key), and a triage
+//! reproduction of that crash.
 //!
 //! This file installs a `#[global_allocator]` and therefore holds
 //! exactly one test: a sibling test thread would pollute the counter.
@@ -326,9 +330,10 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
     // Boot forge: after warm-up, forking the booted daemon at a fresh
     // seed (dirty-page restore + reslide to that seed's layout) and at
     // the base seed (the fuzz path's pure restore) touches no heap, on
-    // every ISA under W⊕X+ASLR. An overflow is delivered between forks
-    // (outside the counted window) so every restore rewinds dirty pages,
-    // a crashed daemon state and a filled decode cache.
+    // every ISA under W⊕X+ASLR, and neither does the query's resolve.
+    // An overflow is delivered between forks (outside the counted
+    // window) so every restore rewinds dirty pages, a crashed daemon
+    // state and a filled decode cache.
     use connman_lab::connman::Resolution;
     use connman_lab::dns::forge::ResponseForge;
 
@@ -339,6 +344,7 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         let Resolution::Query(qbytes) = forge.fork(7).resolve(&name, RecordType::A) else {
             panic!("cold cache");
         };
+        let qbytes = qbytes.to_vec();
         let attack = ResponseForge::answering(&Message::decode(&qbytes).expect("decodes"))
             .with_chunked_payload(&[0x41; 1300])
             .expect("payload fits")
@@ -349,7 +355,7 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             let before = ALLOCS.load(Ordering::Relaxed);
             let resolution = daemon.resolve(&name, RecordType::A);
             let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-            assert!(matches!(resolution, Resolution::Query(_)));
+            assert!(matches!(resolution, Resolution::Query(q) if *q == qbytes[..]));
             assert!(!daemon.deliver_response(&attack).daemon_alive());
             allocs
         };
@@ -367,10 +373,8 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
                 allocs += ALLOCS.load(Ordering::Relaxed) - before;
                 assert!(daemon.is_running());
                 let resolve_allocs = session(daemon);
-                // The query's name, question list and wire bytes; the
-                // pending list reuses its capacity across forks.
-                assert!(
-                    resolve_allocs <= 3,
+                assert_eq!(
+                    resolve_allocs, 0,
                     "{arch}: a warm resolve made {resolve_allocs} allocations"
                 );
             }
@@ -380,10 +384,10 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             );
         }
 
-        // Deliver of the banked ROP response: the W⊕X+ASLR chain runs
-        // only non-PIE code, so its decodes and lowered blocks survive a
-        // reslide and a fresh-seed fork's delivery allocates no more than
-        // a base-seed fork's. Neither clones the pending query.
+        // A whole session on the banked ROP response: fork, resolve and
+        // delivery. The W⊕X+ASLR chain runs only non-PIE code, so its
+        // decodes and lowered blocks survive a reslide, and a fresh-seed
+        // session allocates nothing, just as a base-seed one.
         let target = Lab::new(FirmwareKind::OpenElec, arch)
             .with_protections(Protections::full())
             .recon()
@@ -396,42 +400,35 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             payload.name(),
         );
         let bank = AnswerBank::capture(&mut rop_server, &qbytes).expect("the query is answered");
-        // Returns the allocations one delivery made.
-        let deliver = |daemon: &mut connman_lab::connman::Daemon| {
+        // Returns the allocations of the fork, the resolve and the delivery.
+        let mut rop_session = |seed: u64| {
+            let t0 = ALLOCS.load(Ordering::Relaxed);
+            let daemon = forge.fork(seed);
+            let t1 = ALLOCS.load(Ordering::Relaxed);
             assert!(matches!(
                 daemon.resolve(&name, RecordType::A),
-                Resolution::Query(q) if q == qbytes
+                Resolution::Query(q) if *q == qbytes[..]
             ));
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let t2 = ALLOCS.load(Ordering::Relaxed);
             let outcome = daemon.deliver_response(bank.response());
-            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            let t3 = ALLOCS.load(Ordering::Relaxed);
             assert!(outcome.is_root_shell(), "{arch}: {outcome:?}");
-            allocs
+            [t1 - t0, t2 - t1, t3 - t2]
         };
         for seed in 0..4u64 {
-            deliver(forge.fork(2_000 + seed));
-            deliver(forge.fork(7));
+            rop_session(2_000 + seed);
+            rop_session(7);
         }
-        let fresh: Vec<u64> = (0..16u64)
-            .map(|seed| deliver(forge.fork(0xF1_0000 + seed)))
-            .collect();
-        let base: Vec<u64> = (0..16u64).map(|_| deliver(forge.fork(7))).collect();
-        let (fresh_max, base_min) = (*fresh.iter().max().unwrap(), *base.iter().min().unwrap());
-        assert!(
-            fresh_max <= base_min,
-            "{arch}: a fresh-seed delivery made {fresh_max} allocations, a base-seed one {base_min}"
-        );
-        // Today's counts, so any new allocation on the path fails here.
-        // The `ShellSpawn` is built once and moved into the outcome; no
-        // log or daemon state keeps a copy.
-        let bound = match arch {
-            Arch::X86 | Arch::Riscv => 3,
-            Arch::Armv7 => 8,
-        };
-        assert!(
-            base.iter().all(|&a| a <= bound),
-            "{arch}: a warm delivery made {base:?} allocations, over {bound}"
-        );
+        for (label, seed) in [("fresh", 0xF1_0000), ("base", 7)] {
+            for i in 0..16u64 {
+                let ledger = rop_session(if seed == 7 { 7 } else { seed + i });
+                assert_eq!(
+                    ledger, [0; 3],
+                    "{arch}: a warm {label}-seed ROP session made {ledger:?} allocations \
+                     (fork, resolve, delivery)"
+                );
+            }
+        }
     }
 
     // Warm session on each ISA's code-injection (`none`) cell: fork,
@@ -455,6 +452,7 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         let Resolution::Query(qbytes) = forge.fork(7).resolve(&name, RecordType::A) else {
             panic!("cold cache");
         };
+        let qbytes = qbytes.to_vec();
         let bank = AnswerBank::capture(&mut server, &qbytes).expect("the query is answered");
         // Returns the allocations of the fork, the resolve and the delivery.
         let mut session = |seed: u64| {
@@ -463,7 +461,7 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
             let t1 = ALLOCS.load(Ordering::Relaxed);
             assert!(matches!(
                 daemon.resolve(&name, RecordType::A),
-                Resolution::Query(q) if q == qbytes
+                Resolution::Query(q) if *q == qbytes[..]
             ));
             let t2 = ALLOCS.load(Ordering::Relaxed);
             let outcome = daemon.deliver_response(bank.response());
@@ -474,33 +472,28 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         for seed in 0..4u64 {
             session(3_000 + seed);
         }
-        // Today's counts of fork, resolve and delivery. The delivery
-        // lowered the shellcode afresh every session before victim
-        // revival: 49, 12 and 13 allocations on x86, ARMv7 and RISC-V.
-        // x86's two more are the argv its shellcode passes to `execve`
-        // (ARMv7's and RISC-V's pass NULL): the argv `Vec` and its one
-        // string.
-        let bound = match arch {
-            Arch::X86 => [0, 3, 5],
-            Arch::Armv7 | Arch::Riscv => [0, 3, 3],
-        };
+        // x86's shellcode passes `execve` an argv, held inline with the
+        // program like ARMv7's and RISC-V's bare path.
         for seed in 0..16u64 {
             let ledger = session(0xF2_0000 + seed);
-            assert!(
-                ledger.iter().zip(&bound).all(|(a, b)| a <= b),
-                "{arch}: a warm injection session made {ledger:?} allocations, over {bound:?}"
+            assert_eq!(
+                ledger, [0; 3],
+                "{arch}: a warm injection session made {ledger:?} allocations \
+                 (fork, resolve, delivery)"
             );
         }
     }
 
-    // Fuzz execs that never reach a crash: a response whose only record
-    // lost its RDATA (parse failed) and one with a wrong transaction id
-    // (the header gate rejects it), each run warm in fork mode with the
-    // sanitizer and coverage armed. Today's counts: 3 allocations in the
-    // canonical query's resolve, and none past it: the header gate reads
-    // the echoed question in place, arming the sanitizer's redzone
-    // stores it inline, the parse failure's reason is a `Copy` value,
-    // not a `String`, and the coverage fold and reset allocate nothing.
+    // Fuzz execs, each run warm in fork mode with the sanitizer and
+    // coverage armed: a response whose only record lost its RDATA (parse
+    // failed), one with a wrong transaction id (the header gate rejects
+    // it) and the 1300-byte overflow (crashed). None allocates: the
+    // query is written inline, the gate reads the echoed question in
+    // place against its wire bytes, the sanitizer stores its redzone
+    // inline, a parse failure's reason is a `Copy` value, the crash's
+    // fault report is inline and its site is compared, not rendered.
+    // Nor does a triage reproduction of the crash, the minimization
+    // predicate `Harness::reproduces`.
     use connman_lab::fuzz::{CoverageAccum, Harness};
     for arch in Arch::ALL {
         let mut harness = Harness::new(FirmwareKind::OpenElec, arch, 0xF022, true, false);
@@ -508,10 +501,25 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
         let parse_failed = benign[..benign.len() - 2].to_vec();
         let mut rejected = benign.clone();
         rejected[0] ^= 0xFF;
+        // The seed answers the harness's canonical query, so it carries
+        // that query's id.
+        let query = Message::query(
+            u16::from_be_bytes([benign[0], benign[1]]),
+            Question::new(
+                Name::parse("iot.example.com").expect("valid"),
+                RecordType::A,
+            ),
+        );
+        let crashed = ResponseForge::answering(&query)
+            .with_chunked_payload(&[0x41; 1300])
+            .expect("payload fits")
+            .build()
+            .expect("builds");
         let mut accum = CoverageAccum::new();
-        for (input, tag, bound) in [
-            (&parse_failed, "parse-failed", 3),
-            (&rejected, "rejected", 3),
+        for (input, tag) in [
+            (&parse_failed, "parse-failed"),
+            (&rejected, "rejected"),
+            (&crashed, "crashed"),
         ] {
             for _ in 0..4 {
                 assert_eq!(harness.exec(input, &mut accum).tag, tag, "{arch}");
@@ -524,9 +532,30 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
                 })
                 .collect();
             assert!(
-                per_exec.iter().all(|&a| a <= bound),
-                "{arch}: a warm {tag} exec made {per_exec:?} allocations, over {bound}"
+                per_exec.iter().all(|&a| a == 0),
+                "{arch}: a warm {tag} exec made {per_exec:?} allocations"
             );
         }
+
+        let site = harness
+            .exec(&crashed, &mut accum)
+            .crash
+            .expect("the overflow crashes")
+            .site();
+        assert!(site.to_string().starts_with("redzone-"), "{arch}: {site}");
+        for _ in 0..4 {
+            assert!(harness.reproduces(&crashed, site), "{arch}");
+        }
+        let per_repro: Vec<u64> = (0..64)
+            .map(|_| {
+                let before = ALLOCS.load(Ordering::Relaxed);
+                assert!(harness.reproduces(&crashed, site));
+                ALLOCS.load(Ordering::Relaxed) - before
+            })
+            .collect();
+        assert!(
+            per_repro.iter().all(|&a| a == 0),
+            "{arch}: a warm triage reproduction made {per_repro:?} allocations"
+        );
     }
 }
