@@ -165,6 +165,16 @@ cmp <(experiments 1) <(experiments 4) || {
 cmp <(experiments 1) <(repro --jobs 2) || {
   echo "experiments: repro tables differ from cml experiments"; exit 1; }
 
+echo "==> cml experiments golden and EXPERIMENTS.md"
+# The tables must match the committed golden byte for byte, and every
+# table row and E5 listing line of it must appear verbatim in
+# EXPERIMENTS.md, so the document cannot drift from the binary.
+diff <(experiments 1) tests/golden/experiments.txt || {
+  echo "experiments: output differs from tests/golden/experiments.txt"; exit 1; }
+missing=$(grep -E "^(\||\+ '|# )" tests/golden/experiments.txt | grep -vxFf EXPERIMENTS.md || true)
+[ -z "$missing" ] || {
+  echo "EXPERIMENTS.md lacks these lines of cml experiments:"; echo "$missing"; exit 1; }
+
 echo "==> repro --bench-smoke"
 # Tiny-iteration run of the BENCH record checked against the newest
 # committed BENCH_*.json. The guards (json path, floor/ceiling/equals,

