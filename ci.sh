@@ -128,7 +128,9 @@ done
 echo "==> cml exploit, survey and pineapple goldens"
 # Every exploit-matrix cell, the firmware survey and the rogue-AP runs
 # print the spawned shell's text; each must match its committed golden
-# byte for byte (every cell pops a root shell, so each exits 0).
+# byte for byte (every cell pops a root shell, so each exits 0). E3 has
+# rogue-AP runs for ARMv7 (the default) and x86 only, so `pineapple
+# --arch riscv` must exit 1.
 exploit_matrix() {
   local arch prot
   for arch in x86 arm riscv; do
@@ -144,6 +146,11 @@ diff <(cml survey) tests/golden/survey.txt || {
   echo "survey: output differs from tests/golden/survey.txt"; exit 1; }
 diff <(cml pineapple) tests/golden/pineapple.txt || {
   echo "pineapple: output differs from tests/golden/pineapple.txt"; exit 1; }
+diff <(cml pineapple --arch x86) tests/golden/pineapple_x86.txt || {
+  echo "pineapple --arch x86: output differs from tests/golden/pineapple_x86.txt"; exit 1; }
+code=0
+cml pineapple --arch riscv > /dev/null 2>&1 || code=$?
+[ "$code" -eq 1 ] || { echo "pineapple --arch riscv: exit $code, want 1"; exit 1; }
 
 echo "==> cml fleet --resolver parity"
 # Resolver topology: every cohort's lookups go through one shared
@@ -164,6 +171,14 @@ cmp <(experiments 1) <(experiments 4) || {
   echo "experiments: serial vs parallel tables differ"; exit 1; }
 cmp <(experiments 1) <(repro --jobs 2) || {
   echo "experiments: repro tables differ from cml experiments"; exit 1; }
+
+echo "==> repro --json golden"
+# The JSON rendering of every table carries no wall-clock fields, so the
+# serial and the parallel run must both match the committed golden.
+for jobs in 1 4; do
+  diff <(repro --json --jobs "$jobs" 2> /dev/null) tests/golden/repro.json || {
+    echo "repro --json --jobs $jobs: output differs from tests/golden/repro.json"; exit 1; }
+done
 
 echo "==> cml experiments golden and EXPERIMENTS.md"
 # The tables must match the committed golden byte for byte, and every

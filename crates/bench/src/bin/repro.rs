@@ -278,7 +278,6 @@ fn run_ablations(trials: u64) -> Value<'static> {
         pie: ((i % 29) * 0x1000) as i64,
         libc: ((i % 23) * 0x1000) as i64,
         stack: ((i % 31) * 0x1000) as i64,
-        canary: 0,
     };
     let reps = trials * PATH_REPS;
 
@@ -1087,17 +1086,6 @@ const GUARDS: &[(&str, Bound)] = &[
     ("analysis[arch=RISC-V].vsa_wall_secs", VSA_CEILING),
 ];
 
-/// Baselines recorded before a metric was renamed: the product of the
-/// listed paths stands in for it. Before the two-tier VM, the IR-over-
-/// block and block-over-insn ratios timed the same loop as `ir_vs_insn`.
-const FALLBACKS: &[(&str, &[&str])] = &[(
-    "ablations.ir_vs_insn.wall_ratio",
-    &[
-        "ablations.ir_vs_block.wall_ratio",
-        "ablations.block_vs_insn.wall_ratio",
-    ],
-)];
-
 /// Reads the number at `path`: dot-separated object keys, where a step
 /// `name[key=value]` enters array `name` and picks the element whose
 /// string field `key` is `value`.
@@ -1114,14 +1102,6 @@ fn lookup(doc: &Value, path: &str) -> Option<f64> {
             }
         })?
         .as_num()
-}
-
-/// [`lookup`] for a baseline, falling back through [`FALLBACKS`].
-fn baseline_value(doc: &Value, path: &str) -> Option<f64> {
-    lookup(doc, path).or_else(|| {
-        let (_, parts) = FALLBACKS.iter().find(|(p, _)| *p == path)?;
-        parts.iter().map(|p| lookup(doc, p)).product()
-    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1144,7 +1124,7 @@ fn judge(
             format!("{path}: FAIL — missing from the current record"),
         );
     };
-    let base = baseline.and_then(|(_, doc)| baseline_value(doc, path));
+    let base = baseline.and_then(|(_, doc)| lookup(doc, path));
     let Some(limit) = bound.limit(base) else {
         let why = match (baseline, base) {
             (None, _) => "no committed baseline".to_string(),
@@ -1335,7 +1315,7 @@ mod tests {
     use super::*;
 
     /// Every committed bench record, oldest first.
-    const COMMITTED: [(&str, &str); 8] = [
+    const COMMITTED: [(&str, &str); 9] = [
         ("BENCH_3.json", include_str!("../../../../BENCH_3.json")),
         ("BENCH_4.json", include_str!("../../../../BENCH_4.json")),
         ("BENCH_5.json", include_str!("../../../../BENCH_5.json")),
@@ -1344,10 +1324,13 @@ mod tests {
         ("BENCH_8.json", include_str!("../../../../BENCH_8.json")),
         ("BENCH_9.json", include_str!("../../../../BENCH_9.json")),
         ("BENCH_10.json", include_str!("../../../../BENCH_10.json")),
+        ("BENCH_11.json", include_str!("../../../../BENCH_11.json")),
     ];
 
-    fn bench_10() -> Value<'static> {
-        json::parse(COMMITTED[7].1).expect("BENCH_10.json parses")
+    /// The newest committed record, which holds every guarded path at
+    /// a passing value, so it also serves as the current record.
+    fn bench_11() -> Value<'static> {
+        json::parse(COMMITTED[8].1).expect("BENCH_11.json parses")
     }
 
     /// The value at `path` (the [`lookup`] syntax), for editing.
@@ -1371,29 +1354,11 @@ mod tests {
         })
     }
 
-    /// BENCH_10 read as a current record: every guarded metric sits at
-    /// its baseline, with `ir_vs_insn` at the fallback product and the
-    /// baseline-free `fork_cache` and `stack_code` rows at their wanted
-    /// 0.
-    fn current_at_bench_10() -> Value<'static> {
-        let mut doc = bench_10();
-        let Value::Obj(ablations) = at_mut(&mut doc, "ablations") else {
-            panic!("ablations is an object")
-        };
-        ablations.push(("ir_vs_insn".into(), obj([("wall_ratio", n(4.88 * 3.15))])));
-        for section in ["fork_cache", "stack_code"] {
-            let rows = Arch::ALL
-                .map(|arch| obj([("isa", s(arch.to_string())), ("misses_per_session", u(0))]));
-            ablations.push((section.into(), Value::Arr(rows.to_vec())));
-        }
-        doc
-    }
-
     fn verdicts(current: &Value) -> Vec<Verdict> {
-        let baseline = bench_10();
+        let baseline = bench_11();
         GUARDS
             .iter()
-            .map(|&g| judge(g, current, Some(("BENCH_10.json", &baseline))).0)
+            .map(|&g| judge(g, current, Some(("BENCH_11.json", &baseline))).0)
             .collect()
     }
 
@@ -1406,28 +1371,24 @@ mod tests {
     }
 
     #[test]
-    fn every_guard_finds_a_bench_10_baseline() {
-        let baseline = bench_10();
+    fn every_guard_finds_a_bench_11_baseline() {
+        let baseline = bench_11();
         for &(path, bound) in GUARDS {
-            if !matches!(bound, Bound::Equals(_)) {
-                let b = baseline_value(&baseline, path);
-                assert!(b.is_some_and(|b| b > 0.0), "{path}: {b:?}");
+            let b = lookup(&baseline, path);
+            match bound {
+                Bound::Equals(want) => assert_eq!(b, Some(want), "{path}"),
+                _ => assert!(b.is_some_and(|b| b > 0.0), "{path}: {b:?}"),
             }
         }
-        let ir = baseline_value(&baseline, "ablations.ir_vs_insn.wall_ratio").unwrap();
-        assert!(
-            (ir - 15.372).abs() < 1e-9,
-            "IR-vs-insn through the fallback: {ir}"
-        );
-        assert!(verdicts(&current_at_bench_10())
-            .iter()
-            .all(|v| *v == Verdict::Pass));
+        let ir = lookup(&baseline, "ablations.ir_vs_insn.wall_ratio").unwrap();
+        assert!((ir - 14.97).abs() < 0.01, "IR-vs-insn: {ir}");
+        assert!(verdicts(&baseline).iter().all(|v| *v == Verdict::Pass));
     }
 
     #[test]
     fn one_metric_past_its_bound_fails_that_guard_only() {
         for (i, &(path, bound)) in GUARDS.iter().enumerate() {
-            let mut current = current_at_bench_10();
+            let mut current = bench_11();
             let slot = at_mut(&mut current, path);
             let now = slot.as_num().expect(path);
             *slot = n(match bound {
@@ -1447,7 +1408,7 @@ mod tests {
 
     #[test]
     fn missing_baseline_skips_and_missing_current_fails() {
-        let current = current_at_bench_10();
+        let current = bench_11();
         let (verdict, line) = judge(GUARDS[0], &current, None);
         assert_eq!(verdict, Verdict::Skip, "{line}");
         let old = json::parse(COMMITTED[0].1).unwrap();
@@ -1467,7 +1428,7 @@ mod tests {
         let (verdict, _) = judge(
             GUARDS[0],
             &Value::Null,
-            Some(("BENCH_10.json", &bench_10())),
+            Some(("BENCH_11.json", &bench_11())),
         );
         assert_eq!(verdict, Verdict::Fail);
     }

@@ -99,8 +99,26 @@ struct RemoteRun {
     outcome: LookupOutcome,
 }
 
+/// A cell of E3: the ISA, the victim's protections and the exploit.
+pub type Cell = (Arch, Protections, Box<dyn ExploitStrategy>);
+
+/// E3's remote runs, in table order. x86: the basic stack smash only,
+/// "as a proof of feasibility". ARMv7: all three exploits, as in the
+/// paper. RISC-V has none.
+pub fn cells() -> Vec<Cell> {
+    let remote = |(arch, protections, _): &Cell| {
+        *arch == Arch::Armv7 || (*arch == Arch::X86 && *protections == Protections::none())
+    };
+    matrix().into_iter().filter(remote).collect()
+}
+
 /// Runs the experiment.
 pub fn run() -> Table {
+    table(cells())
+}
+
+/// Runs the remote attack of each of `cells` and tabulates the results.
+pub fn table(cells: Vec<Cell>) -> Table {
     let mut t = Table::new(
         "E3",
         "remote exploitation through a Wi-Fi Pineapple rogue AP (Fig. 1)",
@@ -113,12 +131,7 @@ pub fn run() -> Table {
             "attack outcome",
         ],
     );
-    // x86: basic stack smash only, "as a proof of feasibility".
-    // ARMv7: all three exploits, as in the paper.
-    let runs = matrix().into_iter().filter(|(arch, protections, _)| {
-        *arch == Arch::Armv7 || (*arch == Arch::X86 && *protections == Protections::none())
-    });
-    for (arch, protections, strategy) in runs {
+    for (arch, protections, strategy) in cells {
         match remote_attack(arch, protections, strategy.as_ref()) {
             Ok(run) => {
                 assert!(run.healthy_before, "device must work before the attack");

@@ -82,7 +82,8 @@ fn usage() {
          \x20 exploit     [--arch A] [--prot P] [--strategy S] [--firmware F]\n\
          \x20 dos         [--arch A] [--prot P] [--firmware F]\n\
          \x20                                crash-only probe\n\
-         \x20 pineapple   [--arch A]         remote rogue-AP scenario\n\
+         \x20 pineapple   [--arch A]         remote rogue-AP runs of E3 for one\n\
+         \x20                                ISA (x86 or arm; riscv has none)\n\
          \x20 fleet       [--devices N | --cohorts SPEC] [--jobs N] [--stream]\n\
          \x20             [--fresh-boot] [--resolver]\n\
          \x20                                rogue-AP attack on a fleet\n\
@@ -420,12 +421,22 @@ fn dos(mut args: Args) -> Result<ExitCode, String> {
 }
 
 fn pineapple(mut args: Args) -> Result<ExitCode, String> {
-    let arch = args.arch()?.to_string();
+    use connman_lab::experiments::e3;
+
+    let arch = args.arch()?;
     args.finish()?;
-    // Reuse the E3 machinery for a single run at the chosen arch.
-    let table = connman_lab::experiments::e3::run();
+    let (cells, others): (Vec<_>, Vec<_>) = e3::cells().into_iter().partition(|c| c.0 == arch);
+    if cells.is_empty() {
+        let mut arches: Vec<String> = others.iter().map(|c| c.0.to_string()).collect();
+        arches.dedup();
+        return Err(format!(
+            "pineapple: E3 has no remote rogue-AP run for {arch}; it runs {}",
+            arches.join(" and ")
+        ));
+    }
+    let table = e3::table(cells);
     println!("### remote rogue-AP runs for {arch}\n");
-    for r in table.rows.iter().filter(|r| r[1] == arch) {
+    for r in &table.rows {
         println!(
             "{} [{}]: lured={} rogue-dns={} → {}",
             r[0], r[2], r[3], r[4], r[5]

@@ -259,6 +259,12 @@ fn survey_and_pineapple_print_their_headers() {
         out.starts_with("### remote rogue-AP runs for x86\n"),
         "{out}"
     );
+
+    // E3 has no RISC-V cell: nothing runs.
+    let (out, err, code) = cml(&["pineapple", "--arch", "riscv"]);
+    assert_eq!(code, Some(1), "stdout: {out}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err.contains("x86 and ARMv7"), "{err}");
 }
 
 #[test]

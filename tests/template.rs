@@ -19,7 +19,6 @@ fn slides_for(seed: u64) -> Slides {
         pie: page(1),
         libc: page(2),
         stack: page(3),
-        canary: 0,
     }
 }
 
